@@ -8,8 +8,8 @@ GO ?= go
 # The packages with real concurrency: the comparator worker pool (which
 # now also runs the consistency lint and the n-way cross-check), the
 # absint verifier worker pool (which sweeps the tnum and stride transfer
-# suites), the engine's cross-goroutine cancellation, the SAT portfolio's
-# racing clones, the bit-sliced evaluator both pools share, the campaign
+# suites), the engine's cross-goroutine cancellation, the bit-sliced
+# evaluator both pools share, the campaign
 # loop, the metrics instruments, the sharded cache, the fact service
 # (single-flight + dispatcher), and the n-way/reducer packages the worker
 # pool calls into. The full suite under the race detector is the race-all

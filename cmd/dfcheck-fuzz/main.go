@@ -70,9 +70,6 @@ func main() {
 		noConsist  = flag.Bool("no-consistency", false, "disable the cross-domain consistency lint")
 		domsFlag   = flag.String("domains", "", "extend the consistency lint's reduced product with these transfer domains (comma-separated, e.g. tnum,stride; empty = classic four-domain lint)")
 		enumCut    = flag.Int("enum-cutoff", 0, "summed input bits at or below which expressions are enumerated instead of solved (0 = default, negative disables)")
-		portfolio  = flag.Int("portfolio", 0, "clones racing each hard SAT query with clause sharing (0 = default, 1 or negative disables)")
-		noPortf    = flag.Bool("no-portfolio", false, "ablation: disable portfolio solving (same as -portfolio=-1)")
-		portfSeed  = flag.Int64("portfolio-seed", 0, "perturbation seed for portfolio clone heuristics (result-equivalent: not part of cache keys or checkpoint fingerprints)")
 		nwayMode   = flag.Bool("nway", false, "n-way differential mode: cross-check all analyzer variants per expression and escalate to the SAT oracle only on disagreement")
 		reduceMode = flag.Bool("reduce", false, "shrink every finding to a 1-minimal reproducer preserving its finding kind (delta debugging)")
 		httpAddr   = flag.String("http", "", "serve the debug server on this address (e.g. :8125): expvar metrics at /debug/vars, pprof profiles at /debug/pprof/)")
@@ -148,23 +145,18 @@ func main() {
 			Bugs:   llvmport.BugConfig{NonZeroAdd: *bug1, SRemSignBits: *bug2, SRemKnownBits: *bug3},
 			Modern: *modern,
 		},
-		Budget:        *budget,
-		Workers:       *workers,
-		ExprTimeout:   *exprCap,
-		Metrics:       reg,
-		Tracer:        tracer,
-		NoStrash:      *noStrash,
-		NoSeed:        *noSeed,
-		EnumCutoff:    *enumCut,
-		Portfolio:     *portfolio,
-		PortfolioSeed: *portfSeed,
-		Consistency:   *consist && !*noConsist,
-		Domains:       doms,
-		NWay:          *nwayMode,
-		Reduce:        *reduceMode,
-	}
-	if *noPortf {
-		c.Portfolio = -1
+		Budget:      *budget,
+		Workers:     *workers,
+		ExprTimeout: *exprCap,
+		Metrics:     reg,
+		Tracer:      tracer,
+		NoStrash:    *noStrash,
+		NoSeed:      *noSeed,
+		EnumCutoff:  *enumCut,
+		Consistency: *consist && !*noConsist,
+		Domains:     doms,
+		NWay:        *nwayMode,
+		Reduce:      *reduceMode,
 	}
 	if *serveOnly {
 		*factSvc = true

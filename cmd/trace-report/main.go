@@ -142,33 +142,20 @@ type exprCost struct {
 	Key       string  `json:"key"`
 }
 
-// portfolioAgg sums the portfolio attributes of query spans: how many
-// hard queries escalated to racing clones, which clone answered, and the
-// volume of level-0 units the clones exchanged.
-type portfolioAgg struct {
-	Runs          int64    `json:"runs"`
-	Us            float64  `json:"time_us"`     // time of queries that escalated
-	WinnerRuns    [4]int64 `json:"winner_runs"` // indexed by winning clone
-	NoWinner      int64    `json:"no_winner"`   // exhausted or aborted runs
-	UnitsImported int64    `json:"units_imported"`
-	UnitsExported int64    `json:"units_exported"`
-}
-
 // report is the full aggregation, also the -json output shape.
 type report struct {
-	Files      int          `json:"files"`
-	Spans      int          `json:"spans"`
-	WallUs     float64      `json:"wall_us"`        // total root-span time
-	ExprUs     float64      `json:"expr_us"`        // total expression time
-	ByAnalysis table        `json:"by_analysis"`    // cat=analysis, by name
-	ByOpcode   table        `json:"by_opcode"`      // cat=expr, by root opcode
-	ByWidth    table        `json:"by_width"`       // cat=expr, by bitwidth
-	ByClass    table        `json:"by_query_class"` // cat=query, by class
-	TopExprs   []*exprCost  `json:"top_exprs"`
-	QueryCount int64        `json:"queries"`
-	QueryUs    float64      `json:"query_us"`
-	Conflicts  int64        `json:"conflicts"` // summed over query spans
-	Portfolio  portfolioAgg `json:"portfolio"`
+	Files      int         `json:"files"`
+	Spans      int         `json:"spans"`
+	WallUs     float64     `json:"wall_us"`        // total root-span time
+	ExprUs     float64     `json:"expr_us"`        // total expression time
+	ByAnalysis table       `json:"by_analysis"`    // cat=analysis, by name
+	ByOpcode   table       `json:"by_opcode"`      // cat=expr, by root opcode
+	ByWidth    table       `json:"by_width"`       // cat=expr, by bitwidth
+	ByClass    table       `json:"by_query_class"` // cat=query, by class
+	TopExprs   []*exprCost `json:"top_exprs"`
+	QueryCount int64       `json:"queries"`
+	QueryUs    float64     `json:"query_us"`
+	Conflicts  int64       `json:"conflicts"` // summed over query spans
 }
 
 func aggregate(spans []*span, topN int) *report {
@@ -204,21 +191,6 @@ func aggregate(spans []*span, topN int) *report {
 			rep.QueryCount++
 			rep.QueryUs += s.Dur
 			rep.Conflicts += conflicts
-			if runs := s.argInt("portfolio-runs"); runs > 0 {
-				p := &rep.Portfolio
-				p.Runs += runs
-				p.Us += s.Dur
-				p.UnitsImported += s.argInt("units-imported")
-				p.UnitsExported += s.argInt("units-exported")
-				// The winner attribute is the query's last run; runs per
-				// query are almost always 1, so attributing all of them to
-				// it keeps the histogram honest.
-				if w := s.argInt("portfolio-winner"); w >= 0 && w < int64(len(p.WinnerRuns)) {
-					p.WinnerRuns[w] += runs
-				} else {
-					p.NoWinner += runs
-				}
-			}
 		}
 	}
 	// Query conflicts roll up into the enclosing analysis rows via the
@@ -291,20 +263,6 @@ func (rep *report) print(w io.Writer) {
 	printTable(w, "By root opcode:", "opcode", rep.ByOpcode)
 	printTable(w, "By bitwidth:", "width", rep.ByWidth)
 	printTable(w, "By query class:", "class", rep.ByClass)
-
-	if p := rep.Portfolio; p.Runs > 0 {
-		fmt.Fprintf(w, "\nPortfolio (hard-query clone races):\n")
-		fmt.Fprintf(w, "  %d run(s) in %s of query time; units exchanged: %d exported, %d imported\n",
-			p.Runs, ms(p.Us), p.UnitsExported, p.UnitsImported)
-		for i, n := range p.WinnerRuns {
-			if n > 0 {
-				fmt.Fprintf(w, "  clone %d won %d\n", i, n)
-			}
-		}
-		if p.NoWinner > 0 {
-			fmt.Fprintf(w, "  unresolved (exhausted/aborted) %d\n", p.NoWinner)
-		}
-	}
 
 	if len(rep.TopExprs) > 0 {
 		fmt.Fprintf(w, "\nTop %d expressions by oracle time (duplicates collapsed by canonical hash):\n", len(rep.TopExprs))

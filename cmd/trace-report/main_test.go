@@ -37,61 +37,6 @@ func writeTrace(t *testing.T, maxBytes int64) string {
 	return path
 }
 
-// TestReportPortfolioSection forces every nontrivial SAT query through
-// the clone portfolio (threshold 1) and checks the report surfaces the
-// new span attributes: runs, the winner histogram, and unit exchange.
-func TestReportPortfolioSection(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.json")
-	tr, err := trace.NewFile(path, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corpus := harvest.Generate(harvest.Config{
-		Seed: 11, NumExprs: 12, MaxInsts: 4,
-		Widths: []harvest.WidthWeight{{Width: 8, Weight: 1}},
-	})
-	c := &compare.Comparator{
-		Analyzer: &llvmport.Analyzer{}, Workers: 2, Tracer: tr,
-		Portfolio: 3, PortfolioAfter: 1,
-	}
-	c.RunContext(context.Background(), corpus)
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var out bytes.Buffer
-	if err := run([]string{"-json", path}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	var rep report
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("-json output is not JSON: %v\n%s", err, out.String())
-	}
-	p := rep.Portfolio
-	if p.Runs == 0 {
-		t.Fatal("no portfolio runs recorded despite threshold 1")
-	}
-	var attributed int64
-	for _, n := range p.WinnerRuns {
-		attributed += n
-	}
-	if attributed+p.NoWinner != p.Runs {
-		t.Fatalf("winner histogram %v + unresolved %d does not cover %d runs",
-			p.WinnerRuns, p.NoWinner, p.Runs)
-	}
-	if p.Us <= 0 {
-		t.Fatalf("portfolio queries recorded no time: %+v", p)
-	}
-
-	out.Reset()
-	if err := run([]string{path}, &out); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !strings.Contains(out.String(), "Portfolio (hard-query clone races):") {
-		t.Errorf("text report missing the portfolio section:\n%s", out.String())
-	}
-}
-
 func TestReportAggregatesTrace(t *testing.T) {
 	path := writeTrace(t, 0)
 	var out bytes.Buffer

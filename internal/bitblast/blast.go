@@ -42,7 +42,7 @@ func BlastCircuit(c *Circuit, f *ir.Function) *Blasted {
 
 // BlastWith compiles f reusing the given circuit and input words — the
 // mechanism behind the demanded-bits oracle, which blasts the same
-// function twice sharing all inputs except one forced bit.
+// function twice sharing all inputs except one flipped bit.
 func BlastWith(c *Circuit, f *ir.Function, inputs map[*ir.Inst]Word) *Blasted {
 	b := &Blasted{
 		C:           c,

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -132,6 +133,57 @@ func TestResumeRejectsConfigMismatch(t *testing.T) {
 	err = sameCfg.Resume(path)
 	if err == nil || !strings.Contains(err.Error(), "different configuration") {
 		t.Fatalf("bug-flag mismatch not rejected: %v", err)
+	}
+}
+
+// TestResumeRefusesOldFingerprint resumes a checkpoint written before
+// the clone-racing SAT knobs left the fingerprint
+// (testdata/old-fingerprint-checkpoint.json, one batch of this test
+// campaign). Its fingerprint differs from today's only by those two
+// knobs, and the resume must still be refused with a mismatch error
+// rather than continue: old checkpoints need a fresh start.
+func TestResumeRefusesOldFingerprint(t *testing.T) {
+	const path = "testdata/old-fingerprint-checkpoint.json"
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old struct {
+		Config string `json:"config"`
+	}
+	if err := json.Unmarshal(raw, &old); err != nil {
+		t.Fatal(err)
+	}
+	c := New(testConfig(11, 1), testComparator())
+	fields := func(fp string) map[string]bool {
+		m := map[string]bool{}
+		for _, f := range strings.Split(fp, ";") {
+			m[f] = true
+		}
+		return m
+	}
+	oldF, newF := fields(old.Config), fields(c.Fingerprint())
+	var dropped []string
+	for f := range oldF {
+		if !newF[f] {
+			dropped = append(dropped, f)
+		}
+	}
+	for f := range newF {
+		if !oldF[f] {
+			t.Fatalf("fixture predates knob %q; it no longer isolates the dropped knobs", f)
+		}
+	}
+	if len(dropped) != 2 {
+		t.Fatalf("fixture fingerprint differs by %v, want exactly the two dropped knobs", dropped)
+	}
+
+	err = c.Resume(path)
+	if err == nil || !strings.Contains(err.Error(), "different configuration") {
+		t.Fatalf("old-fingerprint checkpoint not refused: %v", err)
+	}
+	if c.NextBatch != 0 || c.Totals.Batches != 0 {
+		t.Fatalf("refused resume modified campaign: next=%d totals=%+v", c.NextBatch, c.Totals)
 	}
 }
 

@@ -81,16 +81,13 @@ type wireCheckpoint struct {
 // campaign's results. A checkpoint only resumes under the fingerprint it
 // was written with: resuming a -bug3 campaign without -bug3 would
 // silently change what the remaining batches test — and the same holds
-// for the ablation flags (-no-seed, -no-strash, -enum-cutoff,
-// -portfolio, -portfolio-after), the n-way/reducer modes, and the
-// extended-lint domain set (-domains), all of which change which
-// results and findings the remaining batches can produce.
+// for the ablation flags (-no-seed, -no-strash, -enum-cutoff), the
+// n-way/reducer modes, and the extended-lint domain set (-domains), all
+// of which change which results and findings the remaining batches can
+// produce.
 //
-// Deliberately excluded, with the tests that justify each exclusion:
-// Workers (scheduling only; TestParallelRunMatchesSequential in
-// internal/compare) and PortfolioSeed (perturbs which portfolio clone
-// wins, never what it concludes; TestPortfolioSeedEquivalence in
-// internal/compare and TestCampaignPortfolioSeedEquivalence here).
+// Deliberately excluded: Workers (scheduling only;
+// TestParallelRunMatchesSequential in internal/compare).
 //
 // The serving knobs (FactSvc, CacheShards) are conservatively INCLUDED:
 // they have no equivalence test, and a serving campaign admits external
@@ -115,12 +112,12 @@ func (c *Campaign) Fingerprint() string {
 	return fmt.Sprintf("seed=%d;batches=%d;n=%d;max-insts=%d;widths=%s;max-width=%d;mutants=%d;canaries=%t;"+
 		"budget=%d;expr-timeout=%s;bug-nonzero=%t;bug-sremsign=%t;bug-sremknown=%t;modern=%t;consistency=%t;"+
 		"domains=%s;"+
-		"no-seed=%t;no-strash=%t;enum-cutoff=%d;portfolio=%d;portfolio-after=%d;nway=%t;reduce=%t;"+
+		"no-seed=%t;no-strash=%t;enum-cutoff=%d;nway=%t;reduce=%t;"+
 		"factsvc=%t;shards=%d",
 		c.Seed, c.Batches, c.NumExprs, c.MaxInsts, widths, c.MaxCastWidth, c.Mutants, c.Canaries,
 		budget, exprTimeout, an.Bugs.NonZeroAdd, an.Bugs.SRemSignBits, an.Bugs.SRemKnownBits, an.Modern,
 		cmp.Consistency, cmp.DomainNames(),
-		cmp.NoSeed, cmp.NoStrash, cmp.EnumCutoff, cmp.Portfolio, cmp.PortfolioAfter, cmp.NWay, cmp.Reduce,
+		cmp.NoSeed, cmp.NoStrash, cmp.EnumCutoff, cmp.NWay, cmp.Reduce,
 		c.FactSvc, c.CacheShards)
 }
 

@@ -13,10 +13,9 @@ import (
 // TestFingerprintCoversResultKnobs is the checkpoint-safety contract:
 // every knob that can change what the remaining batches compute must
 // change the fingerprint, so -resume under a changed knob is rejected
-// instead of silently continuing a different experiment. The two
-// documented exclusions — Workers and PortfolioSeed — are asserted
-// result-equivalent elsewhere (TestParallelRunMatchesSequential and the
-// portfolio-seed equivalence tests) and must NOT change it.
+// instead of silently continuing a different experiment. The documented
+// exclusion, Workers, is asserted result-equivalent elsewhere
+// (TestParallelRunMatchesSequential) and must NOT change it.
 func TestFingerprintCoversResultKnobs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	base := New(testConfig(11, 2), testComparator())
@@ -46,8 +45,6 @@ func TestFingerprintCoversResultKnobs(t *testing.T) {
 		{"no-seed", func(cfg *Config, c *compare.Comparator) { c.NoSeed = true }},
 		{"no-strash", func(cfg *Config, c *compare.Comparator) { c.NoStrash = true }},
 		{"enum-cutoff", func(cfg *Config, c *compare.Comparator) { c.EnumCutoff = -1 }},
-		{"portfolio", func(cfg *Config, c *compare.Comparator) { c.Portfolio = 3 }},
-		{"portfolio-after", func(cfg *Config, c *compare.Comparator) { c.PortfolioAfter = 1 }},
 		{"nway", func(cfg *Config, c *compare.Comparator) { c.NWay = true }},
 		{"reduce", func(cfg *Config, c *compare.Comparator) { c.Reduce = true }},
 		// The serving knobs: external fact-service traffic warms the
@@ -72,24 +69,16 @@ func TestFingerprintCoversResultKnobs(t *testing.T) {
 		}
 	}
 
-	// Documented exclusions: scheduling and clone-racing seeds do not
-	// affect results, so changing them must keep checkpoints resumable.
-	for _, k := range []struct {
-		name   string
-		mutate func(c *compare.Comparator)
-	}{
-		{"workers", func(c *compare.Comparator) { c.Workers = 1 }},
-		{"portfolio-seed", func(c *compare.Comparator) { c.PortfolioSeed = 42 }},
-	} {
-		cmp := testComparator()
-		k.mutate(cmp)
-		same := New(testConfig(11, 2), cmp)
-		if same.Fingerprint() != baseFP {
-			t.Errorf("%s: result-equivalent knob changed the fingerprint", k.name)
-		}
-		if err := same.Resume(path); err != nil {
-			t.Errorf("%s: resume under result-equivalent knob rejected: %v", k.name, err)
-		}
+	// Documented exclusion: scheduling does not affect results, so
+	// changing the worker count must keep checkpoints resumable.
+	cmp := testComparator()
+	cmp.Workers = 1
+	same := New(testConfig(11, 2), cmp)
+	if same.Fingerprint() != baseFP {
+		t.Error("workers: result-equivalent knob changed the fingerprint")
+	}
+	if err := same.Resume(path); err != nil {
+		t.Errorf("workers: resume under result-equivalent knob rejected: %v", err)
 	}
 }
 
@@ -160,40 +149,5 @@ func TestCheckpointPreservesNWayState(t *testing.T) {
 	plain := New(testConfig(11, 1), testComparator())
 	if err := plain.Resume(path); err == nil || !strings.Contains(err.Error(), "configuration") {
 		t.Fatalf("resume without -nway not rejected: %v", err)
-	}
-}
-
-// TestCampaignPortfolioSeedEquivalence runs the same campaign (EnumCutoff
-// -1 so the SAT engine is always in the loop, PortfolioAfter 1 so nearly
-// every query races clones) under two portfolio seeds: tallies and
-// findings must be identical — only which clone wins a race may vary —
-// which is what justifies excluding the seed from the fingerprint.
-func TestCampaignPortfolioSeedEquivalence(t *testing.T) {
-	run := func(seed int64) *Campaign {
-		cmp := testComparator()
-		cmp.Budget = 0 // default budget: equivalence needs to stay off budget edges
-		cmp.EnumCutoff = -1
-		cmp.Portfolio = 3
-		cmp.PortfolioAfter = 1
-		cmp.PortfolioSeed = seed
-		c := New(testConfig(17, 1), cmp)
-		if err := c.Run(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	a, b := run(0), run(99)
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("portfolio seed leaked into the fingerprint:\n%s\nvs\n%s", a.Fingerprint(), b.Fingerprint())
-	}
-	if !reflect.DeepEqual(comparableTotals(a.Totals), comparableTotals(b.Totals)) {
-		t.Fatalf("portfolio seed changed campaign results:\nseed 0:  %+v\nseed 99: %+v",
-			comparableTotals(a.Totals), comparableTotals(b.Totals))
-	}
-	for _, row := range a.Totals.Rows {
-		if row.Exhausted != 0 {
-			t.Fatalf("%s: %d expressions exhausted; the equivalence corpus must stay off budget edges",
-				row.Analysis, row.Exhausted)
-		}
 	}
 }

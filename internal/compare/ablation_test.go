@@ -58,30 +58,24 @@ func TestAblationFlagsPreserveResults(t *testing.T) {
 	}
 }
 
-// TestPortfolioAblationEquivalence is the portfolio's contract: racing
-// perturbed solver clones on hard queries must not change a single
-// Table-1 outcome or finding versus sequential solving. EnumCutoff -1
-// forces every expression through the SAT engine so the portfolio policy
-// is actually in the loop, and the corpus solves well inside the default
-// budget (asserted via Exhausted == 0) — a portfolio can only perturb
-// results at budget edges, which this corpus therefore avoids.
-func TestPortfolioAblationEquivalence(t *testing.T) {
+// TestSATRoutingMatchesEnumRouting runs the corpus once with every
+// expression bit-blasted and solved (EnumCutoff -1) and once with the
+// default routing, which enumerates all of it at these widths: the SAT
+// engine, demanded-bits miters included, must reach the enumeration
+// engine's Table-1 outcomes and findings. The corpus solves well inside
+// the default budget (asserted via Exhausted == 0), so any difference is
+// a wrong answer, not a budget edge.
+func TestSATRoutingMatchesEnumRouting(t *testing.T) {
 	corpus := ablationCorpus()
-	seq := (&Comparator{
+	viaSAT := (&Comparator{
 		Analyzer:   &llvmport.Analyzer{},
 		Workers:    1,
 		EnumCutoff: -1,
-		Portfolio:  -1,
 	}).Run(corpus)
-	por := (&Comparator{
-		Analyzer:   &llvmport.Analyzer{},
-		Workers:    1,
-		EnumCutoff: -1,
-		Portfolio:  3,
-	}).Run(corpus)
-	compareReports(t, "portfolio", por, seq)
+	viaEnum := (&Comparator{Analyzer: &llvmport.Analyzer{}, Workers: 1}).Run(corpus)
+	compareReports(t, "sat-vs-enum", viaSAT, viaEnum)
 	for _, a := range harvest.AllAnalyses {
-		if n := seq.Rows[a].Exhausted; n != 0 {
+		if n := viaSAT.Rows[a].Exhausted; n != 0 {
 			t.Fatalf("%s: %d expressions exhausted; the equivalence corpus must stay off budget edges", a, n)
 		}
 	}

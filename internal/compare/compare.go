@@ -129,19 +129,6 @@ type Comparator struct {
 	// are analyzed by exhaustive enumeration instead of SAT: 0 selects
 	// solver.DefaultEnumCutoff, negative disables the fast path.
 	EnumCutoff int
-	// Portfolio overrides the clone count for hard-query portfolio
-	// solving: 0 selects solver.DefaultPortfolio, negative disables the
-	// portfolio (the -no-portfolio ablation). PortfolioAfter overrides
-	// the conflict threshold before a query escalates (0 selects
-	// sat.DefaultPortfolioAfter).
-	Portfolio      int
-	PortfolioAfter int64
-	// PortfolioSeed perturbs the portfolio clones' decision heuristics.
-	// Reports are identical for every seed (clone results agree on
-	// SAT/UNSAT; only which clone wins the race varies), so the seed is
-	// excluded from cache keys and campaign fingerprints — a property
-	// locked in by the portfolio-determinism tests.
-	PortfolioSeed int64
 	// Tracer, when set, records a hierarchical span per run, expression,
 	// analysis, oracle iteration, and solver query (the -trace flag).
 	// Nil compiles to the untraced near-zero-cost path.
@@ -248,14 +235,11 @@ func (c *Comparator) newEngine(ctx context.Context, f *ir.Function, deadline tim
 		ctx = nil
 	}
 	return solver.NewEngine(f, solver.Config{
-		Budget:         c.Budget,
-		Deadline:       deadline,
-		Ctx:            ctx,
-		NoStrash:       c.NoStrash,
-		EnumCutoff:     c.EnumCutoff,
-		Portfolio:      c.Portfolio,
-		PortfolioAfter: c.PortfolioAfter,
-		PortfolioSeed:  c.PortfolioSeed,
+		Budget:     c.Budget,
+		Deadline:   deadline,
+		Ctx:        ctx,
+		NoStrash:   c.NoStrash,
+		EnumCutoff: c.EnumCutoff,
 	})
 }
 
@@ -290,10 +274,6 @@ func (c *Comparator) recordOracle(o *oracleSet) {
 	c.Metrics.Counter("solver_enum_queries").Add(o.Solver.EnumQueries)
 	c.Metrics.Counter("solver_gates_built").Add(o.Solver.GatesBuilt)
 	c.Metrics.Counter("solver_gates_deduped").Add(o.Solver.GatesDeduped)
-	c.Metrics.Counter("solver_portfolio_runs").Add(o.Solver.PortfolioRuns)
-	c.Metrics.Counter("solver_portfolio_wins").Add(o.Solver.PortfolioWins)
-	c.Metrics.Counter("solver_units_imported").Add(o.Solver.UnitsImported)
-	c.Metrics.Counter("solver_units_exported").Add(o.Solver.UnitsExported)
 	c.Metrics.Histogram("expr_latency").Observe(total)
 	// The outcome split separates expressions the solver budget covered
 	// from ones it exhausted — the saturated tail would otherwise hide
@@ -426,9 +406,9 @@ func (c *Comparator) cacheConfig() string {
 	if c.Analyzer != nil {
 		an = *c.Analyzer
 	}
-	return fmt.Sprintf("bug-nonzero=%t;bug-sremsign=%t;bug-sremknown=%t;modern=%t;timeout=%s;no-seed=%t;no-strash=%t;enum-cutoff=%d;portfolio=%d",
+	return fmt.Sprintf("bug-nonzero=%t;bug-sremsign=%t;bug-sremknown=%t;modern=%t;timeout=%s;no-seed=%t;no-strash=%t;enum-cutoff=%d",
 		an.Bugs.NonZeroAdd, an.Bugs.SRemSignBits, an.Bugs.SRemKnownBits, an.Modern, c.ExprTimeout,
-		c.NoSeed, c.NoStrash, c.EnumCutoff, c.Portfolio)
+		c.NoSeed, c.NoStrash, c.EnumCutoff)
 }
 
 // DomainNames renders the extended-lint domain list (e.g. "tnum,stride")
@@ -1240,15 +1220,12 @@ func (c *Comparator) FindingProperty(ctx context.Context, fd Finding) reduce.Pro
 // would pollute it), metrics, tracer, or the n-way/consistency extras.
 func (c *Comparator) reducerComparator() *Comparator {
 	return &Comparator{
-		Analyzer:       c.Analyzer,
-		Budget:         c.Budget,
-		ExprTimeout:    c.ExprTimeout,
-		NoSeed:         c.NoSeed,
-		NoStrash:       c.NoStrash,
-		EnumCutoff:     c.EnumCutoff,
-		Portfolio:      c.Portfolio,
-		PortfolioAfter: c.PortfolioAfter,
-		PortfolioSeed:  c.PortfolioSeed,
+		Analyzer:    c.Analyzer,
+		Budget:      c.Budget,
+		ExprTimeout: c.ExprTimeout,
+		NoSeed:      c.NoSeed,
+		NoStrash:    c.NoStrash,
+		EnumCutoff:  c.EnumCutoff,
 	}
 }
 

@@ -21,6 +21,7 @@ package oracle
 
 import (
 	"math/bits"
+	"slices"
 
 	"dfcheck/internal/apint"
 	"dfcheck/internal/constrange"
@@ -311,20 +312,12 @@ func DemandedBits(e solver.Engine, f *ir.Function) DemandedBitsResult {
 		sp.SetStr("var", v.Name)
 		mask := apint.Zero(v.Width)
 		for i := uint(0); i < v.Width; i++ {
-			demanded := false
-			for _, val := range []bool{false, true} {
-				matters, ok := e.ForcedBitMatters(v, i, val)
-				if !ok {
-					res.Exhausted = true
-					demanded = true // sound fallback
-					break
-				}
-				if matters {
-					demanded = true
-					break
-				}
+			matters, ok := e.BitMatters(v, i)
+			if !ok {
+				res.Exhausted = true
+				matters = true // sound fallback
 			}
-			if demanded {
+			if matters {
 				mask = mask.SetBit(i)
 			}
 		}
@@ -656,20 +649,24 @@ func synthesizeBase(e solver.Engine, w uint, c apint.Int, samples *[]apint.Int) 
 	return apint.Int{}, false, true // CEGIS budget exhausted
 }
 
-// coverWindow finds a window [X, X+C) covering all samples, if one exists.
-// A minimal covering window can always start at a sample, so only sample
-// values are candidate bases.
+// coverWindow finds a window [X, X+C) covering all samples, if one exists,
+// and returns the first sample, in samples order, that is such a base. A
+// minimal covering window can always start at a sample, so only sample
+// values are candidate bases. Walking the circle of w-bit values forward
+// from a sample s, the last sample reached is s's circular predecessor
+// among the distinct sorted samples, so s is a valid base iff
+// (pred(s) - s) mod 2^w < C: one sort plus a binary search per sample.
 func coverWindow(w uint, c apint.Int, samples []apint.Int) (apint.Int, bool) {
+	vals := make([]uint64, len(samples))
+	for i, s := range samples {
+		vals[i] = s.Uint64()
+	}
+	slices.Sort(vals)
+	vals = slices.Compact(vals)
 	for _, base := range samples {
-		covered := true
-		for _, s := range samples {
-			// s ∈ [base, base+c) ⟺ s - base <u c.
-			if !s.Sub(base).ULT(c) {
-				covered = false
-				break
-			}
-		}
-		if covered {
+		i, _ := slices.BinarySearch(vals, base.Uint64())
+		pred := vals[(i+len(vals)-1)%len(vals)]
+		if apint.New(w, pred).Sub(base).ULT(c) {
 			return base, true
 		}
 	}

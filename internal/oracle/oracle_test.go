@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"math/rand"
 	"testing"
 
 	"dfcheck/internal/apint"
@@ -281,6 +282,44 @@ func TestPaperPreciseDemandedBits(t *testing.T) {
 	}
 }
 
+// bitQueryCounter wraps an engine and records, per input bit, how many
+// solver queries its BitMatters calls issued.
+type bitQueryCounter struct {
+	solver.Engine
+	perBit map[uint]int64
+}
+
+func (c *bitQueryCounter) BitMatters(v *ir.Inst, bit uint) (bool, bool) {
+	before := c.Engine.Stats().Queries
+	r, ok := c.Engine.BitMatters(v, bit)
+	c.perBit[bit] += c.Engine.Stats().Queries - before
+	return r, ok
+}
+
+// TestDemandedBitsOneQueryPerBit pins Algorithm 2's cost on the SAT path:
+// "flipping bit i can change the output" is one symmetric query, so a bit
+// that is not demanded costs one UNSAT proof, not one per forced value.
+func TestDemandedBitsOneQueryPerBit(t *testing.T) {
+	f := ir.MustParse("%x:i8 = var\n%0:i1 = slt %x, 0:i8\ninfer %0")
+	eng := solver.NewEngine(f, solver.Config{EnumCutoff: -1})
+	if _, ok := eng.(*solver.SATEngine); !ok {
+		t.Fatalf("EnumCutoff -1 routed to %T, want the SAT engine", eng)
+	}
+	c := &bitQueryCounter{Engine: eng, perBit: map[uint]int64{}}
+	got := DemandedBits(c, f)
+	if got.Exhausted {
+		t.Fatal("exhausted")
+	}
+	if s := got.Demanded["x"].BitString(); s != "10000000" {
+		t.Fatalf("demanded = %s, want 10000000", s)
+	}
+	for bit := uint(0); bit < 7; bit++ {
+		if n := c.perBit[bit]; n != 1 {
+			t.Errorf("non-demanded bit %d cost %d solver queries, want 1", bit, n)
+		}
+	}
+}
+
 func TestPaperPreciseRanges(t *testing.T) {
 	cases := []struct{ src, want string }{
 		{"%x:i32 = var\n%0:i1 = eq 0:i32, %x\n%1:i32 = select %0, 1:i32, %x\ninfer %1", "[1,0)"},
@@ -443,6 +482,76 @@ func TestOracle64BitDivisionFree(t *testing.T) {
 	for i := uint(0); i < 5; i++ {
 		if known, one := kb.Bits.KnownBit(i); !known || one {
 			t.Errorf("bit %d of shl 32, %%x at i64 should be known zero", i)
+		}
+	}
+}
+
+// coverWindowQuadratic is the all-pairs definition of coverWindow: the
+// first sample, in samples order, from which a window of size c covers
+// every sample.
+func coverWindowQuadratic(c apint.Int, samples []apint.Int) (apint.Int, bool) {
+	for _, base := range samples {
+		covered := true
+		for _, s := range samples {
+			// s ∈ [base, base+c) ⟺ s - base <u c.
+			if !s.Sub(base).ULT(c) {
+				covered = false
+				break
+			}
+		}
+		if covered {
+			return base, true
+		}
+	}
+	return apint.Int{}, false
+}
+
+// TestCoverWindowMatchesQuadratic checks the sorted predecessor-gap
+// coverWindow against the all-pairs definition on random sample sets with
+// duplicates, clusters straddling the 0/2^w wrap point, and window sizes
+// from 0 up to 2^w - 1.
+func TestCoverWindowMatchesQuadratic(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 20000; trial++ {
+		w := []uint{1, 2, 3, 4, 5, 8, 13, 16, 32, 64}[rng.Intn(10)]
+		maxv := apint.AllOnes(w).Uint64()
+		randVal := func() uint64 {
+			switch rng.Intn(3) {
+			case 0: // near the wrap point, from either side
+				d := uint64(rng.Intn(4))
+				if rng.Intn(2) == 0 {
+					return d & maxv
+				}
+				return maxv - d&maxv
+			case 1: // anywhere
+				return rng.Uint64() & maxv
+			default: // a small cluster, so duplicates are common
+				return uint64(rng.Intn(6)) & maxv
+			}
+		}
+		samples := make([]apint.Int, 1+rng.Intn(12))
+		for i := range samples {
+			if i > 0 && rng.Intn(4) == 0 {
+				samples[i] = samples[rng.Intn(i)] // exact duplicate
+			} else {
+				samples[i] = apint.New(w, randVal())
+			}
+		}
+		var c uint64
+		switch rng.Intn(4) {
+		case 0:
+			c = maxv - uint64(rng.Intn(3))&maxv // near 2^w
+		case 1:
+			c = uint64(rng.Intn(4)) & maxv // tiny, 0 included
+		default:
+			c = rng.Uint64() & maxv
+		}
+		cw := apint.New(w, c)
+		gotBase, gotOK := coverWindow(w, cw, samples)
+		wantBase, wantOK := coverWindowQuadratic(cw, samples)
+		if gotOK != wantOK || (gotOK && !gotBase.Eq(wantBase)) {
+			t.Fatalf("w=%d c=%d samples=%v: coverWindow = (%v, %v), quadratic = (%v, %v)",
+				w, c, samples, gotBase, gotOK, wantBase, wantOK)
 		}
 	}
 }

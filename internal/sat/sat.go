@@ -122,37 +122,15 @@ type Solver struct {
 	// the abort poll bounds how far a single solve can overrun an external
 	// deadline: at most one check interval of propagation work. The
 	// callback must be cheap (it is called from the search hot loop) and
-	// must keep returning true once it has fired. When Portfolio is
-	// active every clone polls the same callback concurrently, so it must
-	// also be safe to call from multiple goroutines.
+	// must keep returning true once it has fired.
 	Abort func() bool
 
 	// AbortCheckEvery is the abort poll interval in propagations;
 	// zero or negative selects DefaultAbortCheckEvery.
 	AbortCheckEvery int64
 
-	// Portfolio, when >= 2, escalates a Solve that is still undecided
-	// after PortfolioAfter conflicts to a portfolio of that many
-	// perturbed solver clones racing in parallel (capped at MaxClones);
-	// the first definitive answer wins and cancels the rest. See
-	// portfolio.go.
-	Portfolio int
-	// PortfolioAfter is the conflict threshold before fan-out; zero or
-	// negative selects DefaultPortfolioAfter.
-	PortfolioAfter int64
-	// PortfolioSeed perturbs the clones' decision randomization, for
-	// reproducing a specific portfolio run.
-	PortfolioSeed int64
-
 	nextAbortCheck int64
 	aborted        bool
-
-	// Clone perturbation state (zero on a solver that is not a portfolio
-	// clone): rng drives occasional random decisions at rate randFreq,
-	// and restartBase scales the Luby restart sequence.
-	rng         *rng
-	randFreq    float64
-	restartBase int64
 
 	// Statistics.
 	Conflicts    int64
@@ -162,13 +140,6 @@ type Solver struct {
 
 	learned      int64 // learnt clauses attached (units included)
 	addedClauses int64 // problem clauses accepted by AddClause
-
-	// Portfolio attribution (see Stats).
-	portfolioRuns int64
-	unitsImported int64
-	unitsExported int64
-	cloneWins     [MaxClones]int64
-	lastWinner    int64
 }
 
 // Stats is a point-in-time snapshot of the solver's cumulative search
@@ -183,58 +154,35 @@ type Stats struct {
 	Learned      int64 `json:"learned"` // learnt clauses derived (units included)
 	Vars         int64 `json:"vars"`    // variables allocated
 	Clauses      int64 `json:"clauses"` // problem clauses accepted
-
-	// Portfolio attribution: fan-outs run, learned-unit exchange volume,
-	// per-clone win histogram, and the winning clone of the most recent
-	// portfolio run (-1 when no portfolio has produced an answer).
-	PortfolioRuns int64            `json:"portfolio_runs,omitempty"`
-	UnitsImported int64            `json:"units_imported,omitempty"`
-	UnitsExported int64            `json:"units_exported,omitempty"`
-	CloneWins     [MaxClones]int64 `json:"clone_wins,omitempty"`
-	LastWinner    int64            `json:"last_winner"`
 }
 
 // Stats snapshots the solver's counters. Cheap enough to call around
 // every query.
 func (s *Solver) Stats() Stats {
 	return Stats{
-		Decisions:     s.Decisions,
-		Conflicts:     s.Conflicts,
-		Propagations:  s.Propagations,
-		Restarts:      s.Restarts,
-		Learned:       s.learned,
-		Vars:          int64(len(s.assigns)),
-		Clauses:       s.addedClauses,
-		PortfolioRuns: s.portfolioRuns,
-		UnitsImported: s.unitsImported,
-		UnitsExported: s.unitsExported,
-		CloneWins:     s.cloneWins,
-		LastWinner:    s.lastWinner,
+		Decisions:    s.Decisions,
+		Conflicts:    s.Conflicts,
+		Propagations: s.Propagations,
+		Restarts:     s.Restarts,
+		Learned:      s.learned,
+		Vars:         int64(len(s.assigns)),
+		Clauses:      s.addedClauses,
 	}
 }
 
 // Sub returns the counter deltas a - b, for attributing one query's work
 // on a shared incremental solver (sizes subtract too: the delta's Vars and
-// Clauses are what the query added). LastWinner is not a counter and
-// carries a's value.
+// Clauses are what the query added).
 func (a Stats) Sub(b Stats) Stats {
-	out := Stats{
-		Decisions:     a.Decisions - b.Decisions,
-		Conflicts:     a.Conflicts - b.Conflicts,
-		Propagations:  a.Propagations - b.Propagations,
-		Restarts:      a.Restarts - b.Restarts,
-		Learned:       a.Learned - b.Learned,
-		Vars:          a.Vars - b.Vars,
-		Clauses:       a.Clauses - b.Clauses,
-		PortfolioRuns: a.PortfolioRuns - b.PortfolioRuns,
-		UnitsImported: a.UnitsImported - b.UnitsImported,
-		UnitsExported: a.UnitsExported - b.UnitsExported,
-		LastWinner:    a.LastWinner,
+	return Stats{
+		Decisions:    a.Decisions - b.Decisions,
+		Conflicts:    a.Conflicts - b.Conflicts,
+		Propagations: a.Propagations - b.Propagations,
+		Restarts:     a.Restarts - b.Restarts,
+		Learned:      a.Learned - b.Learned,
+		Vars:         a.Vars - b.Vars,
+		Clauses:      a.Clauses - b.Clauses,
 	}
-	for i := range out.CloneWins {
-		out.CloneWins[i] = a.CloneWins[i] - b.CloneWins[i]
-	}
-	return out
 }
 
 // DefaultAbortCheckEvery is the default abort poll interval. Propagation
@@ -246,11 +194,10 @@ const DefaultAbortCheckEvery = 4096
 // New returns an empty solver.
 func New() *Solver {
 	return &Solver{
-		varInc:     1.0,
-		claInc:     1.0,
-		claAct:     make(map[clauseRef]float64),
-		maxLearn:   4000,
-		lastWinner: -1,
+		varInc:   1.0,
+		claInc:   1.0,
+		claAct:   make(map[clauseRef]float64),
+		maxLearn: 4000,
 	}
 }
 
@@ -688,25 +635,8 @@ func (s *Solver) analyze(confl clauseRef) ([]Lit, int) {
 }
 
 // pickBranchLit selects the unassigned variable with highest activity,
-// using its saved phase. A portfolio clone occasionally decides on a
-// random variable instead (MiniSat's random_var_freq), which is what
-// diversifies the clones' search trajectories.
+// using its saved phase.
 func (s *Solver) pickBranchLit() Lit {
-	if s.rng != nil && s.rng.float64() < s.randFreq {
-		// A few random probes; on miss, fall through to VSIDS. The
-		// variable stays in the heap — popMax skips assigned variables
-		// lazily, exactly as after a backtrack re-push.
-		for try := 0; try < 8; try++ {
-			v := Var(s.rng.intn(len(s.assigns)))
-			if s.assigns[v] == lUndef {
-				s.Decisions++
-				if s.phase[v] {
-					return PosLit(v)
-				}
-				return NegLit(v)
-			}
-		}
-	}
 	for {
 		v, ok := s.heap.popMax(s.activity)
 		if !ok {
@@ -735,35 +665,14 @@ func luby(i int64) int64 {
 	}
 }
 
+// restartBase scales the Luby restart sequence, in conflicts.
+const restartBase = 100
+
 // Solve determines satisfiability under the given assumptions. After Sat,
 // Value reports the model. Unknown means a budget was exhausted or the
-// Abort callback fired. With Portfolio >= 2, a query still undecided
-// after PortfolioAfter conflicts fans out to a clone portfolio.
+// Abort callback fired. It runs the restart loop: CDCL search up to the
+// next Luby limit, then back to level 0 to reduce the learnt clauses.
 func (s *Solver) Solve(assumptions ...Lit) Status {
-	if s.unsat {
-		return Unsat
-	}
-	if s.Portfolio < 2 {
-		return s.solveLoop(assumptions, 0, nil)
-	}
-	after := s.PortfolioAfter
-	if after <= 0 {
-		after = DefaultPortfolioAfter
-	}
-	st := s.solveLoop(assumptions, s.Conflicts+after, nil)
-	if st != Unknown || s.aborted || s.budgetExceeded() {
-		return st
-	}
-	return s.solvePortfolio(assumptions)
-}
-
-// solveLoop is the restart loop shared by the sequential path, the
-// pre-portfolio probe, and portfolio clones. stopAfter, when positive,
-// returns Unknown once total conflicts reach it (the fan-out threshold —
-// distinct from the budgets, which make Unknown final). exch, when
-// non-nil, exchanges learned level-0 unit clauses with the other
-// portfolio clones at every restart.
-func (s *Solver) solveLoop(assumptions []Lit, stopAfter int64, exch *unitPool) Status {
 	if s.unsat {
 		return Unsat
 	}
@@ -771,16 +680,9 @@ func (s *Solver) solveLoop(assumptions []Lit, stopAfter int64, exch *unitPool) S
 	s.aborted = false
 	s.nextAbortCheck = s.Propagations // poll before the first batch
 
-	base := s.restartBase
-	if base == 0 {
-		base = 100
-	}
 	var restartNum int64
 	for {
-		limit := s.Conflicts + base*luby(restartNum)
-		if stopAfter > 0 && limit > stopAfter {
-			limit = stopAfter
-		}
+		limit := s.Conflicts + restartBase*luby(restartNum)
 		st := s.search(assumptions, limit)
 		if st == Sat {
 			s.model = s.modelSnapshot()
@@ -792,16 +694,9 @@ func (s *Solver) solveLoop(assumptions []Lit, stopAfter int64, exch *unitPool) S
 		if s.aborted || s.budgetExceeded() {
 			return Unknown
 		}
-		if stopAfter > 0 && s.Conflicts >= stopAfter {
-			return Unknown
-		}
 		restartNum++
 		s.Restarts++
 		s.cancelUntil(0)
-		if exch != nil && !s.exchangeUnits(exch) {
-			s.unsat = true
-			return Unsat
-		}
 		if len(s.learnts) > s.maxLearn {
 			s.reduceDB()
 		}

@@ -488,3 +488,108 @@ func TestReductionActuallyFires(t *testing.T) {
 		t.Error("no clauses were reduced despite tiny maxLearn")
 	}
 }
+
+// addParity constrains x0 ^ x1 ^ ... ^ x(n-1) = parity over fresh
+// variables via the standard chain encoding, returning the variables.
+// Parity chains produce long propagation-heavy searches, a Sat/Unsat
+// workload that, unlike pigeonhole, has models to find.
+func addParity(s *Solver, n int, parity bool) []Var {
+	vars := make([]Var, n)
+	for i := range vars {
+		vars[i] = s.NewVar()
+	}
+	acc := vars[0]
+	for i := 1; i < n; i++ {
+		nxt := s.NewVar()
+		// nxt = acc XOR vars[i]
+		s.AddClause(NegLit(nxt), PosLit(acc), PosLit(vars[i]))
+		s.AddClause(NegLit(nxt), NegLit(acc), NegLit(vars[i]))
+		s.AddClause(PosLit(nxt), NegLit(acc), PosLit(vars[i]))
+		s.AddClause(PosLit(nxt), PosLit(acc), NegLit(vars[i]))
+		acc = nxt
+	}
+	if parity {
+		s.AddClause(PosLit(acc))
+	} else {
+		s.AddClause(NegLit(acc))
+	}
+	return vars
+}
+
+// TestParityModelIsGenuine checks the satisfiable side on a 40-variable
+// parity chain plus a satisfiable pigeonhole: Sat must come with a model
+// that really has odd parity.
+func TestParityModelIsGenuine(t *testing.T) {
+	s := New()
+	vars := addParity(s, 40, true)
+	addPigeonhole(s, 3, 3)
+	if st := s.Solve(); st != Sat {
+		t.Fatalf("parity = %v, want sat", st)
+	}
+	par := false
+	for _, v := range vars {
+		par = par != s.Value(v)
+	}
+	if !par {
+		t.Fatal("model violates the parity constraint")
+	}
+}
+
+// TestRelativeUnsatKeepsDatabase: an Unsat under assumptions must not
+// poison the solver's clause database, which the incremental engine
+// relies on: the same solver must still answer Sat once the assumptions
+// are dropped.
+func TestRelativeUnsatKeepsDatabase(t *testing.T) {
+	s := New()
+	vars := addParity(s, 30, true)
+	// Assume all inputs false: forces parity 0, contradicting the chain.
+	assumptions := make([]Lit, len(vars))
+	for i, v := range vars {
+		assumptions[i] = NegLit(v)
+	}
+	if st := s.Solve(assumptions...); st != Unsat {
+		t.Fatalf("assumed-all-false parity = %v, want unsat", st)
+	}
+	if st := s.Solve(); st != Sat {
+		t.Fatalf("after relative unsat, unconstrained solve = %v, want sat", st)
+	}
+}
+
+// TestResumeAfterBudgetMatchesFresh: a solve cut off by its conflict
+// budget leaves learnt clauses and level-0 facts behind. Lifting the
+// budget and solving again on the same solver must reach the answer a
+// fresh solver reaches, on both the satisfiable and the unsatisfiable
+// side, the way the engine's shared per-expression solvers are reused.
+func TestResumeAfterBudgetMatchesFresh(t *testing.T) {
+	for _, parity := range []bool{false, true} {
+		build := func() *Solver {
+			s := New()
+			addParity(s, 25, parity)
+			addPigeonhole(s, 5, 4) // unsatisfiable, so the whole formula is
+			return s
+		}
+		s := build()
+		s.ConflictBudget = 30
+		_ = s.Solve()
+		s.ConflictBudget = 0
+		if got, want := s.Solve(), build().Solve(); got != want || got != Unsat {
+			t.Fatalf("parity %v: resumed %v, fresh %v, want unsat", parity, got, want)
+		}
+
+		s = New()
+		vars := addParity(s, 25, parity)
+		s.ConflictBudget = 3
+		_ = s.Solve()
+		s.ConflictBudget = 0
+		if st := s.Solve(); st != Sat {
+			t.Fatalf("parity %v: resumed satisfiable chain = %v, want sat", parity, st)
+		}
+		got := false
+		for _, v := range vars {
+			got = got != s.Value(v)
+		}
+		if got != parity {
+			t.Fatalf("parity %v: resumed model has parity %v", parity, got)
+		}
+	}
+}

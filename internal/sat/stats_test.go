@@ -8,8 +8,8 @@ import "testing"
 func TestStatsSnapshot(t *testing.T) {
 	s := New()
 	before := s.Stats()
-	if before != (Stats{LastWinner: -1}) {
-		t.Fatalf("fresh solver stats = %+v, want zero (no portfolio winner)", before)
+	if before != (Stats{}) {
+		t.Fatalf("fresh solver stats = %+v, want zero", before)
 	}
 	addPigeonhole(s, 7, 6)
 	if st := s.Solve(); st != Unsat {

@@ -14,12 +14,12 @@ import (
 // search — the same trick incremental SMT solvers play under the paper's
 // algorithms.
 //
-// For ForcedBitMatters (Algorithm 2), the second program copy reads its
-// inputs through per-bit selector muxes:
+// For BitMatters (Algorithm 2), the second program copy reads its inputs
+// through per-bit selectors:
 //
-//	x2[i] = selLo[i] ? 0 : (selHi[i] ? 1 : x[i])
+//	x2[i] = sel[i] ? ¬x[i] : x[i]  (= sel[i] ⊕ x[i])
 //
-// so one miter circuit serves all 2·w queries for a variable, each query
+// so one miter circuit serves all w queries for a variable, each query
 // asserting exactly one selector through assumptions.
 
 // outputSession is the shared circuit for queries about the root value.
@@ -57,7 +57,6 @@ func (e *SATEngine) solveAssuming(name, class string, s *sat.Solver, assumptions
 	before := s.Stats()
 	s.ConflictBudget = s.Conflicts + e.remaining()
 	e.armAbort(s)
-	e.armPortfolio(s)
 	sp, _ := e.startQuery(name, class, s)
 	st := s.Solve(assumptions...)
 	endQuery(sp, s, before, st)
@@ -69,10 +68,6 @@ func (e *SATEngine) solveAssuming(name, class string, s *sat.Solver, assumptions
 	e.stats.Decisions += delta.Decisions
 	e.stats.Restarts += delta.Restarts
 	e.stats.Learned += delta.Learned
-	e.stats.PortfolioRuns += delta.PortfolioRuns
-	e.stats.PortfolioWins += cloneWinsTotal(delta)
-	e.stats.UnitsImported += delta.UnitsImported
-	e.stats.UnitsExported += delta.UnitsExported
 	if st == sat.Unknown {
 		e.stats.Exhausted++
 		return false, false
@@ -256,14 +251,12 @@ func (e *SATEngine) incOutputOutside(lo, size apint.Int) (apint.Int, bool, bool)
 
 // miterSession is the per-variable shared circuit for demanded-bits
 // queries: a second copy of the function whose inputs run through
-// selector muxes.
+// per-bit selectors.
 type miterSession struct {
 	s      *sat.Solver
 	c      *bitblast.Circuit
-	differ sat.Lit // outputs differ ∧ both copies well-defined
-	selLo  []sat.Lit
-	selHi  []sat.Lit
-	allSel []sat.Lit // every selector, for building assumption sets
+	differ sat.Lit   // outputs differ ∧ both copies well-defined
+	sel    []sat.Lit // sel[i] flips bit i in the second copy
 }
 
 func (e *SATEngine) miter(v *ir.Inst) *miterSession {
@@ -275,30 +268,26 @@ func (e *SATEngine) miter(v *ir.Inst) *miterSession {
 	c := b1.C
 
 	w := v.Width
-	selLo := make([]sat.Lit, w)
-	selHi := make([]sat.Lit, w)
-	forced := make(bitblast.Word, w)
+	sel := make([]sat.Lit, w)
+	flipped := make(bitblast.Word, w)
 	orig := b1.Inputs[v]
 	for i := uint(0); i < w; i++ {
-		selLo[i] = c.Lit()
-		selHi[i] = c.Lit()
-		forced[i] = c.Mux(selLo[i], c.False(), c.Mux(selHi[i], c.True(), orig[i]))
+		sel[i] = c.Lit()
+		flipped[i] = c.Xor(sel[i], orig[i]) // sel[i] ? ¬x[i] : x[i]
 	}
 	inputs2 := make(map[*ir.Inst]bitblast.Word, len(b1.Inputs))
 	for iv, word := range b1.Inputs {
 		inputs2[iv] = word
 	}
-	inputs2[v] = forced
+	inputs2[v] = flipped
 	b2 := bitblast.BlastWith(c, e.f, inputs2)
 
 	m := &miterSession{
 		s:      s,
 		c:      c,
 		differ: c.AndN(b1.WellDefined, b2.WellDefined, c.Eq(b1.Output, b2.Output).Not()),
-		selLo:  selLo,
-		selHi:  selHi,
+		sel:    sel,
 	}
-	m.allSel = append(append([]sat.Lit{}, selLo...), selHi...)
 	if e.miters == nil {
 		e.miters = make(map[*ir.Inst]*miterSession)
 	}
@@ -306,20 +295,15 @@ func (e *SATEngine) miter(v *ir.Inst) *miterSession {
 	return m
 }
 
-func (e *SATEngine) incForcedBitMatters(v *ir.Inst, bit uint, val bool) (bool, bool) {
+func (e *SATEngine) incBitMatters(v *ir.Inst, bit uint) (bool, bool) {
 	m := e.miter(v)
-	assumptions := make([]sat.Lit, 0, len(m.allSel)+1)
+	assumptions := make([]sat.Lit, 0, len(m.sel)+1)
 	assumptions = append(assumptions, m.differ)
-	for i := range m.selLo {
-		lo, hi := m.selLo[i].Not(), m.selHi[i].Not()
-		if uint(i) == bit {
-			if val {
-				hi = m.selHi[i]
-			} else {
-				lo = m.selLo[i]
-			}
+	for i, sl := range m.sel {
+		if uint(i) != bit {
+			sl = sl.Not()
 		}
-		assumptions = append(assumptions, lo, hi)
+		assumptions = append(assumptions, sl)
 	}
-	return e.solveAssuming("forced-bit", classValidity, m.s, assumptions...)
+	return e.solveAssuming("bit-matters", classValidity, m.s, assumptions...)
 }

@@ -57,18 +57,6 @@ func TestNewEngineRouting(t *testing.T) {
 	if !e.NoStrash {
 		t.Error("NoStrash not plumbed through NewEngine")
 	}
-
-	// Portfolio follows the EnumCutoff convention: 0 = default,
-	// negative = disabled, positive = explicit clone count.
-	if e.Portfolio != DefaultPortfolio {
-		t.Errorf("default Portfolio = %d, want %d", e.Portfolio, DefaultPortfolio)
-	}
-	if p := NewEngine(large, Config{Portfolio: -1}).(*SATEngine).Portfolio; p >= 2 {
-		t.Errorf("Portfolio -1 must disable the portfolio, got %d", p)
-	}
-	if p := NewEngine(large, Config{Portfolio: 2}).(*SATEngine).Portfolio; p != 2 {
-		t.Errorf("Portfolio 2 not plumbed through, got %d", p)
-	}
 }
 
 // TestSharedBudgetBoundsTotalConflicts checks the per-engine budget really

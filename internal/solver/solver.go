@@ -54,11 +54,14 @@ type Engine interface {
 	// value (the CEGIS counterexample for Algorithm 3).
 	OutputOutside(lo, size apint.Int) (example apint.Int, sat, ok bool)
 
-	// ForcedBitMatters reports whether forcing bit `bit` of input v to
-	// val can change the output, comparing only executions where both
-	// the original and the forced run are well-defined (Algorithm 2's
-	// equivalence check).
-	ForcedBitMatters(v *ir.Inst, bit uint, val bool) (sat, ok bool)
+	// BitMatters reports whether flipping bit `bit` of input v can change
+	// the output, comparing only executions where both the original and
+	// the flipped run are well-defined (Algorithm 2's equivalence check).
+	// The relation is symmetric, so this one query covers forcing the bit
+	// to 0 and forcing it to 1: either way the witness is a pair of
+	// well-defined inputs that differ only in that bit and whose outputs
+	// differ.
+	BitMatters(v *ir.Inst, bit uint) (sat, ok bool)
 
 	// AddPruned records n queries the caller never issued because their
 	// answer was already fixed without solving (a sound abstract seed, or
@@ -92,15 +95,10 @@ type Stats struct {
 	// Pruned counts queries eliminated before any solving: answers fixed
 	// by a sound abstract seed (oracle.Seed) or by an engine memo.
 	Pruned int64
-	// PortfolioRuns counts hard queries that escalated to a clone
-	// portfolio; PortfolioWins counts those a clone answered definitively
-	// (the rest exhausted their budget or were aborted). UnitsImported /
-	// UnitsExported total the level-0 unit literals exchanged between
-	// clones during those runs.
+	// PortfolioRuns is always 0: SAT queries run on one sequential
+	// solver. The field stays because the benchmark module (bench/)
+	// reports it as a per-layer metric.
 	PortfolioRuns int64
-	PortfolioWins int64
-	UnitsImported int64
-	UnitsExported int64
 	// EnumQueries counts queries answered by exhaustive enumeration
 	// rather than SAT (the small-width fast path).
 	EnumQueries int64
@@ -124,10 +122,6 @@ func (s *Stats) Add(o Stats) {
 	s.Learned += o.Learned
 	s.Exhausted += o.Exhausted
 	s.Pruned += o.Pruned
-	s.PortfolioRuns += o.PortfolioRuns
-	s.PortfolioWins += o.PortfolioWins
-	s.UnitsImported += o.UnitsImported
-	s.UnitsExported += o.UnitsExported
 	s.EnumQueries += o.EnumQueries
 	s.GatesBuilt += o.GatesBuilt
 	s.GatesDeduped += o.GatesDeduped
@@ -158,13 +152,6 @@ const DefaultConflictBudget = 200000
 // scalar sweep per variable bit.
 const DefaultEnumCutoff = 14
 
-// DefaultPortfolio is the clone count for the portfolio escalation of
-// hard SAT queries (sat.Solver.Portfolio). Three clones cover the three
-// classic diversification axes — the parent's own trajectory, a
-// random-phase restart-happy explorer, and an activity-jittered variant —
-// while staying well inside the worker-parallel campaign's core budget.
-const DefaultPortfolio = 3
-
 // Config parameterizes NewEngine.
 type Config struct {
 	// Budget is the engine-wide conflict budget (0 selects
@@ -180,17 +167,6 @@ type Config struct {
 	// below the cutoff to the enumeration engine. 0 selects
 	// DefaultEnumCutoff; negative disables the fast path entirely.
 	EnumCutoff int
-	// Portfolio is the clone count for hard-query portfolio solving.
-	// 0 selects DefaultPortfolio; negative disables the portfolio (the
-	// -no-portfolio ablation), mirroring the EnumCutoff convention.
-	Portfolio int
-	// PortfolioAfter overrides the conflict threshold before a query
-	// escalates to the portfolio (0 selects sat.DefaultPortfolioAfter).
-	PortfolioAfter int64
-	// PortfolioSeed perturbs the clones' decision heuristics
-	// (sat.Solver.PortfolioSeed). Results are seed-independent; only
-	// which clone wins the race varies.
-	PortfolioSeed int64
 }
 
 // NewEngine selects the fastest engine for f under cfg: the enumeration
@@ -215,12 +191,6 @@ func NewEngine(f *ir.Function, cfg Config) Engine {
 	e.Deadline = cfg.Deadline
 	e.Ctx = cfg.Ctx
 	e.NoStrash = cfg.NoStrash
-	e.Portfolio = cfg.Portfolio
-	if e.Portfolio == 0 {
-		e.Portfolio = DefaultPortfolio
-	}
-	e.PortfolioAfter = cfg.PortfolioAfter
-	e.PortfolioSeed = cfg.PortfolioSeed
 	return e
 }
 
@@ -255,20 +225,6 @@ type SATEngine struct {
 	// NoStrash disables structural hashing in the bit-blaster — the
 	// ablation path cross-checked against the default strashed circuits.
 	NoStrash bool
-
-	// Portfolio is the clone count passed to every solver this engine
-	// creates (sat.Solver.Portfolio): queries still undecided after
-	// sat.DefaultPortfolioAfter conflicts escalate to that many perturbed
-	// clones racing in parallel. Values below 2 keep solving sequential.
-	// NewSAT leaves it 0 (off); NewEngine resolves the Config default.
-	Portfolio int
-
-	// PortfolioAfter overrides the per-query conflict threshold before the
-	// portfolio engages (0 selects sat.DefaultPortfolioAfter).
-	PortfolioAfter int64
-
-	// PortfolioSeed perturbs clone decision heuristics (see Config).
-	PortfolioSeed int64
 
 	// Deadline, when non-zero, bounds the total dataflow computation per
 	// expression — the paper's five-minute cap (§4.1). Queries issued
@@ -333,31 +289,7 @@ func endQuery(sp *trace.Span, s *sat.Solver, before sat.Stats, st sat.Status) {
 	sp.SetInt("learned", d.Learned)
 	sp.SetInt("vars", now.Vars)
 	sp.SetInt("clauses", now.Clauses)
-	if d.PortfolioRuns > 0 {
-		sp.SetInt("portfolio-runs", d.PortfolioRuns)
-		sp.SetInt("portfolio-winner", now.LastWinner)
-		sp.SetInt("units-imported", d.UnitsImported)
-		sp.SetInt("units-exported", d.UnitsExported)
-	}
 	sp.End()
-}
-
-// cloneWinsTotal sums a sat stats delta's per-clone win histogram — the
-// number of portfolio runs in the delta that a clone answered.
-func cloneWinsTotal(d sat.Stats) int64 {
-	var n int64
-	for _, w := range d.CloneWins {
-		n += w
-	}
-	return n
-}
-
-// armPortfolio applies the engine's portfolio policy to a solver it is
-// about to search on.
-func (e *SATEngine) armPortfolio(s *sat.Solver) {
-	s.Portfolio = e.Portfolio
-	s.PortfolioAfter = e.PortfolioAfter
-	s.PortfolioSeed = e.PortfolioSeed
 }
 
 // NewSAT returns a SAT-backed engine. budget <= 0 selects
@@ -449,7 +381,6 @@ func (e *SATEngine) query(name, class string, pred func(c *bitblast.Circuit, b *
 	s := sat.New()
 	s.ConflictBudget = e.remaining()
 	e.armAbort(s)
-	e.armPortfolio(s)
 	b := e.blast(s)
 	cond := b.C.And(b.WellDefined, pred(b.C, b))
 	s.AddClause(cond)
@@ -475,10 +406,6 @@ func (e *SATEngine) addSolve(st sat.Stats) {
 	e.stats.Decisions += st.Decisions
 	e.stats.Restarts += st.Restarts
 	e.stats.Learned += st.Learned
-	e.stats.PortfolioRuns += st.PortfolioRuns
-	e.stats.PortfolioWins += cloneWinsTotal(st)
-	e.stats.UnitsImported += st.UnitsImported
-	e.stats.UnitsExported += st.UnitsExported
 }
 
 // Feasible implements Engine.
@@ -588,10 +515,10 @@ func (e *SATEngine) OutputOutside(lo, size apint.Int) (apint.Int, bool, bool) {
 	return b.C.Value(b.Output), true, true
 }
 
-// ForcedBitMatters implements Engine.
-func (e *SATEngine) ForcedBitMatters(v *ir.Inst, bit uint, val bool) (bool, bool) {
+// BitMatters implements Engine.
+func (e *SATEngine) BitMatters(v *ir.Inst, bit uint) (bool, bool) {
 	if !e.Fresh {
-		return e.incForcedBitMatters(v, bit, val)
+		return e.incBitMatters(v, bit)
 	}
 	if e.pastDeadline() || e.outOfBudget() {
 		return false, false
@@ -599,7 +526,6 @@ func (e *SATEngine) ForcedBitMatters(v *ir.Inst, bit uint, val bool) (bool, bool
 	s := sat.New()
 	s.ConflictBudget = e.remaining()
 	e.armAbort(s)
-	e.armPortfolio(s)
 	b1 := e.blast(s)
 	c := b1.C
 
@@ -607,15 +533,15 @@ func (e *SATEngine) ForcedBitMatters(v *ir.Inst, bit uint, val bool) (bool, bool
 	for iv, word := range b1.Inputs {
 		inputs2[iv] = word
 	}
-	forced := append(bitblast.Word{}, b1.Inputs[v]...)
-	forced[bit] = c.LitFromBool(val)
-	inputs2[v] = forced
+	flipped := append(bitblast.Word{}, b1.Inputs[v]...)
+	flipped[bit] = flipped[bit].Not()
+	inputs2[v] = flipped
 	b2 := bitblast.BlastWith(c, e.f, inputs2)
 
 	differ := c.Eq(b1.Output, b2.Output).Not()
 	cond := c.AndN(b1.WellDefined, b2.WellDefined, differ)
 	s.AddClause(cond)
-	sp, before := e.startQuery("forced-bit", classValidity, s)
+	sp, before := e.startQuery("bit-matters", classValidity, s)
 	st := s.Solve()
 	endQuery(sp, s, before, st)
 	e.stats.Queries++
@@ -849,14 +775,12 @@ func (e *EnumEngine) OutputOutside(lo, size apint.Int) (apint.Int, bool, bool) {
 	return apint.Int{}, false, true
 }
 
-// ForcedBitMatters implements Engine. Forcing bit i of v to 0 can change
-// the output iff forcing it to 1 can — either way the witness is a pair of
-// well-defined inputs differing only in that bit with different outputs —
-// so one memoized per-variable matrix answers both polarities.
-func (e *EnumEngine) ForcedBitMatters(v *ir.Inst, bit uint, val bool) (bool, bool) {
+// BitMatters implements Engine: one memoized per-variable matrix answers
+// every bit of v.
+func (e *EnumEngine) BitMatters(v *ir.Inst, bit uint) (bool, bool) {
 	e.stats.Queries++
 	e.stats.EnumQueries++
-	sp := e.startEnum("forced-bit")
+	sp := e.startEnum("bit-matters")
 	m, ok := e.demandedFor(sp, v)
 	if !ok {
 		e.stats.Exhausted++

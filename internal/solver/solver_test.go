@@ -96,13 +96,11 @@ func TestEnginesAgreeOnCorpus(t *testing.T) {
 		// Demanded-bit queries on every input bit.
 		for _, v := range f.Vars {
 			for i := uint(0); i < v.Width; i++ {
-				for _, val := range []bool{false, true} {
-					sr, _ := se.ForcedBitMatters(v, i, val)
-					er, _ := ee.ForcedBitMatters(v, i, val)
-					if sr != er {
-						t.Fatalf("%s: ForcedBitMatters(%%%s,%d,%v) disagree sat=%v enum=%v",
-							src, v.Name, i, val, sr, er)
-					}
+				sr, _ := se.BitMatters(v, i)
+				er, _ := ee.BitMatters(v, i)
+				if sr != er {
+					t.Fatalf("%s: BitMatters(%%%s,%d) disagree sat=%v enum=%v",
+						src, v.Name, i, sr, er)
 				}
 			}
 		}
@@ -241,11 +239,9 @@ func TestIncrementalMatchesFresh(t *testing.T) {
 
 		for _, v := range f.Vars {
 			for i := uint(0); i < v.Width; i++ {
-				for _, val := range []bool{false, true} {
-					a, ok1 = inc.ForcedBitMatters(v, i, val)
-					b, ok2 = fresh.ForcedBitMatters(v, i, val)
-					check("ForcedBitMatters", a, b, ok1, ok2)
-				}
+				a, ok1 = inc.BitMatters(v, i)
+				b, ok2 = fresh.BitMatters(v, i)
+				check("BitMatters", a, b, ok1, ok2)
 			}
 		}
 	}
@@ -261,7 +257,7 @@ func TestDeadlineExhaustsQueries(t *testing.T) {
 	if _, ok := e.OutputBitCanBe(0, true); ok {
 		t.Error("bit query past deadline should be unknown")
 	}
-	if _, ok := e.ForcedBitMatters(f.Vars[0], 0, true); ok {
+	if _, ok := e.BitMatters(f.Vars[0], 0); ok {
 		t.Error("miter query past deadline should be unknown")
 	}
 	if st := e.Stats(); st.Exhausted != 3 || st.Queries != 3 {
