@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race race-all bench bench-json dash-smoke
+.PHONY: check fmt vet lint build test race race-all bench bench-json bench-pairs dash-smoke
 
 # The packages with real concurrency: the comparator worker pool (which
 # now also runs the consistency lint and the n-way cross-check), the
@@ -66,6 +66,40 @@ BENCH_AS  ?= current
 bench-json:
 	$(GO) test -run NONE -bench 'BenchmarkTable1|BenchmarkAblation|BenchmarkRescache|BenchmarkFactService' -benchmem . \
 		| $(GO) run ./cmd/bench-json -out $(BENCH_OUT) -as $(BENCH_AS)
+
+# Compare the working tree with revision BASE on the end-to-end
+# benchmark by the paired procedure in bench/README.md:
+#
+#   make bench-pairs BASE=<rev> [PAIRS=10] [WORKLOAD=all]
+#
+# BASE is checked out as a detached worktree under .bench_build/base.
+# Pair i runs both sides once with seed i, the base first in odd pairs
+# and the working tree first in even ones, into .bench_build/base.json
+# and .bench_build/change.json (both started afresh); -compare then
+# gives the verdicts and fails on a regression. Both sides must run the
+# same benchmark, so the target refuses to start when bench/ or
+# BENCHMARK.json differ from BASE. A pair of 45 s runs of both
+# workloads takes about three minutes.
+PAIRS    ?= 10
+WORKLOAD ?= all
+bench-pairs:
+	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<rev> [PAIRS=10] [WORKLOAD=all]"; exit 2; }
+	@git diff --quiet $(BASE) -- bench BENCHMARK.json || { \
+		echo "bench/ or BENCHMARK.json differ from $(BASE): the two sides would run different benchmarks"; exit 1; }
+	@out=$$PWD/.bench_build; base=$$out/base; \
+	git worktree remove --force $$base 2>/dev/null; \
+	git worktree add --detach $$base $(BASE) || exit 1; \
+	trap "git worktree remove --force $$base" EXIT; \
+	rm -f $$out/base.json $$out/change.json; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) = 1 ]; then order="base change"; else order="change base"; fi; \
+		for side in $$order; do \
+			dir=$$PWD; [ $$side = base ] && dir=$$base; \
+			echo "pair $$i/$(PAIRS): $$side"; \
+			(cd $$dir && bash bench/run.sh -workload $(WORKLOAD) -runs 1 -seed $$i -out $$out/$$side.json); \
+		done; \
+	done; \
+	bash bench/run.sh -compare $$out/base.json $$out/change.json
 
 # Build serve mode, hit every ops endpoint, and check the readiness flip
 # during the SIGINT drain window — the same sequence CI runs.

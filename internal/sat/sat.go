@@ -5,12 +5,17 @@
 // QF_BV decision procedure standing in for the paper's use of Z3.
 //
 // Budgets stand in for the paper's 30-second solver timeouts: a solve that
-// exceeds its conflict or propagation budget returns Unknown, which the
-// oracle reports as resource exhaustion (Table 1's fourth column).
+// exceeds its conflict budget returns Unknown, which the oracle reports as
+// resource exhaustion (Table 1's fourth column).
+//
+// Clauses live in one flat arena (see clauseRef), so propagation walks
+// watcher lists and clause bodies without chasing a slice header per
+// clause or testing a tombstone per watcher.
 package sat
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -71,16 +76,35 @@ const (
 	lFalse
 )
 
-func boolToLbool(b bool) lbool {
-	if b {
-		return lTrue
-	}
-	return lFalse
-}
-
+// clauseRef is a clause's offset in the solver's arena. A clause at
+// offset c occupies
+//
+//	arena[c]                      header: size<<hdrSizeShift | hdrLearnt | hdrDeleted
+//	arena[c+1 : c+1+size]         its literals, the two watched ones first
+//	arena[c+1+size : c+3+size]    learnt clauses only: the float64 activity,
+//	                              low word first
+//
+// so a clause's literals always start one word past its reference and a
+// forward walk finds every clause from its header alone.
 type clauseRef int32
 
 const nilReason clauseRef = -1
+
+// Clause header flags and the size field's position.
+const (
+	hdrDeleted   = 1 << 0
+	hdrLearnt    = 1 << 1
+	hdrSizeShift = 2
+)
+
+// clauseWords is the arena footprint of a clause with header hdr.
+func clauseWords(hdr uint32) int {
+	n := 1 + int(hdr>>hdrSizeShift)
+	if hdr&hdrLearnt != 0 {
+		n += 2
+	}
+	return n
+}
 
 type watcher struct {
 	cref    clauseRef
@@ -89,48 +113,50 @@ type watcher struct {
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	clauses  [][]Lit // clause database (problem + learnt)
-	deleted  []bool  // tombstones for reduced learnt clauses
-	learnts  []clauseRef
-	claAct   map[clauseRef]float64
-	claInc   float64
-	maxLearn int
-	watches  [][]watcher
-	assigns  []lbool
-	phase    []bool // saved phases
-	level    []int32
-	reason   []clauseRef
-	activity []float64
-	varInc   float64
-	heap     varHeap
-	trail    []Lit
-	trailLim []int
-	qhead    int
-	seen     []bool
-	litSlab  []Lit // bump allocator backing problem-clause literal slices
+	arena      []Lit // clause database (problem + learnt); see clauseRef
+	wasted     int   // arena words held by deleted clauses
+	learnts    []clauseRef
+	claInc     float64
+	maxLearn   int
+	watches    [][]watcher
+	vals       []lbool // vals[l] is the value of literal l
+	phase      []bool  // saved phases
+	level      []int32
+	reason     []clauseRef
+	activity   []float64
+	varInc     float64
+	heap       varHeap
+	trail      []Lit
+	trailLim   []int
+	qhead      int
+	seen       []bool
+	learntBuf  []Lit // analyze's learnt-clause buffer
+	droppedBuf []Var // analyze's minimization buffer
 
 	unsat bool   // a conflict at level 0 was derived
 	model []bool // snapshot of the last satisfying assignment
 
-	// Budgets; zero or negative means unlimited.
-	ConflictBudget    int64
-	PropagationBudget int64
+	// ConflictBudget bounds the solver's cumulative conflict count; a
+	// solve returns Unknown once it is reached. Zero or negative means
+	// unlimited.
+	ConflictBudget int64
 
-	// Abort, when non-nil, is polled during search every AbortCheckEvery
-	// propagations; a true return stops the solve with Unknown. Unlike the
-	// budgets — which are checked only between restarts' conflict batches —
-	// the abort poll bounds how far a single solve can overrun an external
-	// deadline: at most one check interval of propagation work. The
-	// callback must be cheap (it is called from the search hot loop) and
-	// must keep returning true once it has fired.
+	// Abort, when non-nil, is polled during search every
+	// DefaultAbortCheckEvery propagations; a true return stops the solve
+	// with Unknown. Unlike the budget — which is checked only after a
+	// conflict — the abort poll bounds how far a single solve can overrun
+	// an external deadline: at most one check interval of propagation
+	// work. The callback must be cheap (it is called from the search hot
+	// loop) and must keep returning true once it has fired.
 	Abort func() bool
-
-	// AbortCheckEvery is the abort poll interval in propagations;
-	// zero or negative selects DefaultAbortCheckEvery.
-	AbortCheckEvery int64
 
 	nextAbortCheck int64
 	aborted        bool
+
+	// onReduce, when set, runs at the end of every clause-database
+	// reduction, told whether the arena was compacted; tests use it to
+	// inspect the arena.
+	onReduce func(compacted bool)
 
 	// Statistics.
 	Conflicts    int64
@@ -165,7 +191,7 @@ func (s *Solver) Stats() Stats {
 		Propagations: s.Propagations,
 		Restarts:     s.Restarts,
 		Learned:      s.learned,
-		Vars:         int64(len(s.assigns)),
+		Vars:         int64(s.NumVars()),
 		Clauses:      s.addedClauses,
 	}
 }
@@ -185,10 +211,10 @@ func (a Stats) Sub(b Stats) Stats {
 	}
 }
 
-// DefaultAbortCheckEvery is the default abort poll interval. Propagation
-// runs at tens of millions per second, so polling every few thousand
-// keeps the callback overhead unmeasurable while bounding deadline
-// overshoot to well under a millisecond of search work.
+// DefaultAbortCheckEvery is the abort poll interval in propagations.
+// Propagation runs at tens of millions per second, so polling every few
+// thousand keeps the callback overhead unmeasurable while bounding
+// deadline overshoot to well under a millisecond of search work.
 const DefaultAbortCheckEvery = 4096
 
 // New returns an empty solver.
@@ -196,15 +222,14 @@ func New() *Solver {
 	return &Solver{
 		varInc:   1.0,
 		claInc:   1.0,
-		claAct:   make(map[clauseRef]float64),
 		maxLearn: 4000,
 	}
 }
 
 // NewVar adds a fresh variable.
 func (s *Solver) NewVar() Var {
-	v := Var(len(s.assigns))
-	s.assigns = append(s.assigns, lUndef)
+	v := Var(len(s.level))
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.phase = append(s.phase, false)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nilReason)
@@ -216,26 +241,12 @@ func (s *Solver) NewVar() Var {
 }
 
 // NumVars returns the number of variables.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // NumClauses returns the number of problem clauses accepted by AddClause
 // (after level-0 simplification; learnt clauses are not counted). It is
 // the CNF-size figure the bit-blaster's Circuit.Stats reports.
 func (s *Solver) NumClauses() int64 { return s.addedClauses }
-
-func (s *Solver) litValue(l Lit) lbool {
-	v := s.assigns[l.Var()]
-	if v == lUndef {
-		return lUndef
-	}
-	if l.IsNeg() {
-		if v == lTrue {
-			return lFalse
-		}
-		return lTrue
-	}
-	return v
-}
 
 // AddClause adds a clause. Returns false if the formula became trivially
 // unsatisfiable. Must be called before Solve (no incremental clause adding
@@ -249,14 +260,14 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	}
 	// Simplify: drop duplicate/false literals; detect tautology and
 	// satisfied clauses. The scratch buffer keeps typical clauses off the
-	// heap; the survivors are copied into the slab only once attached.
+	// heap; the survivors are copied into the arena only once attached.
 	var buf [16]Lit
 	out := buf[:0]
 	if len(lits) > len(buf) {
 		out = make([]Lit, 0, len(lits))
 	}
 	for _, l := range lits {
-		switch s.litValue(l) {
+		switch s.vals[l] {
 		case lTrue:
 			return true // already satisfied at level 0
 		case lFalse:
@@ -294,40 +305,48 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.addedClauses++
 		return true
 	}
-	s.attachClause(s.allocLits(out))
+	s.attachClause(out, false)
 	s.addedClauses++
 	return true
 }
 
-// litSlabSize is the chunk size of the clause-literal bump allocator.
-// Problem clauses are never freed individually (reduceDB only tombstones
-// learnts), so carving them out of shared slabs is safe and turns the
-// dominant alloc-per-clause pattern into one allocation per ~4096
-// literals. In-place writes to lits[0]/lits[1] during propagation stay
-// confined to each clause's own region.
-const litSlabSize = 4096
-
-func (s *Solver) allocLits(lits []Lit) []Lit {
-	n := len(lits)
-	if n > litSlabSize/4 {
-		return append([]Lit(nil), lits...)
-	}
-	if cap(s.litSlab)-len(s.litSlab) < n {
-		s.litSlab = make([]Lit, 0, litSlabSize)
-	}
-	off := len(s.litSlab)
-	s.litSlab = s.litSlab[: off+n : cap(s.litSlab)]
-	out := s.litSlab[off : off+n : off+n]
-	copy(out, lits)
-	return out
-}
-
 const nilClauseIdx = clauseRef(-1)
 
-func (s *Solver) attachClause(lits []Lit) clauseRef {
-	cref := clauseRef(len(s.clauses))
-	s.clauses = append(s.clauses, lits)
-	s.deleted = append(s.deleted, false)
+// lits returns the literals of clause c, aliasing the arena.
+func (s *Solver) lits(c clauseRef) []Lit {
+	n := int(uint32(s.arena[c]) >> hdrSizeShift)
+	return s.arena[int(c)+1 : int(c)+1+n]
+}
+
+func (s *Solver) isLearnt(c clauseRef) bool { return s.arena[c]&hdrLearnt != 0 }
+
+// clauseAct and setClauseAct access a learnt clause's activity, stored
+// inline after its literals.
+func (s *Solver) clauseAct(c clauseRef) float64 {
+	i := int(c) + 1 + int(uint32(s.arena[c])>>hdrSizeShift)
+	return math.Float64frombits(uint64(uint32(s.arena[i])) | uint64(uint32(s.arena[i+1]))<<32)
+}
+
+func (s *Solver) setClauseAct(c clauseRef, a float64) {
+	i := int(c) + 1 + int(uint32(s.arena[c])>>hdrSizeShift)
+	b := math.Float64bits(a)
+	s.arena[i], s.arena[i+1] = Lit(uint32(b)), Lit(uint32(b>>32))
+}
+
+// attachClause appends a clause to the arena and watches its first two
+// literals.
+func (s *Solver) attachClause(lits []Lit, learnt bool) clauseRef {
+	c := len(s.arena)
+	hdr := uint32(len(lits)) << hdrSizeShift
+	if learnt {
+		hdr |= hdrLearnt
+	}
+	s.arena = append(s.arena, Lit(hdr))
+	s.arena = append(s.arena, lits...)
+	if learnt {
+		s.arena = append(s.arena, 0, 0) // activity, set by attachLearnt
+	}
+	cref := clauseRef(c)
 	s.watchClause(lits[0].Not(), watcher{cref, lits[1]})
 	s.watchClause(lits[1].Not(), watcher{cref, lits[0]})
 	return cref
@@ -346,29 +365,32 @@ func (s *Solver) watchClause(l Lit, w watcher) {
 }
 
 func (s *Solver) attachLearnt(lits []Lit) clauseRef {
-	cref := s.attachClause(lits)
+	cref := s.attachClause(lits, true)
 	s.learnts = append(s.learnts, cref)
-	s.claAct[cref] = s.claInc
+	s.setClauseAct(cref, s.claInc)
 	s.learned++
 	return cref
 }
 
 func (s *Solver) bumpClause(cref clauseRef) {
-	if _, ok := s.claAct[cref]; !ok {
+	if !s.isLearnt(cref) {
 		return // problem clause
 	}
-	s.claAct[cref] += s.claInc
-	if s.claAct[cref] > 1e20 {
-		for k := range s.claAct {
-			s.claAct[k] *= 1e-20
+	a := s.clauseAct(cref) + s.claInc
+	s.setClauseAct(cref, a)
+	if a > 1e20 {
+		for _, c := range s.learnts {
+			s.setClauseAct(c, s.clauseAct(c)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
 }
 
-// reduceDB tombstones the lower-activity half of the learnt clauses. It
-// runs at decision level 0, so the only reason-locked clauses are those
-// backing level-0 implied units.
+// reduceDB deletes the lower-activity half of the learnt clauses. It runs
+// at decision level 0, so the only reason-locked clauses are those
+// backing level-0 implied units. The deleted clauses' watchers go at
+// once, so propagation never meets a dead clause, and once dead clauses
+// hold more than half the arena it is compacted.
 func (s *Solver) reduceDB() {
 	if s.decisionLevel() != 0 {
 		return
@@ -379,17 +401,12 @@ func (s *Solver) reduceDB() {
 			locked[r] = true
 		}
 	}
-	// Sort learnt refs by activity, ascending (insertion sort would be
-	// quadratic; use the stdlib).
-	live := s.learnts[:0]
-	for _, c := range s.learnts {
-		if !s.deleted[c] {
-			live = append(live, c)
-		}
-	}
-	s.learnts = live
+	// Sort learnt refs by activity, ascending. sort.Slice is not stable:
+	// the order it leaves ties in is part of the search, so the input
+	// order (attach order after the previous reduction's survivors) must
+	// not change either.
 	sort.Slice(s.learnts, func(i, j int) bool {
-		return s.claAct[s.learnts[i]] < s.claAct[s.learnts[j]]
+		return s.clauseAct(s.learnts[i]) < s.clauseAct(s.learnts[j])
 	})
 	target := len(s.learnts) / 2
 	removed := 0
@@ -397,75 +414,146 @@ func (s *Solver) reduceDB() {
 		if removed >= target {
 			break
 		}
-		if locked[c] || len(s.clauses[c]) <= 2 {
+		if locked[c] || len(s.lits(c)) <= 2 {
 			continue
 		}
-		s.deleted[c] = true
-		delete(s.claAct, c)
-		s.clauses[c] = nil // release memory; watchers are pruned lazily
+		s.arena[c] |= hdrDeleted
+		s.wasted += clauseWords(uint32(s.arena[c]))
 		removed++
 	}
-	live = s.learnts[:0]
-	for _, c := range s.learnts {
-		if !s.deleted[c] {
-			live = append(live, c)
+	compacted := false
+	if removed > 0 {
+		live := s.learnts[:0]
+		for _, c := range s.learnts {
+			if s.arena[c]&hdrDeleted == 0 {
+				live = append(live, c)
+			}
+		}
+		s.learnts = live
+		s.dropDeletedWatchers()
+		if 2*s.wasted > len(s.arena) {
+			s.compact()
+			compacted = true
 		}
 	}
-	s.learnts = live
 	s.maxLearn += s.maxLearn / 10
+	if s.onReduce != nil {
+		s.onReduce(compacted)
+	}
+}
+
+// dropDeletedWatchers removes the watchers of deleted clauses, keeping
+// the order of the rest: watcher order decides which clause propagates
+// first, so it is part of the search.
+func (s *Solver) dropDeletedWatchers() {
+	for l, ws := range s.watches {
+		j := 0
+		for _, w := range ws {
+			if s.arena[w.cref]&hdrDeleted == 0 {
+				ws[j] = w
+				j++
+			}
+		}
+		s.watches[l] = ws[:j]
+	}
+}
+
+// compact copies the live clauses into a fresh arena in their old order
+// and remaps every reference to them: watchers, reasons and learnts. It
+// runs at level 0 after dropDeletedWatchers, so no watcher or reason
+// refers to a deleted clause. The old arena's headers carry the
+// forwarding offsets while the references are rewritten.
+func (s *Solver) compact() {
+	old := s.arena
+	arena := make([]Lit, 0, len(old)-s.wasted)
+	for c := 0; c < len(old); {
+		hdr := uint32(old[c])
+		n := clauseWords(hdr)
+		if hdr&hdrDeleted == 0 {
+			nc := len(arena)
+			arena = append(arena, old[c:c+n]...)
+			old[c] = Lit(nc)
+		}
+		c += n
+	}
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].cref = clauseRef(old[ws[i].cref])
+		}
+	}
+	for v, r := range s.reason {
+		if r != nilReason {
+			s.reason[v] = clauseRef(old[r])
+		}
+	}
+	for i, c := range s.learnts {
+		s.learnts[i] = clauseRef(old[c])
+	}
+	s.arena = arena
+	s.wasted = 0
+}
+
+// assign makes l true with the given reason; l must be unassigned.
+func (s *Solver) assign(l Lit, from clauseRef) {
+	v := l.Var()
+	s.vals[l] = lTrue
+	s.vals[l^1] = lFalse
+	s.phase[v] = !l.IsNeg()
+	s.level[v] = int32(len(s.trailLim))
+	s.reason[v] = from
+	s.trail = append(s.trail, l)
 }
 
 func (s *Solver) enqueue(l Lit, from clauseRef) bool {
-	switch s.litValue(l) {
+	switch s.vals[l] {
 	case lTrue:
 		return true
 	case lFalse:
 		return false
 	}
-	v := l.Var()
-	s.assigns[v] = boolToLbool(!l.IsNeg())
-	s.phase[v] = !l.IsNeg()
-	s.level[v] = int32(len(s.trailLim))
-	s.reason[v] = from
-	s.trail = append(s.trail, l)
+	s.assign(l, from)
 	return true
 }
 
 // propagate performs unit propagation; returns the conflicting clause or
-// nilClauseIdx.
+// nilClauseIdx. Watcher lists are compacted in place: j trails i over the
+// watchers that stay.
 func (s *Solver) propagate() clauseRef {
+	arena, vals := s.arena, s.vals
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Propagations++
+		falseLit := p.Not()
 		ws := s.watches[p]
-		kept := ws[:0]
-		var conflict clauseRef = nilClauseIdx
-		for i := 0; i < len(ws); i++ {
+		i, j := 0, 0
+		conflict := nilClauseIdx
+		for i < len(ws) {
 			w := ws[i]
-			if s.deleted[w.cref] {
-				continue // lazily drop watchers of reduced clauses
-			}
-			if s.litValue(w.blocker) == lTrue {
-				kept = append(kept, w)
+			i++
+			if vals[w.blocker] == lTrue {
+				ws[j] = w
+				j++
 				continue
 			}
-			lits := s.clauses[w.cref]
+			c := int(w.cref)
 			// Ensure the falsified literal is at position 1.
-			if lits[0] == p.Not() {
-				lits[0], lits[1] = lits[1], lits[0]
+			if arena[c+1] == falseLit {
+				arena[c+1], arena[c+2] = arena[c+2], falseLit
 			}
-			first := lits[0]
-			if first != w.blocker && s.litValue(first) == lTrue {
-				kept = append(kept, watcher{w.cref, first})
+			first := arena[c+1]
+			if first != w.blocker && vals[first] == lTrue {
+				ws[j] = watcher{w.cref, first}
+				j++
 				continue
 			}
 			// Find a new literal to watch.
+			end := c + 1 + int(uint32(arena[c])>>hdrSizeShift)
 			found := false
-			for k := 2; k < len(lits); k++ {
-				if s.litValue(lits[k]) != lFalse {
-					lits[1], lits[k] = lits[k], lits[1]
-					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{w.cref, first})
+			for k := c + 3; k < end; k++ {
+				if l := arena[k]; vals[l] != lFalse {
+					arena[c+2], arena[k] = l, arena[c+2]
+					s.watches[l.Not()] = append(s.watches[l.Not()], watcher{w.cref, first})
 					found = true
 					break
 				}
@@ -474,17 +562,18 @@ func (s *Solver) propagate() clauseRef {
 				continue
 			}
 			// Unit or conflicting.
-			kept = append(kept, watcher{w.cref, first})
-			if s.litValue(first) == lFalse {
+			ws[j] = watcher{w.cref, first}
+			j++
+			if vals[first] == lFalse {
 				conflict = w.cref
 				s.qhead = len(s.trail)
 				// Keep the remaining watchers.
-				kept = append(kept, ws[i+1:]...)
+				j += copy(ws[j:], ws[i:])
 				break
 			}
-			s.enqueue(first, w.cref)
+			s.assign(first, w.cref)
 		}
-		s.watches[p] = kept
+		s.watches[p] = ws[:j]
 		if conflict != nilClauseIdx {
 			return conflict
 		}
@@ -503,8 +592,10 @@ func (s *Solver) cancelUntil(lvl int) {
 		return
 	}
 	for i := len(s.trail) - 1; i >= s.trailLim[lvl]; i-- {
-		v := s.trail[i].Var()
-		s.assigns[v] = lUndef
+		l := s.trail[i]
+		v := l.Var()
+		s.vals[l] = lUndef
+		s.vals[l^1] = lUndef
 		s.reason[v] = nilReason
 		s.heap.pushIfAbsent(v, s.activity)
 	}
@@ -527,16 +618,17 @@ func (s *Solver) bumpVar(v Var) {
 const varDecay = 1.0 / 0.95
 
 // analyze performs 1UIP conflict analysis. Returns the learnt clause
-// (asserting literal first) and the backtrack level.
+// (asserting literal first) and the backtrack level. The clause aliases
+// a buffer the next call reuses.
 func (s *Solver) analyze(confl clauseRef) ([]Lit, int) {
-	learnt := []Lit{0} // slot 0 for the asserting literal
+	learnt := append(s.learntBuf[:0], 0) // slot 0 for the asserting literal
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
 
 	for {
 		s.bumpClause(confl)
-		lits := s.clauses[confl]
+		lits := s.lits(confl)
 		start := 0
 		if p != -1 {
 			start = 1 // skip the asserting literal slot of the reason
@@ -573,7 +665,7 @@ func (s *Solver) analyze(confl clauseRef) ([]Lit, int) {
 		}
 		// Reorder reason so p is first (by construction the asserting
 		// literal of a reason clause is the enqueued one).
-		rlits := s.clauses[confl]
+		rlits := s.lits(confl)
 		if rlits[0] != p {
 			for k := 1; k < len(rlits); k++ {
 				if rlits[k] == p {
@@ -591,13 +683,13 @@ func (s *Solver) analyze(confl clauseRef) ([]Lit, int) {
 	// judged against the originally collected set, which is sound by
 	// induction — and are cleared afterwards.
 	kept := 1
-	var dropped []Var
+	dropped := s.droppedBuf[:0]
 	for i := 1; i < len(learnt); i++ {
 		v := learnt[i].Var()
 		redundant := false
 		if r := s.reason[v]; r != nilReason {
 			redundant = true
-			for _, q := range s.clauses[r][1:] {
+			for _, q := range s.lits(r)[1:] {
 				if !s.seen[q.Var()] && s.level[q.Var()] != 0 {
 					redundant = false
 					break
@@ -615,6 +707,7 @@ func (s *Solver) analyze(confl clauseRef) ([]Lit, int) {
 	for _, v := range dropped {
 		s.seen[v] = false
 	}
+	s.learntBuf, s.droppedBuf = learnt, dropped
 
 	// Backtrack level: highest level among learnt[1:].
 	btLevel := 0
@@ -642,7 +735,7 @@ func (s *Solver) pickBranchLit() Lit {
 		if !ok {
 			return -1
 		}
-		if s.assigns[v] == lUndef {
+		if s.vals[PosLit(v)] == lUndef {
 			s.Decisions++
 			if s.phase[v] {
 				return PosLit(v)
@@ -669,9 +762,10 @@ func luby(i int64) int64 {
 const restartBase = 100
 
 // Solve determines satisfiability under the given assumptions. After Sat,
-// Value reports the model. Unknown means a budget was exhausted or the
-// Abort callback fired. It runs the restart loop: CDCL search up to the
-// next Luby limit, then back to level 0 to reduce the learnt clauses.
+// Value reports the model. Unknown means the conflict budget was
+// exhausted or the Abort callback fired. It runs the restart loop: CDCL
+// search up to the next Luby limit, then back to level 0 to reduce the
+// learnt clauses.
 func (s *Solver) Solve(assumptions ...Lit) Status {
 	if s.unsat {
 		return Unsat
@@ -685,7 +779,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		limit := s.Conflicts + restartBase*luby(restartNum)
 		st := s.search(assumptions, limit)
 		if st == Sat {
-			s.model = s.modelSnapshot()
+			s.saveModel()
 			return Sat
 		}
 		if st == Unsat {
@@ -704,8 +798,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 }
 
 func (s *Solver) budgetExceeded() bool {
-	return (s.ConflictBudget > 0 && s.Conflicts >= s.ConflictBudget) ||
-		(s.PropagationBudget > 0 && s.Propagations >= s.PropagationBudget)
+	return s.ConflictBudget > 0 && s.Conflicts >= s.ConflictBudget
 }
 
 // pollAbort invokes the Abort callback once enough propagations have
@@ -716,11 +809,7 @@ func (s *Solver) pollAbort() bool {
 	if s.Abort == nil || s.Propagations < s.nextAbortCheck {
 		return false
 	}
-	every := s.AbortCheckEvery
-	if every <= 0 {
-		every = DefaultAbortCheckEvery
-	}
-	s.nextAbortCheck = s.Propagations + every
+	s.nextAbortCheck = s.Propagations + DefaultAbortCheckEvery
 	if s.Abort() {
 		s.aborted = true
 		return true
@@ -768,7 +857,7 @@ func (s *Solver) search(assumptions []Lit, conflictLimit int64) Status {
 		// Place assumptions as pseudo-decisions.
 		if s.decisionLevel() < len(assumptions) {
 			a := assumptions[s.decisionLevel()]
-			switch s.litValue(a) {
+			switch s.vals[a] {
 			case lTrue:
 				s.newDecisionLevel() // already satisfied; dummy level
 				continue
@@ -797,12 +886,15 @@ func (s *Solver) Value(v Var) bool {
 	return s.model[v]
 }
 
-// modelSnapshot copies the satisfying assignment before Solve's deferred
-// backtrack erases it.
-func (s *Solver) modelSnapshot() []bool {
-	m := make([]bool, len(s.assigns))
-	for i := range s.assigns {
-		m[i] = s.assigns[i] == lTrue
+// saveModel copies the satisfying assignment into the model buffer
+// before Solve's deferred backtrack erases it.
+func (s *Solver) saveModel() {
+	n := s.NumVars()
+	if s.model == nil || cap(s.model) < n {
+		s.model = make([]bool, n)
 	}
-	return m
+	s.model = s.model[:n]
+	for v := range s.model {
+		s.model[v] = s.vals[PosLit(Var(v))] == lTrue
+	}
 }

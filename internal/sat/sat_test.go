@@ -450,42 +450,31 @@ func TestClauseDBReduction(t *testing.T) {
 
 func TestReductionActuallyFires(t *testing.T) {
 	// PHP(7) learns far more than 30 clauses; with maxLearn 30 the DB must
-	// shrink at least once and the result stay unsat.
+	// shrink at least once and the result stay unsat. Every reduction
+	// must drop the watchers of the clauses it deletes, since propagate
+	// does not check for dead clauses.
 	s := New()
 	s.maxLearn = 30
-	n := 7
-	vars := make([][]Var, n+1)
-	for p := range vars {
-		vars[p] = make([]Var, n)
-		for h := range vars[p] {
-			vars[p][h] = s.NewVar()
+	addPigeonhole(s, 8, 7)
+	reductions, deletions := 0, 0
+	s.onReduce = func(compacted bool) {
+		reductions++
+		if compacted || s.wasted > 0 {
+			deletions++
 		}
-	}
-	for p := 0; p <= n; p++ {
-		lits := make([]Lit, n)
-		for h := 0; h < n; h++ {
-			lits[h] = PosLit(vars[p][h])
-		}
-		s.AddClause(lits...)
-	}
-	for h := 0; h < n; h++ {
-		for p1 := 0; p1 <= n; p1++ {
-			for p2 := p1 + 1; p2 <= n; p2++ {
-				s.AddClause(NegLit(vars[p1][h]), NegLit(vars[p2][h]))
+		for l, ws := range s.watches {
+			for _, w := range ws {
+				if s.arena[w.cref]&hdrDeleted != 0 {
+					t.Fatalf("reduction %d: literal %v still watches deleted clause %d", reductions, Lit(l), w.cref)
+				}
 			}
 		}
 	}
 	if got := s.Solve(); got != Unsat {
 		t.Fatalf("PHP(7) = %v", got)
 	}
-	deleted := 0
-	for _, d := range s.deleted {
-		if d {
-			deleted++
-		}
-	}
-	if deleted == 0 {
-		t.Error("no clauses were reduced despite tiny maxLearn")
+	if deletions == 0 {
+		t.Errorf("no clauses were reduced despite tiny maxLearn (%d reductions)", reductions)
 	}
 }
 
@@ -493,13 +482,20 @@ func TestReductionActuallyFires(t *testing.T) {
 // variables via the standard chain encoding, returning the variables.
 // Parity chains produce long propagation-heavy searches, a Sat/Unsat
 // workload that, unlike pigeonhole, has models to find.
-func addParity(s *Solver, n int, parity bool) []Var {
+func addParity(s cnfBuilder, n int, parity bool) []Var {
 	vars := make([]Var, n)
 	for i := range vars {
 		vars[i] = s.NewVar()
 	}
+	addXorChain(s, vars, parity)
+	return vars
+}
+
+// addXorChain constrains the XOR of vars to parity through a chain of
+// fresh accumulator variables.
+func addXorChain(s cnfBuilder, vars []Var, parity bool) {
 	acc := vars[0]
-	for i := 1; i < n; i++ {
+	for i := 1; i < len(vars); i++ {
 		nxt := s.NewVar()
 		// nxt = acc XOR vars[i]
 		s.AddClause(NegLit(nxt), PosLit(acc), PosLit(vars[i]))
@@ -513,7 +509,6 @@ func addParity(s *Solver, n int, parity bool) []Var {
 	} else {
 		s.AddClause(NegLit(acc))
 	}
-	return vars
 }
 
 // TestParityModelIsGenuine checks the satisfiable side on a 40-variable
