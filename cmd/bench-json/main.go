@@ -32,7 +32,9 @@ import (
 
 var nameSuffix = regexp.MustCompile(`-\d+$`) // the -GOMAXPROCS suffix
 
-// parseBench extracts benchmark result lines from go test output.
+// parseBench extracts benchmark result lines from go test output. The
+// artifact holds one sample per benchmark, so a name that appears twice
+// (go test -count=N) is an error rather than a silently dropped sample.
 func parseBench(r io.Reader) (map[string]map[string]float64, error) {
 	out := make(map[string]map[string]float64)
 	sc := bufio.NewScanner(r)
@@ -51,6 +53,9 @@ func parseBench(r io.Reader) (map[string]map[string]float64, error) {
 		iters, err := strconv.ParseFloat(fields[1], 64)
 		if err != nil {
 			continue
+		}
+		if _, dup := out[name]; dup {
+			return nil, fmt.Errorf("%s appears more than once (go test -count or -cpu with several values?); the artifact keeps one sample per benchmark, so record repeated samples with the end-to-end benchmark in bench/", name)
 		}
 		m := map[string]float64{"iterations": iters}
 		for i := 2; i+1 < len(fields); i += 2 {

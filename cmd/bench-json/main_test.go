@@ -32,6 +32,24 @@ func TestParseBenchRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestParseBenchRejectsRepeatedName: go test -count=N prints each
+// benchmark N times, and keeping only the last line would drop samples
+// without a word.
+func TestParseBenchRejectsRepeatedName(t *testing.T) {
+	in := "BenchmarkX-8 100 42.5 ns/op\nBenchmarkY-8 10 7 ns/op\nBenchmarkX-8 100 40.1 ns/op\n"
+	_, err := parseBench(strings.NewReader(in))
+	if err == nil {
+		t.Fatal("repeated benchmark accepted; all but its last sample would be dropped")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "BenchmarkX") || !strings.Contains(msg, "bench/") {
+		t.Errorf("error %q should name the benchmark and point to bench/", msg)
+	}
+	got, err := parseBench(strings.NewReader("BenchmarkX-8 100 42.5 ns/op\nBenchmarkX/sub-8 100 7 ns/op\n"))
+	if err != nil || len(got) != 2 {
+		t.Fatalf("distinct names rejected: %v %v", got, err)
+	}
+}
+
 func TestCompareArtifactsSpeedup(t *testing.T) {
 	old := writeArtifact(t, "old.json", `{"current":{"BenchmarkA":{"ns/op":100}}}`)
 	cur := writeArtifact(t, "new.json", `{"current":{"BenchmarkA":{"ns/op":50}}}`)

@@ -122,6 +122,9 @@ func TestBlastShifts(t *testing.T) {
 		"%x:i4 = var\n%y:i4 = var\n%0:i4 = rotl %x, %y\ninfer %0",
 		"%x:i4 = var\n%y:i4 = var\n%0:i4 = rotr %x, %y\ninfer %0",
 		"%x:i3 = var\n%y:i3 = var\n%0:i3 = rotl %x, %y\ninfer %0",
+		"%x:i3 = var\n%y:i3 = var\n%0:i3 = rotr %x, %y\ninfer %0",
+		"%x:i1 = var\n%y:i1 = var\n%0:i1 = rotl %x, %y\ninfer %0", // amount urem 1
+		"%x:i1 = var\n%y:i1 = var\n%0:i1 = rotr %x, %y\ninfer %0",
 	} {
 		checkAgainstEval(t, src)
 	}
@@ -261,6 +264,9 @@ func TestBlastNewOps(t *testing.T) {
 		"%a:i4 = var\n%b:i4 = var\n%s:i4 = var\n%0:i4 = fshl %a, %b, %s\ninfer %0",
 		"%a:i4 = var\n%b:i4 = var\n%s:i4 = var\n%0:i4 = fshr %a, %b, %s\ninfer %0",
 		"%a:i3 = var\n%b:i3 = var\n%s:i3 = var\n%0:i3 = fshl %a, %b, %s\ninfer %0",
+		"%a:i3 = var\n%b:i3 = var\n%s:i3 = var\n%0:i3 = fshr %a, %b, %s\ninfer %0",
+		"%a:i1 = var\n%b:i1 = var\n%s:i1 = var\n%0:i1 = fshl %a, %b, %s\ninfer %0", // amount urem 1
+		"%a:i1 = var\n%b:i1 = var\n%s:i1 = var\n%0:i1 = fshr %a, %b, %s\ninfer %0",
 		"%x:i4 = var\n%y:i4 = var\n%0:i1 = uaddo %x, %y\ninfer %0",
 		"%x:i4 = var\n%y:i4 = var\n%0:i1 = saddo %x, %y\ninfer %0",
 		"%x:i4 = var\n%y:i4 = var\n%0:i1 = usubo %x, %y\ninfer %0",

@@ -187,6 +187,51 @@ func TestResumeRefusesOldFingerprint(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesOldModernCheckpoint resumes a -modern checkpoint
+// written before the Modern analyzer gained the rotate and funnel-shift
+// amount rule (testdata/old-modern-checkpoint.json, one batch of this
+// test campaign). That rule changes the Modern demanded-bits facts, so
+// the resume must be refused. The fingerprint may differ only in the
+// modern field, and a non-modern campaign's fingerprint must read as the
+// fixture's did with modern=false: non-modern checkpoints keep resuming.
+func TestResumeRefusesOldModernCheckpoint(t *testing.T) {
+	const path = "testdata/old-modern-checkpoint.json"
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old struct {
+		Config string `json:"config"`
+	}
+	if err := json.Unmarshal(raw, &old); err != nil {
+		t.Fatal(err)
+	}
+	modern := testComparator()
+	modern.Analyzer.Modern = true
+	c := New(testConfig(11, 1), modern)
+	oldF, newF := strings.Split(old.Config, ";"), strings.Split(c.Fingerprint(), ";")
+	if len(oldF) != len(newF) {
+		t.Fatalf("fixture has %d fingerprint fields, today %d:\n%s\n%s", len(oldF), len(newF), old.Config, c.Fingerprint())
+	}
+	for i := range oldF {
+		if oldF[i] != newF[i] && !strings.HasPrefix(oldF[i], "modern=") {
+			t.Fatalf("fixture fingerprint differs in %q (today %q); it no longer isolates the modern field", oldF[i], newF[i])
+		}
+	}
+	plain := New(testConfig(11, 1), testComparator())
+	if want := strings.Replace(old.Config, ";modern=true;", ";modern=false;", 1); plain.Fingerprint() != want {
+		t.Errorf("non-modern fingerprint changed:\n  got  %s\n  want %s", plain.Fingerprint(), want)
+	}
+
+	err = c.Resume(path)
+	if err == nil || !strings.Contains(err.Error(), "different configuration") {
+		t.Fatalf("pre-rule -modern checkpoint not refused: %v", err)
+	}
+	if c.NextBatch != 0 || c.Totals.Batches != 0 {
+		t.Fatalf("refused resume modified campaign: next=%d totals=%+v", c.NextBatch, c.Totals)
+	}
+}
+
 func TestResumeRejectsCorruptFile(t *testing.T) {
 	dir := t.TempDir()
 	c := New(testConfig(11, 1), testComparator())

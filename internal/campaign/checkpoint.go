@@ -25,6 +25,12 @@ const CheckpointVersion = 1
 
 const checkpointTool = "dfcheck-campaign"
 
+// modernRules names the Modern analyzer's rule set in the fingerprint.
+// Change it whenever a Modern rule changes that analyzer's facts: "rev2"
+// added the rotate and funnel-shift amount rule of demanded bits, and
+// checkpoints from before it (plain modern=true) no longer resume.
+const modernRules = "rev2"
+
 type wireRow struct {
 	Analysis  string `json:"analysis"`
 	Same      int    `json:"same"`
@@ -94,6 +100,11 @@ type wireCheckpoint struct {
 // query traffic that warms the cache nondeterministically between
 // batches — resuming a served checkpoint unserved (or vice versa) is a
 // different experiment.
+//
+// The Modern analyzer's facts change whenever one of its rules does, so
+// under -modern the fingerprint also names the rule revision
+// (modernRules); the LLVM-8 port does not change, and modern=false reads
+// as it always has.
 func (c *Campaign) Fingerprint() string {
 	var an llvmport.Analyzer
 	if c.Comparator != nil && c.Comparator.Analyzer != nil {
@@ -105,17 +116,21 @@ func (c *Campaign) Fingerprint() string {
 	}
 	var budget int64 = cmp.Budget
 	var exprTimeout time.Duration = cmp.ExprTimeout
+	modern := "false"
+	if an.Modern {
+		modern = "true/" + modernRules
+	}
 	widths := ""
 	for _, w := range c.Widths {
 		widths += fmt.Sprintf("%d:%d,", w.Width, w.Weight)
 	}
 	return fmt.Sprintf("seed=%d;batches=%d;n=%d;max-insts=%d;widths=%s;max-width=%d;mutants=%d;canaries=%t;"+
-		"budget=%d;expr-timeout=%s;bug-nonzero=%t;bug-sremsign=%t;bug-sremknown=%t;modern=%t;consistency=%t;"+
+		"budget=%d;expr-timeout=%s;bug-nonzero=%t;bug-sremsign=%t;bug-sremknown=%t;modern=%s;consistency=%t;"+
 		"domains=%s;"+
 		"no-seed=%t;no-strash=%t;enum-cutoff=%d;nway=%t;reduce=%t;"+
 		"factsvc=%t;shards=%d",
 		c.Seed, c.Batches, c.NumExprs, c.MaxInsts, widths, c.MaxCastWidth, c.Mutants, c.Canaries,
-		budget, exprTimeout, an.Bugs.NonZeroAdd, an.Bugs.SRemSignBits, an.Bugs.SRemKnownBits, an.Modern,
+		budget, exprTimeout, an.Bugs.NonZeroAdd, an.Bugs.SRemSignBits, an.Bugs.SRemKnownBits, modern,
 		cmp.Consistency, cmp.DomainNames(),
 		cmp.NoSeed, cmp.NoStrash, cmp.EnumCutoff, cmp.NWay, cmp.Reduce,
 		c.FactSvc, c.CacheShards)

@@ -6,6 +6,7 @@ import (
 	"dfcheck/internal/harvest"
 	"dfcheck/internal/ir"
 	"dfcheck/internal/llvmport"
+	"dfcheck/internal/rescache"
 )
 
 func ablationCorpus() []harvest.Expr {
@@ -101,5 +102,32 @@ func TestAblationFlagsPreserveBugDetection(t *testing.T) {
 	compareReports(t, "bugged", fast, slow)
 	if len(fast.Findings) == 0 {
 		t.Fatal("injected bugs produced no findings")
+	}
+}
+
+// TestDemandedBitsSeedPrunesOnlyWhenSeeded counts the demanded-bits miter
+// queries on both comparator paths, uncached and cached. "rotl %x, %s" at
+// i8 takes %s modulo 8, so the seed proves the top five bits of %s
+// undemanded: the seeded comparator asks 11 of the 16 bit queries, and
+// under -no-seed it asks all 16, pruning none.
+func TestDemandedBitsSeedPrunesOnlyWhenSeeded(t *testing.T) {
+	corpus := []harvest.Expr{{Name: "rotl", F: ir.MustParse("%x:i8 = var\n%s:i8 = var\n%0:i8 = rotl %x, %s\ninfer %0"), Freq: 1}}
+	for _, tc := range []struct {
+		noSeed, cached bool
+		want           int
+	}{{false, false, 11}, {false, true, 11}, {true, false, 16}, {true, true, 16}} {
+		c := &Comparator{Analyzer: &llvmport.Analyzer{}, Workers: 1, NoSeed: tc.noSeed, EnumCutoff: -1}
+		if tc.cached {
+			c.Cache = rescache.New()
+		}
+		n := 0
+		for _, ev := range traceSpans(t, c, corpus) {
+			if ev["cat"] == "query" && ev["name"] == "bit-matters" {
+				n++
+			}
+		}
+		if n != tc.want {
+			t.Errorf("no-seed=%t cached=%t: %d bit-matters queries, want %d", tc.noSeed, tc.cached, n, tc.want)
+		}
 	}
 }

@@ -389,7 +389,7 @@ func (c *Comparator) computeOracleOnce(ctx context.Context, f *ir.Function) *ora
 	run(4, func() { o.NonNeg = oracle.NonNegativeSeeded(eng, f, sd) })
 	run(5, func() { o.Pow2 = oracle.PowerOfTwoSeeded(eng, f, sd) })
 	run(6, func() { o.Range = oracle.IntegerRangeSeeded(eng, f, sd) })
-	run(7, func() { o.Demanded = oracle.DemandedBits(eng, f) })
+	run(7, func() { o.Demanded = oracle.DemandedBitsSeeded(eng, f, sd) })
 	o.Solver = eng.Stats()
 	endExprSpan(sp, o.Solver)
 	c.recordOracle(o)
@@ -551,7 +551,7 @@ func (c *Comparator) oracleCached(ctx context.Context, cn *canon.Canon) *oracleS
 		func(e solver.Engine) any { o.Range = oracle.IntegerRangeSeeded(e, f, seed()); return o.Range })
 	step(7, harvest.DemandedBits,
 		func(v any) (ok bool) { o.Demanded, ok = v.(oracle.DemandedBitsResult); return },
-		func(e solver.Engine) any { o.Demanded = oracle.DemandedBits(e, f); return o.Demanded })
+		func(e solver.Engine) any { o.Demanded = oracle.DemandedBitsSeeded(e, f, seed()); return o.Demanded })
 	if eng != nil {
 		o.Solver = eng.Stats()
 	}

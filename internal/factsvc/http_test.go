@@ -76,7 +76,18 @@ func TestHandlerRejectsBadRequests(t *testing.T) {
 // never a 5xx.
 func TestHandlerBatchWithDuplicatesAndParseErrors(t *testing.T) {
 	reg := metrics.NewRegistry()
-	svc := newTestService(t, Config{Workers: 1, Metrics: reg})
+	// The worker holds its solve until the handler has submitted both
+	// valid expressions, so the first is still live when its duplicate
+	// arrives; an instant solve could retire it first.
+	release := make(chan struct{})
+	svc := newTestService(t, Config{
+		Workers: 1,
+		Metrics: reg,
+		Solve: func(ctx context.Context, f *ir.Function) ([]Fact, error) {
+			<-release
+			return []Fact{{Analysis: "known bits", Fact: "xxxxxxxx"}}, nil
+		},
+	})
 	h := svc.Handler()
 
 	body, _ := json.Marshal(map[string][]string{"exprs": {
@@ -84,7 +95,17 @@ func TestHandlerBatchWithDuplicatesAndParseErrors(t *testing.T) {
 		"%x:i8 = var\ninfer %x %% garbage",
 		exprSrc, // exact duplicate of the first
 	}})
-	w := postFacts(t, h, string(body))
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() { done <- postFacts(t, h, string(body)) }()
+	for deadline := time.Now().Add(10 * time.Second); reg.Snapshot().Counters["factsvc_exprs"] < 2; {
+		if time.Now().After(deadline) {
+			close(release)
+			t.Fatal("handler did not submit the batch")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	w := <-done
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, want 200\n%s", w.Code, w.Body.String())
 	}
@@ -107,9 +128,8 @@ func TestHandlerBatchWithDuplicatesAndParseErrors(t *testing.T) {
 	if resp.Results[0].Hash != resp.Results[2].Hash {
 		t.Fatalf("duplicate hashes differ: %q vs %q", resp.Results[0].Hash, resp.Results[2].Hash)
 	}
-	// Whether the duplicate collapsed in flight or was answered by the
-	// live map depends only on submission order here: both were
-	// submitted before any wait, so the duplicate must have collapsed.
+	// Both were submitted while the first was live, so the duplicate
+	// must have collapsed onto it.
 	if !resp.Results[2].Collapsed {
 		t.Fatal("intra-batch duplicate did not collapse")
 	}

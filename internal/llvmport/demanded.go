@@ -14,9 +14,15 @@ import (
 // add/sub (everything at or below the highest live bit), constant-amount
 // shifts, casts, bswap/bitreverse, and the bit-counting intrinsics'
 // operands. Unhandled instructions — comparisons, division, remainder,
-// select, variable-amount shifts — demand every operand bit, which is
-// exactly why the paper's §4.4 examples ("icmp slt %x, 0" and
-// "udiv %x, 1000") come out fully demanded in LLVM.
+// select, variable-amount shifts, rotates and funnel shifts — demand
+// every operand bit, which is exactly why the paper's §4.4 examples
+// ("icmp slt %x, 0" and "udiv %x, 1000") come out fully demanded in LLVM.
+//
+// The Modern analyzer adds one later DemandedBits rule: a rotate or
+// funnel shift at a power-of-two width w takes its amount modulo w, so
+// the amount operand demands only its low log2(w) bits (none at i1).
+// Their other operands, and every operand at other widths, stay fully
+// demanded.
 func (fa *Facts) DemandedBits() map[string]apint.Int {
 	demanded := fa.InstDemandedBits()
 	out := make(map[string]apint.Int, len(fa.f.Vars))
@@ -126,9 +132,17 @@ func (fa *Facts) operandDemanded(n *ir.Inst, aOut apint.Int, argIdx int) apint.I
 		return aOut.ByteSwap()
 	case ir.OpBitReverse:
 		return aOut.ReverseBits()
+	case ir.OpRotL, ir.OpRotR, ir.OpFshl, ir.OpFshr:
+		// Upstream LLVM, after LLVM 8: "shift amount is modulo the
+		// bitwidth; for powers of two, SA % BW == SA & (BW-1)". The
+		// amount is the last operand.
+		if fa.an.Modern && argIdx == len(n.Args)-1 && n.Width&(n.Width-1) == 0 {
+			return apint.New(arg.Width, uint64(n.Width-1))
+		}
+		return all
 	}
-	// icmp, select, div/rem, rotates, ctpop/cttz/ctlz, variable shifts:
-	// not handled by LLVM 8 — all bits demanded.
+	// icmp, select, div/rem, ctpop/cttz/ctlz, variable shifts: not
+	// handled by LLVM 8 — all bits demanded.
 	return all
 }
 

@@ -48,7 +48,8 @@ type BugConfig struct {
 // post-LLVM-8 precision improvements that solver-based testing motivated
 // (§4.8's trajectory): known bits through variable shift amounts, select
 // condition correlation in the range analysis, the x & -x power-of-two
-// idiom combined with non-zero facts, and srem trailing-zero propagation.
+// idiom combined with non-zero facts, srem trailing-zero propagation, and
+// the rotate and funnel-shift amount rule of DemandedBits.
 type Analyzer struct {
 	Bugs   BugConfig
 	Modern bool

@@ -1,6 +1,7 @@
 package llvmport
 
 import (
+	"fmt"
 	"testing"
 
 	"dfcheck/internal/apint"
@@ -108,5 +109,66 @@ func TestModernVariableShiftJoinSound(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestModernFunnelShiftAmountDemanded checks the Modern rotate and
+// funnel-shift amount rule exhaustively against eval. At a power-of-two
+// width w the amount demands exactly its low log2(w) bits: flipping any
+// other amount bit never changes a well-defined output, and each low bit
+// changes some output. At other widths, and in the LLVM-8 port at every
+// width, every amount bit stays demanded.
+func TestModernFunnelShiftAmountDemanded(t *testing.T) {
+	for _, c := range []struct {
+		op   string
+		maxW uint
+	}{{"rotl", 8}, {"rotr", 8}, {"fshl", 5}, {"fshr", 5}} {
+		for w := uint(1); w <= c.maxW; w++ {
+			src := fmt.Sprintf("%%x:i%d = var\n%%s:i%d = var\n%%0:i%d = %s %%x, %%s\ninfer %%0", w, w, w, c.op)
+			if c.op == "fshl" || c.op == "fshr" {
+				src = fmt.Sprintf("%%a:i%d = var\n%%b:i%d = var\n%%s:i%d = var\n%%0:i%d = %s %%a, %%b, %%s\ninfer %%0",
+					w, w, w, w, c.op)
+			}
+			f := ir.MustParse(src)
+			modern := (&Analyzer{Modern: true}).Analyze(f).DemandedBits()
+			classic := (&Analyzer{}).Analyze(f).DemandedBits()
+			all := apint.AllOnes(w)
+			for _, v := range f.Vars {
+				if got := classic[v.Name]; got.Ne(all) {
+					t.Errorf("%s i%d: LLVM-8 demands %s of %%%s, want every bit", c.op, w, got.BitString(), v.Name)
+				}
+				if v.Name != "s" {
+					if got := modern[v.Name]; got.Ne(all) {
+						t.Errorf("%s i%d: Modern demands %s of value operand %%%s, want every bit", c.op, w, got.BitString(), v.Name)
+					}
+					continue
+				}
+				want := all
+				if w&(w-1) == 0 {
+					want = apint.New(w, uint64(w-1))
+				}
+				got := modern["s"]
+				if got.Ne(want) {
+					t.Errorf("%s i%d: Modern demands %s of the amount, want %s", c.op, w, got.BitString(), want.BitString())
+				}
+				for i := uint(0); i < w; i++ {
+					changed := false
+					eval.ForEachInput(f, func(env eval.Env) bool {
+						v1, ok1 := eval.Eval(f, env)
+						env[v] = env[v].FlipBit(i)
+						v2, ok2 := eval.Eval(f, env)
+						env[v] = env[v].FlipBit(i)
+						changed = ok1 && ok2 && v1.Ne(v2)
+						return !changed
+					})
+					if changed && !got.Bit(i) {
+						t.Errorf("%s i%d: Modern marks amount bit %d undemanded, but flipping it changes the output", c.op, w, i)
+					}
+					if !changed && got.Bit(i) && w&(w-1) == 0 {
+						t.Errorf("%s i%d: amount bit %d never changes the output, but Modern demands it", c.op, w, i)
+					}
+				}
+			}
+		}
 	}
 }

@@ -7,7 +7,7 @@
 //   - KnownBits is Algorithm 1: two validity queries per output bit. Its
 //     maximal precision follows from the separability of the known-bits
 //     lattice (§3.3.1, Figure 2).
-//   - DemandedBits is Algorithm 2: two equivalence queries per input bit.
+//   - DemandedBits is Algorithm 2: one equivalence query per input bit.
 //   - IntegerRange is Algorithm 3: binary search on the range size with a
 //     CEGIS loop synthesizing the base (synthesizeBase).
 //   - SignBits tries each count from most precise downward (§3.3).
@@ -290,6 +290,14 @@ type DemandedBitsResult struct {
 
 // DemandedBits runs Algorithm 2.
 func DemandedBits(e solver.Engine, f *ir.Function) DemandedBitsResult {
+	return DemandedBitsSeeded(e, f, Seed{})
+}
+
+// DemandedBitsSeeded runs Algorithm 2, skipping the query for every bit
+// the seed proves not demanded: a sound seed claim that flipping the bit
+// never changes a well-defined output is exactly the UNSAT answer the
+// miter query would give.
+func DemandedBitsSeeded(e solver.Engine, f *ir.Function, sd Seed) DemandedBitsResult {
 	res := DemandedBitsResult{Demanded: make(map[string]apint.Int, len(f.Vars))}
 	feasible, ok := e.Feasible()
 	if !ok {
@@ -311,7 +319,12 @@ func DemandedBits(e solver.Engine, f *ir.Function) DemandedBitsResult {
 		sp, end := iterSpan(e, "var")
 		sp.SetStr("var", v.Name)
 		mask := apint.Zero(v.Width)
+		seedMask, seeded := sd.Demanded[v.Name]
 		for i := uint(0); i < v.Width; i++ {
+			if sd.Valid && seeded && !seedMask.Bit(i) {
+				e.AddPruned(1)
+				continue
+			}
 			matters, ok := e.BitMatters(v, i)
 			if !ok {
 				res.Exhausted = true
@@ -697,8 +710,8 @@ func AnalyzeAll(f *ir.Function, budget int64) All {
 
 // AnalyzeAllWith computes every fact on the given engine. Known bits run
 // first so their exact result can enrich the seed for the analyses that
-// follow; DemandedBits runs unseeded (its facts are about inputs, which
-// the seed does not cover).
+// follow; demanded bits prune with the seed's per-variable masks, which
+// enrichment does not touch.
 func AnalyzeAllWith(e solver.Engine, f *ir.Function, sd Seed) All {
 	var a All
 	a.Known = KnownBitsSeeded(e, f, sd)
@@ -711,6 +724,6 @@ func AnalyzeAllWith(e solver.Engine, f *ir.Function, sd Seed) All {
 	a.NonNegative = NonNegativeSeeded(e, f, sd)
 	a.PowerOfTwo = PowerOfTwoSeeded(e, f, sd)
 	a.Range = IntegerRangeSeeded(e, f, sd)
-	a.Demanded = DemandedBits(e, f)
+	a.Demanded = DemandedBitsSeeded(e, f, sd)
 	return a
 }

@@ -37,8 +37,9 @@ const (
 	TriFalse
 )
 
-// Seed carries sound facts used to prune oracle queries. The zero value
-// (Valid == false) seeds nothing.
+// Seed carries sound facts used to prune oracle queries: facts about the
+// output for the forward analyses, and per-variable demanded masks for
+// demanded bits. The zero value (Valid == false) seeds nothing.
 type Seed struct {
 	// Valid gates the whole seed; false disables seeding (the -no-seed
 	// ablation path).
@@ -59,6 +60,12 @@ type Seed struct {
 	NonNegative Tri
 	PowerOfTwo  Tri
 
+	// Demanded maps an input variable's name to a sound demanded mask: a
+	// clear bit is proved not demanded (flipping it never changes a
+	// well-defined output), so Algorithm 2 need not ask about it. A
+	// variable without an entry has every bit possibly demanded.
+	Demanded map[string]apint.Int
+
 	// Exact marks Known as a maximally precise oracle result rather than
 	// a static over-approximation. Only then may the absence of a known
 	// bit refute a property (e.g. sign bit not known one ⟹ Negative is
@@ -77,6 +84,7 @@ func ComputeSeed(f *ir.Function) Seed {
 		Known:    fa.KnownBits(),
 		SignBits: fa.NumSignBits(),
 		Range:    fa.Range(),
+		Demanded: fa.DemandedBits(),
 	}
 	if fa.NonZero() {
 		sd.NonZero = TriTrue

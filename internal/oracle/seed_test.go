@@ -1,6 +1,8 @@
 package oracle
 
 import (
+	"fmt"
+	"os"
 	"testing"
 
 	"dfcheck/internal/apint"
@@ -19,11 +21,36 @@ func seedTestCorpus(seed int64, n int) []harvest.Expr {
 	})
 }
 
+// seedShiftCorpus holds rotates and funnel shifts at i2–i4, whose amount
+// operands the seed's demanded masks prune at power-of-two widths: bare,
+// with a computed amount, and with the amount also a value operand.
+func seedShiftCorpus() []harvest.Expr {
+	var out []harvest.Expr
+	add := func(src string) {
+		out = append(out, harvest.Expr{Name: fmt.Sprintf("shift-%d", len(out)), F: ir.MustParse(src), Freq: 1})
+	}
+	for w := 2; w <= 4; w++ {
+		for _, op := range []string{"rotl", "rotr"} {
+			add(fmt.Sprintf("%%x:i%d = var\n%%s:i%d = var\n%%0:i%d = %s %%x, %%s\ninfer %%0", w, w, w, op))
+			add(fmt.Sprintf("%%x:i%d = var\n%%y:i%d = var\n%%0:i%d = add %%y, 1:i%d\n%%1:i%d = %s %%x, %%0\ninfer %%1",
+				w, w, w, w, w, op))
+		}
+		for _, op := range []string{"fshl", "fshr"} {
+			add(fmt.Sprintf("%%a:i%d = var\n%%b:i%d = var\n%%s:i%d = var\n%%0:i%d = %s %%a, %%b, %%s\ninfer %%0",
+				w, w, w, w, op))
+			add(fmt.Sprintf("%%a:i%d = var\n%%b:i%d = var\n%%0:i%d = %s %%a, %%b, %%b\ninfer %%0", w, w, w, op))
+		}
+	}
+	return out
+}
+
 // TestSeedSoundOnBruteForce verifies the seed's soundness contract against
 // exhaustive enumeration: every claim must hold on every well-defined
-// input (TriTrue claims universally, TriFalse claims existentially).
+// input (TriTrue claims universally, TriFalse claims existentially), and
+// flipping a bit the seed's demanded mask leaves clear never changes a
+// well-defined output.
 func TestSeedSoundOnBruteForce(t *testing.T) {
-	for _, e := range seedTestCorpus(41, 60) {
+	for _, e := range append(seedTestCorpus(41, 60), seedShiftCorpus()...) {
 		if eval.TotalInputBits(e.F) > 12 {
 			continue
 		}
@@ -31,6 +58,7 @@ func TestSeedSoundOnBruteForce(t *testing.T) {
 		if !sd.Valid {
 			continue
 		}
+		checkSeedDemanded(t, e, sd)
 		var (
 			feasible                   bool
 			sawZero, sawNeg, sawNonNeg bool
@@ -97,6 +125,35 @@ func TestSeedSoundOnBruteForce(t *testing.T) {
 			t.Errorf("%s: seed refutes power-of-two but every output is one\n%s", e.Name, e.F)
 		}
 		_ = minSign
+	}
+}
+
+// checkSeedDemanded checks the seed's demanded masks: one per variable,
+// at its width, and no well-defined input pair differing only in a bit
+// the mask leaves clear gives two different outputs.
+func checkSeedDemanded(t *testing.T, e harvest.Expr, sd Seed) {
+	t.Helper()
+	for _, v := range e.F.Vars {
+		mask, ok := sd.Demanded[v.Name]
+		if !ok || mask.Width() != v.Width {
+			t.Fatalf("%s: seed has no i%d demanded mask for %%%s (got %v)\n%s", e.Name, v.Width, v.Name, mask, e.F)
+		}
+		for i := uint(0); i < v.Width; i++ {
+			if mask.Bit(i) {
+				continue
+			}
+			eval.ForEachInput(e.F, func(env eval.Env) bool {
+				v1, ok1 := eval.Eval(e.F, env)
+				env[v] = env[v].FlipBit(i)
+				v2, ok2 := eval.Eval(e.F, env)
+				env[v] = env[v].FlipBit(i)
+				if ok1 && ok2 && v1.Ne(v2) {
+					t.Fatalf("%s: seed marks bit %d of %%%s undemanded, but flipping it changes %v to %v\n%s",
+						e.Name, i, v.Name, v1, v2, e.F)
+				}
+				return true
+			})
+		}
 	}
 }
 
@@ -230,4 +287,48 @@ func TestSeedNeverFromAnalyzerUnderTest(t *testing.T) {
 	if !res.Known.Bits.Zero.Eq(zero) || !res.Known.Bits.One.Eq(one) {
 		t.Errorf("seeded known bits %v do not match brute force (zero=%v one=%v)", res.Known.Bits, zero, one)
 	}
+}
+
+// TestDemandedBitsSeededGen53 runs Algorithm 2 with and without the seed
+// on testdata/gen-000053.opt, an expression of the benchmark's Table 1
+// corpus. Its "fshr %0, %0, %v3" at i16 takes the amount modulo 16, so
+// the seed marks the top 12 bits of %v3 undemanded; unseeded, each of
+// them costs one UNSAT miter query (about 30k conflicts together). The
+// seeded run must return the same masks with exactly those 12 queries
+// skipped and counted as pruned.
+func TestDemandedBitsSeededGen53(t *testing.T) {
+	src, err := os.ReadFile("testdata/gen-000053.opt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := ir.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd := ComputeSeed(f)
+	if got := sd.Demanded["v3"]; got.Ne(apint.New(16, 0x000f)) {
+		t.Fatalf("seed demands %s of %%v3, want the low 4 bits", got.BitString())
+	}
+	plainEng, seededEng := solver.NewSAT(f, 0), solver.NewSAT(f, 0)
+	plain := DemandedBits(plainEng, f)
+	seeded := DemandedBitsSeeded(seededEng, f, sd)
+	if plain.Exhausted || seeded.Exhausted || !plain.Feasible || !seeded.Feasible {
+		t.Fatalf("outcomes: unseeded %+v, seeded %+v", plain.Outcome, seeded.Outcome)
+	}
+	for _, v := range f.Vars {
+		if got, want := seeded.Demanded[v.Name], plain.Demanded[v.Name]; got.Ne(want) {
+			t.Errorf("%%%s: seeded demands %s, unseeded %s", v.Name, got.BitString(), want.BitString())
+		}
+	}
+	if got := plain.Demanded["v3"]; got.Ne(apint.New(16, 0x000f)) {
+		t.Errorf("oracle demands %s of %%v3, want the low 4 bits", got.BitString())
+	}
+	ps, ss := plainEng.Stats(), seededEng.Stats()
+	if d := ps.Queries - ss.Queries; d != 12 {
+		t.Errorf("seeded run asked %d queries, unseeded %d: %d fewer, want 12", ss.Queries, ps.Queries, d)
+	}
+	if d := ss.Pruned - ps.Pruned; d != 12 {
+		t.Errorf("seeded run pruned %d queries, unseeded %d: %d more, want 12", ss.Pruned, ps.Pruned, d)
+	}
+	t.Logf("conflicts: unseeded %d, seeded %d", ps.Conflicts, ss.Conflicts)
 }
