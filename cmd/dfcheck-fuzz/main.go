@@ -67,7 +67,6 @@ func main() {
 		noStrash   = flag.Bool("no-strash", false, "ablation: disable structural hashing in the bit-blaster")
 		noSeed     = flag.Bool("no-seed", false, "ablation: disable sound-fact seeding of the oracle")
 		consist    = flag.Bool("consistency", true, "cross-check the compiler's own domains on every expression (solver-free reduced-product lint)")
-		noConsist  = flag.Bool("no-consistency", false, "disable the cross-domain consistency lint")
 		domsFlag   = flag.String("domains", "", "extend the consistency lint's reduced product with these transfer domains (comma-separated, e.g. tnum,stride; empty = classic four-domain lint)")
 		enumCut    = flag.Int("enum-cutoff", 0, "summed input bits at or below which expressions are enumerated instead of solved (0 = default, negative disables)")
 		nwayMode   = flag.Bool("nway", false, "n-way differential mode: cross-check all analyzer variants per expression and escalate to the SAT oracle only on disagreement")
@@ -153,7 +152,7 @@ func main() {
 		NoStrash:    *noStrash,
 		NoSeed:      *noSeed,
 		EnumCutoff:  *enumCut,
-		Consistency: *consist && !*noConsist,
+		Consistency: *consist,
 		Domains:     doms,
 		NWay:        *nwayMode,
 		Reduce:      *reduceMode,

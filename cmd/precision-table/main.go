@@ -44,13 +44,12 @@ func main() {
 		loadFile  = flag.String("corpus", "", "load the corpus from this file instead of generating (see -save-corpus)")
 		saveFile  = flag.String("save-corpus", "", "write the corpus to this file before running (the artifact's dump.rdb analog)")
 		asJSON    = flag.Bool("json", false, "emit the report as JSON instead of the table")
-		cacheFile = flag.String("cache", "", "persist oracle results to this file across runs (the artifact's Redis dump analog); also dedups the corpus by canonical form")
+		cacheFile = flag.String("cache", "", "persist oracle results to this file across runs (the artifact's Redis dump analog)")
 		workers   = flag.Int("j", runtime.NumCPU(), "expressions compared concurrently")
 		exprCap   = flag.Duration("expr-timeout", 5*time.Minute, "total oracle time per expression (the paper's 5-minute cap; 0 disables)")
 		noStrash  = flag.Bool("no-strash", false, "ablation: disable structural hashing in the bit-blaster")
 		noSeed    = flag.Bool("no-seed", false, "ablation: disable sound-fact seeding of the oracle")
 		consist   = flag.Bool("consistency", true, "cross-check the compiler's own domains on every expression (solver-free reduced-product lint)")
-		noConsist = flag.Bool("no-consistency", false, "disable the cross-domain consistency lint")
 		domsFlag  = flag.String("domains", "", "extend the consistency lint's reduced product with these transfer domains (comma-separated, e.g. tnum,stride; empty = classic four-domain lint)")
 		enumCut   = flag.Int("enum-cutoff", 0, "summed input bits at or below which expressions are enumerated instead of solved (0 = default, negative disables)")
 		nwayMode  = flag.Bool("nway", false, "n-way differential mode: cross-check all analyzer variants per expression and escalate to the SAT oracle only on disagreement")
@@ -146,7 +145,7 @@ func main() {
 		NoSeed:      *noSeed,
 		EnumCutoff:  *enumCut,
 		Tracer:      tracer,
-		Consistency: *consist && !*noConsist,
+		Consistency: *consist,
 		Domains:     doms,
 		NWay:        *nwayMode,
 		Reduce:      *reduceF,

@@ -331,8 +331,8 @@ func TestInterruptResumeEquivalence(t *testing.T) {
 }
 
 // TestInterruptResumeEquivalenceCached runs the same equivalence check
-// through the duplication-aware cached path, where the
-// never-memoize-cancelled guard is what keeps the resumed run honest.
+// with the oracle cache on, where the never-memoize-cancelled guard is
+// what keeps the resumed run honest.
 func TestInterruptResumeEquivalenceCached(t *testing.T) {
 	const seed, batches = 31337, 3
 

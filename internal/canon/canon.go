@@ -5,10 +5,10 @@
 //
 // This is the keying layer for the duplication-aware result cache
 // (internal/rescache): the paper's corpus statistics (§3.1) show that
-// 71.6% of harvested expressions recur, so the comparison pipeline groups
-// a corpus by canonical key and analyzes each unique expression once —
-// the same trick the original artifact played with a Redis store of
-// solver results keyed by the Souper text.
+// 71.6% of harvested expressions recur, so the comparator memoizes oracle
+// results under the canonical key and answers every recurrence, renamed
+// or reordered, from the cache — the same trick the original artifact
+// played with a Redis store of solver results keyed by the Souper text.
 //
 // Canonicalization proceeds in three steps:
 //

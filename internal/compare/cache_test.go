@@ -1,7 +1,10 @@
 package compare
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -9,6 +12,7 @@ import (
 	"dfcheck/internal/harvest"
 	"dfcheck/internal/ir"
 	"dfcheck/internal/llvmport"
+	"dfcheck/internal/metrics"
 	"dfcheck/internal/rescache"
 )
 
@@ -65,35 +69,45 @@ func dumpRows(rep *Report) map[harvest.Analysis]Row {
 	return out
 }
 
-// TestCachedRunMatchesUncached: the duplication-aware cached path must
-// produce the same Table 1 rows and the same findings as the plain path,
-// sequentially and with a worker pool.
+// TestCachedRunMatchesUncached: a run with the cache must produce the
+// same Table 1 rows, findings, lint check counts and n-way funnel as one
+// without it, sequentially and with a worker pool, plain and with the
+// n-way pre-filter and the consistency lint on.
 func TestCachedRunMatchesUncached(t *testing.T) {
 	corpus := dupCorpus()
-	want := cleanComparator().Run(corpus)
-	for _, workers := range []int{0, 8} {
-		c := cleanComparator()
-		c.Workers = workers
-		c.Cache = rescache.New()
-		got := c.Run(corpus)
-		requireSameReport(t, want, got, "cached run")
-
-		if got.Cache == nil {
-			t.Fatal("cached run did not report cache stats")
+	for _, nwayLint := range []bool{false, true} {
+		mk := func() *Comparator {
+			c := cleanComparator()
+			c.NWay, c.Consistency = nwayLint, nwayLint
+			return c
 		}
-		if got.Cache.TotalExprs != len(corpus) {
-			t.Errorf("TotalExprs = %d, want %d", got.Cache.TotalExprs, len(corpus))
-		}
-		if got.Cache.UniqueExprs >= len(corpus) {
-			t.Errorf("no deduplication: %d unique of %d — the corpus is duplication-shaped",
-				got.Cache.UniqueExprs, len(corpus))
+		want := mk().Run(corpus)
+		for _, workers := range []int{0, 8} {
+			label := fmt.Sprintf("cached run (nway+consistency=%t, workers=%d)", nwayLint, workers)
+			c := mk()
+			c.Workers = workers
+			c.Cache = rescache.New()
+			got := c.Run(corpus)
+			requireSameReport(t, want, got, label)
+			if got.ConsistencyChecks != want.ConsistencyChecks {
+				t.Errorf("%s: %d consistency checks, want %d", label, got.ConsistencyChecks, want.ConsistencyChecks)
+			}
+			if !reflect.DeepEqual(got.NWay, want.NWay) {
+				t.Errorf("%s: n-way stats %+v, want %+v", label, got.NWay, want.NWay)
+			}
+			if got.Cache == nil {
+				t.Fatalf("%s: no cache stats", label)
+			}
+			if got.Cache.Hits == 0 {
+				t.Errorf("%s: no cache hits on a duplication-shaped corpus", label)
+			}
 		}
 	}
 }
 
 // TestCachedRunFindingsPerEntry: findings from a cached run must carry
-// each duplicate's own name and source text, not the canonical
-// representative's — the cached path dedups work, not reports.
+// each alpha-variant's own name and source text — the cache dedups work,
+// not reports.
 func TestCachedRunFindingsPerEntry(t *testing.T) {
 	trigger := ir.MustParse(harvest.SoundnessTriggers[1].Source) // PR23011 srem sign bits
 	rng := rand.New(rand.NewSource(5))
@@ -106,9 +120,21 @@ func TestCachedRunFindingsPerEntry(t *testing.T) {
 		Analyzer: &llvmport.Analyzer{Bugs: llvmport.BugConfig{SRemSignBits: true}},
 		Cache:    rescache.New(),
 	}
+	// The trigger has one variable and no commutative operand, so both
+	// copies come out as the same text: one alpha-variant of the original.
+	texts := map[string]bool{}
+	for _, e := range corpus {
+		texts[e.F.String()] = true
+	}
+	if len(texts) < 2 {
+		t.Fatal("no alpha-variant in the corpus; test premise broken")
+	}
 	rep := c.Run(corpus)
-	if rep.Cache.UniqueExprs != 1 {
-		t.Fatalf("UniqueExprs = %d, want 1 (all entries are alpha-variants)", rep.Cache.UniqueExprs)
+	// The first entry misses on all eight analyses; each further
+	// alpha-variant is answered from the cache, eight hits each, and a
+	// byte-identical copy is compared once with its twin.
+	if wantHits := 8 * uint64(len(texts)-1); rep.Cache.Misses != 8 || rep.Cache.Hits != wantHits {
+		t.Fatalf("cache misses/hits = %d/%d, want 8/%d", rep.Cache.Misses, rep.Cache.Hits, wantHits)
 	}
 	seen := map[string]string{}
 	for _, f := range rep.Findings {
@@ -202,5 +228,61 @@ func TestCacheKeyedOnConfig(t *testing.T) {
 	buggyRep := buggy.Run(corpus)
 	if len(buggyRep.Findings) == 0 {
 		t.Fatal("injected bug not detected when sharing a cache with a clean run")
+	}
+}
+
+// TestCompareExprUsesCache: CompareExprContext goes through the cache, so
+// a repeated expression is answered with the same results and zero
+// solver queries.
+func TestCompareExprUsesCache(t *testing.T) {
+	reg := metrics.NewRegistry()
+	c := &Comparator{Analyzer: &llvmport.Analyzer{}, Cache: rescache.New(), Metrics: reg}
+	first := c.CompareExprContext(context.Background(), ir.MustParse(flightExprSrc))
+	queries := reg.Counter("solver_queries").Value()
+	if queries == 0 {
+		t.Fatal("first comparison cost zero solver queries; pick a harder expression")
+	}
+	second := c.CompareExprContext(context.Background(), ir.MustParse(flightExprSrc))
+	if got := reg.Counter("solver_queries").Value() - queries; got != 0 {
+		t.Errorf("repeated expression cost %d solver queries, want 0", got)
+	}
+	// Elapsed replays from the cache, so even the timings agree.
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("repeated results differ:\n%v\nvs\n%v", first, second)
+	}
+}
+
+// TestOldCacheFileStillHits loads testdata/old-cache.json, written by the
+// comparator before its cached and uncached run paths were merged, with
+// the corpus it was built from (testdata/old-cache.corpus: alpha-variants,
+// a byte-identical copy, and the PR23011 trigger under its bug). Every
+// lookup must hit, and the report must be the uncached run's.
+func TestOldCacheFileStillHits(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "old-cache.corpus"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus, err := harvest.ReadCorpus(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := &llvmport.Analyzer{Bugs: llvmport.BugConfig{SRemSignBits: true}}
+	cache := rescache.New()
+	if err := cache.LoadFile(filepath.Join("testdata", "old-cache.json")); err != nil {
+		t.Fatal(err)
+	}
+	want := (&Comparator{Analyzer: an}).Run(corpus)
+	if len(want.Findings) == 0 {
+		t.Fatal("the fixture corpus produced no findings; test premise broken")
+	}
+	for _, workers := range []int{0, 4} {
+		c := &Comparator{Analyzer: an, Workers: workers, Cache: cache}
+		got := c.Run(corpus)
+		if got.Cache.Misses != 0 || got.Cache.Hits == 0 {
+			t.Fatalf("workers=%d: %d misses, %d hits against the old cache file; want all hits",
+				workers, got.Cache.Misses, got.Cache.Hits)
+		}
+		requireSameReport(t, want, got, fmt.Sprintf("old cache file (workers=%d)", workers))
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"dfcheck/internal/absint"
+	"dfcheck/internal/apint"
 	"dfcheck/internal/canon"
 	"dfcheck/internal/eval"
 	"dfcheck/internal/factsvc"
@@ -107,12 +108,13 @@ type Comparator struct {
 	// beyond it come back as resource exhaustion, like the paper's
 	// five-minute cap (§4.1). Zero means no cap.
 	ExprTimeout time.Duration
-	// Cache, when set, switches Run to the duplication-aware path: the
-	// corpus is grouped by canonical form (internal/canon), each unique
-	// expression is analyzed once, and oracle results are memoized in
-	// the cache — within the run and, if the cache is persisted, across
+	// Cache, when set, memoizes oracle results per (canonical expression,
+	// analysis): every expression is canonicalized (internal/canon), so
+	// alpha-variants — renamed inputs, reordered commutative operands —
+	// share entries within a run and, if the cache is persisted, across
 	// runs. This exploits the §3.1 duplication statistics the way the
-	// original artifact's Redis store did.
+	// original artifact's Redis store did. Reports are the same with or
+	// without it.
 	Cache *rescache.Cache
 	// Metrics, when set, is instrumented with solver query counters,
 	// per-expression latency histograms, worker utilization, cache
@@ -161,13 +163,13 @@ type Comparator struct {
 	// so it costs time proportional to finding count, not corpus size.
 	Reduce bool
 
-	// flight collapses identical in-flight oracle work across the
-	// worker pool (and across concurrent Runs sharing this Comparator,
-	// as the fact service and a campaign do): the cache answers queries
-	// that finished, the flight answers queries that are still running.
-	// Waiters count into the flight_collapsed metric and adopt the
-	// leader's result like a cache hit, so the report is unchanged —
-	// only the redundant solver work disappears.
+	// flight collapses identical in-flight oracle work behind the cache,
+	// per rescache key, across the worker pool and across concurrent
+	// callers sharing this Comparator (a campaign and the fact service):
+	// the cache answers queries that finished, the flight answers
+	// queries that are still running. Waiters count into the
+	// flight_collapsed metric and adopt the leader's result like a cache
+	// hit, so the report is unchanged. It is used only with a cache.
 	flight factsvc.Group
 	// flightHook, when set, runs at the start of every flight leader's
 	// computation. Tests use it to hold the leader until all expected
@@ -176,7 +178,7 @@ type Comparator struct {
 }
 
 // analysisOrder maps oracleSet.Elapsed indices to analysis names, in the
-// Table 1 order computeOracle runs them.
+// Table 1 order oracleFor runs them.
 var analysisOrder = [8]harvest.Analysis{
 	harvest.KnownBits, harvest.SignBits, harvest.NonZero, harvest.Negative,
 	harvest.NonNegative, harvest.PowerOfTwo, harvest.IntegerRange, harvest.DemandedBits,
@@ -308,94 +310,6 @@ type oracleSet struct {
 	Solver   solver.Stats
 }
 
-// computeOracle computes the oracle set for f. With Workers > 1,
-// textually identical expressions that race within the pool collapse to
-// one computation through the single-flight group; waiters adopt the
-// leader's result set. The flight keys on the exact source text, not the
-// canonical form: demanded-bits results are named in the expression's
-// own variables, so only byte-identical duplicates can share a set
-// (alpha-variants are the cached path's job).
-func (c *Comparator) computeOracle(ctx context.Context, f *ir.Function) *oracleSet {
-	if c.Workers <= 1 {
-		return c.computeOracleOnce(ctx, f)
-	}
-	v, _, shared := c.flight.Do("expr\x00"+f.String(), func() (any, error) {
-		if c.flightHook != nil {
-			c.flightHook()
-		}
-		return c.computeOracleOnce(ctx, f), nil
-	})
-	o := v.(*oracleSet)
-	if shared {
-		c.recordFlightWaiter(o)
-	}
-	return o
-}
-
-// recordFlightWaiter accounts one expression answered by another
-// worker's in-flight computation: it counts as a compared expression
-// with the leader's replayed latency, but none of the solver work is
-// re-counted (it happened exactly once, on the leader).
-func (c *Comparator) recordFlightWaiter(o *oracleSet) {
-	if c.Metrics == nil {
-		return
-	}
-	c.Metrics.Counter("flight_collapsed").Inc()
-	c.Metrics.Counter("exprs_compared").Inc()
-	var total time.Duration
-	for _, d := range o.Elapsed {
-		total += d
-	}
-	c.Metrics.Histogram("expr_latency").Observe(total)
-}
-
-// countFlightCollapsed counts one per-analysis collapse on the cached
-// path.
-func (c *Comparator) countFlightCollapsed() {
-	if c.Metrics != nil {
-		c.Metrics.Counter("flight_collapsed").Inc()
-	}
-}
-
-// computeOracleOnce runs all eight oracle algorithms on f under the
-// per-expression deadline, timing each. One engine serves every analysis,
-// so the bit-blasted circuit, learned clauses, and the expression's total
-// conflict budget are shared across them (earlier versions paid eight
-// cold bit-blasts and leaked eight independent budgets per expression).
-func (c *Comparator) computeOracleOnce(ctx context.Context, f *ir.Function) *oracleSet {
-	var deadline time.Time
-	if c.ExprTimeout > 0 {
-		deadline = time.Now().Add(c.ExprTimeout)
-	}
-	o := &oracleSet{}
-	eng := c.newEngine(ctx, f, deadline)
-	sd := c.seed(f)
-	sp := c.exprSpan(ctx, f, nil)
-	run := func(i int, compute func()) {
-		asp := sp.Child(trace.KindAnalysis, string(analysisOrder[i]))
-		eng.SetTraceSpan(asp)
-		start := time.Now()
-		compute()
-		o.Elapsed[i] = time.Since(start)
-		asp.End()
-	}
-	run(0, func() { o.Known = oracle.KnownBitsSeeded(eng, f, sd) })
-	if o.Known.Feasible {
-		sd.EnrichFromKnown(o.Known.Bits, !o.Known.Exhausted)
-	}
-	run(1, func() { o.Sign = oracle.SignBitsSeeded(eng, f, sd) })
-	run(2, func() { o.NonZero = oracle.NonZeroSeeded(eng, f, sd) })
-	run(3, func() { o.Negative = oracle.NegativeSeeded(eng, f, sd) })
-	run(4, func() { o.NonNeg = oracle.NonNegativeSeeded(eng, f, sd) })
-	run(5, func() { o.Pow2 = oracle.PowerOfTwoSeeded(eng, f, sd) })
-	run(6, func() { o.Range = oracle.IntegerRangeSeeded(eng, f, sd) })
-	run(7, func() { o.Demanded = oracle.DemandedBitsSeeded(eng, f, sd) })
-	o.Solver = eng.Stats()
-	endExprSpan(sp, o.Solver)
-	c.recordOracle(o)
-	return o
-}
-
 // cacheConfig renders the comparator configuration that oracle cache
 // entries are keyed under. The oracle itself is independent of the
 // compiler under test, but keying on the full configuration keeps cache
@@ -424,8 +338,8 @@ func (c *Comparator) DomainNames() string {
 	return sb.String()
 }
 
-// flightVal is what one cached-path flight computes: the analysis
-// result and the time it took (replayed by waiters, like a cache hit).
+// flightVal is what one flight computes: the analysis result and the
+// time it took (replayed by waiters, like a cache hit).
 type flightVal struct {
 	v       any
 	elapsed time.Duration
@@ -438,120 +352,140 @@ func flightKey(k rescache.Key) string {
 	return k.Expr + "\x00" + k.Analysis + "\x00" + strconv.FormatInt(k.Budget, 10) + "\x00" + k.Config
 }
 
-// oracleCached assembles the oracle set for a canonical expression,
-// consulting the cache per analysis and computing (then storing) the
-// misses. Demanded-bits entries are stored in the canonical variable
-// namespace, so they apply to every alpha-variant of the expression.
+// oracleFor runs the eight oracle algorithms on f, in Table 1 order,
+// under the per-expression deadline, timing each. One engine serves
+// every analysis, so the bit-blasted circuit, learned clauses, and the
+// expression's total conflict budget are shared across them.
 //
-// Results computed while ctx is (or becomes) cancelled are never written
-// back: a cancellation-degraded result in a persisted cache would make a
+// With a cache, f is canonicalized and the oracle runs on the canonical
+// form: each analysis is looked up under its rescache key, joins an
+// identical computation already in flight (in this Run, a concurrent
+// Run, or the fact service), or computes and stores. Demanded-bits
+// entries live in the canonical variable namespace, so they serve every
+// alpha-variant; the returned set names them in f's own variables.
+// Results computed while ctx is (or becomes) cancelled are never stored:
+// a cancellation-degraded result in a persisted cache would make a
 // resumed campaign silently diverge from an uninterrupted one.
-func (c *Comparator) oracleCached(ctx context.Context, cn *canon.Canon) *oracleSet {
-	f := cn.F
+func (c *Comparator) oracleFor(ctx context.Context, f *ir.Function) *oracleSet {
 	var deadline time.Time
 	if c.ExprTimeout > 0 {
 		deadline = time.Now().Add(c.ExprTimeout)
 	}
-	cfg := c.cacheConfig()
+	var cn *canon.Canon
+	var cfg string
+	g := f // the function the oracle analyzes
+	if c.Cache != nil {
+		cn = canon.Canonicalize(f)
+		g = cn.F
+		cfg = c.cacheConfig()
+	}
 	o := &oracleSet{}
-	sp := c.exprSpan(ctx, f, cn)
-	// The engine and seed are built lazily: a fully cache-hit expression
-	// never constructs either.
+	sp := c.exprSpan(ctx, g, cn)
+	// The engine and the seed are built on first use, so an expression
+	// the cache answers in full constructs neither. A seed built after
+	// known bits are in starts out enriched with them.
 	var eng solver.Engine
 	engine := func() solver.Engine {
 		if eng == nil {
-			eng = c.newEngine(ctx, f, deadline)
+			eng = c.newEngine(ctx, g, deadline)
 		}
 		return eng
 	}
-	var sd oracle.Seed
-	seeded := false
+	var sd *oracle.Seed
 	seed := func() oracle.Seed {
-		if !seeded {
-			sd = c.seed(f)
-			seeded = true
+		if sd == nil {
+			s := c.seed(g)
+			if o.Known.Feasible {
+				s.EnrichFromKnown(o.Known.Bits, !o.Known.Exhausted)
+			}
+			sd = &s
 		}
-		return sd
+		return *sd
 	}
-	step := func(i int, a harvest.Analysis, fromCache func(any) bool, compute func(e solver.Engine) any) {
-		k := rescache.Key{Expr: cn.Key, Analysis: string(a), Budget: c.Budget, Config: cfg}
+	// step fills analysis i: compute runs it on the engine and stores the
+	// result in o; fromCache adopts a cached or in-flight value into o,
+	// reporting whether it had the analysis's result type.
+	step := func(i int, fromCache func(any) bool, compute func(e solver.Engine) any) {
+		solve := func() flightVal {
+			start := time.Now()
+			e := engine()
+			asp := sp.Child(trace.KindAnalysis, string(analysisOrder[i]))
+			e.SetTraceSpan(asp)
+			v := compute(e)
+			asp.End()
+			return flightVal{v: v, elapsed: time.Since(start)}
+		}
+		if c.Cache == nil {
+			o.Elapsed[i] = solve().elapsed
+			return
+		}
+		k := rescache.Key{Expr: cn.Key, Analysis: string(analysisOrder[i]), Budget: c.Budget, Config: cfg}
 		if e, ok := c.Cache.Get(k); ok && fromCache(e.Value) {
 			o.Elapsed[i] = e.Elapsed
 			return
 		}
-		solve := func() (any, error) {
+		res, _, shared := c.flight.Do(flightKey(k), func() (any, error) {
 			if c.flightHook != nil {
 				c.flightHook()
 			}
-			start := time.Now()
-			e := engine()
-			asp := sp.Child(trace.KindAnalysis, string(a))
-			e.SetTraceSpan(asp)
-			v := compute(e)
-			asp.End()
-			elapsed := time.Since(start)
-			if ctx.Err() != nil {
-				// Possibly degraded by cancellation: do not memoize.
-				return flightVal{v: v, elapsed: elapsed}, nil
+			fv := solve()
+			if ctx.Err() == nil { // possibly degraded by cancellation: do not memoize
+				c.Cache.Put(k, rescache.Entry{Value: fv.v, Elapsed: fv.elapsed})
 			}
-			c.Cache.Put(k, rescache.Entry{Value: v, Elapsed: elapsed})
-			return flightVal{v: v, elapsed: elapsed}, nil
-		}
-		if c.Workers <= 1 {
-			fv, _ := solve()
-			o.Elapsed[i] = fv.(flightVal).elapsed
-			return
-		}
-		// Collapse the race window the cache cannot see: an identical
-		// (expr, analysis, budget, config) query already being solved by
-		// another worker — in this Run, a concurrent Run, or the fact
-		// service — is joined instead of recomputed.
-		res, _, shared := c.flight.Do(flightKey(k), solve)
-		fv := res.(flightVal)
+			return fv, nil
+		})
+		fv, _ := res.(flightVal)
 		if shared {
-			if fromCache(fv.v) {
-				o.Elapsed[i] = fv.elapsed
-				c.countFlightCollapsed()
-				return
+			if c.Metrics != nil {
+				c.Metrics.Counter("flight_collapsed").Inc()
 			}
-			// Unreachable for equal keys (the leader's value always has
-			// the key's result type); recompute locally as a safety net.
-			res, _ = solve()
-			fv = res.(flightVal)
+			if !fromCache(fv.v) {
+				// Unreachable unless the leader panicked: its value always
+				// has the key's result type. Recompute locally.
+				fv = solve()
+			}
 		}
 		o.Elapsed[i] = fv.elapsed
 	}
-	step(0, harvest.KnownBits,
+	step(0,
 		func(v any) (ok bool) { o.Known, ok = v.(oracle.KnownBitsResult); return },
-		func(e solver.Engine) any { o.Known = oracle.KnownBitsSeeded(e, f, seed()); return o.Known })
+		func(e solver.Engine) any { o.Known = oracle.KnownBitsSeeded(e, g, seed()); return o.Known })
 	// Whether the known bits came from the cache or a fresh run, they
 	// enrich the seed for the analyses below.
-	if o.Known.Feasible {
-		s := seed()
-		s.EnrichFromKnown(o.Known.Bits, !o.Known.Exhausted)
-		sd = s
+	if sd != nil && o.Known.Feasible {
+		sd.EnrichFromKnown(o.Known.Bits, !o.Known.Exhausted)
 	}
-	step(1, harvest.SignBits,
+	step(1,
 		func(v any) (ok bool) { o.Sign, ok = v.(oracle.SignBitsResult); return },
-		func(e solver.Engine) any { o.Sign = oracle.SignBitsSeeded(e, f, seed()); return o.Sign })
-	step(2, harvest.NonZero,
+		func(e solver.Engine) any { o.Sign = oracle.SignBitsSeeded(e, g, seed()); return o.Sign })
+	step(2,
 		func(v any) (ok bool) { o.NonZero, ok = v.(oracle.BoolResult); return },
-		func(e solver.Engine) any { o.NonZero = oracle.NonZeroSeeded(e, f, seed()); return o.NonZero })
-	step(3, harvest.Negative,
+		func(e solver.Engine) any { o.NonZero = oracle.NonZeroSeeded(e, g, seed()); return o.NonZero })
+	step(3,
 		func(v any) (ok bool) { o.Negative, ok = v.(oracle.BoolResult); return },
-		func(e solver.Engine) any { o.Negative = oracle.NegativeSeeded(e, f, seed()); return o.Negative })
-	step(4, harvest.NonNegative,
+		func(e solver.Engine) any { o.Negative = oracle.NegativeSeeded(e, g, seed()); return o.Negative })
+	step(4,
 		func(v any) (ok bool) { o.NonNeg, ok = v.(oracle.BoolResult); return },
-		func(e solver.Engine) any { o.NonNeg = oracle.NonNegativeSeeded(e, f, seed()); return o.NonNeg })
-	step(5, harvest.PowerOfTwo,
+		func(e solver.Engine) any { o.NonNeg = oracle.NonNegativeSeeded(e, g, seed()); return o.NonNeg })
+	step(5,
 		func(v any) (ok bool) { o.Pow2, ok = v.(oracle.BoolResult); return },
-		func(e solver.Engine) any { o.Pow2 = oracle.PowerOfTwoSeeded(e, f, seed()); return o.Pow2 })
-	step(6, harvest.IntegerRange,
+		func(e solver.Engine) any { o.Pow2 = oracle.PowerOfTwoSeeded(e, g, seed()); return o.Pow2 })
+	step(6,
 		func(v any) (ok bool) { o.Range, ok = v.(oracle.RangeResult); return },
-		func(e solver.Engine) any { o.Range = oracle.IntegerRangeSeeded(e, f, seed()); return o.Range })
-	step(7, harvest.DemandedBits,
+		func(e solver.Engine) any { o.Range = oracle.IntegerRangeSeeded(e, g, seed()); return o.Range })
+	step(7,
 		func(v any) (ok bool) { o.Demanded, ok = v.(oracle.DemandedBitsResult); return },
-		func(e solver.Engine) any { o.Demanded = oracle.DemandedBitsSeeded(e, f, seed()); return o.Demanded })
+		func(e solver.Engine) any { o.Demanded = oracle.DemandedBitsSeeded(e, g, seed()); return o.Demanded })
+	if cn != nil {
+		// A fresh map: the canonical one may be shared through the cache.
+		dm := make(map[string]apint.Int, len(f.Vars))
+		for _, v := range f.Vars {
+			if m, ok := o.Demanded.Demanded[cn.CanonName(v.Name)]; ok {
+				dm[v.Name] = m
+			}
+		}
+		o.Demanded.Demanded = dm
+	}
 	if eng != nil {
 		o.Solver = eng.Stats()
 	}
@@ -584,10 +518,10 @@ func (c *Comparator) classify(f *ir.Function, fa *llvmport.Facts, o *oracleSet) 
 	return out
 }
 
-// CompareExpr runs all eight analyses of Table 1 on one expression. The
-// returned results contain one entry per forward analysis plus one entry
-// per input variable for demanded bits (the paper counts demanded-bits
-// comparisons per variable).
+// CompareExpr runs all eight analyses of Table 1 on one expression, through
+// the cache when one is set. The returned results contain one entry per
+// forward analysis plus one entry per input variable for demanded bits
+// (the paper counts demanded-bits comparisons per variable).
 func (c *Comparator) CompareExpr(f *ir.Function) []Result {
 	return c.CompareExprContext(context.Background(), f)
 }
@@ -597,8 +531,7 @@ func (c *Comparator) CompareExpr(f *ir.Function) []Result {
 // interval and the remaining queries fail fast, so the expression still
 // comes back with well-formed (exhaustion-degraded) results promptly.
 func (c *Comparator) CompareExprContext(ctx context.Context, f *ir.Function) []Result {
-	results, _, _ := c.compareOne(ctx, f)
-	return results
+	return c.compareOne(ctx, f).results
 }
 
 // nwayExprStats is one expression's n-way pre-filter outcome.
@@ -654,31 +587,36 @@ func (c *Comparator) nwayCheck(ctx context.Context, f *ir.Function) (*nwayExprSt
 	return st, out
 }
 
+// compared is one expression's pipeline output: its results, the number
+// of consistency checks the lint performed, and the n-way stats (nil
+// unless NWay).
+type compared struct {
+	results []Result
+	checks  int
+	nway    *nwayExprStats
+}
+
 // compareOne runs the per-expression pipeline: the n-way pre-filter when
 // enabled (skipping the oracle on agreement), the oracle comparison, and
-// the cross-domain consistency lint. It additionally returns the number
-// of consistency checks performed and the n-way stats (nil unless NWay).
-func (c *Comparator) compareOne(ctx context.Context, f *ir.Function) ([]Result, int, *nwayExprStats) {
-	var results []Result
-	var nw *nwayExprStats
+// the cross-domain consistency lint.
+func (c *Comparator) compareOne(ctx context.Context, f *ir.Function) *compared {
+	out := &compared{}
 	runOracle := true
 	if c.NWay {
-		var nwResults []Result
-		nw, nwResults = c.nwayCheck(ctx, f)
-		results = nwResults
+		out.nway, out.results = c.nwayCheck(ctx, f)
 		// Escalate to the oracle only when some variant pair disagreed;
 		// agreement (or a dead expression) leaves nothing to decide.
-		runOracle = nw.escalated
+		runOracle = out.nway.escalated
 	}
 	var fa *llvmport.Facts
 	if runOracle || c.Consistency {
 		fa = c.Analyzer.Analyze(f)
 	}
 	if runOracle {
-		results = append(c.classify(f, fa, c.computeOracle(ctx, f)), results...)
+		out.results = append(c.classify(f, fa, c.oracleFor(ctx, f)), out.results...)
 	}
 	if !c.Consistency {
-		return results, 0, nw
+		return out
 	}
 	sp := trace.FromContext(ctx).Child(trace.KindAnalysis, "consistency")
 	lint, checks := c.lintExpr(f, fa)
@@ -686,7 +624,9 @@ func (c *Comparator) compareOne(ctx context.Context, f *ir.Function) ([]Result, 
 		sp.SetInt("checks", int64(checks))
 		sp.End()
 	}
-	return append(results, lint...), checks, nw
+	out.results = append(out.results, lint...)
+	out.checks = checks
+	return out
 }
 
 // lintExpr cross-checks the compiler's own domain facts for one analyzed
@@ -933,17 +873,12 @@ type Row struct {
 // Total returns the number of comparisons in the row.
 func (r Row) Total() int { return r.Same + r.OracleMP + r.LLVMMP + r.Exhausted }
 
-// CacheStats reports how the duplication-aware cached path performed for
-// one Run: cache traffic, and how far canonical grouping shrank the
-// corpus before any oracle work was dispatched.
+// CacheStats reports the oracle cache traffic of one Run.
 type CacheStats struct {
 	// Hits and Misses count oracle result lookups during this run.
 	Hits, Misses uint64
 	// Entries is the cache size after the run.
 	Entries int
-	// TotalExprs and UniqueExprs measure canonical deduplication:
-	// TotalExprs corpus entries collapsed to UniqueExprs canonical forms.
-	TotalExprs, UniqueExprs int
 }
 
 // HitRate returns the hit fraction of this run's lookups, in [0,1].
@@ -1014,8 +949,8 @@ func newReport() *Report {
 	return rep
 }
 
-// absorb aggregates one expression's results into the report. Cached and
-// uncached runs share this, so their Table 1 counts agree by construction.
+// absorb aggregates one corpus entry's results into the report, naming
+// its findings by the entry's own name and source.
 func (rep *Report) absorb(e harvest.Expr, results []Result) {
 	seen := map[harvest.Analysis]bool{}
 	for _, r := range results {
@@ -1052,10 +987,7 @@ func (rep *Report) absorb(e harvest.Expr, results []Result) {
 
 // Run compares every expression in the corpus and aggregates Table 1.
 // With Workers > 1, expressions are compared concurrently; aggregation
-// order (and thus the report) stays deterministic. With Cache set, the
-// corpus is first grouped by canonical form and each unique expression
-// is analyzed once (see runCached); the aggregated counts and findings
-// are identical to the uncached path.
+// order (and thus the report) stays deterministic.
 func (c *Comparator) Run(corpus []harvest.Expr) *Report {
 	return c.RunContext(context.Background(), corpus)
 }
@@ -1103,19 +1035,35 @@ func (c *Comparator) forEach(ctx context.Context, n int, job func(i int)) {
 // workers at the next expression boundary (and aborts their in-flight
 // solver queries), returning a partial report with Interrupted set
 // instead of tearing the process down mid-batch.
+//
+// Entries with byte-identical sources get identical results, so each
+// distinct source is compared once and its results fold back onto every
+// entry with that source, under the entry's own name. Alpha-variants
+// differ in text and are compared one by one; with a cache their oracle
+// answers come from it.
 func (c *Comparator) RunContext(ctx context.Context, corpus []harvest.Expr) *Report {
 	ctx, endRoot := c.rootSpan(ctx, "run")
 	defer endRoot()
+	var before rescache.Stats
 	if c.Cache != nil {
-		return c.runCached(ctx, corpus)
+		before = c.Cache.Stats()
 	}
-	perExpr := make([][]Result, len(corpus))
-	perChecks := make([]int, len(corpus))
-	perNWay := make([]*nwayExprStats, len(corpus))
-	analyzed := make([]bool, len(corpus))
-	c.forEach(ctx, len(corpus), func(i int) {
-		perExpr[i], perChecks[i], perNWay[i] = c.compareOne(ctx, corpus[i].F)
-		analyzed[i] = true
+	group := make([]int, len(corpus)) // corpus index -> distinct-source index
+	var first []int                   // corpus index of each distinct source
+	seen := make(map[string]int, len(corpus))
+	for i, e := range corpus {
+		src := e.F.String()
+		g, ok := seen[src]
+		if !ok {
+			g = len(first)
+			seen[src] = g
+			first = append(first, i)
+		}
+		group[i] = g
+	}
+	out := make([]*compared, len(first))
+	c.forEach(ctx, len(first), func(g int) {
+		out[g] = c.compareOne(ctx, corpus[first[g]].F)
 	})
 
 	rep := newReport()
@@ -1123,17 +1071,26 @@ func (c *Comparator) RunContext(ctx context.Context, corpus []harvest.Expr) *Rep
 		rep.NWay = &NWayStats{}
 	}
 	for i, e := range corpus {
-		if !analyzed[i] {
+		cmp := out[group[i]]
+		if cmp == nil {
 			rep.Skipped++
 			continue
 		}
-		rep.ConsistencyChecks += perChecks[i]
-		rep.NWay.add(perNWay[i])
-		rep.absorb(e, perExpr[i])
+		rep.ConsistencyChecks += cmp.checks
+		rep.NWay.add(cmp.nway)
+		rep.absorb(e, cmp.results)
 	}
 	rep.Interrupted = rep.Skipped > 0
 	if c.Reduce {
 		c.reduceFindings(ctx, rep, corpus)
+	}
+	if c.Cache != nil {
+		after := c.Cache.Stats()
+		rep.Cache = &CacheStats{
+			Hits:    after.Hits - before.Hits,
+			Misses:  after.Misses - before.Misses,
+			Entries: c.Cache.Len(),
+		}
 	}
 	c.recordReport(rep)
 	return rep
@@ -1261,123 +1218,4 @@ func (c *Comparator) recordReport(rep *Report) {
 		c.Metrics.Counter("cache_misses").Add(int64(rep.Cache.Misses))
 		c.Metrics.Gauge("cache_entries").Set(int64(rep.Cache.Entries))
 	}
-}
-
-// groupResult is one canonical group's classification: the seven scalar
-// results shared verbatim by every member, and the demanded-bits results
-// in the canonical variable namespace, remapped per member at fold-back.
-type groupResult struct {
-	scalar   []Result
-	demanded map[string]Result // canonical var name -> result (Elapsed zeroed)
-	demTime  time.Duration     // attributed to each member's first variable
-	nway     *nwayExprStats    // pre-filter outcome, folded back per member
-}
-
-// runCached is the duplication-aware path: group by canonical key,
-// analyze each unique expression once (memoizing oracle results in the
-// cache), then fold results back onto every corpus entry with its own
-// name, source text, and variable names. Cancelling ctx skips the
-// unanalyzed groups; their member entries count as Skipped.
-func (c *Comparator) runCached(ctx context.Context, corpus []harvest.Expr) *Report {
-	before := c.Cache.Stats()
-
-	cns := make([]*canon.Canon, len(corpus))
-	for i := range corpus {
-		cns[i] = canon.Canonicalize(corpus[i].F)
-	}
-	groupOf := make(map[string]int, len(corpus))
-	gidx := make([]int, len(corpus))
-	var reps []int // representative corpus index per group, first-appearance order
-	for i := range corpus {
-		if g, ok := groupOf[cns[i].Key]; ok {
-			gidx[i] = g
-			continue
-		}
-		g := len(reps)
-		groupOf[cns[i].Key] = g
-		reps = append(reps, i)
-		gidx[i] = g
-	}
-
-	groups := make([]*groupResult, len(reps))
-	c.forEach(ctx, len(reps), func(g int) {
-		cn := cns[reps[g]]
-		gr := &groupResult{demanded: make(map[string]Result, len(cn.F.Vars))}
-		var nwResults []Result
-		runOracle := true
-		if c.NWay {
-			// The pre-filter runs once per canonical group (facts are
-			// invariant under canonicalization, like the scalar results);
-			// its stats fold back per member for parity with the uncached
-			// path.
-			gr.nway, nwResults = c.nwayCheck(ctx, cn.F)
-			runOracle = gr.nway.escalated
-		}
-		if runOracle {
-			fa := c.Analyzer.Analyze(cn.F)
-			o := c.oracleCached(ctx, cn)
-			gr.demTime = o.Elapsed[7]
-			for _, r := range c.classify(cn.F, fa, o) {
-				if r.Analysis == harvest.DemandedBits {
-					r.Elapsed = 0
-					gr.demanded[r.Var] = r
-				} else {
-					gr.scalar = append(gr.scalar, r)
-				}
-			}
-		}
-		gr.scalar = append(gr.scalar, nwResults...)
-		groups[g] = gr
-	})
-
-	rep := newReport()
-	if c.NWay {
-		rep.NWay = &NWayStats{}
-	}
-	for i, e := range corpus {
-		gr := groups[gidx[i]]
-		if gr == nil {
-			rep.Skipped++
-			continue
-		}
-		rep.NWay.add(gr.nway)
-		results := make([]Result, 0, len(gr.scalar)+len(e.F.Vars))
-		results = append(results, gr.scalar...)
-		for vi, v := range e.F.Vars {
-			r, ok := gr.demanded[cns[i].CanonName(v.Name)]
-			if !ok {
-				continue
-			}
-			r.Var = v.Name
-			if vi == 0 {
-				r.Elapsed = gr.demTime
-			}
-			results = append(results, r)
-		}
-		if c.Consistency {
-			// The lint is solver-free and names instructions, so it runs
-			// per member (not per canonical group): a cheap re-analysis
-			// buys findings in the member's own variable namespace and
-			// counts identical to the uncached path.
-			lint, checks := c.lintExpr(e.F, c.Analyzer.Analyze(e.F))
-			results = append(results, lint...)
-			rep.ConsistencyChecks += checks
-		}
-		rep.absorb(e, results)
-	}
-	rep.Interrupted = rep.Skipped > 0
-	if c.Reduce {
-		c.reduceFindings(ctx, rep, corpus)
-	}
-
-	after := c.Cache.Stats()
-	rep.Cache = &CacheStats{
-		Hits:        after.Hits - before.Hits,
-		Misses:      after.Misses - before.Misses,
-		Entries:     c.Cache.Len(),
-		TotalExprs:  len(corpus),
-		UniqueExprs: len(reps),
-	}
-	c.recordReport(rep)
-	return rep
 }

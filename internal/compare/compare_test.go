@@ -1,14 +1,21 @@
 package compare
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"dfcheck/internal/canon"
 	"dfcheck/internal/harvest"
 	"dfcheck/internal/ir"
 	"dfcheck/internal/llvmport"
+	"dfcheck/internal/oracle"
+	"dfcheck/internal/rescache"
+	"dfcheck/internal/solver"
 )
 
 func cleanComparator() *Comparator {
@@ -332,5 +339,105 @@ func TestModernCompilerAgreesMore(t *testing.T) {
 	}
 	if modernSame <= classicSame {
 		t.Errorf("modern same-precision %d should exceed classic %d", modernSame, classicSame)
+	}
+}
+
+// TestOracleForMatchesAnalyzeAll pins oracleFor to the oracle package's
+// reference sequence, AnalyzeAllWith: the same eight results for the
+// same solver work (queries, pruned queries, conflicts), so building the
+// engine and the seed lazily, and enriching the seed from known bits
+// either way, changes nothing. With a cold cache the oracle analyzes the
+// canonical form and names demanded bits in the expression's own
+// variables. Both engines are covered: enumeration and (cutoff -1) SAT.
+func TestOracleForMatchesAnalyzeAll(t *testing.T) {
+	for _, e := range ablationCorpus()[:12] {
+		for _, cutoff := range []int{0, -1} {
+			for _, cached := range []bool{false, true} {
+				c := &Comparator{Analyzer: &llvmport.Analyzer{}, EnumCutoff: cutoff}
+				g, rename := e.F, func(v string) string { return v }
+				if cached {
+					c.Cache = rescache.New()
+					cn := canon.Canonicalize(e.F)
+					g, rename = cn.F, cn.CanonName
+				}
+				got := c.oracleFor(context.Background(), e.F)
+				eng := solver.NewEngine(g, solver.Config{EnumCutoff: cutoff})
+				want := oracle.AnalyzeAllWith(eng, g, oracle.ComputeSeed(g))
+
+				label := func(what string) string {
+					return fmt.Sprintf("%s cutoff=%d cached=%t: %s", e.Name, cutoff, cached, what)
+				}
+				for _, p := range []struct {
+					what      string
+					got, want any
+				}{
+					{"known bits", got.Known, want.Known},
+					{"sign bits", got.Sign, want.Sign},
+					{"non-zero", got.NonZero, want.NonZero},
+					{"negative", got.Negative, want.Negative},
+					{"non-negative", got.NonNeg, want.NonNegative},
+					{"power of two", got.Pow2, want.PowerOfTwo},
+					{"range", got.Range, want.Range},
+				} {
+					if !reflect.DeepEqual(p.got, p.want) {
+						t.Errorf("%s: %+v, want %+v", label(p.what), p.got, p.want)
+					}
+				}
+				gd, wd := got.Demanded, want.Demanded
+				if gd.Feasible != wd.Feasible || gd.Exhausted != wd.Exhausted || len(gd.Demanded) != len(e.F.Vars) {
+					t.Errorf("%s: %+v, want %+v", label("demanded bits"), gd, wd)
+				}
+				for _, v := range e.F.Vars {
+					if m, w := gd.Demanded[v.Name], wd.Demanded[rename(v.Name)]; !m.Eq(w) {
+						t.Errorf("%s: %%%s mask %s, want %s", label("demanded bits"), v.Name, m.BitString(), w.BitString())
+					}
+				}
+				ws := eng.Stats()
+				if gs := got.Solver; gs.Queries != ws.Queries || gs.Pruned != ws.Pruned || gs.Conflicts != ws.Conflicts {
+					t.Errorf("%s: queries/pruned/conflicts %d/%d/%d, want %d/%d/%d", label("solver work"),
+						gs.Queries, gs.Pruned, gs.Conflicts, ws.Queries, ws.Pruned, ws.Conflicts)
+				}
+			}
+		}
+	}
+}
+
+// TestOracleForEnrichesLateSeed: when known bits come from the cache and
+// the analyses after them miss, the seed built for those analyses must
+// start out enriched with the cached known bits, exactly as in the
+// reference sequence that computed them.
+func TestOracleForEnrichesLateSeed(t *testing.T) {
+	for _, e := range ablationCorpus()[:12] {
+		warm := &Comparator{Analyzer: &llvmport.Analyzer{}, EnumCutoff: -1, Cache: rescache.New()}
+		warm.oracleFor(context.Background(), e.F)
+		cn := canon.Canonicalize(e.F)
+		k := rescache.Key{Expr: cn.Key, Analysis: string(harvest.KnownBits), Config: warm.cacheConfig()}
+		entry, ok := warm.Cache.Get(k)
+		if !ok {
+			t.Fatalf("%s: no cached known bits", e.Name)
+		}
+		// A cache holding only the known bits.
+		c := &Comparator{Analyzer: &llvmport.Analyzer{}, EnumCutoff: -1, Cache: rescache.New()}
+		c.Cache.Put(k, entry)
+		got := c.oracleFor(context.Background(), e.F)
+
+		g, known := cn.F, entry.Value.(oracle.KnownBitsResult)
+		sd := oracle.ComputeSeed(g)
+		if known.Feasible {
+			sd.EnrichFromKnown(known.Bits, !known.Exhausted)
+		}
+		eng := solver.NewEngine(g, solver.Config{EnumCutoff: -1})
+		oracle.SignBitsSeeded(eng, g, sd)
+		oracle.NonZeroSeeded(eng, g, sd)
+		oracle.NegativeSeeded(eng, g, sd)
+		oracle.NonNegativeSeeded(eng, g, sd)
+		oracle.PowerOfTwoSeeded(eng, g, sd)
+		oracle.IntegerRangeSeeded(eng, g, sd)
+		oracle.DemandedBitsSeeded(eng, g, sd)
+		ws, gs := eng.Stats(), got.Solver
+		if gs.Queries != ws.Queries || gs.Pruned != ws.Pruned || gs.Conflicts != ws.Conflicts {
+			t.Errorf("%s: queries/pruned/conflicts %d/%d/%d, want %d/%d/%d", e.Name,
+				gs.Queries, gs.Pruned, gs.Conflicts, ws.Queries, ws.Pruned, ws.Conflicts)
+		}
 	}
 }

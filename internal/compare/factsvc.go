@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"dfcheck/internal/canon"
 	"dfcheck/internal/factsvc"
 	"dfcheck/internal/harvest"
 	"dfcheck/internal/ir"
@@ -17,21 +16,11 @@ import (
 
 // OracleFacts computes the eight Table 1 oracle facts for f, rendered
 // in the paper's print format, going through the comparator's result
-// cache and single-flight layers when configured. Demanded bits yields
-// one fact per input variable, in declaration order, labeled
+// cache and single-flight layer when a cache is set. Demanded bits
+// yields one fact per input variable, in declaration order, labeled
 // "demanded bits (<var>)".
 func (c *Comparator) OracleFacts(ctx context.Context, f *ir.Function) []factsvc.Fact {
-	var o *oracleSet
-	demName := func(v string) string { return v }
-	if c.Cache != nil {
-		cn := canon.Canonicalize(f)
-		o = c.oracleCached(ctx, cn)
-		// Cached demanded-bits results live in the canonical variable
-		// namespace; map each of f's own variables through it.
-		demName = cn.CanonName
-	} else {
-		o = c.computeOracle(ctx, f)
-	}
+	o := c.oracleFor(ctx, f)
 	facts := make([]factsvc.Fact, 0, 7+len(f.Vars))
 	add := func(a harvest.Analysis, fact string) {
 		facts = append(facts, factsvc.Fact{Analysis: string(a), Fact: fact})
@@ -44,7 +33,7 @@ func (c *Comparator) OracleFacts(ctx context.Context, f *ir.Function) []factsvc.
 	add(harvest.PowerOfTwo, fmt.Sprint(o.Pow2.Proved))
 	add(harvest.IntegerRange, o.Range.Range.String())
 	for _, v := range f.Vars {
-		mask, ok := o.Demanded.Demanded[demName(v.Name)]
+		mask, ok := o.Demanded.Demanded[v.Name]
 		if !ok {
 			continue
 		}

@@ -20,74 +20,87 @@ import (
 // save.
 const flightExprSrc = "%x:i14 = var\n%y:i14 = var\n%0:i14 = mul %x, %y\n%1:i14 = xor %0, %y\ninfer %1"
 
-// The deterministic single-flight contract on the uncached parallel
-// path: 8 textually identical expressions racing on 8 workers cost
-// exactly one oracle computation. The flight hook holds the leader
-// until all 7 waiters have attached, so the collapse count — and
-// therefore the solver-query total — is exact, not a timing accident.
+// Byte-identical entries in one Run are compared once: n copies cost
+// exactly the solo solver queries, sequentially and on n workers, while
+// the rows, lint checks and n-way funnel count every copy and each
+// copy's findings carry its own name and source.
 func TestFlightCollapsesConcurrentDuplicates(t *testing.T) {
 	const n = 8
-	// Solo baseline: the same expression, once.
+	src := harvest.SoundnessTriggers[1].Source // PR23011 srem sign bits
+	an := &llvmport.Analyzer{Bugs: llvmport.BugConfig{SRemSignBits: true}}
+	mk := func(workers int, reg *metrics.Registry) *Comparator {
+		return &Comparator{Analyzer: an, Workers: workers, Metrics: reg, NWay: true, Consistency: true}
+	}
 	soloReg := metrics.NewRegistry()
-	solo := &Comparator{Analyzer: &llvmport.Analyzer{}, Workers: 1, Metrics: soloReg}
-	soloRep := solo.Run([]harvest.Expr{{Name: "solo", F: ir.MustParse(flightExprSrc), Freq: 1}})
+	soloRep := mk(1, soloReg).Run([]harvest.Expr{{Name: "solo", F: ir.MustParse(src), Freq: 1}})
 	soloQueries := soloReg.Snapshot().Counters["solver_queries"]
 	if soloQueries == 0 {
 		t.Fatal("baseline expression cost zero solver queries; pick a harder one")
 	}
-
-	reg := metrics.NewRegistry()
-	c := &Comparator{Analyzer: &llvmport.Analyzer{}, Workers: n, Metrics: reg}
-	c.flightHook = func() {
-		// Leader parks until every duplicate has attached (bounded so a
-		// scheduling pathology fails the test instead of hanging it).
-		deadline := time.Now().Add(30 * time.Second)
-		for c.flight.Collapsed() < n-1 && time.Now().Before(deadline) {
-			time.Sleep(50 * time.Microsecond)
-		}
+	if len(soloRep.Findings) == 0 || soloRep.ConsistencyChecks == 0 || soloRep.NWay.Escalated != 1 {
+		t.Fatalf("solo run: %d findings, %d lint checks, n-way %+v; want findings, checks and an escalation",
+			len(soloRep.Findings), soloRep.ConsistencyChecks, soloRep.NWay)
 	}
+
 	corpus := make([]harvest.Expr, n)
 	for i := range corpus {
-		// Distinct parses of identical text: the flight keys on the
-		// source, not the pointer.
-		corpus[i] = harvest.Expr{Name: fmt.Sprintf("dup-%d", i), F: ir.MustParse(flightExprSrc), Freq: 1}
+		// Distinct parses of identical text: grouping keys on the source,
+		// not the pointer.
+		corpus[i] = harvest.Expr{Name: fmt.Sprintf("dup-%d", i), F: ir.MustParse(src), Freq: 1}
 	}
-	rep := c.Run(corpus)
-
-	snap := reg.Snapshot()
-	if got := snap.Counters["solver_queries"]; got != soloQueries {
-		t.Errorf("solver_queries = %d for %d duplicates, want the solo cost %d (exactly one solve)", got, n, soloQueries)
-	}
-	if got := snap.Counters["flight_collapsed"]; got != n-1 {
-		t.Errorf("flight_collapsed = %d, want %d", got, n-1)
-	}
-	if got := snap.Counters["exprs_compared"]; got != n {
-		t.Errorf("exprs_compared = %d, want %d", got, n)
-	}
-	// Waiters adopt the leader's results, so the report is the solo
-	// report scaled by n.
-	for _, a := range harvest.AllAnalyses {
-		s, p := soloRep.Rows[a], rep.Rows[a]
-		if p.Same != n*s.Same || p.OracleMP != n*s.OracleMP || p.LLVMMP != n*s.LLVMMP || p.Exhausted != n*s.Exhausted {
-			t.Errorf("%s: collapsed rows %+v are not %d x solo rows %+v", a, *p, n, *s)
+	for _, workers := range []int{1, n} {
+		reg := metrics.NewRegistry()
+		rep := mk(workers, reg).Run(corpus)
+		if got := reg.Snapshot().Counters["solver_queries"]; got != soloQueries {
+			t.Errorf("workers=%d: solver_queries = %d for %d copies, want the solo cost %d (one solve)",
+				workers, got, n, soloQueries)
+		}
+		for _, a := range harvest.AllAnalyses {
+			s, p := soloRep.Rows[a], rep.Rows[a]
+			if p.Same != n*s.Same || p.OracleMP != n*s.OracleMP || p.LLVMMP != n*s.LLVMMP || p.Exhausted != n*s.Exhausted {
+				t.Errorf("workers=%d, %s: rows %+v are not %d x solo rows %+v", workers, a, *p, n, *s)
+			}
+		}
+		if rep.ConsistencyChecks != n*soloRep.ConsistencyChecks {
+			t.Errorf("workers=%d: %d lint checks, want %d x %d", workers, rep.ConsistencyChecks, n, soloRep.ConsistencyChecks)
+		}
+		s, p := *soloRep.NWay, *rep.NWay
+		if p != (NWayStats{n * s.Exprs, n * s.Agreed, n * s.Escalated, n * s.Dead,
+			n * s.Comparisons, n * s.Disagreements, n * s.Contradictions}) {
+			t.Errorf("workers=%d: n-way stats %+v are not %d x solo %+v", workers, p, n, s)
+		}
+		per := len(soloRep.Findings)
+		if len(rep.Findings) != n*per {
+			t.Fatalf("workers=%d: %d findings, want %d x %d", workers, len(rep.Findings), n, per)
+		}
+		for i, fd := range rep.Findings {
+			e := corpus[i/per]
+			if fd.ExprName != e.Name || fd.Source != e.F.String() {
+				t.Errorf("workers=%d: finding %d names %q, want %q", workers, i, fd.ExprName, e.Name)
+			}
+			got, want := stripFindingTime(fd).Result, stripFindingTime(soloRep.Findings[i%per]).Result
+			if got != want {
+				t.Errorf("workers=%d: finding %d result %+v, want %+v", workers, i, got, want)
+			}
 		}
 	}
 }
 
-// Sequential duplicates must NOT collapse (the flight only spans the
-// in-flight window; memoization across time is the cache's job), and
-// Workers <= 1 must bypass the flight map entirely.
+// Grouping spans one Run, not several: two uncached Runs over the same
+// expression each solve it (memoization across Runs is the cache's job).
 func TestFlightSequentialRunsDoNotCollapse(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := &Comparator{Analyzer: &llvmport.Analyzer{}, Workers: 1, Metrics: reg}
-	f := ir.MustParse("%x:i8 = var\n%0:i8 = add 1:i8, %x\ninfer %0")
-	c.Run([]harvest.Expr{{Name: "a", F: f, Freq: 1}, {Name: "b", F: f, Freq: 1}})
-	if got := reg.Snapshot().Counters["flight_collapsed"]; got != 0 {
-		t.Errorf("flight_collapsed = %d on a sequential run, want 0", got)
+	corpus := []harvest.Expr{{Name: "a", F: ir.MustParse(flightExprSrc), Freq: 1}}
+	c.Run(corpus)
+	first := reg.Snapshot().Counters["solver_queries"]
+	c.Run(corpus)
+	if got := reg.Snapshot().Counters["solver_queries"]; first == 0 || got != 2*first {
+		t.Errorf("solver_queries = %d after the first Run, %d after the second; want the second to solve again", first, got)
 	}
 }
 
-// The cached path's per-analysis flight: 8 goroutines querying the same
+// The cache's per-analysis flight: 8 goroutines querying the same
 // expression through OracleFacts (the fact service's solve path) share
 // one comparator with a cold sharded cache. Every (analysis) solve must
 // happen exactly once — answered by the cache for late arrivals or by
@@ -97,8 +110,7 @@ func TestCachedFlightDeduplicatesOracleFacts(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := &Comparator{
 		Analyzer: &llvmport.Analyzer{},
-		Workers:  n, // >1 arms the flight; OracleFacts runs on caller goroutines
-		Cache:    rescache.New(),
+		Cache:    rescache.New(), // the cache arms the flight
 		Metrics:  reg,
 	}
 	c.flightHook = func() {
@@ -149,7 +161,7 @@ func TestCachedFlightDeduplicatesOracleFacts(t *testing.T) {
 
 // OracleFacts must render identically on every path: uncached, cache
 // miss, and cache hit — including the demanded-bits remap through the
-// canonical variable namespace that the cached path performs.
+// canonical variable namespace that a cached lookup performs.
 func TestOracleFactsRenderingPathsAgree(t *testing.T) {
 	src := "%a:i8 = var\n%b:i8 = var\n%0:i8 = and 15:i8, %a\n%1:i8 = or %0, %b\ninfer %1"
 	ctx := context.Background()

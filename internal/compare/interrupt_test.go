@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"dfcheck/internal/canon"
 	"dfcheck/internal/harvest"
 	"dfcheck/internal/ir"
 	"dfcheck/internal/llvmport"
@@ -24,12 +23,17 @@ const slowSrc = `%a:i20 = var
 %1:i40 = xor %0, 389311259137:i40
 infer %1`
 
-func slowCorpus(n int) []harvest.Expr {
-	corpus := make([]harvest.Expr, n)
-	for i := range corpus {
-		corpus[i] = harvest.Expr{Name: "slow", F: ir.MustParse(slowSrc), Freq: 1}
+// slowCorpus is slowSrc and three narrower semiprime variants: distinct
+// sources (and canonical forms), so neither Run's exact-source grouping
+// nor the cache collapses them, and there are several slow jobs to
+// interrupt.
+func slowCorpus() []harvest.Expr {
+	return []harvest.Expr{
+		{Name: "s1", F: ir.MustParse(slowSrc), Freq: 1},
+		{Name: "s2", F: ir.MustParse("%a:i19 = var\n%b:i19 = var\n%x:i38 = zext %a\n%y:i38 = zext %b\n%0:i38 = mul %x, %y\n%1:i38 = xor %0, 109243065467:i38\ninfer %1"), Freq: 1},
+		{Name: "s3", F: ir.MustParse("%a:i18 = var\n%b:i18 = var\n%x:i36 = zext %a\n%y:i36 = zext %b\n%0:i36 = mul %x, %y\n%1:i36 = xor %0, 22712542403:i36\ninfer %1"), Freq: 1},
+		{Name: "s4", F: ir.MustParse("%a:i17 = var\n%b:i17 = var\n%x:i34 = zext %a\n%y:i34 = zext %b\n%0:i34 = mul %x, %y\n%1:i34 = xor %0, 11220699701:i34\ninfer %1"), Freq: 1},
 	}
-	return corpus
 }
 
 func checkPartialReport(t *testing.T, rep *Report, corpusLen int, elapsed time.Duration) {
@@ -65,7 +69,7 @@ func TestRunContextCancelMidCorpus(t *testing.T) {
 		Workers:  2,
 		Metrics:  metrics.NewRegistry(),
 	}
-	corpus := slowCorpus(8)
+	corpus := slowCorpus()
 	ctx, cancel := context.WithCancel(context.Background())
 	timer := time.AfterFunc(200*time.Millisecond, cancel)
 	defer timer.Stop()
@@ -83,23 +87,19 @@ func TestRunContextCancelMidCorpus(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelMidCorpusCached covers the duplication-aware path:
-// skipped groups count every member, and nothing cancellation-degraded is
-// memoized into the cache.
+// TestRunContextCancelMidCorpusCached is the same with a cache and a
+// byte-identical copy of every entry: an unanalyzed source counts every
+// entry that has it as skipped, so the partial report stays well-formed.
 func TestRunContextCancelMidCorpusCached(t *testing.T) {
-	cache := rescache.New()
 	c := &Comparator{
 		Analyzer: &llvmport.Analyzer{},
 		Workers:  2,
-		Cache:    cache,
+		Cache:    rescache.New(),
 	}
-	// Distinct-width semiprime variants defeat canonical dedup so there
-	// are several slow groups to interrupt.
-	corpus := []harvest.Expr{
-		{Name: "s1", F: ir.MustParse(slowSrc), Freq: 1},
-		{Name: "s2", F: ir.MustParse("%a:i19 = var\n%b:i19 = var\n%x:i38 = zext %a\n%y:i38 = zext %b\n%0:i38 = mul %x, %y\n%1:i38 = xor %0, 109243065467:i38\ninfer %1"), Freq: 1},
-		{Name: "s3", F: ir.MustParse("%a:i18 = var\n%b:i18 = var\n%x:i36 = zext %a\n%y:i36 = zext %b\n%0:i36 = mul %x, %y\n%1:i36 = xor %0, 22712542403:i36\ninfer %1"), Freq: 1},
-		{Name: "s4", F: ir.MustParse("%a:i17 = var\n%b:i17 = var\n%x:i34 = zext %a\n%y:i34 = zext %b\n%0:i34 = mul %x, %y\n%1:i34 = xor %0, 11220699701:i34\ninfer %1"), Freq: 1},
+	corpus := slowCorpus()
+	for _, e := range slowCorpus() {
+		e.Name += "-copy"
+		corpus = append(corpus, e)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	timer := time.AfterFunc(200*time.Millisecond, cancel)
@@ -115,15 +115,15 @@ func TestRunContextCancelMidCorpusCached(t *testing.T) {
 // cancelled context are degraded by query aborts and must not poison the
 // persistent cache (a resumed campaign would silently diverge). The
 // oracle set is computed directly so the cancel provably lands during,
-// not before, the group analysis.
+// not before, the expression's analysis.
 func TestOracleCachedNeverMemoizesCancelled(t *testing.T) {
 	cache := rescache.New()
 	c := &Comparator{Analyzer: &llvmport.Analyzer{}, Cache: cache}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // every query degrades immediately, as mid-flight ones would
 
-	cn := canon.Canonicalize(ir.MustParse("%x:i8 = var\ninfer %x"))
-	o := c.oracleCached(ctx, cn)
+	f := ir.MustParse("%x:i8 = var\ninfer %x")
+	o := c.oracleFor(ctx, f)
 	if !o.Known.Exhausted {
 		t.Fatal("cancelled oracle not degraded; test premise broken")
 	}
@@ -132,7 +132,7 @@ func TestOracleCachedNeverMemoizesCancelled(t *testing.T) {
 	}
 
 	// The same expression analyzed under a live context memoizes normally.
-	o2 := c.oracleCached(context.Background(), cn)
+	o2 := c.oracleFor(context.Background(), f)
 	if o2.Known.Exhausted {
 		t.Fatal("clean recompute unexpectedly exhausted")
 	}

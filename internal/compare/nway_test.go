@@ -108,10 +108,8 @@ func TestNWaySeededBugFindings(t *testing.T) {
 	}
 }
 
-// TestNWayCachedParity: the cached worker path must produce the same
-// report — rows, findings, and NWay totals — as the uncached path, with
-// the n-way check run once per canonical group and folded back per
-// member.
+// TestNWayCachedParity: a run with the cache must produce the same
+// report — rows, findings, and NWay totals — as one without it.
 func TestNWayCachedParity(t *testing.T) {
 	corpus := ablationCorpus()
 	for _, tr := range harvest.SoundnessTriggers {

@@ -43,12 +43,10 @@ type jsonNWay struct {
 }
 
 type jsonCache struct {
-	Hits        uint64  `json:"hits"`
-	Misses      uint64  `json:"misses"`
-	HitRate     float64 `json:"hit_rate"`
-	Entries     int     `json:"entries"`
-	TotalExprs  int     `json:"total_exprs"`
-	UniqueExprs int     `json:"unique_exprs"`
+	Hits    uint64  `json:"hits"`
+	Misses  uint64  `json:"misses"`
+	HitRate float64 `json:"hit_rate"`
+	Entries int     `json:"entries"`
 }
 
 type jsonReport struct {
@@ -111,12 +109,10 @@ func (rep *Report) JSON() ([]byte, error) {
 	}
 	if rep.Cache != nil {
 		out.Cache = &jsonCache{
-			Hits:        rep.Cache.Hits,
-			Misses:      rep.Cache.Misses,
-			HitRate:     rep.Cache.HitRate(),
-			Entries:     rep.Cache.Entries,
-			TotalExprs:  rep.Cache.TotalExprs,
-			UniqueExprs: rep.Cache.UniqueExprs,
+			Hits:    rep.Cache.Hits,
+			Misses:  rep.Cache.Misses,
+			HitRate: rep.Cache.HitRate(),
+			Entries: rep.Cache.Entries,
 		}
 	}
 	return json.MarshalIndent(out, "", "  ")
@@ -130,8 +126,8 @@ func (rep *Report) CacheSummary() string {
 	if s == nil {
 		return ""
 	}
-	return fmt.Sprintf("cache: %d/%d exprs unique; %d hits, %d misses (%.1f%% hit rate), %d entries",
-		s.UniqueExprs, s.TotalExprs, s.Hits, s.Misses, 100*s.HitRate(), s.Entries)
+	return fmt.Sprintf("cache: %d hits, %d misses (%.1f%% hit rate), %d entries",
+		s.Hits, s.Misses, 100*s.HitRate(), s.Entries)
 }
 
 // Table renders the report in the layout of the paper's Table 1.

@@ -106,7 +106,7 @@ func TestTracedRunConcurrent(t *testing.T) {
 }
 
 // TestTracedCachedRunMatchesUncached: tracing must not perturb results,
-// and the cached path must emit expr spans per unique canonical form.
+// and a cached run emits at most one expr span per corpus entry.
 func TestTracedCachedRunMatchesUncached(t *testing.T) {
 	corpus := harvest.Generate(harvest.Config{
 		Seed: 7, NumExprs: 12, MaxInsts: 3,

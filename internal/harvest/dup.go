@@ -60,8 +60,8 @@ func ShuffledCopy(f *ir.Function, rng *rand.Rand) *ir.Function {
 // duplicate entries: each unique expression appears min(Freq, maxCopies)
 // times, the copies being shuffled alpha-variants rather than pointer
 // aliases. The result has the §3.1 shape a real harvest would have before
-// deduplication — the corpus the duplication-aware cached comparator path
-// is designed for. All entries have Freq 1. maxCopies <= 0 means no cap.
+// deduplication — the corpus the comparator's oracle cache is designed
+// for. All entries have Freq 1. maxCopies <= 0 means no cap.
 func DuplicationShaped(cfg Config, maxCopies int) []Expr {
 	base := Generate(cfg)
 	rng := newGenRand(cfg.Seed ^ 0x5f3a_22e1)

@@ -23,7 +23,7 @@ const factoringSrc = `%a:i20 = var
 %1:i40 = xor %0, 389311259137:i40
 infer %1`
 
-func runDeadlineTest(t *testing.T, e *SATEngine) {
+func runDeadlineTest(t *testing.T, e Engine) {
 	t.Helper()
 	start := time.Now()
 	_, ok := e.CanBeZero()
@@ -51,10 +51,10 @@ func TestDeadlineAbortsInFlightQuery(t *testing.T) {
 	runDeadlineTest(t, e)
 }
 
-// TestDeadlineAbortsInFlightQueryFresh covers the fresh-solver path.
+// TestDeadlineAbortsInFlightQueryFresh covers the fresh-solver reference
+// path (fresh_test.go).
 func TestDeadlineAbortsInFlightQueryFresh(t *testing.T) {
-	e := NewSAT(ir.MustParse(factoringSrc), 0)
-	e.Fresh = true
+	e := newFreshSAT(ir.MustParse(factoringSrc), 0)
 	e.Deadline = time.Now().Add(20 * time.Millisecond)
 	runDeadlineTest(t, e)
 }

@@ -7,12 +7,13 @@ import (
 	"dfcheck/internal/sat"
 )
 
-// This file implements the incremental query path of SATEngine: instead of
-// bit-blasting a fresh solver per query, one solver holds the circuit and
-// each query is posed through assumptions, so learned clauses carry over
-// between the 2w known-bits queries, the sign-bit ladder, and the range
-// search — the same trick incremental SMT solvers play under the paper's
-// algorithms.
+// This file implements SATEngine's queries. Instead of bit-blasting a
+// fresh solver per query, one solver holds the circuit and each query is
+// posed through assumptions, so learned clauses carry over between the 2w
+// known-bits queries, the sign-bit ladder, and the range search — the
+// same trick incremental SMT solvers play under the paper's algorithms.
+// fresh_test.go keeps a one-solver-per-query engine as the reference
+// these answers are cross-checked against.
 //
 // For BitMatters (Algorithm 2), the second program copy reads its inputs
 // through per-bit selectors:
@@ -108,7 +109,8 @@ func (e *SATEngine) witness(pred func(apint.Int) bool) (apint.Int, bool) {
 	return apint.Int{}, false
 }
 
-func (e *SATEngine) incFeasible() (bool, bool) {
+// Feasible implements Engine.
+func (e *SATEngine) Feasible() (bool, bool) {
 	if e.feasKnown {
 		e.stats.Pruned++
 		return e.feasible, true
@@ -124,7 +126,8 @@ func (e *SATEngine) incFeasible() (bool, bool) {
 	return r, ok
 }
 
-func (e *SATEngine) incOutputBitCanBe(i uint, val bool) (bool, bool) {
+// OutputBitCanBe implements Engine.
+func (e *SATEngine) OutputBitCanBe(i uint, val bool) (bool, bool) {
 	if _, hit := e.witness(func(v apint.Int) bool { return v.Bit(i) == val }); hit {
 		e.stats.Pruned++
 		return true, true
@@ -141,7 +144,8 @@ func (e *SATEngine) incOutputBitCanBe(i uint, val bool) (bool, bool) {
 	return res, ok
 }
 
-func (e *SATEngine) incSignBitsViolated(k uint) (bool, bool) {
+// SignBitsViolated implements Engine.
+func (e *SATEngine) SignBitsViolated(k uint) (bool, bool) {
 	if _, hit := e.witness(func(v apint.Int) bool { return v.NumSignBits() < k }); hit {
 		e.stats.Pruned++
 		return true, true
@@ -164,7 +168,8 @@ func (e *SATEngine) incSignBitsViolated(k uint) (bool, bool) {
 	return res, ok
 }
 
-func (e *SATEngine) incCanBeZero() (bool, bool) {
+// CanBeZero implements Engine.
+func (e *SATEngine) CanBeZero() (bool, bool) {
 	if _, hit := e.witness(apint.Int.IsZero); hit {
 		e.stats.Pruned++
 		return true, true
@@ -181,7 +186,8 @@ func (e *SATEngine) incCanBeZero() (bool, bool) {
 	return res, ok
 }
 
-func (e *SATEngine) incCanBeNonPowerOfTwo() (bool, bool) {
+// CanBeNonPowerOfTwo implements Engine.
+func (e *SATEngine) CanBeNonPowerOfTwo() (bool, bool) {
 	if _, hit := e.witness(func(v apint.Int) bool { return !v.IsPowerOfTwo() }); hit {
 		e.stats.Pruned++
 		return true, true
@@ -219,7 +225,8 @@ func outsideWindow(v, lo, size apint.Int) bool {
 	return !(v.UGE(lo) || v.ULT(hi))
 }
 
-func (e *SATEngine) incOutputOutside(lo, size apint.Int) (apint.Int, bool, bool) {
+// OutputOutside implements Engine.
+func (e *SATEngine) OutputOutside(lo, size apint.Int) (apint.Int, bool, bool) {
 	if w, hit := e.witness(func(v apint.Int) bool { return outsideWindow(v, lo, size) }); hit {
 		e.stats.Pruned++
 		return w, true, true
@@ -295,7 +302,8 @@ func (e *SATEngine) miter(v *ir.Inst) *miterSession {
 	return m
 }
 
-func (e *SATEngine) incBitMatters(v *ir.Inst, bit uint) (bool, bool) {
+// BitMatters implements Engine.
+func (e *SATEngine) BitMatters(v *ir.Inst, bit uint) (bool, bool) {
 	m := e.miter(v)
 	assumptions := make([]sat.Lit, 0, len(m.sel)+1)
 	assumptions = append(assumptions, m.differ)

@@ -194,12 +194,10 @@ func NewEngine(f *ir.Function, cfg Config) Engine {
 	return e
 }
 
-// SATEngine decides queries by bit-blasting. By default it runs
-// incrementally: one shared solver holds the circuit, each query is posed
-// through assumptions, and learned clauses carry over between the many
-// related queries an oracle algorithm issues (see incremental.go). Set
-// Fresh to give every query its own solver instead (the simpler mode the
-// incremental path is cross-checked against).
+// SATEngine decides queries by bit-blasting, incrementally: one shared
+// solver holds the circuit, each query is posed through assumptions, and
+// learned clauses carry over between the many related queries an oracle
+// algorithm issues (see incremental.go).
 type SATEngine struct {
 	f      *ir.Function
 	budget int64
@@ -208,19 +206,15 @@ type SATEngine struct {
 
 	// Memoized feasibility: the first query of all eight oracle
 	// algorithms is the same "any well-defined input?" check, so with one
-	// engine per expression the answer is computed once (incremental path
-	// only; the Fresh ablation stays memo-free).
+	// engine per expression the answer is computed once.
 	feasKnown bool
 	feasible  bool
 
 	// witnesses caches output values read from satisfying models: each is
 	// an achievable well-defined output, so any later existence query one
-	// of them satisfies is answered without the solver (incremental path
-	// only; see recordWitness).
+	// of them satisfies is answered without the solver (see
+	// recordWitness).
 	witnesses []apint.Int
-
-	// Fresh disables incremental solving.
-	Fresh bool
 
 	// NoStrash disables structural hashing in the bit-blaster — the
 	// ablation path cross-checked against the default strashed circuits.
@@ -371,188 +365,6 @@ func (e *SATEngine) armAbort(s *sat.Solver) {
 		return
 	}
 	s.Abort = e.cancelled
-}
-
-// query solves WellDefined ∧ pred(blasted) on a fresh solver.
-func (e *SATEngine) query(name, class string, pred func(c *bitblast.Circuit, b *bitblast.Blasted) sat.Lit) (*bitblast.Blasted, bool, bool) {
-	if e.pastDeadline() || e.outOfBudget() {
-		return nil, false, false
-	}
-	s := sat.New()
-	s.ConflictBudget = e.remaining()
-	e.armAbort(s)
-	b := e.blast(s)
-	cond := b.C.And(b.WellDefined, pred(b.C, b))
-	s.AddClause(cond)
-	sp, before := e.startQuery(name, class, s)
-	st := s.Solve()
-	endQuery(sp, s, before, st)
-	e.stats.Queries++
-	e.spent += s.Conflicts
-	e.addSolve(s.Stats())
-	e.stats.addCircuit(b.C.Stats())
-	if st == sat.Unknown {
-		e.stats.Exhausted++
-		return nil, false, false
-	}
-	return b, st == sat.Sat, true
-}
-
-// addSolve rolls one fresh solver's whole-run counters into the engine
-// stats (the fresh-path analog of solveAssuming's delta accounting).
-func (e *SATEngine) addSolve(st sat.Stats) {
-	e.stats.Conflicts += st.Conflicts
-	e.stats.Propagations += st.Propagations
-	e.stats.Decisions += st.Decisions
-	e.stats.Restarts += st.Restarts
-	e.stats.Learned += st.Learned
-}
-
-// Feasible implements Engine.
-func (e *SATEngine) Feasible() (bool, bool) {
-	if !e.Fresh {
-		return e.incFeasible()
-	}
-	_, res, ok := e.query("feasible", classExistence, func(c *bitblast.Circuit, b *bitblast.Blasted) sat.Lit {
-		return c.True()
-	})
-	return res, ok
-}
-
-// OutputBitCanBe implements Engine.
-func (e *SATEngine) OutputBitCanBe(i uint, val bool) (bool, bool) {
-	if !e.Fresh {
-		return e.incOutputBitCanBe(i, val)
-	}
-	_, res, ok := e.query("output-bit", classValidity, func(c *bitblast.Circuit, b *bitblast.Blasted) sat.Lit {
-		l := b.Output[i]
-		if !val {
-			l = l.Not()
-		}
-		return l
-	})
-	return res, ok
-}
-
-// SignBitsViolated implements Engine.
-func (e *SATEngine) SignBitsViolated(k uint) (bool, bool) {
-	if !e.Fresh {
-		return e.incSignBitsViolated(k)
-	}
-	_, res, ok := e.query("sign-bits", classValidity, func(c *bitblast.Circuit, b *bitblast.Blasted) sat.Lit {
-		w := uint(len(b.Output))
-		sign := b.Output[w-1]
-		allEq := c.True()
-		for i := w - k; i < w-1; i++ {
-			allEq = c.And(allEq, c.Xnor(b.Output[i], sign))
-		}
-		return allEq.Not()
-	})
-	return res, ok
-}
-
-// CanBeZero implements Engine.
-func (e *SATEngine) CanBeZero() (bool, bool) {
-	if !e.Fresh {
-		return e.incCanBeZero()
-	}
-	_, res, ok := e.query("zero", classValidity, func(c *bitblast.Circuit, b *bitblast.Blasted) sat.Lit {
-		return c.OrN(b.Output...).Not()
-	})
-	return res, ok
-}
-
-// CanBeNonPowerOfTwo implements Engine.
-func (e *SATEngine) CanBeNonPowerOfTwo() (bool, bool) {
-	if !e.Fresh {
-		return e.incCanBeNonPowerOfTwo()
-	}
-	_, res, ok := e.query("non-pow2", classValidity, func(c *bitblast.Circuit, b *bitblast.Blasted) sat.Lit {
-		// pow2(x): x != 0 and x & (x-1) == 0.
-		w := uint(len(b.Output))
-		nonZero := c.OrN(b.Output...)
-		minusOne, _ := c.Sub(b.Output, c.ConstWord(apint.One(w)))
-		masked := c.AndWord(b.Output, minusOne)
-		isPow2 := c.And(nonZero, c.OrN(masked...).Not())
-		return isPow2.Not()
-	})
-	return res, ok
-}
-
-// OutputOutside implements Engine.
-func (e *SATEngine) OutputOutside(lo, size apint.Int) (apint.Int, bool, bool) {
-	if !e.Fresh {
-		return e.incOutputOutside(lo, size)
-	}
-	if size.IsZero() {
-		// [lo, lo+0) is empty: everything is outside; find any output.
-		b, res, ok := e.query("outside", classExistence, func(c *bitblast.Circuit, b *bitblast.Blasted) sat.Lit {
-			return c.True()
-		})
-		if !ok || !res {
-			return apint.Int{}, res, ok
-		}
-		return b.C.Value(b.Output), true, true
-	}
-	hi := lo.Add(size) // exclusive; lo == hi means the full set
-	if hi.Eq(lo) {
-		return apint.Int{}, false, true // full set: nothing outside
-	}
-	b, res, ok := e.query("outside", classExistence, func(c *bitblast.Circuit, bl *bitblast.Blasted) sat.Lit {
-		geLo := c.ULT(bl.Output, c.ConstWord(lo)).Not()
-		ltHi := c.ULT(bl.Output, c.ConstWord(hi))
-		var inside sat.Lit
-		if lo.ULT(hi) {
-			inside = c.And(geLo, ltHi)
-		} else {
-			inside = c.Or(geLo, ltHi)
-		}
-		return inside.Not()
-	})
-	if !ok || !res {
-		return apint.Int{}, res, ok
-	}
-	return b.C.Value(b.Output), true, true
-}
-
-// BitMatters implements Engine.
-func (e *SATEngine) BitMatters(v *ir.Inst, bit uint) (bool, bool) {
-	if !e.Fresh {
-		return e.incBitMatters(v, bit)
-	}
-	if e.pastDeadline() || e.outOfBudget() {
-		return false, false
-	}
-	s := sat.New()
-	s.ConflictBudget = e.remaining()
-	e.armAbort(s)
-	b1 := e.blast(s)
-	c := b1.C
-
-	inputs2 := make(map[*ir.Inst]bitblast.Word, len(b1.Inputs))
-	for iv, word := range b1.Inputs {
-		inputs2[iv] = word
-	}
-	flipped := append(bitblast.Word{}, b1.Inputs[v]...)
-	flipped[bit] = flipped[bit].Not()
-	inputs2[v] = flipped
-	b2 := bitblast.BlastWith(c, e.f, inputs2)
-
-	differ := c.Eq(b1.Output, b2.Output).Not()
-	cond := c.AndN(b1.WellDefined, b2.WellDefined, differ)
-	s.AddClause(cond)
-	sp, before := e.startQuery("bit-matters", classValidity, s)
-	st := s.Solve()
-	endQuery(sp, s, before, st)
-	e.stats.Queries++
-	e.spent += s.Conflicts
-	e.addSolve(s.Stats())
-	e.stats.addCircuit(c.Stats())
-	if st == sat.Unknown {
-		e.stats.Exhausted++
-		return false, false
-	}
-	return st == sat.Sat, true
 }
 
 // EnumEngine answers queries by exhaustive enumeration; only usable when

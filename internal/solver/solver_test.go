@@ -188,14 +188,13 @@ func TestEnumEngineRejectsWideFunctions(t *testing.T) {
 }
 
 // TestIncrementalMatchesFresh cross-checks the incremental (shared-solver,
-// assumption-based) query path against the fresh-solver path on every
-// query type.
+// assumption-based) engine against the fresh-solver reference
+// (fresh_test.go) on every query type.
 func TestIncrementalMatchesFresh(t *testing.T) {
 	for _, src := range crossCheckCorpus {
 		f := ir.MustParse(src)
 		inc := NewSAT(f, 0)
-		fresh := NewSAT(f, 0)
-		fresh.Fresh = true
+		fresh := newFreshSAT(f, 0)
 		w := f.Width()
 
 		check := func(what string, a, b bool, ok1, ok2 bool) {
