@@ -68,7 +68,7 @@ func main() {
 		noSeed     = flag.Bool("no-seed", false, "ablation: disable sound-fact seeding of the oracle")
 		consist    = flag.Bool("consistency", true, "cross-check the compiler's own domains on every expression (solver-free reduced-product lint)")
 		domsFlag   = flag.String("domains", "", "extend the consistency lint's reduced product with these transfer domains (comma-separated, e.g. tnum,stride; empty = classic four-domain lint)")
-		enumCut    = flag.Int("enum-cutoff", 0, "summed input bits at or below which expressions are enumerated instead of solved (0 = default, negative disables)")
+		enumCut    = flag.Int("enum-cutoff", 0, "summed input bits at or below which expressions are enumerated instead of solved (0 = default; negative disables enumeration and the SAT engine's demanded-bits sweep up to 16 input bits)")
 		nwayMode   = flag.Bool("nway", false, "n-way differential mode: cross-check all analyzer variants per expression and escalate to the SAT oracle only on disagreement")
 		reduceMode = flag.Bool("reduce", false, "shrink every finding to a 1-minimal reproducer preserving its finding kind (delta debugging)")
 		httpAddr   = flag.String("http", "", "serve the debug server on this address (e.g. :8125): expvar metrics at /debug/vars, pprof profiles at /debug/pprof/)")

@@ -320,6 +320,58 @@ func TestDemandedBitsOneQueryPerBit(t *testing.T) {
 	}
 }
 
+// TestDemandedBitsSweepSlowMiters pins two 16-bit expressions whose
+// demanded-bits miters were the slowest SAT work of a campaign round: an
+// i8 mul² (about 14k conflicts on the miter) and an fshr/srem expression
+// (about 12k). The engine NewEngine builds for them must give the masks
+// NewSAT's miter gives, and, answering demanded bits by the exhaustive
+// sweep, spend no SAT conflict after Feasible.
+func TestDemandedBitsSweepSlowMiters(t *testing.T) {
+	for _, tc := range []struct {
+		src  string
+		want map[string]string
+	}{
+		{"%v0:i8 = var\n%v1:i8 = var\n%0:i8 = mul %v1, %v0\n%1:i8 = mul %0, %0\ninfer %1",
+			map[string]string{"v0": "01111111", "v1": "01111111"}},
+		{`%v2:i8 = var
+%v3:i8 = var
+%0:i8 = and %v2, 127:i8
+%1:i8 = fshr %v2, %0, %0
+%2:i8 = add %1, %1
+%3:i8 = srem %2, %v3
+%4:i8 = addnsw 1:i8, %3
+infer %4`, map[string]string{"v2": "01111111", "v3": "11111111"}},
+	} {
+		f := ir.MustParse(tc.src)
+		sd := ComputeSeed(f)
+		miter := DemandedBitsSeeded(solver.NewSAT(f, 0), f, sd)
+		eng := solver.NewEngine(f, solver.Config{})
+		if _, ok := eng.Feasible(); !ok {
+			t.Fatalf("%s: Feasible exhausted", tc.src)
+		}
+		before := eng.Stats()
+		got := DemandedBitsSeeded(eng, f, sd)
+		after := eng.Stats()
+		if miter.Exhausted || got.Exhausted {
+			t.Fatalf("%s: exhausted (miter %v, engine %v)", tc.src, miter.Exhausted, got.Exhausted)
+		}
+		for name, want := range tc.want {
+			if s := miter.Demanded[name].BitString(); s != want {
+				t.Errorf("%s: miter demands %s of %%%s, want %s", tc.src, s, name, want)
+			}
+			if s := got.Demanded[name].BitString(); s != want {
+				t.Errorf("%s: engine demands %s of %%%s, want %s", tc.src, s, name, want)
+			}
+		}
+		if d := after.Conflicts - before.Conflicts; d != 0 {
+			t.Errorf("%s: demanded bits spent %d conflicts after Feasible, want 0", tc.src, d)
+		}
+		if after.EnumQueries == before.EnumQueries {
+			t.Errorf("%s: no demanded-bits query answered by the sweep", tc.src)
+		}
+	}
+}
+
 func TestPaperPreciseRanges(t *testing.T) {
 	cases := []struct{ src, want string }{
 		{"%x:i32 = var\n%0:i1 = eq 0:i32, %x\n%1:i32 = select %0, 1:i32, %x\ninfer %1", "[1,0)"},

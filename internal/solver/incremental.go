@@ -302,8 +302,12 @@ func (e *SATEngine) miter(v *ir.Inst) *miterSession {
 	return m
 }
 
-// BitMatters implements Engine.
+// BitMatters implements Engine: from the demanded-bits sweep when
+// NewEngine routed the engine to it, otherwise by one miter query.
 func (e *SATEngine) BitMatters(v *ir.Inst, bit uint) (bool, bool) {
+	if e.demanded != nil {
+		return e.demanded.bitMatters(&e.stats, e.span, e.Ctx, e.Deadline, v, bit)
+	}
 	m := e.miter(v)
 	assumptions := make([]sat.Lit, 0, len(m.sel)+1)
 	assumptions = append(assumptions, m.differ)

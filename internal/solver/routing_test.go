@@ -57,6 +57,30 @@ func TestNewEngineRouting(t *testing.T) {
 	if !e.NoStrash {
 		t.Error("NoStrash not plumbed through NewEngine")
 	}
+
+	// Demanded bits: a SAT engine from NewEngine takes the exhaustive
+	// sweep up to DemandedSweepBits input bits unless enumeration is off;
+	// NewSAT never does.
+	seventeen := ir.MustParse("%x:i8 = var\n%y:i9 = var\n%0:i8 = trunc %y\n%1:i8 = add %x, %0\ninfer %1")
+	for _, tc := range []struct {
+		name  string
+		f     *ir.Function
+		cfg   Config
+		sweep bool
+	}{
+		{"16 input bits", sixteen, Config{}, true},
+		{"8 input bits above explicit cutoff 7", small, Config{EnumCutoff: 7}, true},
+		{"16 input bits, enumeration off", sixteen, Config{EnumCutoff: -1}, false},
+		{"17 input bits", seventeen, Config{}, false},
+		{"32 input bits", large, Config{}, false},
+	} {
+		if got := NewEngine(tc.f, tc.cfg).(*SATEngine).demanded != nil; got != tc.sweep {
+			t.Errorf("%s: demanded-bits sweep %v, want %v", tc.name, got, tc.sweep)
+		}
+	}
+	if NewSAT(sixteen, 0).demanded != nil {
+		t.Error("NewSAT must keep every demanded-bits query on the miter")
+	}
 }
 
 // TestSharedBudgetBoundsTotalConflicts checks the per-engine budget really

@@ -6,6 +6,14 @@
 //   - EnumEngine decides queries by exhaustive input enumeration — usable
 //     only at small widths, and used to cross-check SATEngine in tests.
 //
+// Demanded bits (Engine.BitMatters) have one exhaustive path shared by
+// both: a bit-sliced sweep that evaluates each 64-lane block of the input
+// space once and decides every input bit of every variable from the
+// stored outputs. EnumEngine always uses it, and a SAT engine built by
+// NewEngine uses it instead of miter queries up to DemandedSweepBits
+// summed input bits; NewSAT, and NewEngine with a negative EnumCutoff,
+// keep every demanded-bits query on the miter.
+//
 // Every query is implicitly conjoined with "the execution is well-defined"
 // (no UB, range metadata satisfied), mirroring Souper's UB-aware
 // quantification. Answers carry an ok flag: ok=false means the engine's
@@ -148,9 +156,20 @@ const DefaultConflictBudget = 200000
 // block evaluations — still cheaper than a single CNF construction. On
 // the Table-1 corpus the break-even for the sliced sweeps sits at 14–16
 // summed bits (the scalar interpreter's was 8–10); demanded bits, the
-// worst case, now pays one 64-lane sweep per input variable instead of a
-// scalar sweep per variable bit.
+// worst case, pays one more pass that answers every bit of every variable.
 const DefaultEnumCutoff = 14
+
+// DemandedSweepBits is the summed input width at or below which a SAT
+// engine built by NewEngine answers BitMatters from the exhaustive
+// demanded-bits sweep (demanded.go) rather than from miter queries. The
+// sweep costs 2^(n-6) block evaluations for all bits together; a miter
+// costs one UNSAT proof per undemanded bit, and on multiplier identities
+// of i8×i8 expressions, 16 bits just above DefaultEnumCutoff, one proof
+// can take thousands of conflicts. On the benchmark's table1 and campaign
+// workloads a bound of 17, 18 or 20 gained nothing more, and at 24 bits
+// sweeping cost more than solving. Only demanded bits take this path: the
+// other queries stay on SAT, whose models decide integer-range bases.
+const DemandedSweepBits = 16
 
 // Config parameterizes NewEngine.
 type Config struct {
@@ -165,14 +184,16 @@ type Config struct {
 	NoStrash bool
 	// EnumCutoff routes functions whose summed input width is at or
 	// below the cutoff to the enumeration engine. 0 selects
-	// DefaultEnumCutoff; negative disables the fast path entirely.
+	// DefaultEnumCutoff; negative disables the fast path entirely,
+	// including the SAT engine's demanded-bits sweep.
 	EnumCutoff int
 }
 
 // NewEngine selects the fastest engine for f under cfg: the enumeration
 // engine below the small-width cutoff, the (strashed, incremental) SAT
-// engine otherwise. Both decide exactly the same queries, a property the
-// cross-check tests enforce on every query type.
+// engine otherwise, answering demanded bits by the exhaustive sweep up to
+// DemandedSweepBits. All of them decide exactly the same queries, a
+// property the cross-check tests enforce on every query type.
 func NewEngine(f *ir.Function, cfg Config) Engine {
 	cut := cfg.EnumCutoff
 	if cut == 0 {
@@ -181,7 +202,8 @@ func NewEngine(f *ir.Function, cfg Config) Engine {
 	if cut > eval.MaxEnumBits {
 		cut = eval.MaxEnumBits
 	}
-	if cut > 0 && eval.TotalInputBits(f) <= uint(cut) {
+	total := eval.TotalInputBits(f)
+	if cut > 0 && total <= uint(cut) {
 		en := NewEnum(f)
 		en.Ctx = cfg.Ctx
 		en.Deadline = cfg.Deadline
@@ -191,6 +213,9 @@ func NewEngine(f *ir.Function, cfg Config) Engine {
 	e.Deadline = cfg.Deadline
 	e.Ctx = cfg.Ctx
 	e.NoStrash = cfg.NoStrash
+	if cut > 0 && total <= DemandedSweepBits {
+		e.demanded = &demandedSweep{f: f}
+	}
 	return e
 }
 
@@ -234,6 +259,11 @@ type SATEngine struct {
 
 	out    *outputSession
 	miters map[*ir.Inst]*miterSession
+
+	// demanded, when set (by NewEngine, at most DemandedSweepBits input
+	// bits), answers BitMatters by the exhaustive sweep instead of a
+	// miter. The sweep spends no conflicts.
+	demanded *demandedSweep
 
 	// span is the trace span queries currently nest under (nil when
 	// untraced); see Engine.SetTraceSpan.
@@ -336,14 +366,16 @@ func (e *SATEngine) blast(s *sat.Solver) *bitblast.Blasted {
 	return bitblast.BlastCircuit(c, e.f)
 }
 
-// cancelled reports whether the deadline has passed or the context is
-// done, i.e. no further solver work may start.
-func (e *SATEngine) cancelled() bool {
-	if e.Ctx != nil && e.Ctx.Err() != nil {
+// cancelled reports whether the deadline has passed or ctx is done, i.e.
+// no further solver or sweep work may start.
+func cancelled(ctx context.Context, deadline time.Time) bool {
+	if ctx != nil && ctx.Err() != nil {
 		return true
 	}
-	return !e.Deadline.IsZero() && !time.Now().Before(e.Deadline)
+	return !deadline.IsZero() && !time.Now().Before(deadline)
 }
+
+func (e *SATEngine) cancelled() bool { return cancelled(e.Ctx, e.Deadline) }
 
 // pastDeadline reports (and counts as an exhausted query) a query issued
 // after the per-expression budget ran out or the context was cancelled.
@@ -372,12 +404,13 @@ func (e *SATEngine) armAbort(s *sat.Solver) {
 // input space once, memoizing the set of achievable outputs, so each of
 // the oracle's many output queries is a scan over at most 2^w values
 // instead of a fresh 2^inputs interpreter sweep; demanded-bits queries
-// similarly compute one per-variable matrix in a single pass.
+// are all answered by one more pass, the demanded-bits sweep.
 type EnumEngine struct {
-	f      *ir.Function
-	sliced *eval.SlicedProgram
-	stats  Stats
-	span   *trace.Span
+	f        *ir.Function
+	sliced   *eval.SlicedProgram
+	stats    Stats
+	span     *trace.Span
+	demanded demandedSweep
 
 	// Ctx, when non-nil, cancels enumeration: queries issued after it is
 	// done (or interrupted mid-sweep) return not-ok, counted exhausted.
@@ -389,7 +422,6 @@ type EnumEngine struct {
 	enumerated bool
 	feasible   bool
 	outputs    []apint.Int // achievable outputs, first-seen order
-	demanded   map[*ir.Inst][]bool
 }
 
 // enumCancelBlockMask polls the context every 64 sliced blocks (4096
@@ -403,7 +435,8 @@ func NewEnum(f *ir.Function) *EnumEngine {
 	if eval.TotalInputBits(f) > eval.MaxEnumBits {
 		panic("solver: function too wide for EnumEngine")
 	}
-	return &EnumEngine{f: f, sliced: eval.CompileSliced(f)}
+	sliced := eval.CompileSliced(f)
+	return &EnumEngine{f: f, sliced: sliced, demanded: demandedSweep{f: f, sliced: sliced}}
 }
 
 // Stats returns cumulative counters.
@@ -418,11 +451,11 @@ func (e *EnumEngine) SetTraceSpan(sp *trace.Span) { e.span = sp }
 // TraceSpan implements Engine.
 func (e *EnumEngine) TraceSpan() *trace.Span { return e.span }
 
-// startEnum opens a per-query span on the enumeration path. The sweep
+// startEnum opens a per-query span of class enum under parent. The sweep
 // spans (enum-sweep, demanded-sweep) nest under it, so a Perfetto view
 // shows exactly which query paid for the one-time 2^n pass.
-func (e *EnumEngine) startEnum(name string) *trace.Span {
-	sp := e.span.Child(trace.KindQuery, name)
+func startEnum(parent *trace.Span, name string) *trace.Span {
+	sp := parent.Child(trace.KindQuery, name)
 	sp.SetStr("class", classEnum)
 	return sp
 }
@@ -442,12 +475,7 @@ func endEnum(sp *trace.Span, found, ok bool) {
 	sp.End()
 }
 
-func (e *EnumEngine) cancelled() bool {
-	if e.Ctx != nil && e.Ctx.Err() != nil {
-		return true
-	}
-	return !e.Deadline.IsZero() && !time.Now().Before(e.Deadline)
-}
+func (e *EnumEngine) cancelled() bool { return cancelled(e.Ctx, e.Deadline) }
 
 // ensureOutputs runs the one-time enumeration of achievable outputs. It
 // returns false (without caching a partial result) when the context
@@ -516,7 +544,7 @@ func (e *EnumEngine) ensureOutputs(parent *trace.Span) bool {
 func (e *EnumEngine) exists(name string, pred func(v apint.Int) bool) (found, ok bool) {
 	e.stats.Queries++
 	e.stats.EnumQueries++
-	sp := e.startEnum(name)
+	sp := startEnum(e.span, name)
 	if !e.ensureOutputs(sp) {
 		e.stats.Exhausted++
 		endEnum(sp, false, false)
@@ -561,7 +589,7 @@ func (e *EnumEngine) CanBeNonPowerOfTwo() (bool, bool) {
 func (e *EnumEngine) OutputOutside(lo, size apint.Int) (apint.Int, bool, bool) {
 	e.stats.Queries++
 	e.stats.EnumQueries++
-	sp := e.startEnum("outside")
+	sp := startEnum(e.span, "outside")
 	if !e.ensureOutputs(sp) {
 		e.stats.Exhausted++
 		endEnum(sp, false, false)
@@ -587,146 +615,8 @@ func (e *EnumEngine) OutputOutside(lo, size apint.Int) (apint.Int, bool, bool) {
 	return apint.Int{}, false, true
 }
 
-// BitMatters implements Engine: one memoized per-variable matrix answers
-// every bit of v.
+// BitMatters implements Engine: the one demanded-bits sweep answers every
+// bit of every variable.
 func (e *EnumEngine) BitMatters(v *ir.Inst, bit uint) (bool, bool) {
-	e.stats.Queries++
-	e.stats.EnumQueries++
-	sp := e.startEnum("bit-matters")
-	m, ok := e.demandedFor(sp, v)
-	if !ok {
-		e.stats.Exhausted++
-		endEnum(sp, false, false)
-		return false, false
-	}
-	endEnum(sp, m[bit], true)
-	return m[bit], true
-}
-
-// demandedFor computes whether each bit of v can change the output: a bit
-// is demanded iff some pair of well-defined inputs differing only in that
-// bit produces different outputs (the two-copy well-definedness condition
-// of Algorithm 2). On the sliced evaluator a bit's two sides are either
-// lanes of the same block (packed position < 6: one sweep decides all
-// such bits via in-register butterflies) or corresponding lanes of two
-// sibling blocks (position ≥ 6: one sweep per bit over the bit-clear half
-// of the space, evaluating each sibling pair once).
-func (e *EnumEngine) demandedFor(parent *trace.Span, v *ir.Inst) ([]bool, bool) {
-	if m, ok := e.demanded[v]; ok {
-		return m, true
-	}
-	if e.cancelled() {
-		return nil, false
-	}
-	sweep := parent.Child(trace.KindIter, "demanded-sweep")
-	sweep.SetStr("var", v.Name)
-
-	var varOff uint // packed-index offset of v's bits (LSB-first layout)
-	for _, u := range e.f.Vars {
-		if u == v {
-			break
-		}
-		varOff += u.Width
-	}
-	count := uint64(1) << eval.TotalInputBits(e.f)
-	m := make([]bool, v.Width)
-	undecided := int(v.Width) // bits not yet proven demanded
-	var n int64
-	ok := true
-
-	// Pass 1: bits whose packed position lands inside a block. The
-	// sibling of lane l is lane l^(1<<pos) of the same block, so one
-	// sweep decides every such bit at once.
-	if lowBits := int(6 - varOff); lowBits > 0 {
-		if lowBits > int(v.Width) {
-			lowBits = int(v.Width)
-		}
-		lowUndecided := lowBits
-		for base, blocks := uint64(0), 0; base < count && lowUndecided > 0; base += 64 {
-			if blocks++; blocks&enumCancelBlockMask == 0 && e.cancelled() {
-				ok = false
-				break
-			}
-			planes, okm := e.sliced.EvalIndexed(base)
-			n += 64
-			if okm == 0 {
-				continue
-			}
-			for bit := uint(0); bit < uint(lowBits); bit++ {
-				if m[bit] {
-					continue
-				}
-				pos := varOff + bit
-				d := uint(1) << pos
-				mSet := eval.LaneIndex[pos]
-				okSib := ((okm >> d) &^ mSet) | ((okm << d) & mSet)
-				both := okm & okSib
-				if both == 0 {
-					continue
-				}
-				var diff uint64
-				for _, p := range planes {
-					q := ((p >> d) &^ mSet) | ((p << d) & mSet)
-					diff |= p ^ q
-				}
-				if diff&both != 0 {
-					m[bit] = true
-					undecided--
-					lowUndecided--
-				}
-			}
-		}
-	}
-
-	// Pass 2: bits at packed positions ≥ 6 pair corresponding lanes of
-	// sibling blocks base and base^(1<<pos); visit each pair once from
-	// the bit-clear side. EvalIndexed reuses its buffers, so block A's
-	// root and ok mask are copied out before evaluating block B.
-	rootA := make([]uint64, e.f.Root.Width)
-	blocks := 0
-	for bit := uint(0); ok && undecided > 0 && bit < v.Width; bit++ {
-		pos := varOff + bit
-		if pos < 6 || m[bit] {
-			continue
-		}
-		step := uint64(1) << pos
-	pairSweep:
-		for hi := uint64(0); hi < count && !m[bit]; hi += 2 * step {
-			for base := hi; base < hi+step && !m[bit]; base += 64 {
-				if blocks++; blocks&(enumCancelBlockMask>>1) == 0 && e.cancelled() {
-					ok = false
-					break pairSweep
-				}
-				pA, okA := e.sliced.EvalIndexed(base)
-				copy(rootA, pA)
-				pB, okB := e.sliced.EvalIndexed(base ^ step)
-				n += 128
-				both := okA & okB
-				if both == 0 {
-					continue
-				}
-				var diff uint64
-				for i, p := range pB {
-					diff |= rootA[i] ^ p
-				}
-				if diff&both != 0 {
-					m[bit] = true
-					undecided--
-				}
-			}
-		}
-	}
-
-	if sweep != nil {
-		sweep.SetInt("evals", n)
-		sweep.End()
-	}
-	if !ok {
-		return nil, false
-	}
-	if e.demanded == nil {
-		e.demanded = make(map[*ir.Inst][]bool)
-	}
-	e.demanded[v] = m
-	return m, true
+	return e.demanded.bitMatters(&e.stats, e.span, e.Ctx, e.Deadline, v, bit)
 }
