@@ -11,7 +11,7 @@ GO ?= go
 # suites), the engine's cross-goroutine cancellation, the bit-sliced
 # evaluator both pools share, the campaign
 # loop, the metrics instruments, the sharded cache, the fact service
-# (single-flight + dispatcher), and the n-way/reducer packages the worker
+# (admission and solve slots), and the n-way/reducer packages the worker
 # pool calls into. The full suite under the race detector is the race-all
 # target; it takes many minutes.
 RACE_PKGS = ./internal/compare ./internal/solver ./internal/sat \

@@ -550,26 +550,20 @@ func BenchmarkRescacheConcurrentSharded(b *testing.B) {
 	benchCacheParallel(b, c.Get, c.Put)
 }
 
-// BenchmarkFactServiceWarm measures the full query pipeline at steady
-// state: submit → hash-affinity dispatch → cache hit → ticket wait, with
-// 8x oversubscribed clients racing over 8 pre-warmed expressions (so both
-// the in-flight collapse path and the cache-hit path are exercised).
+// BenchmarkFactServiceWarm measures the query path at steady state:
+// admission → solve slot → OracleFacts answered by the cache, with 8x
+// oversubscribed clients racing over 8 pre-warmed expressions.
 func BenchmarkFactServiceWarm(b *testing.B) {
 	c := &compare.Comparator{Analyzer: &llvmport.Analyzer{}, Workers: 8, Cache: rescache.New()}
-	svc, err := c.NewFactService(factsvc.Config{Workers: 8, QueueDepth: 4096})
+	svc, err := c.NewFactService(factsvc.Config{Workers: 8})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer svc.Close()
 	ctx := context.Background()
 	exprs := make([]*ir.Function, 8)
 	for i := range exprs {
 		exprs[i] = ir.MustParse(fmt.Sprintf("%%x:i8 = var\n%%0:i8 = and %d:i8, %%x\ninfer %%0", i+1))
-		tk, err := svc.Submit(exprs[i])
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := tk.Wait(ctx); err != nil {
+		if _, err := svc.Query(ctx, exprs[i]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -581,15 +575,12 @@ func BenchmarkFactServiceWarm(b *testing.B) {
 			f := exprs[i%len(exprs)]
 			i++
 			for {
-				tk, err := svc.Submit(f)
+				_, err := svc.Query(ctx, f)
 				if err == factsvc.ErrSaturated {
 					runtime.Gosched() // backpressure: retry like a polite client
 					continue
 				}
 				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := tk.Wait(ctx); err != nil {
 					b.Fatal(err)
 				}
 				break

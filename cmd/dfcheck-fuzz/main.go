@@ -71,7 +71,7 @@ func main() {
 		enumCut    = flag.Int("enum-cutoff", 0, "summed input bits at or below which expressions are enumerated instead of solved (0 = default; negative disables enumeration and the SAT engine's demanded-bits sweep up to 16 input bits)")
 		nwayMode   = flag.Bool("nway", false, "n-way differential mode: cross-check all analyzer variants per expression and escalate to the SAT oracle only on disagreement")
 		reduceMode = flag.Bool("reduce", false, "shrink every finding to a 1-minimal reproducer preserving its finding kind (delta debugging)")
-		httpAddr   = flag.String("http", "", "serve the debug server on this address (e.g. :8125): expvar metrics at /debug/vars, pprof profiles at /debug/pprof/)")
+		httpAddr   = flag.String("http", "", "serve the debug server on this address (e.g. :8125): Prometheus metrics at /metricsz, health, dashboard and slow-log endpoints, pprof profiles at /debug/pprof/")
 		shards     = flag.Int("shards", rescache.DefaultShards, "lock stripes in the oracle result cache (rounded up to a power of two)")
 		factSvc    = flag.Bool("factsvc", false, "serve the fact-service query API (POST /v1/facts) on the -http server, sharing the campaign's cache and in-flight dedup")
 		serveOnly  = flag.Bool("serve", false, "serve fact queries only, skipping the campaign loop, until interrupted (implies -factsvc; requires -http)")
@@ -79,7 +79,6 @@ func main() {
 		traceMaxMB = flag.Int64("trace-max-mb", 256, "rotate the trace file when it exceeds this many MiB (0 = unbounded)")
 		drain      = flag.Duration("drain", 0, "after an interrupt in -serve mode, keep answering for this long with /readyz reporting 503 (load-balancer drain window)")
 		slowLogN   = flag.Int("slow-log", metrics.DefaultSlowLogSize, "slowest solves retained for /slowz and /dashboardz (0 disables)")
-		traceSamp  = flag.Int("trace-sample", 1, "record only 1 in N fact-service solve spans (slow solves always recorded)")
 	)
 	flag.Parse()
 
@@ -102,19 +101,15 @@ func main() {
 	}
 
 	reg := metrics.NewRegistry()
-	if err := reg.PublishExpvar("dfcheck"); err != nil {
-		fmt.Fprintln(os.Stderr, "dfcheck-fuzz: WARNING: /debug/vars:", err)
-	}
 	var slowLog *metrics.SlowLog
 	if *slowLogN > 0 {
 		slowLog = metrics.NewSlowLog(*slowLogN)
 	}
 	health := ops.NewHealth()
 	if *httpAddr != "" {
-		// expvar registers /debug/vars and net/http/pprof registers
-		// /debug/pprof/* on the default mux; the ops endpoints
-		// (/metricsz, /healthz, /readyz, /dashboardz, /eventsz, /slowz)
-		// mount beside them.
+		// net/http/pprof registers /debug/pprof/* on the default mux;
+		// the ops endpoints (/metricsz, /healthz, /readyz, /dashboardz,
+		// /eventsz, /slowz) mount beside them.
 		(&ops.Server{Registry: reg, Health: health, Slow: slowLog}).Register(http.DefaultServeMux)
 		go func() {
 			if err := http.ListenAndServe(*httpAddr, nil); err != nil {
@@ -179,20 +174,15 @@ func main() {
 			os.Exit(2)
 		}
 		if c.Cache == nil {
-			// Serving without -cache still wants memoization; it just
-			// isn't persisted.
+			// Serving without -cache still needs the cache, the query
+			// path's one dedup; it just isn't persisted.
 			c.Cache = rescache.NewSharded(*shards)
 		}
-		svc, err := c.NewFactService(factsvc.Config{
-			Workers:     *workers,
-			SlowLog:     slowLog,
-			TraceSample: *traceSamp,
-		})
+		svc, err := c.NewFactService(factsvc.Config{Workers: *workers, SlowLog: slowLog})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dfcheck-fuzz:", err)
 			os.Exit(2)
 		}
-		defer svc.Close()
 		http.Handle("/v1/facts", svc.Handler())
 	}
 	cacheShards := 0
@@ -242,7 +232,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	// Cache loaded and (in serve mode) the worker pool is up: the
+	// Cache loaded and (in serve mode) the query API mounted: the
 	// process can answer queries, so /readyz flips to 200.
 	health.Ready()
 	var runErr error

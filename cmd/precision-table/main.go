@@ -57,7 +57,7 @@ func main() {
 		traceFile = flag.String("trace", "", "write a Chrome trace-event JSON span trace to this file (open in Perfetto, aggregate with trace-report)")
 		traceMax  = flag.Int64("trace-max-mb", 256, "rotate the trace file when it exceeds this many MiB (0 = unbounded)")
 		shards    = flag.Int("shards", rescache.DefaultShards, "lock stripes in the oracle result cache (rounded up to a power of two)")
-		httpAddr  = flag.String("http", "", "serve the debug server on this address (expvar at /debug/vars, pprof at /debug/pprof/)")
+		httpAddr  = flag.String("http", "", "serve the debug server on this address (Prometheus metrics at /metricsz, health, dashboard and slow-log endpoints, pprof at /debug/pprof/)")
 		factSvc   = flag.Bool("factsvc", false, "after printing the table, serve the fact-service query API (POST /v1/facts) on the -http server until interrupted")
 	)
 	flag.Parse()
@@ -151,8 +151,8 @@ func main() {
 		Reduce:      *reduceF,
 	}
 	if *cacheFile != "" || *factSvc {
-		// -factsvc without -cache still wants memoization for repeated
-		// queries; it just isn't persisted.
+		// -factsvc without -cache still needs the cache, the query
+		// path's one dedup; it just isn't persisted.
 		cache := rescache.NewSharded(*shards)
 		if *cacheFile != "" {
 			switch err := cache.LoadFile(*cacheFile); {
@@ -171,9 +171,6 @@ func main() {
 	slowLog := metrics.NewSlowLog(metrics.DefaultSlowLogSize)
 	if *httpAddr != "" {
 		reg := metrics.NewRegistry()
-		if err := reg.PublishExpvar("dfcheck"); err != nil {
-			fmt.Fprintln(os.Stderr, "precision-table: WARNING: /debug/vars:", err)
-		}
 		c.Metrics = reg
 		if c.Cache != nil {
 			ops.CollectCache(reg, c.Cache)
@@ -228,11 +225,10 @@ func main() {
 		http.Handle("/v1/facts", svc.Handler())
 		fmt.Fprintf(os.Stderr, "fact service: POST http://%s/v1/facts (interrupt to stop)\n", *httpAddr)
 		ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-		health.Ready() // table built, cache warm, worker pool up
+		health.Ready() // table built, cache warm, query API mounted
 		<-ctx.Done()
 		health.NotReady("draining: interrupt received")
 		stop()
-		svc.Close()
 	}
 
 	if len(rep.Findings) > 0 {

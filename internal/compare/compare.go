@@ -19,7 +19,6 @@ import (
 	"dfcheck/internal/apint"
 	"dfcheck/internal/canon"
 	"dfcheck/internal/eval"
-	"dfcheck/internal/factsvc"
 	"dfcheck/internal/harvest"
 	"dfcheck/internal/ir"
 	"dfcheck/internal/llvmport"
@@ -169,8 +168,9 @@ type Comparator struct {
 	// the cache answers queries that finished, the flight answers
 	// queries that are still running. Waiters count into the
 	// flight_collapsed metric and adopt the leader's result like a cache
-	// hit, so the report is unchanged. It is used only with a cache.
-	flight factsvc.Group
+	// hit, so the report is unchanged. It is used only with a cache,
+	// and it is the only dedup the fact service's queries pass through.
+	flight group
 	// flightHook, when set, runs at the start of every flight leader's
 	// computation. Tests use it to hold the leader until all expected
 	// waiters have attached, making collapse counts deterministic.
@@ -308,6 +308,9 @@ type oracleSet struct {
 	Demanded oracle.DemandedBitsResult
 	Elapsed  [8]time.Duration
 	Solver   solver.Stats
+	// Hash is the expression's canonical hash, computed only with a
+	// cache (the uncached path never canonicalizes); 0 otherwise.
+	Hash uint64
 }
 
 // cacheConfig renders the comparator configuration that oracle cache
@@ -345,7 +348,7 @@ type flightVal struct {
 	elapsed time.Duration
 }
 
-// flightKey renders a rescache key for the single-flight map. NUL
+// flightKey renders a rescache key for the flight's map. NUL
 // separators keep distinct keys from colliding (no key field contains
 // NUL).
 func flightKey(k rescache.Key) string {
@@ -360,9 +363,10 @@ func flightKey(k rescache.Key) string {
 // With a cache, f is canonicalized and the oracle runs on the canonical
 // form: each analysis is looked up under its rescache key, joins an
 // identical computation already in flight (in this Run, a concurrent
-// Run, or the fact service), or computes and stores. Demanded-bits
-// entries live in the canonical variable namespace, so they serve every
-// alpha-variant; the returned set names them in f's own variables.
+// Run, or the fact service), or, as the flight's leader, re-checks the
+// cache and then computes and stores. Demanded-bits entries live in the
+// canonical variable namespace, so they serve every alpha-variant; the
+// returned set names them in f's own variables.
 // Results computed while ctx is (or becomes) cancelled are never stored:
 // a cancellation-degraded result in a persisted cache would make a
 // resumed campaign silently diverge from an uninterrupted one.
@@ -371,15 +375,14 @@ func (c *Comparator) oracleFor(ctx context.Context, f *ir.Function) *oracleSet {
 	if c.ExprTimeout > 0 {
 		deadline = time.Now().Add(c.ExprTimeout)
 	}
+	o := &oracleSet{}
 	var cn *canon.Canon
 	var cfg string
 	g := f // the function the oracle analyzes
 	if c.Cache != nil {
 		cn = canon.Canonicalize(f)
-		g = cn.F
-		cfg = c.cacheConfig()
+		g, cfg, o.Hash = cn.F, c.cacheConfig(), cn.Hash
 	}
-	o := &oracleSet{}
 	sp := c.exprSpan(ctx, g, cn)
 	// The engine and the seed are built on first use, so an expression
 	// the cache answers in full constructs neither. A seed built after
@@ -424,9 +427,17 @@ func (c *Comparator) oracleFor(ctx context.Context, f *ir.Function) *oracleSet {
 			o.Elapsed[i] = e.Elapsed
 			return
 		}
+		adopted := false
 		res, _, shared := c.flight.Do(flightKey(k), func() (any, error) {
 			if c.flightHook != nil {
 				c.flightHook()
+			}
+			// A leader that finished between the Get above and this
+			// flight has stored its result: adopt it instead of solving
+			// again. Peek leaves the hit and miss counts alone.
+			if e, ok := c.Cache.Peek(k); ok && fromCache(e.Value) {
+				adopted = true
+				return flightVal{v: e.Value, elapsed: e.Elapsed}, nil
 			}
 			fv := solve()
 			if ctx.Err() == nil { // possibly degraded by cancellation: do not memoize
@@ -435,10 +446,10 @@ func (c *Comparator) oracleFor(ctx context.Context, f *ir.Function) *oracleSet {
 			return fv, nil
 		})
 		fv, _ := res.(flightVal)
+		if (shared || adopted) && c.Metrics != nil {
+			c.Metrics.Counter("flight_collapsed").Inc()
+		}
 		if shared {
-			if c.Metrics != nil {
-				c.Metrics.Counter("flight_collapsed").Inc()
-			}
 			if !fromCache(fv.v) {
 				// Unreachable unless the leader panicked: its value always
 				// has the key's result type. Recompute locally.

@@ -2,6 +2,7 @@ package compare
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"dfcheck/internal/factsvc"
@@ -10,17 +11,22 @@ import (
 )
 
 // The fact-service glue: the service package defines the transport
-// (single-flight group, dispatcher, HTTP surface) and this file supplies
-// the solver — the comparator's cached, deduplicated oracle pipeline —
+// (admission, solve slots, HTTP surface) and this file supplies the
+// solver — the comparator's cached, deduplicated oracle pipeline —
 // keeping the dependency one-way (factsvc never imports compare).
 
 // OracleFacts computes the eight Table 1 oracle facts for f, rendered
 // in the paper's print format, going through the comparator's result
-// cache and single-flight layer when a cache is set. Demanded bits
+// cache and its per-key flight when a cache is set. Demanded bits
 // yields one fact per input variable, in declaration order, labeled
 // "demanded bits (<var>)".
 func (c *Comparator) OracleFacts(ctx context.Context, f *ir.Function) []factsvc.Fact {
-	o := c.oracleFor(ctx, f)
+	return renderFacts(f, c.oracleFor(ctx, f))
+}
+
+// renderFacts renders o, the oracle results for f, as OracleFacts
+// documents.
+func renderFacts(f *ir.Function, o *oracleSet) []factsvc.Fact {
 	facts := make([]factsvc.Fact, 0, 7+len(f.Vars))
 	add := func(a harvest.Analysis, fact string) {
 		facts = append(facts, factsvc.Fact{Analysis: string(a), Fact: fact})
@@ -42,23 +48,20 @@ func (c *Comparator) OracleFacts(ctx context.Context, f *ir.Function) []factsvc.
 	return facts
 }
 
-// SolveFunc adapts the comparator to the fact service's solver
-// interface.
-func (c *Comparator) SolveFunc() factsvc.SolveFunc {
-	return func(ctx context.Context, f *ir.Function) ([]factsvc.Fact, error) {
-		return c.OracleFacts(ctx, f), nil
-	}
-}
-
-// NewFactService builds the batched query pipeline on top of this
-// comparator: the service's workers solve through OracleFacts, so every
-// query flows through the same sharded cache and single-flight group a
-// concurrently running campaign uses — queries and campaign batches
-// deduplicate against each other.
+// NewFactService builds the fact service on top of this comparator:
+// every query runs the OracleFacts pipeline, so it flows through the
+// same sharded cache and per-key flight a concurrently running campaign
+// uses, and queries and campaign batches deduplicate against each other.
+// The comparator must have a Cache, because that is where the dedup
+// lives; the canonical hash each answer carries is the one its cache
+// keys were computed from.
 func (c *Comparator) NewFactService(cfg factsvc.Config) (*factsvc.Service, error) {
-	cfg.Solve = c.SolveFunc()
-	if cfg.Cache == nil {
-		cfg.Cache = c.Cache
+	if c.Cache == nil {
+		return nil, errors.New("compare: the fact service needs a comparator with a Cache")
+	}
+	cfg.Solve = func(ctx context.Context, f *ir.Function) (uint64, []factsvc.Fact, error) {
+		o := c.oracleFor(ctx, f)
+		return o.Hash, renderFacts(f, o), nil
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = c.Metrics

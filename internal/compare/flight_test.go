@@ -1,6 +1,7 @@
 package compare
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"reflect"
@@ -101,7 +102,7 @@ func TestFlightSequentialRunsDoNotCollapse(t *testing.T) {
 }
 
 // The cache's per-analysis flight: 8 goroutines querying the same
-// expression through OracleFacts (the fact service's solve path) share
+// expression through OracleFacts (the fact service's query path) share
 // one comparator with a cold sharded cache. Every (analysis) solve must
 // happen exactly once — answered by the cache for late arrivals or by
 // the flight for racers — never 8 times.
@@ -156,6 +157,50 @@ func TestCachedFlightDeduplicatesOracleFacts(t *testing.T) {
 		if !reflect.DeepEqual(factSets[i], factSets[0]) {
 			t.Errorf("goroutine %d facts differ:\n%v\nvs\n%v", i, factSets[i], factSets[0])
 		}
+	}
+}
+
+// The flight's lookup→join window: a caller misses the cache, and before
+// it joins the flight another caller's leader stores its results and
+// leaves. The hook stands in for that leader, loading a warm cache's
+// entries when the call's first flight starts. The leader must re-check
+// the cache and adopt the entry instead of solving a second time: no
+// solver query, one miss, seven hits, and one adoption counted in
+// flight_collapsed.
+func TestFlightLeaderRechecksCache(t *testing.T) {
+	src := "%x:i8 = var\n%0:i8 = and 15:i8, %x\ninfer %0"
+	ctx := context.Background()
+	warm := &Comparator{Analyzer: &llvmport.Analyzer{}, Cache: rescache.New()}
+	want := warm.OracleFacts(ctx, ir.MustParse(src))
+	var saved bytes.Buffer
+	if err := warm.Cache.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := metrics.NewRegistry()
+	c := &Comparator{Analyzer: &llvmport.Analyzer{}, Cache: rescache.New(), Metrics: reg}
+	loaded := false
+	c.flightHook = func() {
+		if !loaded {
+			loaded = true
+			if err := c.Cache.Load(&saved); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	got := c.OracleFacts(ctx, ir.MustParse(src))
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("facts differ from the warm cache's:\n%v\nvs\n%v", got, want)
+	}
+	snap := reg.Snapshot()
+	if q := snap.Counters["solver_queries"]; q != 0 {
+		t.Errorf("solver_queries = %d, want 0 (the leader re-checks the cache)", q)
+	}
+	if st := c.Cache.Stats(); st.Misses != 1 || st.Hits != 7 {
+		t.Errorf("cache stats %+v, want 1 miss and 7 hits (the re-check counts neither)", st)
+	}
+	if n := snap.Counters["flight_collapsed"]; n != 1 {
+		t.Errorf("flight_collapsed = %d, want 1 (the adopted entry)", n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"dfcheck/internal/ir"
@@ -12,8 +13,8 @@ import (
 
 // The HTTP query API: POST /v1/facts with a batch of expressions, get
 // the dataflow facts back. The endpoint mounts on the same mux as the
-// -http debug server (expvar, pprof), so one listener serves queries,
-// metrics, and profiles.
+// -http debug server (ops endpoints, pprof), so one listener serves
+// queries, metrics, and profiles.
 //
 // Error discipline: the endpoint never 5xxes. Client mistakes (wrong
 // method, bad JSON, oversized batch) are 4xx; a per-expression parse or
@@ -36,15 +37,12 @@ type queryRequest struct {
 type ExprAnswer struct {
 	Expr string `json:"expr"`
 	// Hash is the canonical hash (%016x) — the dedup identity; two
-	// answers with equal hashes came from one solve or cache line.
+	// answers with equal hashes share the comparator's cache lines.
 	Hash  string `json:"hash,omitempty"`
 	Facts []Fact `json:"facts,omitempty"`
-	// ElapsedNs is the solve's own duration; collapsed and cached
-	// answers replay the original computation's time.
+	// ElapsedNs is the time this expression spent in the solve; an
+	// answer the cache or the flight supplied takes little of it.
 	ElapsedNs int64 `json:"elapsed_ns,omitempty"`
-	// Collapsed marks answers that shared an in-flight solve (either
-	// an earlier expression in this batch or a concurrent request).
-	Collapsed bool `json:"collapsed,omitempty"`
 	// Error is set for per-expression failures: parse errors, solve
 	// errors, or "queue saturated" under backpressure.
 	Error string `json:"error,omitempty"`
@@ -66,10 +64,9 @@ func (s *Service) Handler() http.Handler {
 
 func (s *Service) serveFacts(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	if m := s.cfg.Metrics; m != nil {
-		m.Counter("factsvc_requests").Inc()
-		defer func() { m.Histogram("factsvc_batch_latency").Observe(time.Since(start)) }()
-	}
+	m := s.cfg.Metrics
+	m.Counter("factsvc_requests").Inc()
+	defer func() { m.Histogram("factsvc_batch_latency").Observe(time.Since(start)) }()
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -90,48 +87,41 @@ func (s *Service) serveFacts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Two passes: submit everything first, then wait. Submitting the
-	// whole batch up front is what lets intra-batch duplicates collapse
-	// onto one solve instead of running back to back.
+	// Admit in submission order, then answer each admitted expression in
+	// its own goroutine; the solve slots bound how many run at once.
 	resp := queryResponse{Results: make([]ExprAnswer, len(req.Exprs))}
-	tickets := make([]*Ticket, len(req.Exprs))
+	var wg sync.WaitGroup
 	for i, src := range req.Exprs {
-		resp.Results[i].Expr = src
+		ans := &resp.Results[i]
+		ans.Expr = src
 		f, err := ir.Parse(src)
 		if err != nil {
-			resp.Results[i].Error = "parse: " + err.Error()
+			ans.Error = "parse: " + err.Error()
 			continue
 		}
-		tk, err := s.Submit(f)
-		switch {
-		case err == ErrSaturated:
-			resp.Results[i].Error = "queue saturated"
+		if !s.admit() {
+			ans.Error = "queue saturated"
 			resp.Rejected++
-		case err != nil:
-			resp.Results[i].Error = err.Error()
-		default:
-			tickets[i] = tk
-		}
-	}
-	for i, tk := range tickets {
-		if tk == nil {
 			continue
 		}
-		ans := &resp.Results[i]
-		ans.Hash = fmt.Sprintf("%016x", tk.Hash)
-		ans.Collapsed = tk.Collapsed
-		res, err := tk.Wait(r.Context())
-		if err != nil {
-			ans.Error = err.Error()
-			continue
-		}
-		ans.Facts = res.Facts
-		ans.ElapsedNs = res.Elapsed.Nanoseconds()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a, err := s.solve(r.Context(), f)
+			if err != nil {
+				ans.Error = err.Error()
+				return
+			}
+			ans.Hash = fmt.Sprintf("%016x", a.Hash)
+			ans.Facts = a.Facts
+			ans.ElapsedNs = a.Elapsed.Nanoseconds()
+		}()
 	}
+	wg.Wait()
 
 	status := http.StatusOK
 	if resp.Rejected > 0 {
-		// Retry-After scales with how full the queues are right now (see
+		// Retry-After scales with how many slots are taken right now (see
 		// RetryAfterSecs): a transient spike advertises the base backoff,
 		// sustained saturation up to 4× it.
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs()))
@@ -140,8 +130,8 @@ func (s *Service) serveFacts(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
-	if err := enc.Encode(resp); err != nil && s.cfg.Metrics != nil {
+	if err := enc.Encode(resp); err != nil {
 		// The client went away mid-write; nothing to serve them.
-		s.cfg.Metrics.Counter("factsvc_write_errors").Inc()
+		m.Counter("factsvc_write_errors").Inc()
 	}
 }

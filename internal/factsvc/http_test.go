@@ -16,15 +16,14 @@ import (
 func newTestService(t *testing.T, cfg Config) *Service {
 	t.Helper()
 	if cfg.Solve == nil {
-		cfg.Solve = func(ctx context.Context, f *ir.Function) ([]Fact, error) {
-			return []Fact{{Analysis: "known bits", Fact: "xxxxxxxx"}}, nil
+		cfg.Solve = func(ctx context.Context, f *ir.Function) (uint64, []Fact, error) {
+			return stubFacts(f)
 		}
 	}
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(svc.Close)
 	return svc
 }
 
@@ -70,42 +69,32 @@ func TestHandlerRejectsBadRequests(t *testing.T) {
 	}
 }
 
-// A batch mixing valid, duplicate, and malformed expressions: the valid
-// ones are answered, duplicates collapse onto one solve, the malformed
-// one gets a per-expression parse error — and the whole thing is 200,
+// A batch mixing valid, duplicate, malformed and poisonous expressions:
+// the valid ones are answered, the duplicates under one canonical hash,
+// the malformed one gets a per-expression parse error, the one whose
+// solve panics gets that as its error — and the whole thing is 200,
 // never a 5xx.
 func TestHandlerBatchWithDuplicatesAndParseErrors(t *testing.T) {
 	reg := metrics.NewRegistry()
-	// The worker holds its solve until the handler has submitted both
-	// valid expressions, so the first is still live when its duplicate
-	// arrives; an instant solve could retire it first.
-	release := make(chan struct{})
-	svc := newTestService(t, Config{
-		Workers: 1,
+	h := newTestService(t, Config{
+		Workers: 2,
 		Metrics: reg,
-		Solve: func(ctx context.Context, f *ir.Function) ([]Fact, error) {
-			<-release
-			return []Fact{{Analysis: "known bits", Fact: "xxxxxxxx"}}, nil
+		Solve: func(ctx context.Context, f *ir.Function) (uint64, []Fact, error) {
+			if f.Root.Op.String() == "mul" {
+				panic("poisoned")
+			}
+			return stubFacts(f)
 		},
-	})
-	h := svc.Handler()
+	}).Handler()
 
 	body, _ := json.Marshal(map[string][]string{"exprs": {
 		exprSrc,
 		"%x:i8 = var\ninfer %x %% garbage",
-		exprSrc, // exact duplicate of the first
+		exprSrc,                                 // exact duplicate of the first
+		strings.ReplaceAll(exprSrc, "%x", "%y"), // alpha-variant
+		"%x:i8 = var\n%0:i8 = mul 3:i8, %x\ninfer %0",
 	}})
-	done := make(chan *httptest.ResponseRecorder, 1)
-	go func() { done <- postFacts(t, h, string(body)) }()
-	for deadline := time.Now().Add(10 * time.Second); reg.Snapshot().Counters["factsvc_exprs"] < 2; {
-		if time.Now().After(deadline) {
-			close(release)
-			t.Fatal("handler did not submit the batch")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	w := <-done
+	w := postFacts(t, h, string(body))
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, want 200\n%s", w.Code, w.Body.String())
 	}
@@ -113,71 +102,51 @@ func TestHandlerBatchWithDuplicatesAndParseErrors(t *testing.T) {
 		t.Fatalf("Content-Type = %q", ct)
 	}
 	resp := decodeResp(t, w)
-	if len(resp.Results) != 3 {
-		t.Fatalf("%d results, want 3", len(resp.Results))
+	if len(resp.Results) != 5 {
+		t.Fatalf("%d results, want 5", len(resp.Results))
 	}
-	if resp.Results[0].Error != "" || len(resp.Results[0].Facts) == 0 {
-		t.Fatalf("result 0: %+v", resp.Results[0])
+	if r := resp.Results[4]; !strings.Contains(r.Error, "panicked") || len(r.Facts) != 0 {
+		t.Fatalf("result 4 = %+v, want the solve's panic as its error", r)
 	}
-	if !strings.Contains(resp.Results[1].Error, "parse") {
-		t.Fatalf("result 1 error = %q, want parse error", resp.Results[1].Error)
+	if !strings.Contains(resp.Results[1].Error, "parse") || resp.Results[1].Hash != "" {
+		t.Fatalf("result 1 = %+v, want a parse error and no hash", resp.Results[1])
 	}
-	if resp.Results[2].Error != "" || len(resp.Results[2].Facts) == 0 {
-		t.Fatalf("result 2: %+v", resp.Results[2])
+	for _, i := range []int{0, 2, 3} {
+		r := resp.Results[i]
+		if r.Error != "" || len(r.Facts) == 0 || len(r.Hash) != 16 {
+			t.Fatalf("result %d: %+v", i, r)
+		}
+		if r.Hash != resp.Results[0].Hash {
+			t.Fatalf("result %d hash %q, want %q (same canonical form)", i, r.Hash, resp.Results[0].Hash)
+		}
 	}
-	if resp.Results[0].Hash != resp.Results[2].Hash {
-		t.Fatalf("duplicate hashes differ: %q vs %q", resp.Results[0].Hash, resp.Results[2].Hash)
+	snap := reg.Snapshot()
+	if got := snap.Counters["factsvc_exprs"]; got != 4 {
+		t.Fatalf("factsvc_exprs = %d, want 4 (parse errors are not admitted)", got)
 	}
-	// Both were submitted while the first was live, so the duplicate
-	// must have collapsed onto it.
-	if !resp.Results[2].Collapsed {
-		t.Fatal("intra-batch duplicate did not collapse")
+	if got := snap.Counters["factsvc_errors"]; got != 1 {
+		t.Fatalf("factsvc_errors = %d, want 1", got)
 	}
-	if got := reg.Snapshot().Counters["factsvc_inflight_collapsed"]; got != 1 {
-		t.Fatalf("factsvc_inflight_collapsed = %d, want 1", got)
+	if got := snap.Counters["factsvc_requests"]; got != 1 {
+		t.Fatalf("factsvc_requests = %d, want 1", got)
 	}
 }
 
-// Saturation: with a blocked single worker and a full queue, extra
-// distinct expressions come back 429 with a Retry-After header, while
-// the accepted ones still answer — graceful degradation, not failure.
+// Saturation: with every slot of a one-worker service taken behind a
+// blocked solve, a request's expressions come back 429 with a
+// Retry-After at 4× the base backoff (the slots are full) — graceful
+// degradation, not failure.
 func TestHandlerSaturationReturns429RetryAfter(t *testing.T) {
 	reg := metrics.NewRegistry()
-	release := make(chan struct{})
-	first := make(chan struct{})
-	started := false
-	svc := newTestService(t, Config{
-		Workers:    1,
-		QueueDepth: 1,
-		Metrics:    reg,
-		RetryAfter: 3 * time.Second,
-		Solve: func(ctx context.Context, f *ir.Function) ([]Fact, error) {
-			if !started {
-				started = true
-				close(first)
-			}
-			<-release
-			return []Fact{{Analysis: "non-zero", Fact: "true"}}, nil
-		},
-	})
-	h := svc.Handler()
+	svc, release := blockingService(t, reg)
+	wait := fillSlots(t, svc)
 
-	// Fill the pipeline: one solving, one queued.
-	if _, err := svc.Submit(ir.MustParse("%x:i8 = var\n%0:i8 = add 9:i8, %x\ninfer %0")); err != nil {
-		t.Fatal(err)
-	}
-	<-first // the worker is now stuck in the first solve
-	if _, err := svc.Submit(ir.MustParse("%x:i8 = var\n%0:i8 = add 10:i8, %x\ninfer %0")); err != nil {
-		t.Fatal(err)
-	}
-
-	// The request's expressions cannot be accepted.
 	body, _ := json.Marshal(map[string][]string{"exprs": {
 		"%x:i8 = var\n%0:i8 = add 11:i8, %x\ninfer %0",
 		"%x:i8 = var\n%0:i8 = add 12:i8, %x\ninfer %0",
 	}})
 	done := make(chan *httptest.ResponseRecorder, 1)
-	go func() { done <- postFacts(t, h, string(body)) }()
+	go func() { done <- postFacts(t, svc.Handler(), string(body)) }()
 	var w *httptest.ResponseRecorder
 	select {
 	case w = <-done:
@@ -185,15 +154,13 @@ func TestHandlerSaturationReturns429RetryAfter(t *testing.T) {
 		t.Fatal("saturated request blocked instead of failing fast")
 	}
 	close(release)
+	wait()
 
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429\n%s", w.Code, w.Body.String())
 	}
-	// The queue is completely full (1 queued / capacity 1), so the
-	// advertised backoff is the saturation ceiling: base × 4 (see
-	// RetryAfterSecs).
-	if got := w.Header().Get("Retry-After"); got != "12" {
-		t.Fatalf("Retry-After = %q, want \"12\" (4×base at full saturation)", got)
+	if got := w.Header().Get("Retry-After"); got != "4" {
+		t.Fatalf("Retry-After = %q, want \"4\" (4×base at full saturation)", got)
 	}
 	resp := decodeResp(t, w)
 	if resp.Rejected != 2 {

@@ -1,7 +1,9 @@
 package factsvc
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -38,217 +40,124 @@ func TestRetryAfterSecs(t *testing.T) {
 	}
 }
 
-// TestOutcomeHistogramsAndWorkerGauges drives one solve through each
-// outcome and checks the labeled factsvc_solve_latency series plus the
-// collector-fed per-worker gauges.
+// TestOutcomeHistogramsAndWorkerGauges drives queries through each
+// outcome and checks the labeled factsvc_solve_latency series and the
+// factsvc_queue_depth gauge, which counts admitted, unfinished queries.
+// (The test keeps its name from the per-worker gauges it used to check.)
 func TestOutcomeHistogramsAndWorkerGauges(t *testing.T) {
 	reg := metrics.NewRegistry()
-	release := make(chan struct{})
-	first := make(chan struct{})
-	started := false
-	svc, err := New(Config{
-		Workers:    1,
-		QueueDepth: 1,
-		Metrics:    reg,
-		Solve: func(ctx context.Context, f *ir.Function) ([]Fact, error) {
-			if !started {
-				started = true
-				close(first)
-				<-release
-			}
-			if strings.Contains(f.Root.Op.String(), "mul") {
-				return nil, errors.New("boom")
-			}
-			return []Fact{{Analysis: "non-zero", Fact: "true"}}, nil
+	svc, release := blockingService(t, reg)
+	wait := fillSlots(t, svc)
+	if _, err := svc.Query(context.Background(), mustParse(t, exprSrc)); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("overflow Query = %v, want ErrSaturated", err)
+	}
+	if got := reg.Snapshot().Gauges["factsvc_queue_depth"]; got != slotsPerWorker {
+		t.Fatalf("factsvc_queue_depth = %d with every slot taken, want %d", got, slotsPerWorker)
+	}
+	close(release)
+	wait()
+
+	failing, err := New(Config{
+		Workers: 1,
+		Metrics: reg,
+		Solve: func(ctx context.Context, f *ir.Function) (uint64, []Fact, error) {
+			return 0, nil, errors.New("boom")
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer svc.Close()
-
-	// One in-flight solve, one collapsed duplicate of it.
-	src := "%x:i8 = var\n%0:i8 = add 1:i8, %x\ninfer %0"
-	tk1, err := svc.Submit(mustParse(t, src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-first
-	tk2, err := svc.Submit(mustParse(t, src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tk2.Collapsed {
-		t.Fatal("duplicate did not collapse")
-	}
-	// Fill the queue, then overflow it → saturated.
-	if _, err := svc.Submit(mustParse(t, "%x:i8 = var\n%0:i8 = add 2:i8, %x\ninfer %0")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Submit(mustParse(t, "%x:i8 = var\n%0:i8 = add 3:i8, %x\ninfer %0")); err != ErrSaturated {
-		t.Fatalf("overflow submit err = %v, want ErrSaturated", err)
-	}
-
-	// While the worker is stuck: the collector must report depth 1 and
-	// in-flight 1 for worker 0.
-	snap := reg.Snapshot()
-	if got := snap.Gauges[`factsvc_worker_queue_depth{worker="0"}`]; got != 1 {
-		t.Fatalf("worker queue depth gauge = %d, want 1 (%v)", got, snap.Gauges)
-	}
-	if got := snap.Gauges[`factsvc_worker_inflight{worker="0"}`]; got != 1 {
-		t.Fatalf("worker inflight gauge = %d, want 1", got)
-	}
-
-	close(release)
-	ctx := context.Background()
-	if _, err := tk1.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tk2.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// An erroring solve.
-	tkErr, err := svc.Submit(mustParse(t, "%x:i8 = var\n%0:i8 = mul 2:i8, %x\ninfer %0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tkErr.Wait(ctx); err == nil {
+	if _, err := failing.Query(context.Background(), mustParse(t, exprSrc)); err == nil {
 		t.Fatal("error solve did not propagate")
 	}
 
-	snap = reg.Snapshot()
-	wantCounts := map[string]int64{
-		`factsvc_solve_latency{outcome="solved"}`:    3, // add-1, add-2, add-3 queue drains too... see below
-		`factsvc_solve_latency{outcome="collapsed"}`: 1,
+	snap := reg.Snapshot()
+	for name, want := range map[string]int64{
+		`factsvc_solve_latency{outcome="solved"}`:    slotsPerWorker,
 		`factsvc_solve_latency{outcome="saturated"}`: 1,
 		`factsvc_solve_latency{outcome="error"}`:     1,
-	}
-	for name, want := range wantCounts {
+		`factsvc_latency`:                            slotsPerWorker + 1,
+	} {
 		h, ok := snap.Histograms[name]
 		if !ok {
-			t.Fatalf("histogram %s missing (have %v)", name, keys(snap.Histograms))
-		}
-		// The queued add-2 task drains asynchronously, so "solved" may be
-		// 2 or 3 depending on timing; the others are exact.
-		if strings.Contains(name, "solved") {
-			if h.Count < want-1 || h.Count > want {
-				t.Fatalf("%s count = %d, want %d±1", name, h.Count, want)
-			}
-			continue
+			t.Fatalf("histogram %s missing", name)
 		}
 		if h.Count != want {
 			t.Fatalf("%s count = %d, want %d", name, h.Count, want)
 		}
 	}
-	if got := snap.Gauges[`factsvc_worker_inflight{worker="0"}`]; got != 0 {
-		t.Fatalf("worker inflight after drain = %d, want 0", got)
+	if got := snap.Gauges["factsvc_queue_depth"]; got != 0 {
+		t.Fatalf("factsvc_queue_depth after drain = %d, want 0", got)
 	}
 }
 
-func keys(m map[string]metrics.HistogramSnapshot) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
-// TestSlowLogForceSamplesTrace: a solve the 1-in-N sampler skipped must
-// still appear in the trace when the slow log admits it.
+// TestSlowLogForceSamplesTrace: a solve the slow log admits carries
+// slow=1 on its factsvc span; one it turns away does not. (The test
+// keeps its name from the span sampling it used to exercise.)
 func TestSlowLogForceSamplesTrace(t *testing.T) {
-	var sb strings.Builder
-	tr := trace.New(&sb)
-	slow := metrics.NewSlowLog(4)
-	reg := metrics.NewRegistry()
+	var buf bytes.Buffer
+	tr := trace.New(&buf)
+	slow := metrics.NewSlowLog(1)
 	svc, err := New(Config{
-		Workers:     1,
-		Metrics:     reg,
-		Tracer:      tr,
-		TraceSample: 1 << 30, // sampler effectively never fires
-		SlowLog:     slow,
-		Solve: func(ctx context.Context, f *ir.Function) ([]Fact, error) {
-			time.Sleep(2 * time.Millisecond)
-			return []Fact{{Analysis: "non-zero", Fact: "true"}}, nil
+		Workers: 1,
+		Tracer:  tr,
+		SlowLog: slow,
+		Solve: func(ctx context.Context, f *ir.Function) (uint64, []Fact, error) {
+			if trace.FromContext(ctx) == nil {
+				return 0, nil, errors.New("solve ctx carries no span")
+			}
+			if strings.Contains(f.String(), "add 5:i8") {
+				time.Sleep(5 * time.Millisecond)
+			}
+			return stubFacts(f)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The sampler admits solve #1 (seq 1 ≡ 1 mod N) and skips solve #2,
-	// so the second slow solve exercises the force-record path.
+	// The slow solve fills the one-entry log; the fast one cannot beat it.
 	for _, src := range []string{
 		"%x:i8 = var\n%0:i8 = add 5:i8, %x\ninfer %0",
 		"%x:i8 = var\n%0:i8 = add 6:i8, %x\ninfer %0",
 	} {
-		tk, err := svc.Submit(mustParse(t, src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tk.Wait(context.Background()); err != nil {
+		if _, err := svc.Query(context.Background(), mustParse(t, src)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	svc.Close()
-	tr.Close()
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	entries := slow.Snapshot()
-	if len(entries) != 2 {
-		t.Fatalf("slow log has %d entries, want 2", len(entries))
+	if len(entries) != 1 {
+		t.Fatalf("slow log has %d entries, want 1", len(entries))
 	}
 	e := entries[0]
-	if e.Elapsed < 2*time.Millisecond || e.Op != "add" || e.Width != 8 || len(e.Hash) != 16 {
+	if e.Elapsed < 5*time.Millisecond || e.Op != "add" || e.Width != 8 || len(e.Hash) != 16 {
 		t.Fatalf("slow entry = %+v", e)
 	}
 	if !strings.Contains(e.Detail, "facts=1") {
 		t.Fatalf("slow entry detail = %q", e.Detail)
 	}
-	out := sb.String()
-	if !strings.Contains(out, "factsvc-slow") {
-		t.Fatalf("trace missing force-sampled slow span:\n%s", out)
+	var evs []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
+		t.Fatalf("trace is not a JSON array: %v", err)
 	}
-	if !strings.Contains(out, `"slow":1`) && !strings.Contains(out, `"slow": 1`) {
-		t.Fatalf("slow span missing slow attribute:\n%s", out)
-	}
-}
-
-// TestQueueAccounting pins the QueuedTasks/QueueCapacity pair the
-// Retry-After derivation reads.
-func TestQueueAccounting(t *testing.T) {
-	release := make(chan struct{})
-	first := make(chan struct{})
-	started := false
-	svc, err := New(Config{
-		Workers:    2,
-		QueueDepth: 8,
-		Solve: func(ctx context.Context, f *ir.Function) ([]Fact, error) {
-			if !started {
-				started = true
-				close(first)
+	var spans, slowSpans int
+	for _, ev := range evs {
+		if ev["ph"] != "X" || ev["name"] != "factsvc" {
+			continue
+		}
+		spans++
+		args, _ := ev["args"].(map[string]any)
+		if args["slow"] == float64(1) {
+			slowSpans++
+			if args["hash"] != e.Hash {
+				t.Fatalf("slow span hash %v, want %s", args["hash"], e.Hash)
 			}
-			<-release
-			return nil, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+		}
 	}
-	defer func() { close(release); svc.Close() }()
-	if got := svc.QueueCapacity(); got != 16 {
-		t.Fatalf("QueueCapacity = %d, want 16", got)
-	}
-	if got := svc.QueuedTasks(); got != 0 {
-		t.Fatalf("QueuedTasks = %d, want 0", got)
-	}
-	if _, err := svc.Submit(mustParse(t, "%x:i8 = var\n%0:i8 = add 6:i8, %x\ninfer %0")); err != nil {
-		t.Fatal(err)
-	}
-	<-first
-	if _, err := svc.Submit(mustParse(t, "%x:i8 = var\n%0:i8 = add 7:i8, %x\ninfer %0")); err != nil {
-		t.Fatal(err)
-	}
-	// One task is being solved (not queued); the other may sit in either
-	// worker's queue or already be in flight on worker 2.
-	if got := svc.QueuedTasks(); got > 1 {
-		t.Fatalf("QueuedTasks = %d, want ≤1", got)
+	if spans != 2 || slowSpans != 1 {
+		t.Fatalf("%d factsvc spans, %d marked slow; want 2 and 1", spans, slowSpans)
 	}
 }

@@ -1,18 +1,20 @@
+// Package factsvc serves dataflow-fact queries over HTTP (DESIGN §12.3):
+// POST /v1/facts answers a batch of expressions with their eight Table 1
+// oracle facts. It is a thin adapter: it bounds admitted and running
+// queries and keeps the factsvc_* metrics, the slow log and a span per
+// solve. Dedup is the solver's job: the comparator's result cache and
+// per-key flight (compare.Comparator.NewFactService) are the only dedup
+// on the query path.
 package factsvc
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"dfcheck/internal/canon"
 	"dfcheck/internal/ir"
 	"dfcheck/internal/metrics"
-	"dfcheck/internal/rescache"
 	"dfcheck/internal/trace"
 )
 
@@ -24,95 +26,68 @@ type Fact struct {
 	Fact     string `json:"fact"`
 }
 
-// SolveFunc computes the dataflow facts for one expression. The
-// comparator provides the production implementation
-// (compare.Comparator.OracleFacts), which consults the result cache and
-// its own single-flight layer; tests substitute stubs.
-type SolveFunc func(ctx context.Context, f *ir.Function) ([]Fact, error)
+// SolveFunc computes the canonical hash and the dataflow facts for one
+// expression. The comparator provides the production implementation
+// (compare.Comparator.NewFactService), whose cache keys come from the
+// same canonical form; tests substitute stubs.
+type SolveFunc func(ctx context.Context, f *ir.Function) (hash uint64, facts []Fact, err error)
 
-// ErrSaturated is returned by Submit when the target worker queue is
-// full. The HTTP layer maps it to 429 + Retry-After; programmatic
-// callers back off and retry.
+// ErrSaturated is returned by Query when every admission slot is taken;
+// the HTTP layer maps it to 429 + Retry-After.
 var ErrSaturated = errors.New("factsvc: solve queue saturated")
 
-// ErrClosed is returned by Submit after Close.
-var ErrClosed = errors.New("factsvc: service closed")
+const (
+	// slotsPerWorker bounds admitted, unfinished queries per worker; a
+	// query beyond them fails fast with ErrSaturated.
+	slotsPerWorker = 64
+	// retryAfter is the base backoff RetryAfterSecs scales.
+	retryAfter = time.Second
+)
 
 // Config configures a Service.
 type Config struct {
-	// Workers is the solver pool size; 0 selects 4.
+	// Workers bounds the solves running at once; 0 selects 4. The
+	// service admits Workers×64 queries before it answers ErrSaturated.
 	Workers int
-	// QueueDepth is the per-worker pending-task bound; 0 selects 64.
-	// When a worker's queue is full, Submit fails fast with ErrSaturated
-	// instead of queueing unbounded work.
-	QueueDepth int
-	// Solve computes the facts for one expression. Required.
+	// Solve computes the canonical hash and the facts for one
+	// expression. Required.
 	Solve SolveFunc
-	// Cache, when set, feeds the factsvc_shard_occupancy and per-shard
-	// rescache gauges through the registry's collector hook. The service
-	// never reads or writes entries itself — Solve owns cache policy.
-	Cache *rescache.Cache
-	// Metrics, when set, gains the factsvc_* instruments: counters and
-	// outcome-labeled latency histograms on the solve path, and
-	// pull-style per-worker queue-depth/in-flight gauges refreshed on
-	// every snapshot or scrape.
+	// Metrics receives the factsvc_* instruments; nil keeps them in a
+	// private registry.
 	Metrics *metrics.Registry
-	// Tracer, when set, records one expr-level span per solved task
-	// (subject to TraceSample).
+	// Tracer, when set, records one expr-level span per solve.
 	Tracer *trace.Tracer
-	// TraceSample records only one in every N solve spans (0 and 1 mean
-	// every solve). Slow solves are exempt: a solve admitted to SlowLog
-	// is force-recorded into the trace even when the sampler skipped it.
-	TraceSample int
 	// SlowLog, when set, retains the slowest solves (canonical hash,
-	// opcode, width, duration, solver-stat detail) for /dashboardz and
-	// post-mortems.
+	// opcode, width, duration, solver-stat detail) for /slowz and
+	// /dashboardz.
 	SlowLog *metrics.SlowLog
-	// RetryAfter is the *base* backoff the HTTP layer advertises on
-	// saturation; 0 selects 1s. The advertised value scales with queue
-	// fill (see RetryAfterSecs).
-	RetryAfter time.Duration
 }
 
-// task is one scheduled solve. Duplicate submissions attach to the
-// existing task instead of scheduling their own; everyone waits on done
-// and shares the result fields.
-type task struct {
-	key     string // canonical key (canon.Canon.Key)
-	hash    uint64 // canonical hash, routes the task to its worker
-	f       *ir.Function
-	done    chan struct{}
-	facts   []Fact
-	elapsed time.Duration
-	err     error
+// Answer is one answered query: the canonical hash (alpha-variants
+// share it, as they share cache lines), the facts, and the time spent
+// once a solve slot was free, which a cache or flight answer makes
+// small.
+type Answer struct {
+	Hash    uint64
+	Facts   []Fact
+	Elapsed time.Duration
 }
 
-// Service is the batched query pipeline: Submit canonicalizes, collapses
-// duplicates of any live (queued or solving) task, and routes new tasks
-// by canonical hash to a fixed worker — so two submissions of the same
-// expression can never solve concurrently, and a hot expression costs
-// one solve no matter how many callers race on it.
+// Service answers fact queries: Query, like the HTTP handler, takes an
+// admission slot, then a solve slot, then solves.
 type Service struct {
-	cfg    Config
-	queues []chan *task
-	busy   []atomic.Int64 // 1 while worker i is inside Solve
-	seq    atomic.Uint64  // solve counter, drives trace sampling
-	wg     sync.WaitGroup
+	cfg      Config
+	admitted chan struct{} // one token per admitted, unfinished query
+	solving  chan struct{} // one token per running solve
 
-	mu     sync.Mutex
-	live   map[string]*task
-	closed bool
-
-	// Instruments, resolved once at construction (nil registry → nil
-	// instruments, checked at use).
-	mExprs, mCollapsed, mRejected, mSolved, mErrors *metrics.Counter
-	gQueue                                          *metrics.Gauge
-	hLatency                                        *metrics.Histogram
-	hSolved, hErrored, hCollapsed, hSaturated       *metrics.Histogram
-	cSolverQ                                        *metrics.Counter // shared solver_queries, for slow-log deltas
+	// Instruments, resolved once at construction.
+	mExprs, mRejected, mSolved, mErrors     *metrics.Counter
+	gQueue                                  *metrics.Gauge
+	hLatency, hSolved, hErrored, hSaturated *metrics.Histogram
+	cSolverQ                                *metrics.Counter // shared solver_queries, for slow-log deltas
 }
 
-// New starts the worker pool. Close releases it.
+// New returns a Service answering through cfg.Solve.
 func New(cfg Config) (*Service, error) {
 	if cfg.Solve == nil {
 		return nil, errors.New("factsvc: Config.Solve is required")
@@ -120,86 +95,29 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
+	if cfg.Metrics == nil {
+		cfg.Metrics = metrics.NewRegistry()
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
+	m := cfg.Metrics
+	outcome := func(o string) *metrics.Histogram {
+		return m.HistogramL("factsvc_solve_latency", metrics.Labels{"outcome": o})
 	}
-	s := &Service{
-		cfg:    cfg,
-		queues: make([]chan *task, cfg.Workers),
-		busy:   make([]atomic.Int64, cfg.Workers),
-		live:   make(map[string]*task),
-	}
-	if m := cfg.Metrics; m != nil {
-		s.mExprs = m.Counter("factsvc_exprs")
-		s.mCollapsed = m.Counter("factsvc_inflight_collapsed")
-		s.mRejected = m.Counter("factsvc_rejected")
-		s.mSolved = m.Counter("factsvc_solved")
-		s.mErrors = m.Counter("factsvc_errors")
-		s.gQueue = m.Gauge("factsvc_queue_depth")
-		s.hLatency = m.Histogram("factsvc_latency")
-		s.hSolved = m.HistogramL("factsvc_solve_latency", metrics.Labels{"outcome": "solved"})
-		s.hErrored = m.HistogramL("factsvc_solve_latency", metrics.Labels{"outcome": "error"})
-		s.hCollapsed = m.HistogramL("factsvc_solve_latency", metrics.Labels{"outcome": "collapsed"})
-		s.hSaturated = m.HistogramL("factsvc_solve_latency", metrics.Labels{"outcome": "saturated"})
-		s.cSolverQ = m.Counter("solver_queries")
-	}
-	for i := range s.queues {
-		s.queues[i] = make(chan *task, cfg.QueueDepth)
-		s.wg.Add(1)
-		go s.worker(i)
-	}
-	if m := cfg.Metrics; m != nil {
-		// Pull-style gauges, refreshed by the registry on every snapshot
-		// or scrape instead of on the solve hot path: per-worker queue
-		// depth and in-flight flags, plus the fullest cache stripe (the
-		// occupancy scan used to run after every task — 64 shard locks
-		// per solve; as a collector it costs one scan per scrape).
-		queueDepth := make([]*metrics.Gauge, cfg.Workers)
-		inflight := make([]*metrics.Gauge, cfg.Workers)
-		for i := range queueDepth {
-			w := strconv.Itoa(i)
-			queueDepth[i] = m.GaugeL("factsvc_worker_queue_depth", metrics.Labels{"worker": w})
-			inflight[i] = m.GaugeL("factsvc_worker_inflight", metrics.Labels{"worker": w})
-		}
-		gShardOcc := m.Gauge("factsvc_shard_occupancy")
-		m.RegisterCollector(func() {
-			for i := range s.queues {
-				queueDepth[i].Set(int64(len(s.queues[i])))
-				inflight[i].Set(s.busy[i].Load())
-			}
-			if s.cfg.Cache != nil {
-				max := 0
-				for _, l := range s.cfg.Cache.ShardLens() {
-					if l > max {
-						max = l
-					}
-				}
-				gShardOcc.Set(int64(max))
-			}
-		})
-	}
-	return s, nil
+	return &Service{
+		cfg:        cfg,
+		admitted:   make(chan struct{}, cfg.Workers*slotsPerWorker),
+		solving:    make(chan struct{}, cfg.Workers),
+		mExprs:     m.Counter("factsvc_exprs"),
+		mRejected:  m.Counter("factsvc_rejected"),
+		mSolved:    m.Counter("factsvc_solved"),
+		mErrors:    m.Counter("factsvc_errors"),
+		gQueue:     m.Gauge("factsvc_queue_depth"),
+		hLatency:   m.Histogram("factsvc_latency"),
+		hSolved:    outcome("solved"),
+		hErrored:   outcome("error"),
+		hSaturated: outcome("saturated"),
+		cSolverQ:   m.Counter("solver_queries"),
+	}, nil
 }
-
-// RetryAfter returns the base advisory backoff for saturated
-// submissions.
-func (s *Service) RetryAfter() time.Duration { return s.cfg.RetryAfter }
-
-// QueuedTasks returns the number of tasks sitting in worker queues
-// (excluding the ones currently being solved).
-func (s *Service) QueuedTasks() int {
-	n := 0
-	for _, q := range s.queues {
-		n += len(q)
-	}
-	return n
-}
-
-// QueueCapacity returns the total queue slots across workers.
-func (s *Service) QueueCapacity() int { return len(s.queues) * s.cfg.QueueDepth }
 
 // RetryAfterSecs derives the Retry-After value (whole seconds) a
 // saturated service should advertise. The formula is deliberately
@@ -208,10 +126,9 @@ func (s *Service) QueueCapacity() int { return len(s.queues) * s.cfg.QueueDepth 
 //	fill = queued / capacity, clamped to [0, 1]
 //	secs = ceil(base_seconds × (1 + 3×fill)), clamped to [1, 300]
 //
-// An almost-empty service (one hot worker queue filled while the rest
-// idle) advertises its base backoff; a fully saturated one advertises
-// 4× base, so retry pressure decays instead of synchronizing every
-// rejected client onto the same instant.
+// A service rejecting on a momentary spike advertises its base backoff;
+// a fully saturated one advertises 4× base, so retry pressure decays
+// instead of synchronizing every rejected client onto the same instant.
 func RetryAfterSecs(base time.Duration, queued, capacity int) int {
 	baseSecs := base.Seconds()
 	if baseSecs < 1 {
@@ -240,240 +157,104 @@ func RetryAfterSecs(base time.Duration, queued, capacity int) int {
 	return secs
 }
 
-// retryAfterSecs applies RetryAfterSecs to the service's current queue
-// state.
+// retryAfterSecs applies RetryAfterSecs to the current admission fill.
 func (s *Service) retryAfterSecs() int {
-	return RetryAfterSecs(s.cfg.RetryAfter, s.QueuedTasks(), s.QueueCapacity())
+	return RetryAfterSecs(retryAfter, len(s.admitted), cap(s.admitted))
 }
 
-// Ticket is a claim on a scheduled (or shared) solve.
-type Ticket struct {
-	t   *task
-	svc *Service
-	// Collapsed reports that this submission attached to an already
-	// live task instead of scheduling its own solve.
-	Collapsed bool
-	// Hash is the expression's canonical hash.
-	Hash uint64
+// Query answers one expression: it takes an admission slot, failing
+// fast with ErrSaturated when none is free, waits for a solve slot (or
+// ctx), solves, and records the metrics, the slow log and the span.
+func (s *Service) Query(ctx context.Context, f *ir.Function) (Answer, error) {
+	if !s.admit() {
+		return Answer{}, ErrSaturated
+	}
+	return s.solve(ctx, f)
 }
 
-// Submit schedules f (or attaches to a live duplicate) and returns a
-// Ticket to Wait on. It never blocks on a full queue: saturation is
-// ErrSaturated, and the caller decides whether to retry.
-func (s *Service) Submit(f *ir.Function) (*Ticket, error) {
-	var start time.Time
-	if s.hSaturated != nil {
-		start = time.Now()
-	}
-	cn := canon.Canonicalize(f)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if s.mExprs != nil {
-		s.mExprs.Inc()
-	}
-	if t, ok := s.live[cn.Key]; ok {
-		s.mu.Unlock()
-		if s.mCollapsed != nil {
-			s.mCollapsed.Inc()
-		}
-		return &Ticket{t: t, svc: s, Collapsed: true, Hash: cn.Hash}, nil
-	}
-	t := &task{key: cn.Key, hash: cn.Hash, f: cn.F, done: make(chan struct{})}
-	// Hash-affinity routing: the same canonical expression always lands
-	// on the same worker, so even if the live map missed (task finished
-	// a moment ago), duplicates serialize instead of solving twice in
-	// parallel.
-	q := s.queues[cn.Hash%uint64(len(s.queues))]
+// admit takes an admission slot without blocking. Every call counts in
+// factsvc_exprs; a refused one counts in factsvc_rejected and observes
+// its fast-fail time as the saturated outcome.
+func (s *Service) admit() bool {
+	start := time.Now()
+	s.mExprs.Inc()
 	select {
-	case q <- t:
-		s.live[cn.Key] = t
-		s.mu.Unlock()
-		if s.gQueue != nil {
-			s.gQueue.Add(1)
-		}
-		return &Ticket{t: t, svc: s, Hash: cn.Hash}, nil
-	default:
-		s.mu.Unlock()
-		if s.mRejected != nil {
-			s.mRejected.Inc()
-		}
-		if s.hSaturated != nil {
-			// The "latency" of a rejection: how long the fast-fail path
-			// held the caller. Its _count is the saturation rate.
-			s.hSaturated.Observe(time.Since(start))
-		}
-		return nil, ErrSaturated
-	}
-}
-
-// Result is one answered query.
-type Result struct {
-	Facts   []Fact
-	Elapsed time.Duration // the solve's own duration (shared by waiters)
-}
-
-// Wait blocks until the ticket's solve completes or ctx is done.
-func (tk *Ticket) Wait(ctx context.Context) (Result, error) {
-	var start time.Time
-	observeCollapsed := tk.Collapsed && tk.svc != nil && tk.svc.hCollapsed != nil
-	if observeCollapsed {
-		start = time.Now()
-	}
-	select {
-	case <-tk.t.done:
-		if observeCollapsed {
-			// A collapsed waiter's cost is its wall wait, not the
-			// original solve's duration (which hLatency already has).
-			tk.svc.hCollapsed.Observe(time.Since(start))
-		}
-		if tk.t.err != nil {
-			return Result{}, tk.t.err
-		}
-		return Result{Facts: tk.t.facts, Elapsed: tk.t.elapsed}, nil
-	case <-ctx.Done():
-		return Result{}, ctx.Err()
-	}
-}
-
-func (s *Service) worker(i int) {
-	defer s.wg.Done()
-	for t := range s.queues[i] {
-		s.runTask(i, t)
-	}
-}
-
-// sampleSolve reports whether this solve's span should be recorded,
-// honoring Config.TraceSample.
-func (s *Service) sampleSolve() bool {
-	n := s.cfg.TraceSample
-	if n <= 1 {
+	case s.admitted <- struct{}{}:
+		s.gQueue.Add(1)
 		return true
+	default:
+		s.mRejected.Inc()
+		s.hSaturated.Observe(time.Since(start))
+		return false
 	}
-	return s.seq.Add(1)%uint64(n) == 1
 }
 
-// runTask solves one task, publishes the result to every waiter, and
-// retires the live-map entry. A panicking Solve is converted to an
-// error so one poisonous expression cannot take a worker down.
-func (s *Service) runTask(worker int, t *task) {
-	s.busy[worker].Store(1)
-	var sp *trace.Span
-	var start time.Time
-	var qBefore int64
+// solve answers an admitted query and releases its admission slot. A
+// cancelled ctx ends the wait for a solve slot. Once the solve starts
+// it runs to completion under ctx's values but not its cancellation:
+// its result reaches the cache and every flight waiter, so one client
+// going away cannot degrade another's answer. A panic while solving
+// becomes this query's error.
+func (s *Service) solve(ctx context.Context, f *ir.Function) (ans Answer, err error) {
+	defer func() {
+		<-s.admitted
+		s.gQueue.Add(-1)
+	}()
+	select {
+	case s.solving <- struct{}{}:
+		defer func() { <-s.solving }()
+	case <-ctx.Done():
+		return ans, ctx.Err()
+	}
+	sp := s.cfg.Tracer.Start(nil, trace.KindExpr, "factsvc")
+	qBefore := s.cSolverQ.Value()
+	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
-			t.err = fmt.Errorf("factsvc: solve panicked: %v", r)
+			err = fmt.Errorf("factsvc: solve panicked: %v", r)
 		}
-		if t.elapsed == 0 && !start.IsZero() {
-			t.elapsed = time.Since(start) // panic path: Solve never returned
-		}
-		s.mu.Lock()
-		delete(s.live, t.key)
-		s.mu.Unlock()
-		close(t.done)
-		s.busy[worker].Store(0)
-		if s.gQueue != nil {
-			s.gQueue.Add(-1)
-		}
-		if s.mSolved != nil {
-			s.mSolved.Inc()
-			if t.err != nil {
-				s.mErrors.Inc()
-			}
-		}
-		if s.hLatency != nil {
-			s.hLatency.Observe(t.elapsed)
-			if t.err != nil {
-				s.hErrored.Observe(t.elapsed)
-			} else {
-				s.hSolved.Observe(t.elapsed)
-			}
-		}
-		s.noteSlow(worker, t, sp, start, qBefore)
-		sp.End()
+		ans.Elapsed = time.Since(start)
+		s.finish(f, ans, err, sp, start, qBefore)
 	}()
-	ctx := context.Background()
-	if s.sampleSolve() {
-		sp = s.cfg.Tracer.Start(nil, trace.KindExpr, "factsvc")
-	}
-	if sp != nil {
-		sp.SetInt("worker", int64(worker))
-		sp.SetStr("hash", fmt.Sprintf("%016x", t.hash))
-		ctx = trace.NewContext(ctx, sp)
-	}
-	if s.cSolverQ != nil {
-		qBefore = s.cSolverQ.Value()
-	}
-	start = time.Now()
-	t.facts, t.err = s.cfg.Solve(ctx, t.f)
-	t.elapsed = time.Since(start)
+	ans.Hash, ans.Facts, err = s.cfg.Solve(trace.NewContext(context.WithoutCancel(ctx), sp), f)
+	return ans, err
 }
 
-// noteSlow offers the finished task to the slow-solve log and, on
-// admission, makes sure the solve is visible in the trace: a sampled
-// span gets a slow=1 attribute; a sampler-skipped solve is force-
-// recorded after the fact via Tracer.Record.
-func (s *Service) noteSlow(worker int, t *task, sp *trace.Span, start time.Time, qBefore int64) {
-	if s.cfg.SlowLog == nil {
+// finish records one finished solve: the counters, the latency
+// histograms, and, with a tracer or a slow log, the span's hash, the
+// slow log (an admitted entry marks the span slow=1), and the span's end.
+func (s *Service) finish(f *ir.Function, ans Answer, err error, sp *trace.Span, start time.Time, qBefore int64) {
+	s.mSolved.Inc()
+	s.hLatency.Observe(ans.Elapsed)
+	if err != nil {
+		s.mErrors.Inc()
+		s.hErrored.Observe(ans.Elapsed)
+	} else {
+		s.hSolved.Observe(ans.Elapsed)
+	}
+	if sp == nil && s.cfg.SlowLog == nil {
 		return
 	}
-	// The solver-query delta is read off the shared process-wide
-	// counter; with several workers solving concurrently it attributes
-	// some neighbors' queries to this solve, so it is labeled ≈.
-	var qDelta int64
-	if s.cSolverQ != nil {
-		qDelta = s.cSolverQ.Value() - qBefore
+	hash := fmt.Sprintf("%016x", ans.Hash)
+	sp.SetStr("hash", hash)
+	if s.cfg.SlowLog != nil {
+		// The solver-query delta is read off the shared process-wide
+		// counter; with several solves running it attributes some
+		// neighbors' queries to this one, so it is labeled ≈.
+		e := metrics.SlowEntry{
+			When:    start,
+			Hash:    hash,
+			Op:      f.Root.Op.String(),
+			Width:   f.Width(),
+			Elapsed: ans.Elapsed,
+			Detail:  fmt.Sprintf("facts=%d solver_queries≈%d", len(ans.Facts), s.cSolverQ.Value()-qBefore),
+		}
+		if err != nil {
+			e.Err = err.Error()
+		}
+		if s.cfg.SlowLog.Note(e) {
+			sp.SetInt("slow", 1)
+		}
 	}
-	e := metrics.SlowEntry{
-		When:    start,
-		Hash:    fmt.Sprintf("%016x", t.hash),
-		Op:      t.f.Root.Op.String(),
-		Width:   t.f.Width(),
-		Elapsed: t.elapsed,
-		Worker:  worker,
-		Detail:  fmt.Sprintf("facts=%d solver_queries≈%d", len(t.facts), qDelta),
-	}
-	if t.err != nil {
-		e.Err = t.err.Error()
-	}
-	if !s.cfg.SlowLog.Note(e) {
-		return
-	}
-	if sp != nil {
-		sp.SetInt("slow", 1)
-	} else if tr := s.cfg.Tracer; tr != nil {
-		tr.Record(trace.KindExpr, "factsvc-slow", start, t.elapsed, map[string]any{
-			"worker": worker,
-			"hash":   e.Hash,
-			"op":     e.Op,
-			"width":  e.Width,
-			"slow":   1,
-		})
-	}
-}
-
-// QueueLen returns the total number of queued-or-running tasks.
-func (s *Service) QueueLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.live)
-}
-
-// Close stops accepting submissions, drains the queues, and waits for
-// the workers to exit. Safe to call once.
-func (s *Service) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.mu.Unlock()
-	for _, q := range s.queues {
-		close(q)
-	}
-	s.wg.Wait()
+	sp.End()
 }

@@ -3,16 +3,23 @@ package factsvc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"dfcheck/internal/canon"
 	"dfcheck/internal/ir"
 	"dfcheck/internal/metrics"
 )
 
 const exprSrc = "%x:i8 = var\n%0:i8 = and 1:i8, %x\n%1:i8 = add %x, %0\ninfer %1"
+
+// stubFacts answers f with one fixed fact under its canonical hash, as
+// the comparator's solve reports it.
+func stubFacts(f *ir.Function) (uint64, []Fact, error) {
+	return canon.Canonicalize(f).Hash, []Fact{{Analysis: "non-zero", Fact: "true"}}, nil
+}
 
 func mustParse(t *testing.T, src string) *ir.Function {
 	t.Helper()
@@ -23,232 +30,145 @@ func mustParse(t *testing.T, src string) *ir.Function {
 	return f
 }
 
-// 100 concurrent submissions of the same expression must cost exactly
-// one Solve call: the first schedules a task, the other 99 attach to it.
-// The solve blocks until every submission is in, so the collapse count
-// is deterministic.
-func TestServiceCollapses100ConcurrentIdenticalQueries(t *testing.T) {
-	const n = 100
-	reg := metrics.NewRegistry()
-	var solves atomic.Int64
-	submitted := make(chan struct{})
-	svc, err := New(Config{
-		Workers:    4,
-		QueueDepth: 8,
-		Metrics:    reg,
-		Solve: func(ctx context.Context, f *ir.Function) ([]Fact, error) {
-			solves.Add(1)
-			<-submitted // hold until all n submissions are in
-			return []Fact{{Analysis: "known bits", Fact: "xxxxxxx0"}}, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-
-	f := mustParse(t, exprSrc)
-	tickets := make([]*Ticket, n)
-	for i := 0; i < n; i++ {
-		tk, err := svc.Submit(f)
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		tickets[i] = tk
-	}
-	close(submitted)
-
-	collapsed := 0
-	var wg sync.WaitGroup
-	results := make([]Result, n)
-	for i, tk := range tickets {
-		if tk.Collapsed {
-			collapsed++
-		}
-		wg.Add(1)
-		go func(i int, tk *Ticket) {
-			defer wg.Done()
-			res, err := tk.Wait(context.Background())
-			if err != nil {
-				t.Errorf("wait %d: %v", i, err)
-				return
-			}
-			results[i] = res
-		}(i, tk)
-	}
-	wg.Wait()
-
-	if got := solves.Load(); got != 1 {
-		t.Fatalf("Solve called %d times, want exactly 1", got)
-	}
-	if collapsed != n-1 {
-		t.Fatalf("%d tickets collapsed, want %d", collapsed, n-1)
-	}
-	for i, res := range results {
-		if len(res.Facts) != 1 || res.Facts[0].Fact != "xxxxxxx0" {
-			t.Fatalf("result %d: %+v", i, res)
-		}
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["factsvc_inflight_collapsed"]; got != n-1 {
-		t.Fatalf("factsvc_inflight_collapsed = %d, want %d", got, n-1)
-	}
-	if got := snap.Counters["factsvc_solved"]; got != 1 {
-		t.Fatalf("factsvc_solved = %d, want 1", got)
-	}
-}
-
-// With one worker and a bounded queue, excess distinct submissions fail
-// fast with ErrSaturated instead of blocking the caller.
-func TestServiceSaturationFailsFast(t *testing.T) {
-	reg := metrics.NewRegistry()
+// blockingService returns a one-worker service whose solves wait on the
+// returned release channel.
+func blockingService(t *testing.T, reg *metrics.Registry) (*Service, chan struct{}) {
+	t.Helper()
 	release := make(chan struct{})
 	svc, err := New(Config{
-		Workers:    1,
-		QueueDepth: 1,
-		Metrics:    reg,
-		RetryAfter: 2 * time.Second,
-		Solve: func(ctx context.Context, f *ir.Function) ([]Fact, error) {
+		Workers: 1,
+		Metrics: reg,
+		Solve: func(ctx context.Context, f *ir.Function) (uint64, []Fact, error) {
 			<-release
-			return nil, nil
+			return stubFacts(f)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer svc.Close()
-	defer close(release)
+	return svc, release
+}
 
-	// Distinct expressions so nothing collapses: constants vary.
-	srcs := []string{
-		"%x:i8 = var\n%0:i8 = add 1:i8, %x\ninfer %0",
-		"%x:i8 = var\n%0:i8 = add 2:i8, %x\ninfer %0",
-		"%x:i8 = var\n%0:i8 = add 3:i8, %x\ninfer %0",
-		"%x:i8 = var\n%0:i8 = add 4:i8, %x\ninfer %0",
-		"%x:i8 = var\n%0:i8 = add 5:i8, %x\ninfer %0",
+// fillSlots takes all 64 admission slots of a one-worker service behind
+// its blocked solve and returns a func that waits for those queries to
+// finish once the solve is released.
+func fillSlots(t *testing.T, svc *Service) (wait func()) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for i := 0; i < slotsPerWorker; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			src := fmt.Sprintf("%%x:i8 = var\n%%0:i8 = add %d:i8, %%x\ninfer %%0", i)
+			if _, err := svc.Query(context.Background(), ir.MustParse(src)); err != nil {
+				t.Errorf("query %d: %v", i, err)
+			}
+		}(i)
 	}
-	saturated := 0
-	for _, src := range srcs {
-		_, err := svc.Submit(mustParse(t, src))
-		if errors.Is(err, ErrSaturated) {
-			saturated++
-		} else if err != nil {
-			t.Fatal(err)
+	for deadline := time.Now().Add(10 * time.Second); len(svc.admitted) < slotsPerWorker; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d slots taken", len(svc.admitted), slotsPerWorker)
 		}
+		time.Sleep(time.Millisecond)
 	}
-	// One task is running (or about to), one fits in the queue; the
-	// rest must be rejected.
-	if saturated == 0 {
-		t.Fatal("no submission saturated with Workers=1, QueueDepth=1 and 5 distinct exprs")
+	return wg.Wait
+}
+
+// With one worker, 64 admitted queries fill every slot behind a blocked
+// solve; the 65th fails fast with ErrSaturated instead of blocking.
+func TestServiceSaturationFailsFast(t *testing.T) {
+	reg := metrics.NewRegistry()
+	svc, release := blockingService(t, reg)
+	wait := fillSlots(t, svc)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := svc.Query(context.Background(), ir.MustParse(exprSrc))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrSaturated) {
+			t.Fatalf("65th Query = %v, want ErrSaturated", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("65th Query blocked instead of failing fast")
 	}
-	if got := reg.Snapshot().Counters["factsvc_rejected"]; got != int64(saturated) {
-		t.Fatalf("factsvc_rejected = %d, want %d", got, saturated)
+	close(release)
+	wait()
+	snap := reg.Snapshot()
+	if got := snap.Counters["factsvc_rejected"]; got != 1 {
+		t.Fatalf("factsvc_rejected = %d, want 1", got)
 	}
-	if svc.RetryAfter() != 2*time.Second {
-		t.Fatalf("RetryAfter = %v", svc.RetryAfter())
+	if got := snap.Counters["factsvc_solved"]; got != slotsPerWorker {
+		t.Fatalf("factsvc_solved = %d, want %d", got, slotsPerWorker)
 	}
 }
 
-// Solve errors propagate to every waiter; panics become errors instead
-// of killing the worker.
+// Solve errors come back as the query's error; a panic becomes an error
+// instead of taking the process down, and the service keeps answering.
 func TestServiceErrorAndPanicPropagation(t *testing.T) {
 	boom := errors.New("solver exploded")
 	mode := "error"
 	svc, err := New(Config{
 		Workers: 1,
-		Solve: func(ctx context.Context, f *ir.Function) ([]Fact, error) {
+		Solve: func(ctx context.Context, f *ir.Function) (uint64, []Fact, error) {
 			if mode == "panic" {
 				panic("kaboom")
 			}
-			return nil, boom
+			return 0, nil, boom
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer svc.Close()
-
-	tk, err := svc.Submit(mustParse(t, exprSrc))
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	if _, err := svc.Query(ctx, mustParse(t, exprSrc)); !errors.Is(err, boom) {
+		t.Fatalf("Query = %v, want %v", err, boom)
 	}
-	if _, err := tk.Wait(context.Background()); !errors.Is(err, boom) {
-		t.Fatalf("Wait = %v, want %v", err, boom)
-	}
-
 	mode = "panic"
-	tk, err = svc.Submit(mustParse(t, exprSrc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tk.Wait(context.Background()); err == nil {
+	if _, err := svc.Query(ctx, mustParse(t, exprSrc)); err == nil {
 		t.Fatal("panicking solve returned nil error")
 	}
-	// The worker survived: a further submission still completes.
 	mode = "error"
-	tk, err = svc.Submit(mustParse(t, exprSrc))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := svc.Query(ctx, mustParse(t, exprSrc)); !errors.Is(err, boom) {
+		t.Fatalf("post-panic Query = %v, want %v", err, boom)
 	}
-	if _, err := tk.Wait(context.Background()); !errors.Is(err, boom) {
-		t.Fatalf("post-panic Wait = %v, want %v", err, boom)
+	// Every slot came back: nothing is admitted or solving.
+	if len(svc.admitted) != 0 || len(svc.solving) != 0 {
+		t.Fatalf("%d admitted, %d solving after the queries returned", len(svc.admitted), len(svc.solving))
 	}
 }
 
-// Wait honors its context while the solve is stuck.
+// A query waiting for the solve slot honors its context, and gives its
+// admission slot back. (The test keeps the name of the ticket API it
+// used to drive.)
 func TestTicketWaitContext(t *testing.T) {
-	release := make(chan struct{})
-	svc, err := New(Config{
-		Workers: 1,
-		Solve: func(ctx context.Context, f *ir.Function) ([]Fact, error) {
-			<-release
-			return nil, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	reg := metrics.NewRegistry()
+	svc, release := blockingService(t, reg)
+	first := make(chan struct{})
+	go func() {
+		defer close(first)
+		svc.Query(context.Background(), ir.MustParse(exprSrc))
+	}()
+	for deadline := time.Now().Add(10 * time.Second); len(svc.solving) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("first query never took the solve slot")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	defer svc.Close()
-	defer close(release)
 
-	tk, err := svc.Submit(mustParse(t, exprSrc))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := tk.Wait(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Wait = %v, want deadline exceeded", err)
+	if _, err := svc.Query(ctx, mustParse(t, exprSrc)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Query = %v, want deadline exceeded", err)
 	}
-}
-
-// Close drains in-flight work and rejects later submissions.
-func TestServiceClose(t *testing.T) {
-	var solves atomic.Int64
-	svc, err := New(Config{
-		Workers: 2,
-		Solve: func(ctx context.Context, f *ir.Function) ([]Fact, error) {
-			solves.Add(1)
-			return []Fact{{Analysis: "non-zero", Fact: "false"}}, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	if got := reg.Snapshot().Gauges["factsvc_queue_depth"]; got != 1 {
+		t.Fatalf("factsvc_queue_depth = %d after the cancelled wait, want 1", got)
 	}
-	tk, err := svc.Submit(mustParse(t, exprSrc))
-	if err != nil {
-		t.Fatal(err)
+	close(release)
+	<-first
+	if got := reg.Snapshot().Counters["factsvc_solved"]; got != 1 {
+		t.Fatalf("factsvc_solved = %d, want 1 (the cancelled query never solved)", got)
 	}
-	svc.Close()
-	// The queued task was drained, not dropped.
-	if _, err := tk.Wait(context.Background()); err != nil {
-		t.Fatalf("pre-close ticket failed: %v", err)
-	}
-	if solves.Load() != 1 {
-		t.Fatalf("solves = %d, want 1", solves.Load())
-	}
-	if _, err := svc.Submit(mustParse(t, exprSrc)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("post-close Submit = %v, want ErrClosed", err)
-	}
-	svc.Close() // idempotent
 }

@@ -1,6 +1,6 @@
 // Package metrics is the observability substrate for long-running
 // campaigns: a small registry of named counters, gauges, and latency
-// histograms, snapshotable as JSON and publishable through expvar. The
+// histograms, snapshotable as JSON and served as Prometheus text. The
 // paper's authors ran their differential-testing loop unattended for
 // weeks (§4.7); this package is what lets our loop answer "is it still
 // making progress, and at what rate?" without stopping it.
@@ -12,8 +12,6 @@ package metrics
 
 import (
 	"encoding/json"
-	"errors"
-	"expvar"
 	"fmt"
 	"math"
 	"sort"
@@ -252,7 +250,7 @@ func NewRegistry() *Registry {
 }
 
 // RegisterCollector adds a hook that runs before every Snapshot (and
-// therefore before every expvar render, Prometheus scrape, and SSE
+// therefore before every JSON snapshot, Prometheus scrape, and SSE
 // push). Collectors refresh pull-style gauges — queue depths, shard
 // occupancy — so instrumented code does not have to update them on its
 // hot path. A collector must not call Snapshot itself.
@@ -399,79 +397,4 @@ func (r *Registry) String() string {
 		out += fmt.Sprintf("%s=%d", k, snap.Counters[k])
 	}
 	return out
-}
-
-// expvarMu serializes Publish: expvar.Publish panics on duplicate names,
-// and tests may publish more than one registry.
-var expvarMu sync.Mutex
-
-// ErrRebound reports that PublishExpvar displaced a different registry
-// previously published under the same name. The rebind still happens —
-// the newest registry wins, matching the old silent behavior — but the
-// caller can now notice that two registries in one process (e.g. serve
-// mode plus a campaign) are shadowing each other and log it.
-var ErrRebound = errors.New("metrics: expvar name was bound to another registry (rebound; newest wins)")
-
-// ErrDuplicateName reports that the expvar name is held by a variable
-// this package did not publish, so the registry cannot be exposed under
-// it at all.
-var ErrDuplicateName = errors.New("metrics: expvar name already taken by a foreign variable")
-
-// PublishExpvar exposes the registry under the given expvar name (e.g. on
-// /debug/vars when an HTTP listener is up). Republishing never panics:
-// publishing the same registry again is a no-op, publishing a different
-// registry rebinds the name and returns ErrRebound, and a name held by a
-// non-registry expvar returns ErrDuplicateName with the binding left
-// untouched.
-func (r *Registry) PublishExpvar(name string) error {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if v := expvar.Get(name); v != nil {
-		rb, ok := v.(*rebindable)
-		if !ok {
-			return fmt.Errorf("%w: %q", ErrDuplicateName, name)
-		}
-		if rb.get() == r {
-			return nil
-		}
-		rb.set(r)
-		return fmt.Errorf("%w: %q", ErrRebound, name)
-	}
-	rb := &rebindable{}
-	rb.set(r)
-	expvar.Publish(name, rb)
-	return nil
-}
-
-// rebindable is an expvar.Var whose backing registry can be swapped, so
-// republishing a name is an update instead of a panic.
-type rebindable struct {
-	mu sync.Mutex
-	r  *Registry
-}
-
-func (rb *rebindable) set(r *Registry) {
-	rb.mu.Lock()
-	rb.r = r
-	rb.mu.Unlock()
-}
-
-func (rb *rebindable) get() *Registry {
-	rb.mu.Lock()
-	defer rb.mu.Unlock()
-	return rb.r
-}
-
-func (rb *rebindable) String() string {
-	rb.mu.Lock()
-	r := rb.r
-	rb.mu.Unlock()
-	if r == nil {
-		return "{}"
-	}
-	data, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		return "{}"
-	}
-	return string(data)
 }

@@ -2,8 +2,6 @@ package metrics
 
 import (
 	"encoding/json"
-	"errors"
-	"expvar"
 	"strings"
 	"sync"
 	"testing"
@@ -91,47 +89,6 @@ func TestStringSummary(t *testing.T) {
 	r.Counter("a").Add(1)
 	if got := r.String(); got != "a=1 b=2" {
 		t.Fatalf("String() = %q, want %q", got, "a=1 b=2")
-	}
-}
-
-func TestPublishExpvarRebinds(t *testing.T) {
-	r1 := NewRegistry()
-	r1.Counter("n").Add(1)
-	if err := r1.PublishExpvar("test_metrics"); err != nil {
-		t.Fatalf("first publish: %v", err)
-	}
-	if err := r1.PublishExpvar("test_metrics"); err != nil {
-		t.Fatalf("republishing the same registry must be a silent no-op, got %v", err)
-	}
-	r2 := NewRegistry()
-	r2.Counter("n").Add(7)
-	err := r2.PublishExpvar("test_metrics") // must not panic; rebinds loudly
-	if !errors.Is(err, ErrRebound) {
-		t.Fatalf("rebinding a second registry returned %v, want ErrRebound", err)
-	}
-	v := expvar.Get("test_metrics")
-	if v == nil {
-		t.Fatal("not published")
-	}
-	if !strings.Contains(v.String(), `"n":7`) {
-		t.Fatalf("expvar shows %s, want rebound registry with n=7", v.String())
-	}
-}
-
-// TestPublishExpvarForeignName is the regression test for the silent
-// no-op: a name held by an expvar this package did not publish must
-// surface ErrDuplicateName instead of quietly serving the foreign
-// variable while the caller believes their registry is exposed.
-func TestPublishExpvarForeignName(t *testing.T) {
-	expvar.NewString("test_metrics_foreign").Set("not ours")
-	r := NewRegistry()
-	r.Counter("n").Add(3)
-	err := r.PublishExpvar("test_metrics_foreign")
-	if !errors.Is(err, ErrDuplicateName) {
-		t.Fatalf("publishing over a foreign expvar returned %v, want ErrDuplicateName", err)
-	}
-	if got := expvar.Get("test_metrics_foreign").String(); !strings.Contains(got, "not ours") {
-		t.Fatalf("foreign binding was clobbered: %s", got)
 	}
 }
 

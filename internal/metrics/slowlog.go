@@ -32,7 +32,6 @@ type SlowEntry struct {
 	Op      string        `json:"op"`    // root opcode
 	Width   uint          `json:"width"` // root bit width
 	Elapsed time.Duration `json:"elapsed_ns"`
-	Worker  int           `json:"worker"`
 	Detail  string        `json:"detail,omitempty"`
 	Err     string        `json:"err,omitempty"`
 }
@@ -49,7 +48,7 @@ func NewSlowLog(n int) *SlowLog {
 }
 
 // Note offers an entry and reports whether it was admitted — callers use
-// the verdict to force-sample the corresponding span into the trace.
+// the verdict to mark the corresponding span slow.
 // Nil-safe.
 func (l *SlowLog) Note(e SlowEntry) bool {
 	if l == nil {

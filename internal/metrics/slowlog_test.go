@@ -64,15 +64,15 @@ func TestSlowLogConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				l.Note(SlowEntry{Worker: w, Elapsed: time.Duration(i) * time.Microsecond})
+				l.Note(SlowEntry{Elapsed: time.Duration(i) * time.Microsecond})
 				if i%100 == 0 {
 					_ = l.Snapshot()
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	got := l.Snapshot()

@@ -87,7 +87,7 @@ details summary { cursor: pointer; color: var(--ink-2); font-size: 13px; margin:
 <h2>Slow solves</h2>
 <table id="slow"><thead><tr>
   <th>hash</th><th>op</th><th class="num">width</th><th class="num">elapsed</th>
-  <th class="num">worker</th><th>detail</th>
+  <th>detail</th>
 </tr></thead><tbody></tbody></table>
 
 <details><summary>All metrics (table view)</summary>
@@ -174,7 +174,7 @@ function render(p) {
       ? (g["rescache_hit_rate_bp"]/100).toFixed(1) + "%" : "–",
       g["rescache_entries"] != null ? fmtN(g["rescache_entries"]) + " entries" : ""),
     tile("queue depth", fmtN(g["factsvc_queue_depth"] || 0),
-      "collapsed " + fmtN(c["factsvc_inflight_collapsed"] || 0) +
+      "collapsed " + fmtN(c["flight_collapsed"] || 0) +
       " · rejected " + fmtN(c["factsvc_rejected"] || 0)),
   ];
   if (done != null) {
@@ -196,10 +196,10 @@ function render(p) {
 
   const st = (p.slow || []).map(e =>
     '<tr><td><code>' + e.hash + '</code></td><td>' + e.op + '</td><td class="num">i' + e.width +
-    '</td><td class="num">' + fmtDur(e.elapsed_ns) + '</td><td class="num">' + e.worker +
+    '</td><td class="num">' + fmtDur(e.elapsed_ns) +
     '</td><td class="muted">' + (e.err ? "error: " + e.err + " · " : "") + (e.detail || "") + '</td></tr>');
   document.querySelector("#slow tbody").innerHTML =
-    st.join("") || '<tr><td colspan="6" class="muted">no slow solves recorded</td></tr>';
+    st.join("") || '<tr><td colspan="5" class="muted">no slow solves recorded</td></tr>';
 
   const rows = [];
   for (const [k, v] of Object.entries(c).concat(Object.entries(g)))

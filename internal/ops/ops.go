@@ -1,7 +1,7 @@
 // Package ops is the production observability surface: it mounts the
 // operational endpoints — Prometheus exposition, liveness/readiness,
 // the self-contained live dashboard, and the slow-solve log — on the
-// same mux as the existing debug server (expvar, pprof, /v1/facts).
+// same mux as the existing debug server (pprof, /v1/facts).
 //
 // Endpoints:
 //

@@ -32,18 +32,16 @@ func newOpsStack(t *testing.T) (*httptest.Server, *factsvc.Service, *Health, *me
 	svc, err := factsvc.New(factsvc.Config{
 		Workers: 2,
 		Metrics: reg,
-		Cache:   cache,
 		SlowLog: slow,
-		Solve: func(ctx context.Context, f *ir.Function) ([]factsvc.Fact, error) {
+		Solve: func(ctx context.Context, f *ir.Function) (uint64, []factsvc.Fact, error) {
 			cache.Put(rescache.Key{Expr: "probe", Analysis: "kb"}, rescache.Entry{})
 			cache.Get(rescache.Key{Expr: "probe", Analysis: "kb"})
-			return []factsvc.Fact{{Analysis: "non-zero", Fact: "true"}}, nil
+			return 1, []factsvc.Fact{{Analysis: "non-zero", Fact: "true"}}, nil
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(svc.Close)
 	CollectCache(reg, cache)
 	health := NewHealth()
 	mux := http.NewServeMux()
@@ -99,10 +97,10 @@ func TestServeModeScrape(t *testing.T) {
 	if !strings.Contains(text, "factsvc_exprs 3") {
 		t.Fatalf("counter did not round-trip:\n%s", grepLines(text, "factsvc_exprs"))
 	}
-	// Labeled gauge from the collector: per-worker queue depth (drained
-	// by now, so 0) — presence and parseability are the contract.
-	if m := regexp.MustCompile(`(?m)^factsvc_worker_queue_depth\{worker="0"\} (-?\d+)$`).FindStringSubmatch(text); m == nil {
-		t.Fatalf("labeled worker gauge missing:\n%s", grepLines(text, "worker"))
+	// Labeled gauge from the collector: per-shard cache occupancy —
+	// presence and parseability are the contract.
+	if m := regexp.MustCompile(`(?m)^rescache_shard_entries\{shard="0"\} (\d+)$`).FindStringSubmatch(text); m == nil {
+		t.Fatalf("labeled shard gauge missing:\n%s", grepLines(text, "shard_entries"))
 	}
 	// Labeled cache gauge: the probe traffic produced one hit.
 	if !strings.Contains(text, `rescache_shard_hits{shard=`) {
@@ -136,8 +134,10 @@ func TestServeModeScrape(t *testing.T) {
 	if cm == nil {
 		t.Fatalf("histogram _count missing:\n%s", grepLines(text, "solve_latency"))
 	}
-	if count, _ := strconv.ParseInt(cm[1], 10, 64); count != inf || count != 2 {
-		t.Fatalf("_count = %d, +Inf bucket = %d, want both 2 (two distinct solves)", count, inf)
+	// The stub solve sits behind no dedup, so each of the 3 expressions
+	// is solved (dedup lives in the comparator's cache and flight).
+	if count, _ := strconv.ParseInt(cm[1], 10, 64); count != inf || count != 3 {
+		t.Fatalf("_count = %d, +Inf bucket = %d, want both 3 (one solve per expression)", count, inf)
 	}
 }
 

@@ -8,7 +8,7 @@
 // computation time so that cached reports replay deterministic timings.
 //
 // The cache is safe for concurrent use by the comparator's worker pool
-// and the fact service's dispatcher. Internally it is lock-striped:
+// and the fact service's queries. Internally it is lock-striped:
 // entries live in a power-of-two number of shards selected by a hash of
 // the key, each shard guarded by its own sync.RWMutex with a read-lock
 // fast path for lookups, and the hit/miss counters are lock-free
@@ -118,7 +118,7 @@ func NewSharded(n int) *Cache {
 // positions mix the head (analysis name prefix differences), the tail
 // (canonical value-number suffixes differ even for same-length exprs),
 // and the lengths, which spreads the real key population well (the
-// shard-occupancy gauge in factsvc makes skew observable).
+// rescache_shard_entries gauges make skew observable).
 func shardHash(k Key) uint64 {
 	h := uint64(len(k.Expr))<<6 ^ uint64(len(k.Analysis)) ^ uint64(k.Budget)
 	if n := len(k.Expr); n > 0 {
@@ -148,12 +148,17 @@ func (c *Cache) shardFor(k Key) *shard {
 	return c.shards[shardHash(k)&c.mask]
 }
 
-// Get returns the entry for k, counting a hit or miss on k's shard.
-func (c *Cache) Get(k Key) (Entry, bool) {
-	s := c.shardFor(k)
+func (s *shard) lookup(k Key) (Entry, bool) {
 	s.mu.RLock()
 	e, ok := s.entries[k]
 	s.mu.RUnlock()
+	return e, ok
+}
+
+// Get returns the entry for k, counting a hit or miss on k's shard.
+func (c *Cache) Get(k Key) (Entry, bool) {
+	s := c.shardFor(k)
+	e, ok := s.lookup(k)
 	if ok {
 		s.hits.Add(1)
 	} else {
@@ -161,6 +166,11 @@ func (c *Cache) Get(k Key) (Entry, bool) {
 	}
 	return e, ok
 }
+
+// Peek returns the entry for k without counting a hit or a miss. The
+// comparator's flight leader uses it to re-check the cache before it
+// solves, so the check leaves the reported cache counts unchanged.
+func (c *Cache) Peek(k Key) (Entry, bool) { return c.shardFor(k).lookup(k) }
 
 // Put stores (or replaces) the entry for k.
 func (c *Cache) Put(k Key, e Entry) {
@@ -183,18 +193,6 @@ func (c *Cache) Len() int {
 
 // Shards returns the number of lock stripes.
 func (c *Cache) Shards() int { return len(c.shards) }
-
-// ShardLens returns the entry count per stripe, for occupancy/skew
-// accounting (the factsvc_shard_occupancy gauge).
-func (c *Cache) ShardLens() []int {
-	out := make([]int, len(c.shards))
-	for i, s := range c.shards {
-		s.mu.RLock()
-		out[i] = len(s.entries)
-		s.mu.RUnlock()
-	}
-	return out
-}
 
 // ShardStat is one stripe's occupancy and traffic, for the per-shard
 // rescache gauges on /metricsz.

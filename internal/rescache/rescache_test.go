@@ -89,6 +89,13 @@ func TestGetPutStats(t *testing.T) {
 	if _, ok := c.Get(Key{Expr: "a", Analysis: "known bits", Budget: 100, Config: "other"}); ok {
 		t.Fatal("different config must not hit")
 	}
+	// Peek finds what Get finds but counts neither a hit nor a miss.
+	if got, ok := c.Peek(k("a")); !ok || !reflect.DeepEqual(got, e) {
+		t.Fatalf("Peek = %+v, %v; want %+v, true", got, ok, e)
+	}
+	if _, ok := c.Peek(k("missing")); ok {
+		t.Fatal("Peek of a missing key returned an entry")
+	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 2 {
 		t.Fatalf("stats = %+v, want 1 hit / 2 misses", st)

@@ -26,7 +26,7 @@ func TestNewShardedRoundsToPowerOfTwo(t *testing.T) {
 }
 
 // A single-stripe cache must behave exactly like the old global-mutex
-// cache: every operation works, and ShardLens sums to Len.
+// cache: every operation works, and the shard lengths sum to Len.
 func TestSingleShardEquivalence(t *testing.T) {
 	c := NewSharded(1)
 	for key, e := range sampleEntries() {
@@ -38,9 +38,9 @@ func TestSingleShardEquivalence(t *testing.T) {
 			t.Fatalf("single-shard Get(%+v) = %+v, %v", key, got, ok)
 		}
 	}
-	lens := c.ShardLens()
-	if len(lens) != 1 || lens[0] != c.Len() {
-		t.Fatalf("ShardLens = %v, Len = %d", lens, c.Len())
+	stats := c.ShardStats()
+	if len(stats) != 1 || stats[0].Len != c.Len() {
+		t.Fatalf("ShardStats = %+v, Len = %d", stats, c.Len())
 	}
 }
 
@@ -58,16 +58,17 @@ func TestShardLensSpread(t *testing.T) {
 		}
 		c.Put(key, Entry{Value: oracle.BoolResult{}})
 	}
-	lens := c.ShardLens()
+	var lens []int
 	total, max := 0, 0
-	for _, l := range lens {
-		total += l
-		if l > max {
-			max = l
+	for _, st := range c.ShardStats() {
+		lens = append(lens, st.Len)
+		total += st.Len
+		if st.Len > max {
+			max = st.Len
 		}
 	}
 	if total != n || total != c.Len() {
-		t.Fatalf("ShardLens sums to %d, want %d (Len %d)", total, n, c.Len())
+		t.Fatalf("shard lengths sum to %d, want %d (Len %d)", total, n, c.Len())
 	}
 	// Perfect balance is n/8 = 512 per stripe; reject gross skew (any
 	// stripe holding more than 3x its fair share).

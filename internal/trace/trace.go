@@ -426,56 +426,6 @@ func (s *Span) End() {
 	}
 }
 
-// Record emits one complete root span with explicit, possibly backdated
-// timing. It is the escape hatch for after-the-fact emission: the slow-
-// solve log discovers only at solve *end* that a span the 1-in-N serve-
-// mode sampler skipped was worth keeping, and by then Start is too late —
-// Record reconstructs the event from the measured start and duration
-// instead. The span lands on its own display lane like any root span.
-// Nil-safe.
-func (t *Tracer) Record(kind Kind, name string, start time.Time, dur time.Duration, args map[string]any) {
-	if t == nil {
-		return
-	}
-	ts := start.Sub(t.epoch)
-	if ts < 0 {
-		ts = 0
-	}
-	a := make(map[string]any, len(args)+1)
-	for k, v := range args {
-		if k == "id" || k == "parent" { // reserved, as in Span.Set
-			continue
-		}
-		a[k] = v
-	}
-	a["id"] = t.ids.Add(1)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return
-	}
-	tid := t.acquireLane()
-	t.writeEvent(event{
-		Name: name,
-		Cat:  kind.String(),
-		Ph:   "X",
-		TS:   float64(ts.Nanoseconds()) / 1e3,
-		Dur:  float64(dur.Nanoseconds()) / 1e3,
-		PID:  1,
-		TID:  tid,
-		Args: a,
-	})
-	if tid < len(t.lanes) {
-		t.lanes[tid] = false // the span is already over; free its lane
-	}
-	if t.file != nil && t.maxBytes > 0 && t.written >= t.maxBytes {
-		if err := t.w.Flush(); err != nil && t.err == nil {
-			t.err = err
-		}
-		t.rotate()
-	}
-}
-
 // ctxKey keys the span carried by a context.
 type ctxKey struct{}
 
