@@ -92,6 +92,12 @@ func main() {
 		*checkpoint = *resume
 	}
 
+	doms, err := absint.TransferDomainsByNames(*domsFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dfcheck-fuzz:", err)
+		os.Exit(2)
+	}
+
 	widths := []harvest.WidthWeight{{Width: 4, Weight: 1}, {Width: 8, Weight: 3}}
 	if *maxWidth >= 13 {
 		widths = append(widths, harvest.WidthWeight{Width: 13, Weight: 1})
@@ -126,12 +132,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dfcheck-fuzz:", err)
 			os.Exit(2)
 		}
-	}
-
-	doms, err := absint.DomainsByNames(*domsFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dfcheck-fuzz:", err)
-		os.Exit(2)
 	}
 
 	c := &compare.Comparator{

@@ -49,7 +49,6 @@ func main() {
 		bugTnumMul = flag.Bool("bug-tnum-mul", false, "seed the off-by-one tnum multiply mask bug")
 		modern     = flag.Bool("modern", false, "test the post-LLVM-8 analyzer instead of the LLVM-8 port")
 		noProgress = flag.Bool("no-progress", false, "suppress the progress line")
-		noSliced   = flag.Bool("no-sliced", false, "ablation: grade against scalar per-input evaluation instead of the 64-lane bit-sliced sweep")
 	)
 	flag.Parse()
 
@@ -90,7 +89,6 @@ func main() {
 		MaxRangeWidth: *maxRangeW,
 		Workers:       *workers,
 		Lint:          *lint,
-		NoSliced:      *noSliced,
 		Domains:       doms,
 	}
 	if *opsFlag != "" {

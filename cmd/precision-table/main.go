@@ -62,6 +62,12 @@ func main() {
 	)
 	flag.Parse()
 
+	doms, err := absint.TransferDomainsByNames(*domsFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "precision-table:", err)
+		os.Exit(2)
+	}
+
 	widths := []harvest.WidthWeight{{Width: 4, Weight: 10}, {Width: 8, Weight: 45}}
 	if *maxWidth >= 13 {
 		widths = append(widths, harvest.WidthWeight{Width: 13, Weight: 15})
@@ -125,12 +131,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "precision-table:", err)
 			os.Exit(1)
 		}
-	}
-
-	doms, err := absint.DomainsByNames(*domsFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "precision-table:", err)
-		os.Exit(2)
 	}
 
 	c := &compare.Comparator{

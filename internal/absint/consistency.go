@@ -9,7 +9,6 @@ import (
 	"dfcheck/internal/knownbits"
 	"dfcheck/internal/llvmport"
 	"dfcheck/internal/stride"
-	"dfcheck/internal/tnum"
 )
 
 // Inconsistency is one contradiction between facts the analyzer computed
@@ -142,7 +141,7 @@ func CheckFacts(f *ir.Function, fa *llvmport.Facts) ([]Inconsistency, int) {
 // abstract interpreters, for the extended consistency lint. Nil maps
 // mean the corresponding domain is not enabled.
 type ExtraFacts struct {
-	Tnum   map[*ir.Inst]tnum.T
+	Tnum   map[*ir.Inst]knownbits.Bits
 	Stride map[*ir.Inst]stride.S
 }
 
@@ -153,21 +152,12 @@ func (cfg Config) extraFacts(f *ir.Function) ExtraFacts {
 	for _, d := range cfg.inputDomains() {
 		switch td := d.(type) {
 		case tnumDomain:
-			ex.Tnum = td.analyze(f)
+			ex.Tnum = td.an.Analyze(f)
 		case strideDomain:
-			ex.Stride = td.analyze(f)
+			ex.Stride = td.an.Analyze(f)
 		}
 	}
 	return ex
-}
-
-// AnalyzeExtra interprets f under the clean tnum and stride suites — the
-// convenience constructor comparator callers use.
-func AnalyzeExtra(f *ir.Function) ExtraFacts {
-	return ExtraFacts{
-		Tnum:   tnum.Analysis{}.Analyze(f),
-		Stride: stride.Analysis{}.Analyze(f),
-	}
 }
 
 // ExtraFactsFor interprets f under whichever transfer domains appear in
@@ -202,14 +192,13 @@ func CheckFactsDomains(f *ir.Function, fa *llvmport.Facts, ex ExtraFacts) ([]Inc
 			continue // analysis claims dead code; everything is vacuous
 		}
 		mask := ^uint64(0) >> (64 - w)
-		if t, ok := ex.Tnum[n]; ok && !t.IsBottom() {
-			tk := t.KnownBits()
+		if t, ok := ex.Tnum[n]; ok && !t.HasConflict() {
 			checks++
-			if k.Meet(tk).HasConflict() {
+			if k.Meet(t).HasConflict() {
 				report(n, "tnum %s and known bits %s share no value", t, k)
 			}
 			checks++
-			if _, found := kRangeMember(tk, r, 0, mask); !found {
+			if _, found := kRangeMember(t, r, 0, mask); !found {
 				report(n, "tnum %s and range %s share no value", t, r)
 			}
 		}

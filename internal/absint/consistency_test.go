@@ -10,7 +10,6 @@ import (
 	"dfcheck/internal/knownbits"
 	"dfcheck/internal/llvmport"
 	"dfcheck/internal/stride"
-	"dfcheck/internal/tnum"
 )
 
 // TestSmallestGEExhaustive checks smallestGE against brute force for
@@ -194,7 +193,7 @@ func TestCheckFactsDomainsFindsContradictions(t *testing.T) {
 	an := &llvmport.Analyzer{}
 	fa := an.Analyze(f)
 
-	if incons, checks := CheckFactsDomains(f, fa, AnalyzeExtra(f)); len(incons) != 0 {
+	if incons, checks := CheckFactsDomains(f, fa, ExtraFactsFor(f, []Domain{Tnums, Strides})); len(incons) != 0 {
 		t.Fatalf("clean extra facts flagged inconsistent: %v", incons)
 	} else if checks <= 3 {
 		t.Fatalf("extended lint ran only %d checks", checks)
@@ -204,7 +203,7 @@ func TestCheckFactsDomainsFindsContradictions(t *testing.T) {
 	// value is exactly 2 and a stride claiming v ≡ 2 (mod 4) both
 	// contradict that.
 	root := f.Root
-	badTnum := ExtraFacts{Tnum: map[*ir.Inst]tnum.T{root: tnum.Const(apint.New(8, 2))}}
+	badTnum := ExtraFacts{Tnum: map[*ir.Inst]knownbits.Bits{root: knownbits.FromConst(apint.New(8, 2))}}
 	if incons, _ := CheckFactsDomains(f, fa, badTnum); len(incons) == 0 {
 		t.Fatalf("planted tnum contradiction not reported (known bits %s)", fa.KnownBits())
 	}
@@ -234,7 +233,7 @@ func TestModernAnalyzerConsistentOnCorpus(t *testing.T) {
 		fa := an.Analyze(e.F)
 		// The extended lint cross-checks the clean tnum and stride
 		// interpreters against the analyzer on every expression too.
-		incons, checks := CheckFactsDomains(e.F, fa, AnalyzeExtra(e.F))
+		incons, checks := CheckFactsDomains(e.F, fa, ExtraFactsFor(e.F, []Domain{Tnums, Strides}))
 		totalChecks += checks
 		if len(incons) != 0 {
 			t.Fatalf("%s: modern analyzer inconsistent on\n%s\n%v", e.Name, e.F, incons)

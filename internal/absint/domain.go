@@ -139,6 +139,25 @@ func DomainsByNames(csv string) ([]Domain, error) {
 	return doms, nil
 }
 
+// TransferDomainsByNames parses the comparator's -domains flag value:
+// every name must resolve to a transfer domain (tnum or stride), the only
+// domains whose facts extend the consistency lint, and any other name is
+// an error that names the accepted ones. The empty string yields nil.
+func TransferDomainsByNames(csv string) ([]Domain, error) {
+	if csv == "" {
+		return nil, nil
+	}
+	var doms []Domain
+	for _, name := range strings.Split(csv, ",") {
+		d, _ := DomainByName(strings.TrimSpace(name))
+		if _, ok := d.(TransferDomain); !ok {
+			return nil, fmt.Errorf("domain %q is not a transfer domain (accepted: tnum, stride)", name)
+		}
+		doms = append(doms, d)
+	}
+	return doms, nil
+}
+
 // AllInputDomains lists every domain accepted as a Verify input domain,
 // in sweep order: the three LLVM-port fact domains, then the two
 // self-contained transfer suites.
@@ -146,37 +165,23 @@ func AllInputDomains() []Domain {
 	return []Domain{KnownBits, SignBits, IntegerRange, Tnums, Strides}
 }
 
-// tnumDomain adapts internal/tnum to the Domain interface; an holds the
-// transfer suite (possibly with seeded bugs — the lattice is always
-// clean, so only Transfer grading can go unsound).
-type tnumDomain struct{ an tnum.Analysis }
-
-func (tnumDomain) Name() string                         { return "tnum" }
-func (tnumDomain) Top(w uint) Elem                      { return tnum.Top(w) }
-func (tnumDomain) Bottom(w uint) Elem                   { return tnum.Bottom(w) }
-func (tnumDomain) IsBottom(a Elem) bool                 { return a.(tnum.T).IsBottom() }
-func (tnumDomain) Join(a, b Elem) Elem                  { return a.(tnum.T).Union(b.(tnum.T)) }
-func (tnumDomain) Meet(a, b Elem) Elem                  { return a.(tnum.T).Intersect(b.(tnum.T)) }
-func (tnumDomain) Leq(a, b Elem) bool                   { return a.(tnum.T).Leq(b.(tnum.T)) }
-func (tnumDomain) Eq(a, b Elem) bool                    { return a.(tnum.T).Eq(b.(tnum.T)) }
-func (tnumDomain) Contains(a Elem, v apint.Int) bool    { return a.(tnum.T).Contains(v) }
-func (tnumDomain) Abstract(w uint, vs []apint.Int) Elem { return tnum.Abstract(w, vs) }
-func (tnumDomain) Format(a Elem) string                 { return a.(tnum.T).String() }
-func (tnumDomain) Enum(w uint, fn func(Elem) bool) {
-	tnum.Enum(w, func(t tnum.T) bool { return fn(t) })
+// tnumDomain is the known-bits lattice graded through the tnum paper's
+// transfer suite; an holds the suite (possibly with seeded bugs — the
+// lattice is always clean, so only Transfer grading can go unsound).
+type tnumDomain struct {
+	knownBitsDomain
+	an tnum.Analysis
 }
+
+func (tnumDomain) Name() string { return "tnum" }
 
 func (d tnumDomain) Transfer(op ir.Op, flags ir.Flags, dstW uint, args []Elem) Elem {
-	ts := make([]tnum.T, len(args))
+	ks := make([]knownbits.Bits, len(args))
 	for i, a := range args {
-		ts[i] = a.(tnum.T)
+		ks[i] = a.(knownbits.Bits)
 	}
-	return d.an.Transfer(op, flags, dstW, ts)
+	return d.an.Transfer(op, flags, dstW, ks)
 }
-
-// analyze runs the per-instruction interpreter, for the consistency lint
-// and the comparator.
-func (d tnumDomain) analyze(f *ir.Function) map[*ir.Inst]tnum.T { return d.an.Analyze(f) }
 
 // strideDomain adapts internal/stride to the Domain interface.
 type strideDomain struct{ an stride.Analysis }
@@ -204,16 +209,12 @@ func (d strideDomain) Transfer(op ir.Op, flags ir.Flags, dstW uint, args []Elem)
 	return d.an.Transfer(op, flags, dstW, ss)
 }
 
-func (d strideDomain) analyze(f *ir.Function) map[*ir.Inst]stride.S { return d.an.Analyze(f) }
-
 // knownBitsDomain wraps the ternary known-bits lattice of knownbits.Bits.
 type knownBitsDomain struct{}
 
-func (knownBitsDomain) Name() string    { return "known bits" }
-func (knownBitsDomain) Top(w uint) Elem { return knownbits.Unknown(w) }
-func (knownBitsDomain) Bottom(w uint) Elem {
-	return knownbits.Make(apint.AllOnes(w), apint.AllOnes(w))
-}
+func (knownBitsDomain) Name() string         { return "known bits" }
+func (knownBitsDomain) Top(w uint) Elem      { return knownbits.Unknown(w) }
+func (knownBitsDomain) Bottom(w uint) Elem   { return knownbits.Bottom(w) }
 func (knownBitsDomain) IsBottom(a Elem) bool { return a.(knownbits.Bits).HasConflict() }
 func (knownBitsDomain) Join(a, b Elem) Elem {
 	return a.(knownbits.Bits).Join(b.(knownbits.Bits))
@@ -230,43 +231,11 @@ func (knownBitsDomain) Contains(a Elem, v apint.Int) bool {
 }
 
 func (knownBitsDomain) Abstract(w uint, vs []apint.Int) Elem {
-	zero, one := apint.AllOnes(w), apint.AllOnes(w)
-	for _, v := range vs {
-		zero = zero.And(v.Not())
-		one = one.And(v)
-	}
-	return knownbits.Make(zero, one)
+	return knownbits.Abstract(w, vs)
 }
 
 func (knownBitsDomain) Enum(w uint, fn func(Elem) bool) {
-	// Ternary counter: each bit position is known-zero, known-one, or
-	// unknown, so exactly 3^w conflict-free elements exist.
-	digits := make([]byte, w)
-	for {
-		var zero, one uint64
-		for i, d := range digits {
-			switch d {
-			case 0:
-				zero |= 1 << uint(i)
-			case 1:
-				one |= 1 << uint(i)
-			}
-		}
-		if !fn(knownbits.Make(apint.New(w, zero), apint.New(w, one))) {
-			return
-		}
-		i := 0
-		for ; i < len(digits); i++ {
-			if digits[i] < 2 {
-				digits[i]++
-				break
-			}
-			digits[i] = 0
-		}
-		if i == len(digits) {
-			return
-		}
-	}
+	knownbits.Enum(w, func(k knownbits.Bits) bool { return fn(k) })
 }
 
 func (knownBitsDomain) Format(a Elem) string { return a.(knownbits.Bits).String() }

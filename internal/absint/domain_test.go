@@ -1,6 +1,7 @@
 package absint
 
 import (
+	"strings"
 	"testing"
 
 	"dfcheck/internal/apint"
@@ -275,5 +276,28 @@ func TestAbstractIsAlpha(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTransferDomainsByNames: the comparator's -domains accepts only the
+// transfer domains. A fact-domain name such as kb or range extends no
+// lint, so it must be refused with the accepted names rather than
+// ignored, while domain-check's DomainsByNames keeps all five.
+func TestTransferDomainsByNames(t *testing.T) {
+	doms, err := TransferDomainsByNames("tnum, stride")
+	if err != nil || len(doms) != 2 || doms[0] != Tnums || doms[1] != Strides {
+		t.Fatalf("tnum, stride: got %v, %v", doms, err)
+	}
+	if doms, err := TransferDomainsByNames(""); doms != nil || err != nil {
+		t.Fatalf("empty flag: got %v, %v", doms, err)
+	}
+	for _, csv := range []string{"kb", "range,sign-bits", "tnum,known-bits", "bogus"} {
+		_, err := TransferDomainsByNames(csv)
+		if err == nil || !strings.Contains(err.Error(), "tnum, stride") {
+			t.Errorf("%q: got error %v, want a refusal naming tnum, stride", csv, err)
+		}
+	}
+	if doms, err := DomainsByNames("kb,sign-bits,range,tnum,stride"); err != nil || len(doms) != 5 {
+		t.Fatalf("DomainsByNames refused a verifier domain: %v, %v", doms, err)
 	}
 }

@@ -51,10 +51,6 @@ type Config struct {
 	// the done and total task counts. It must be safe for concurrent
 	// use.
 	Progress func(done, total int)
-	// NoSliced builds the concrete-image tables with the scalar
-	// interpreter instead of the 64-lane bit-sliced evaluator — the
-	// ablation path behind domain-check's -no-sliced flag.
-	NoSliced bool
 }
 
 func (cfg Config) withDefaults() Config {
@@ -407,7 +403,7 @@ func runTask(cfg Config, t task, elems map[elemKey][]inElem) *taskOut {
 		limited = true
 	}
 
-	tbl := buildTable(t, ws, cfg.NoSliced)
+	tbl := buildTable(t, ws)
 	outDoms := outputDomains(t.inDom)
 	stats := make([]Stat, len(outDoms))
 	for i, d := range outDoms {
@@ -538,41 +534,17 @@ func maxWidth(a, b uint) uint {
 // buildTable enumerates the op's full concrete function: operand i
 // occupies the i-th group of bits (lowest first) of the table index, and
 // each entry holds the result value or -1 for UB/poison. The sweep runs
-// on the bit-sliced evaluator (64 table entries per evaluation) unless
-// the scalar ablation path is selected; the two fill identical tables,
-// which TestBuildTableSlicedMatchesScalar pins.
-func buildTable(t task, ws []uint, scalar bool) []int16 {
+// on the bit-sliced evaluator, 64 table entries per evaluation.
+func buildTable(t task, ws []uint) []int16 {
 	b := ir.NewBuilder()
-	vars := make([]*ir.Inst, len(ws))
 	args := make([]*ir.Inst, len(ws))
-	for i, w := range ws {
-		vars[i] = b.Var(argNames[i], w)
-		args[i] = vars[i]
-	}
-	f := b.Function(buildRoot(b, t, args))
 	var total uint
-	for _, w := range ws {
+	for i, w := range ws {
+		args[i] = b.Var(argNames[i], w)
 		total += w
 	}
 	tbl := make([]int16, uint64(1)<<total)
-	if scalar {
-		prog := eval.Compile(f)
-		env := make(eval.Env, len(vars))
-		for i := range tbl {
-			bits := uint64(i)
-			for j, v := range vars {
-				env[v] = apint.New(ws[j], bits)
-				bits >>= ws[j]
-			}
-			if r, ok := prog.Eval(env); ok {
-				tbl[i] = int16(r.Uint64())
-			} else {
-				tbl[i] = -1
-			}
-		}
-		return tbl
-	}
-	prog := eval.CompileSliced(f)
+	prog := eval.CompileSliced(b.Function(buildRoot(b, t, args)))
 	lanes := uint64(prog.NumLanes())
 	for base := uint64(0); base < uint64(len(tbl)); base += 64 {
 		planes, ok := prog.EvalIndexed(base)

@@ -141,7 +141,7 @@ type Comparator struct {
 	Consistency bool
 	// Domains widens the consistency lint's reduced product with the
 	// self-contained transfer domains listed here (absint.Tnums,
-	// absint.Strides — resolve names with absint.DomainByName): their
+	// absint.Strides — parse names with absint.TransferDomainsByNames): their
 	// abstract interpreters run per expression and their facts join the
 	// tnum×known-bits, tnum×range, and stride×range contradiction
 	// checks. Nil keeps the classic four-domain lint; the Table 1 oracle

@@ -26,6 +26,56 @@ func Unknown(w uint) Bits {
 	return Bits{Zero: apint.Zero(w), One: apint.Zero(w)}
 }
 
+// Bottom returns the canonical empty element: every bit claimed both zero
+// and one. It is the identity of Join, so a union over no members stays
+// Bottom.
+func Bottom(w uint) Bits {
+	return Bits{Zero: apint.AllOnes(w), One: apint.AllOnes(w)}
+}
+
+// Abstract returns α(vs), the most precise fact containing every value of
+// vs: the bits on which all of them agree. The empty set gives Bottom.
+func Abstract(w uint, vs []apint.Int) Bits {
+	k := Bottom(w)
+	for _, v := range vs {
+		k = k.Join(FromConst(v))
+	}
+	return k
+}
+
+// Enum enumerates every conflict-free fact at width w, 3^w of them,
+// stopping early if fn returns false. It runs a ternary counter with bit
+// 0 as its lowest digit, each digit in the order known zero, known one,
+// unknown.
+func Enum(w uint, fn func(Bits) bool) {
+	digits := make([]byte, w)
+	for {
+		var zero, one uint64
+		for i, d := range digits {
+			switch d {
+			case 0:
+				zero |= 1 << uint(i)
+			case 1:
+				one |= 1 << uint(i)
+			}
+		}
+		if !fn(Bits{Zero: apint.New(w, zero), One: apint.New(w, one)}) {
+			return
+		}
+		i := 0
+		for ; i < len(digits); i++ {
+			if digits[i] < 2 {
+				digits[i]++
+				break
+			}
+			digits[i] = 0
+		}
+		if i == len(digits) {
+			return
+		}
+	}
+}
+
 // FromConst returns the exact fact for a constant.
 func FromConst(v apint.Int) Bits {
 	return Bits{Zero: v.Not(), One: v}

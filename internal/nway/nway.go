@@ -50,7 +50,7 @@ type Facts struct {
 	// HasTnum/HasStride is set: most variants implement neither domain.
 	// Their cross-check is contradiction-only — the oracle has no tnum or
 	// stride implementation, so a mere precision gap escalates nothing.
-	Tnum      tnum.T
+	Tnum      knownbits.Bits
 	Stride    stride.S
 	HasTnum   bool
 	HasStride bool
@@ -122,7 +122,7 @@ type DomainInterp struct {
 func (di DomainInterp) Facts(f *ir.Function) Facts {
 	t := di.Tnum.Analyze(f)[f.Root]
 	s := di.Stride.Analyze(f)[f.Root]
-	if t.IsBottom() || s.Empty {
+	if t.HasConflict() || s.Empty {
 		return Facts{Dead: true}
 	}
 	return Facts{
@@ -205,7 +205,6 @@ func Compare(f *ir.Function, variants []Variant) Comparison {
 
 // comparePair cross-checks one pair of fact sets domain by domain.
 func (c *Comparison) comparePair(na string, a Facts, nb string, b Facts) {
-	w := a.Known.Width()
 	contradict := func(an harvest.Analysis, fa, fb string) {
 		c.Contradictions = append(c.Contradictions, Contradiction{
 			Analysis: an, A: na, B: nb, AFact: fa, BFact: fb})
@@ -269,9 +268,9 @@ func (c *Comparison) comparePair(na string, a Facts, nb string, b Facts) {
 		ta, tb := a.Tnum, b.Tnum
 		switch {
 		case ta.Eq(tb):
-		case ta.Intersect(tb).IsBottom(),
-			a.Exact && !ta.Leq(tb),
-			b.Exact && !tb.Leq(ta):
+		case ta.Meet(tb).HasConflict(),
+			a.Exact && !ta.AtLeastAsPreciseAs(tb),
+			b.Exact && !tb.AtLeastAsPreciseAs(ta):
 			c.Disagreements++
 			contradict(harvest.Tnum, ta.String(), tb.String())
 		}
@@ -311,7 +310,6 @@ func (c *Comparison) comparePair(na string, a Facts, nb string, b Facts) {
 			contradict(p.an, fmt.Sprint(p.av), fmt.Sprint(p.bv))
 		}
 	}
-	_ = w
 }
 
 // DefaultExactBits is the summed input width at or below which the best
@@ -376,15 +374,17 @@ func exactFacts(f *ir.Function) Facts {
 		vals = append(vals, apint.New(w, v))
 	}
 	sort.Slice(vals, func(i, j int) bool { return vals[i].Uint64() < vals[j].Uint64() })
+	// Tnums are the known-bits lattice, so one α serves both claims.
+	k := knownbits.Abstract(w, vals)
 	return Facts{
-		Known:       absint.KnownBits.Abstract(w, vals).(knownbits.Bits),
+		Known:       k,
 		Sign:        absint.SignBits.Abstract(w, vals).(absint.SignCount).N,
 		Range:       absint.IntegerRange.Abstract(w, vals).(constrange.Range),
 		NonZero:     absint.NonZero.Abstract(w, vals).(bool),
 		Negative:    absint.Negative.Abstract(w, vals).(bool),
 		NonNegative: absint.NonNegative.Abstract(w, vals).(bool),
 		PowerOfTwo:  absint.PowerOfTwo.Abstract(w, vals).(bool),
-		Tnum:        tnum.Abstract(w, vals),
+		Tnum:        k,
 		Stride:      stride.Abstract(w, vals),
 		HasTnum:     true,
 		HasStride:   true,

@@ -40,7 +40,7 @@ func bruteFacts(t *testing.T, f *ir.Function) (Facts, bool) {
 		Negative:    absint.Negative.Abstract(w, vals).(bool),
 		NonNegative: absint.NonNegative.Abstract(w, vals).(bool),
 		PowerOfTwo:  absint.PowerOfTwo.Abstract(w, vals).(bool),
-		Tnum:        tnum.Abstract(w, vals),
+		Tnum:        absint.Tnums.Abstract(w, vals).(knownbits.Bits),
 		Stride:      stride.Abstract(w, vals),
 		HasTnum:     true,
 		HasStride:   true,

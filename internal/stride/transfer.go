@@ -367,6 +367,3 @@ func (an Analysis) Analyze(f *ir.Function) map[*ir.Inst]S {
 	}
 	return out
 }
-
-// Root returns the fact Analyze computes for f's root.
-func (an Analysis) Root(f *ir.Function) S { return an.Analyze(f)[f.Root] }

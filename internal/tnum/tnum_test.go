@@ -6,10 +6,11 @@ import (
 	"dfcheck/internal/apint"
 	"dfcheck/internal/eval"
 	"dfcheck/internal/ir"
+	"dfcheck/internal/knownbits"
 )
 
 // gammaMask returns γ(t) as a bitset (width ≤ 6, so 2^w ≤ 64 values).
-func gammaMask(t T) uint64 {
+func gammaMask(t knownbits.Bits) uint64 {
 	var out uint64
 	for x, max := uint64(0), uint64(1)<<t.Width(); x < max; x++ {
 		if t.Contains(apint.New(t.Width(), x)) {
@@ -19,9 +20,9 @@ func gammaMask(t T) uint64 {
 	return out
 }
 
-func enumAll(w uint) []T {
-	var out []T
-	Enum(w, func(t T) bool { out = append(out, t); return true })
+func enumAll(w uint) []knownbits.Bits {
+	var out []knownbits.Bits
+	knownbits.Enum(w, func(t knownbits.Bits) bool { out = append(out, t); return true })
 	return out
 }
 
@@ -76,10 +77,10 @@ func alphaMask(w uint, image uint64) uint64 {
 	if len(vs) == 0 {
 		return 0
 	}
-	return gammaMask(Abstract(w, vs))
+	return gammaMask(knownbits.Abstract(w, vs))
 }
 
-func gammaVals(t T) []apint.Int {
+func gammaVals(t knownbits.Bits) []apint.Int {
 	var out []apint.Int
 	for x, max := uint64(0), uint64(1)<<t.Width(); x < max; x++ {
 		if v := apint.New(t.Width(), x); t.Contains(v) {
@@ -93,11 +94,11 @@ func gammaVals(t T) []apint.Int {
 // unsound already at width 1 — x · 1 comes back as the constant 0.
 func TestMulBugCaught(t *testing.T) {
 	buggy := Analysis{Bugs: Bugs{MulMask: true}}
-	got := buggy.Mul(Top(1), Const(apint.One(1)))
+	got := buggy.Mul(knownbits.Unknown(1), knownbits.FromConst(apint.One(1)))
 	if got.Contains(apint.One(1)) {
 		t.Fatalf("buggy mul(x, 1) = %s still contains 1; the seeded bug is not observable", got)
 	}
-	if clean := (Analysis{}).Mul(Top(1), Const(apint.One(1))); !clean.Contains(apint.One(1)) {
+	if clean := (Analysis{}).Mul(knownbits.Unknown(1), knownbits.FromConst(apint.One(1))); !clean.Contains(apint.One(1)) {
 		t.Fatalf("clean mul(x, 1) = %s is unsound", clean)
 	}
 }
@@ -147,12 +148,12 @@ func TestTransferSoundnessExhaustive(t *testing.T) {
 
 func checkOp(t *testing.T, an Analysis, op ir.Op, flags ir.Flags, w, dstW uint, ws []uint) {
 	t.Helper()
-	lists := make([][]T, len(ws))
+	lists := make([][]knownbits.Bits, len(ws))
 	for i, opw := range ws {
 		lists[i] = enumAll(opw)
 	}
 	idx := make([]int, len(ws))
-	args := make([]T, len(ws))
+	args := make([]knownbits.Bits, len(ws))
 	vals := make([]apint.Int, len(ws))
 	for {
 		for i := range idx {
@@ -177,7 +178,7 @@ func checkOp(t *testing.T, an Analysis, op ir.Op, flags ir.Flags, w, dstW uint, 
 		}
 		walk(0)
 		if live {
-			if got.IsBottom() {
+			if got.HasConflict() {
 				t.Fatalf("%s%s i%d→i%d on %v: live tuple graded bottom", op, flags, w, dstW, args)
 			}
 			if image&^gammaMask(got) != 0 {
@@ -196,38 +197,5 @@ func checkOp(t *testing.T, an Analysis, op ir.Op, flags ir.Flags, w, dstW uint, 
 		if i < 0 {
 			return
 		}
-	}
-}
-
-// TestLatticeBasics: Union/Intersect/Leq agree with concretization
-// inclusion on every pair at width 2, and the knownbits round trip is
-// the identity.
-func TestLatticeBasics(t *testing.T) {
-	const w = 2
-	es := enumAll(w)
-	for _, a := range es {
-		ga := gammaMask(a)
-		if rt := FromKnownBits(a.KnownBits()); !rt.Eq(a) {
-			t.Fatalf("knownbits round trip of %s gives %s", a, rt)
-		}
-		for _, b := range es {
-			gb := gammaMask(b)
-			if got, want := a.Leq(b), ga&^gb == 0; got != want {
-				t.Fatalf("Leq(%s, %s) = %t, γ-inclusion says %t", a, b, got, want)
-			}
-			if gu := gammaMask(a.Union(b)); (ga|gb)&^gu != 0 {
-				t.Fatalf("Union(%s, %s) misses members", a, b)
-			}
-			gi := gammaMask(a.Intersect(b))
-			if gi != ga&gb {
-				t.Fatalf("Intersect(%s, %s) = %b, want exact %b", a, b, gi, ga&gb)
-			}
-		}
-	}
-	if !Bottom(w).IsBottom() || gammaMask(Bottom(w)) != 0 {
-		t.Fatalf("Bottom is not empty")
-	}
-	if gammaMask(Top(w)) != (1<<(1<<w))-1 {
-		t.Fatalf("Top is not full")
 	}
 }

@@ -1,3 +1,17 @@
+// Package tnum implements the transfer functions of the eBPF verifier's
+// tristate numbers (Vishwanathan, Shachnai, Narayana, Nagarakatte:
+// "Sound, Precise, and Fast Abstract Interpretation with Tristate
+// Numbers"). A tnum is a value/mask pair in which every bit of a width-w
+// integer is known-zero, known-one, or unknown:
+//
+//	γ(⟨value, mask⟩) = { v : v &^ mask == value }
+//
+// That is the known-bits lattice of internal/knownbits written another
+// way (value = One, mask = the unknown bits), so the suite runs on
+// knownbits.Bits and converts at its boundary. What it carries of its own
+// is the transfer-function suite: the verified algorithms of the tnum
+// paper rather than the LLVM-8 ValueTracking port, which makes the two
+// an ideal differential pair in one lattice.
 package tnum
 
 import (
@@ -6,6 +20,7 @@ import (
 	"dfcheck/internal/apint"
 	"dfcheck/internal/eval"
 	"dfcheck/internal/ir"
+	"dfcheck/internal/knownbits"
 )
 
 // Bugs selects deliberately re-broken transfer functions, mirroring
@@ -21,136 +36,157 @@ type Bugs struct {
 }
 
 // Analysis is the tnum abstract interpreter: a per-op transfer-function
-// suite over T plus a per-instruction DAG walk. The zero value is the
-// clean (verified) suite.
+// suite over known bits plus a per-instruction DAG walk. The zero value
+// is the clean (verified) suite.
 type Analysis struct {
 	Bugs Bugs
 }
 
-// Add is the tnum paper's addition: carry uncertainty is the XOR spread
+// vm returns a conflict-free element in the paper's value/mask form:
+// value holds the known-one bits, mask the unknown bits.
+func vm(a knownbits.Bits) (value, mask apint.Int) {
+	return a.One, a.Zero.Or(a.One).Not()
+}
+
+// fromVM converts a well-formed value/mask pair (value & mask == 0)
+// back to known bits.
+func fromVM(value, mask apint.Int) knownbits.Bits {
+	return knownbits.Bits{Zero: value.Or(mask).Not(), One: value}
+}
+
+// add is the tnum paper's addition: carry uncertainty is the XOR spread
 // between the all-zeros and all-ones completions of the masks.
-func Add(a, b T) T {
-	sm := a.Mask.Add(b.Mask)
-	sv := a.Value.Add(b.Value)
+func add(av, am, bv, bm apint.Int) (value, mask apint.Int) {
+	sm := am.Add(bm)
+	sv := av.Add(bv)
 	sigma := sm.Add(sv)
 	chi := sigma.Xor(sv)
-	mu := chi.Or(a.Mask).Or(b.Mask)
-	return T{Value: sv.And(mu.Not()), Mask: mu}
+	mu := chi.Or(am).Or(bm)
+	return sv.And(mu.Not()), mu
+}
+
+// Add is the tnum paper's addition.
+func Add(a, b knownbits.Bits) knownbits.Bits {
+	av, am := vm(a)
+	bv, bm := vm(b)
+	return fromVM(add(av, am, bv, bm))
 }
 
 // Sub is the tnum paper's subtraction.
-func Sub(a, b T) T {
-	dv := a.Value.Sub(b.Value)
-	alpha := dv.Add(a.Mask)
-	beta := dv.Sub(b.Mask)
+func Sub(a, b knownbits.Bits) knownbits.Bits {
+	av, am := vm(a)
+	bv, bm := vm(b)
+	dv := av.Sub(bv)
+	alpha := dv.Add(am)
+	beta := dv.Sub(bm)
 	chi := alpha.Xor(beta)
-	mu := chi.Or(a.Mask).Or(b.Mask)
-	return T{Value: dv.And(mu.Not()), Mask: mu}
+	mu := chi.Or(am).Or(bm)
+	return fromVM(dv.And(mu.Not()), mu)
 }
 
-// And is exact bitwise conjunction.
-func And(a, b T) T {
-	alpha := a.Value.Or(a.Mask)
-	beta := b.Value.Or(b.Mask)
-	v := a.Value.And(b.Value)
-	return T{Value: v, Mask: alpha.And(beta).And(v.Not())}
+// And is exact bitwise conjunction: a bit is zero if either side's is.
+func And(a, b knownbits.Bits) knownbits.Bits {
+	return knownbits.Bits{Zero: a.Zero.Or(b.Zero), One: a.One.And(b.One)}
 }
 
-// Or is exact bitwise disjunction.
-func Or(a, b T) T {
-	v := a.Value.Or(b.Value)
-	mu := a.Mask.Or(b.Mask)
-	return T{Value: v, Mask: mu.And(v.Not())}
+// Or is exact bitwise disjunction: a bit is one if either side's is.
+func Or(a, b knownbits.Bits) knownbits.Bits {
+	return knownbits.Bits{Zero: a.Zero.And(b.Zero), One: a.One.Or(b.One)}
 }
 
 // Xor is exact bitwise exclusive or.
-func Xor(a, b T) T {
-	v := a.Value.Xor(b.Value)
-	mu := a.Mask.Or(b.Mask)
-	return T{Value: v.And(mu.Not()), Mask: mu}
+func Xor(a, b knownbits.Bits) knownbits.Bits {
+	av, am := vm(a)
+	bv, bm := vm(b)
+	mu := am.Or(bm)
+	return fromVM(av.Xor(bv).And(mu.Not()), mu)
 }
 
 // Mul is the verified long multiplication of the tnum paper (the
 // algorithm adopted by the kernel): the certain product of the values
 // plus, per LSB of a, a partial-product uncertainty accumulated with
 // tnum addition.
-func (an Analysis) Mul(a, b T) T {
-	w := a.Width()
-	accV := Const(a.Value.Mul(b.Value))
-	accM := Const(apint.Zero(w))
-	for !a.Value.IsZero() || !a.Mask.IsZero() {
-		if a.Value.Bit(0) {
+func (an Analysis) Mul(a, b knownbits.Bits) knownbits.Bits {
+	av, am := vm(a)
+	bv, bm := vm(b)
+	zero := apint.Zero(a.Width())
+	prod := av.Mul(bv)
+	accV, accM := zero, zero // the partial products' uncertainty
+	for !av.IsZero() || !am.IsZero() {
+		if av.Bit(0) {
 			// LSB of a is a certain 1: b's uncertainty enters as is.
-			accM = Add(accM, T{Value: apint.Zero(w), Mask: b.Mask})
-		} else if a.Mask.Bit(0) {
+			accV, accM = add(accV, accM, zero, bm)
+		} else if am.Bit(0) {
 			// LSB of a is uncertain: the whole partial product is.
-			m := b.Value.Or(b.Mask)
+			m := bv.Or(bm)
 			if an.Bugs.MulMask {
 				m = m.LShr(1)
 			}
-			accM = Add(accM, T{Value: apint.Zero(w), Mask: m})
+			accV, accM = add(accV, accM, zero, m)
 		}
-		a = T{Value: a.Value.LShr(1), Mask: a.Mask.LShr(1)}
-		b = T{Value: b.Value.Shl(1), Mask: b.Mask.Shl(1)}
+		av, am = av.LShr(1), am.LShr(1)
+		bv, bm = bv.Shl(1), bm.Shl(1)
 	}
-	return Add(accV, accM)
+	return fromVM(add(prod, zero, accV, accM))
 }
 
 // shiftConst maps every member through a constant shift (exact per-value
 // maps, so shifting value and mask componentwise is the best transformer).
-func shiftConst(a T, s uint, shift func(apint.Int, uint) apint.Int) T {
-	return T{Value: shift(a.Value, s), Mask: shift(a.Mask, s)}
+func shiftConst(a knownbits.Bits, s uint, shift func(apint.Int, uint) apint.Int) knownbits.Bits {
+	v, m := vm(a)
+	return fromVM(shift(v, s), shift(m, s))
 }
 
 // fromURange abstracts the unsigned interval [lo, hi]: the bits above the
 // highest differing position are known, everything below is unknown.
-func fromURange(w uint, lo, hi uint64) T {
+func fromURange(w uint, lo, hi uint64) knownbits.Bits {
 	if lo == hi {
-		return Const(apint.New(w, lo))
+		return knownbits.FromConst(apint.New(w, lo))
 	}
 	d := uint(64 - bits.LeadingZeros64(lo^hi))
 	m := uint64(1)<<d - 1
-	return T{Value: apint.New(w, lo&^m), Mask: apint.New(w, m)}
+	return fromVM(apint.New(w, lo&^m), apint.New(w, m))
 }
 
 // xorConst folds a constant into a tnum exactly (used to bias signed
 // comparisons into unsigned ones).
-func xorConst(a T, c apint.Int) T {
-	return T{Value: a.Value.Xor(c).And(a.Mask.Not()), Mask: a.Mask}
+func xorConst(a knownbits.Bits, c apint.Int) knownbits.Bits {
+	v, m := vm(a)
+	return fromVM(v.Xor(c).And(m.Not()), m)
 }
 
-func constBool(b bool) T {
+func constBool(b bool) knownbits.Bits {
 	if b {
-		return Const(apint.One(1))
+		return knownbits.FromConst(apint.One(1))
 	}
-	return Const(apint.Zero(1))
+	return knownbits.FromConst(apint.Zero(1))
 }
 
 // Transfer is the full per-op transfer-function suite for the IR's
 // instruction set. Operand tuples that admit no well-defined execution
 // produce bottom; ops with no useful tnum transformer fall back to the
 // always-sound top.
-func (an Analysis) Transfer(op ir.Op, flags ir.Flags, dstW uint, args []T) T {
+func (an Analysis) Transfer(op ir.Op, flags ir.Flags, dstW uint, args []knownbits.Bits) knownbits.Bits {
 	for _, a := range args {
-		if a.IsBottom() {
-			return Bottom(dstW)
+		if a.HasConflict() {
+			return knownbits.Bottom(dstW)
 		}
 	}
 	// All-singleton tuples fold through the concrete semantics exactly;
 	// a fold that hits UB/poison means no execution is well defined.
 	allConst := true
 	for _, a := range args {
-		allConst = allConst && a.IsConst()
+		allConst = allConst && a.IsConstant()
 	}
 	if allConst {
 		vals := make([]apint.Int, len(args))
 		for i, a := range args {
-			vals[i] = a.Value
+			vals[i] = a.One
 		}
 		if v, ok := eval.ConstFold(op, flags, dstW, vals); ok {
-			return Const(v)
+			return knownbits.FromConst(v)
 		}
-		return Bottom(dstW)
+		return knownbits.Bottom(dstW)
 	}
 
 	w := dstW
@@ -181,30 +217,33 @@ func (an Analysis) Transfer(op ir.Op, flags ir.Flags, dstW uint, args []T) T {
 		return rotUnion(args[0], args[1], apint.Int.RotR)
 
 	case ir.OpZExt:
-		return T{Value: args[0].Value.ZExt(dstW), Mask: args[0].Mask.ZExt(dstW)}
+		v, m := vm(args[0])
+		return fromVM(v.ZExt(dstW), m.ZExt(dstW))
 	case ir.OpSExt:
 		// A known sign bit extends through the value, an unknown one
 		// through the mask (value's sign bit is 0 whenever the mask's is
 		// set, so extending both componentwise covers both cases).
-		return T{Value: args[0].Value.SExt(dstW), Mask: args[0].Mask.SExt(dstW)}
+		v, m := vm(args[0])
+		return fromVM(v.SExt(dstW), m.SExt(dstW))
 	case ir.OpTrunc:
-		return T{Value: args[0].Value.Trunc(dstW), Mask: args[0].Mask.Trunc(dstW)}
+		v, m := vm(args[0])
+		return fromVM(v.Trunc(dstW), m.Trunc(dstW))
 
 	case ir.OpSelect:
 		cond, tv, fv := args[0], args[1], args[2]
-		if cond.IsConst() {
-			if cond.Value.IsOne() {
+		if cond.IsConstant() {
+			if cond.One.IsOne() {
 				return tv
 			}
 			return fv
 		}
-		return tv.Union(fv)
+		return tv.Join(fv)
 
 	case ir.OpEq, ir.OpNe:
-		if args[0].Intersect(args[1]).IsBottom() {
+		if args[0].Meet(args[1]).HasConflict() {
 			return constBool(op == ir.OpNe)
 		}
-		return Top(1)
+		return knownbits.Unknown(1)
 	case ir.OpULT, ir.OpULE:
 		return cmpUnsigned(op, args[0], args[1])
 	case ir.OpSLT, ir.OpSLE:
@@ -223,7 +262,7 @@ func (an Analysis) Transfer(op ir.Op, flags ir.Flags, dstW uint, args []T) T {
 		case a.UMin().UAddOverflow(b.UMin()):
 			return constBool(true)
 		}
-		return Top(1)
+		return knownbits.Unknown(1)
 	case ir.OpUSubO:
 		a, b := args[0], args[1]
 		switch {
@@ -232,7 +271,7 @@ func (an Analysis) Transfer(op ir.Op, flags ir.Flags, dstW uint, args []T) T {
 		case a.UMax().ULT(b.UMin()):
 			return constBool(true)
 		}
-		return Top(1)
+		return knownbits.Unknown(1)
 	case ir.OpUMulO:
 		a, b := args[0], args[1]
 		switch {
@@ -241,14 +280,14 @@ func (an Analysis) Transfer(op ir.Op, flags ir.Flags, dstW uint, args []T) T {
 		case a.UMin().UMulOverflow(b.UMin()):
 			return constBool(true)
 		}
-		return Top(1)
+		return knownbits.Unknown(1)
 	case ir.OpSAddO, ir.OpSSubO, ir.OpSMulO:
-		return Top(1)
+		return knownbits.Unknown(1)
 
 	case ir.OpUDiv:
 		a, b := args[0], args[1]
 		if b.UMax().IsZero() {
-			return Bottom(w) // the divisor is the constant 0: pure UB
+			return knownbits.Bottom(w) // the divisor is the constant 0: pure UB
 		}
 		bMin := b.UMin()
 		if bMin.IsZero() {
@@ -258,81 +297,83 @@ func (an Analysis) Transfer(op ir.Op, flags ir.Flags, dstW uint, args []T) T {
 	case ir.OpURem:
 		a, b := args[0], args[1]
 		if b.UMax().IsZero() {
-			return Bottom(w)
+			return knownbits.Bottom(w)
 		}
-		if b.IsConst() && b.Value.IsPowerOfTwo() {
-			return And(a, Const(b.Value.Sub(apint.One(w))))
+		if b.IsConstant() && b.One.IsPowerOfTwo() {
+			return And(a, knownbits.FromConst(b.One.Sub(apint.One(w))))
 		}
 		hi := b.UMax().Sub(apint.One(w)).UMin(a.UMax())
 		return fromURange(w, 0, hi.Uint64())
 	case ir.OpSDiv, ir.OpSRem:
-		return Top(w)
+		return knownbits.Unknown(w)
 
 	case ir.OpCtPop:
-		return fromURange(w, uint64(args[0].Value.PopCount()), uint64(args[0].UMax().PopCount()))
+		return fromURange(w, uint64(args[0].One.PopCount()), uint64(args[0].UMax().PopCount()))
 	case ir.OpCttz:
 		a := args[0]
 		lo := uint64(a.UMax().CountTrailingZeros())
 		hi := uint64(a.Width())
-		if !a.Value.IsZero() {
-			hi = uint64(a.Value.CountTrailingZeros())
+		if !a.One.IsZero() {
+			hi = uint64(a.One.CountTrailingZeros())
 		}
 		return fromURange(w, lo, hi)
 	case ir.OpCtlz:
 		a := args[0]
 		lo := uint64(a.UMax().CountLeadingZeros())
 		hi := uint64(a.Width())
-		if !a.Value.IsZero() {
-			hi = uint64(a.Value.CountLeadingZeros())
+		if !a.One.IsZero() {
+			hi = uint64(a.One.CountLeadingZeros())
 		}
 		return fromURange(w, lo, hi)
 	case ir.OpBSwap:
 		if w%8 == 0 {
-			return T{Value: args[0].Value.ByteSwap(), Mask: args[0].Mask.ByteSwap()}
+			v, m := vm(args[0])
+			return fromVM(v.ByteSwap(), m.ByteSwap())
 		}
-		return Top(w)
+		return knownbits.Unknown(w)
 	case ir.OpBitReverse:
-		return T{Value: args[0].Value.ReverseBits(), Mask: args[0].Mask.ReverseBits()}
+		v, m := vm(args[0])
+		return fromVM(v.ReverseBits(), m.ReverseBits())
 
 	case ir.OpAbs:
 		a := args[0]
-		neg := Sub(Const(apint.Zero(w)), a)
+		neg := Sub(knownbits.FromConst(apint.Zero(w)), a)
 		switch {
-		case !a.Mask.Bit(w-1) && !a.Value.Bit(w-1):
-			return a // sign known zero
-		case a.Value.Bit(w - 1):
-			return neg // sign known one
+		case a.IsNonNegative():
+			return a
+		case a.IsNegative():
+			return neg
 		}
-		return a.Union(neg)
+		return a.Join(neg)
 
 	case ir.OpUMin:
 		a, b := args[0], args[1]
-		return a.Union(b).Intersect(
+		return a.Join(b).Meet(
 			fromURange(w, a.UMin().UMin(b.UMin()).Uint64(), a.UMax().UMin(b.UMax()).Uint64()))
 	case ir.OpUMax:
 		a, b := args[0], args[1]
-		return a.Union(b).Intersect(
+		return a.Join(b).Meet(
 			fromURange(w, a.UMin().UMax(b.UMin()).Uint64(), a.UMax().UMax(b.UMax()).Uint64()))
 	case ir.OpSMin, ir.OpSMax:
-		return args[0].Union(args[1])
+		return args[0].Join(args[1])
 
 	case ir.OpFshl, ir.OpFshr:
 		return fshUnion(op, args[0], args[1], args[2])
 	}
-	return Top(dstW)
+	return knownbits.Unknown(dstW)
 }
 
 // shiftUnion is the transformer for shl/lshr/ashr: the union over every
 // feasible constant amount below the width (amounts at or above the width
 // are poison, so their executions are excluded from the image — a shift
 // whose amount tnum admits only oversized values has no defined
-// execution at all).
-func shiftUnion(a, s T, shift func(apint.Int, uint) apint.Int) T {
+// execution at all, and the union stays the empty Bottom it starts from).
+func shiftUnion(a, s knownbits.Bits, shift func(apint.Int, uint) apint.Int) knownbits.Bits {
 	w := a.Width()
-	out := Bottom(w)
+	out := knownbits.Bottom(w)
 	for c := uint(0); c < w; c++ {
 		if s.Contains(apint.New(s.Width(), uint64(c))) {
-			out = out.Union(shiftConst(a, c, shift))
+			out = out.Join(shiftConst(a, c, shift))
 		}
 	}
 	return out
@@ -340,14 +381,14 @@ func shiftUnion(a, s T, shift func(apint.Int, uint) apint.Int) T {
 
 // rotUnion is the transformer for rotl/rotr: amounts wrap modulo the
 // width and are never poison; a non-constant amount unions all rotations.
-func rotUnion(a, s T, rot func(apint.Int, uint) apint.Int) T {
+func rotUnion(a, s knownbits.Bits, rot func(apint.Int, uint) apint.Int) knownbits.Bits {
 	w := a.Width()
-	if s.IsConst() {
-		return shiftConst(a, uint(s.Value.Uint64()%uint64(w)), rot)
+	if s.IsConstant() {
+		return shiftConst(a, uint(s.One.Uint64()%uint64(w)), rot)
 	}
-	out := Bottom(w)
+	out := knownbits.Bottom(w)
 	for c := uint(0); c < w; c++ {
-		out = out.Union(shiftConst(a, c, rot))
+		out = out.Join(shiftConst(a, c, rot))
 	}
 	return out
 }
@@ -355,9 +396,9 @@ func rotUnion(a, s T, rot func(apint.Int, uint) apint.Int) T {
 // fshUnion is the transformer for the general funnel shifts: per constant
 // amount the result is an Or of two exactly shifted halves; non-constant
 // amounts union over all residues modulo the width.
-func fshUnion(op ir.Op, a, b, s T) T {
+func fshUnion(op ir.Op, a, b, s knownbits.Bits) knownbits.Bits {
 	w := a.Width()
-	one := func(c uint) T {
+	one := func(c uint) knownbits.Bits {
 		if c == 0 {
 			if op == ir.OpFshl {
 				return a
@@ -369,18 +410,18 @@ func fshUnion(op ir.Op, a, b, s T) T {
 		}
 		return Or(shiftConst(a, w-c, apint.Int.Shl), shiftConst(b, c, apint.Int.LShr))
 	}
-	if s.IsConst() {
-		return one(uint(s.Value.Uint64() % uint64(w)))
+	if s.IsConstant() {
+		return one(uint(s.One.Uint64() % uint64(w)))
 	}
-	out := Bottom(w)
+	out := knownbits.Bottom(w)
 	for c := uint(0); c < w; c++ {
-		out = out.Union(one(c))
+		out = out.Join(one(c))
 	}
 	return out
 }
 
 // cmpUnsigned decides ult/ule from the unsigned bounds when possible.
-func cmpUnsigned(op ir.Op, a, b T) T {
+func cmpUnsigned(op ir.Op, a, b knownbits.Bits) knownbits.Bits {
 	aMin, aMax := a.UMin(), a.UMax()
 	bMin, bMax := b.UMin(), b.UMax()
 	if op == ir.OpULT {
@@ -390,7 +431,7 @@ func cmpUnsigned(op ir.Op, a, b T) T {
 		case aMin.UGE(bMax):
 			return constBool(false)
 		}
-		return Top(1)
+		return knownbits.Unknown(1)
 	}
 	switch {
 	case aMax.ULE(bMin):
@@ -398,26 +439,26 @@ func cmpUnsigned(op ir.Op, a, b T) T {
 	case aMin.UGT(bMax):
 		return constBool(false)
 	}
-	return Top(1)
+	return knownbits.Unknown(1)
 }
 
 // Analyze abstract-interprets f, returning the tnum computed for every
 // instruction. Variables seed from their range metadata when it is a
 // non-wrapped interval, otherwise from top.
-func (an Analysis) Analyze(f *ir.Function) map[*ir.Inst]T {
-	out := make(map[*ir.Inst]T)
+func (an Analysis) Analyze(f *ir.Function) map[*ir.Inst]knownbits.Bits {
+	out := make(map[*ir.Inst]knownbits.Bits)
 	for _, n := range f.Insts() {
 		switch {
 		case n.IsConst():
-			out[n] = Const(n.Val)
+			out[n] = knownbits.FromConst(n.Val)
 		case n.IsVar():
 			if n.HasRange && n.Lo.ULT(n.Hi) {
 				out[n] = fromURange(n.Width, n.Lo.Uint64(), n.Hi.Uint64()-1)
 			} else {
-				out[n] = Top(n.Width)
+				out[n] = knownbits.Unknown(n.Width)
 			}
 		default:
-			args := make([]T, len(n.Args))
+			args := make([]knownbits.Bits, len(n.Args))
 			for i, a := range n.Args {
 				args[i] = out[a]
 			}
@@ -426,6 +467,3 @@ func (an Analysis) Analyze(f *ir.Function) map[*ir.Inst]T {
 	}
 	return out
 }
-
-// Root returns the fact Analyze computes for f's root.
-func (an Analysis) Root(f *ir.Function) T { return an.Analyze(f)[f.Root] }
