@@ -1,7 +1,7 @@
 package constrange
 
 import (
-	"sort"
+	"slices"
 
 	"dfcheck/internal/apint"
 )
@@ -11,11 +11,9 @@ import (
 // domain. The minimal circular interval is found by excluding the
 // largest gap between consecutive members on the unsigned circle, so
 // wrapped sets come out wrapped: {15, 0, 1} at width 4 abstracts to
-// [15,2), not the full range. An empty set abstracts to Empty.
+// [15,2), not the full range. An empty set abstracts to Empty. vs may
+// come in any order and repeat values.
 func AbstractSet(w uint, vs []apint.Int) Range {
-	if len(vs) == 0 {
-		return Empty(w)
-	}
 	vals := make([]uint64, 0, len(vs))
 	for _, v := range vs {
 		if v.Width() != w {
@@ -23,12 +21,16 @@ func AbstractSet(w uint, vs []apint.Int) Range {
 		}
 		vals = append(vals, v.Uint64())
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	uniq := vals[:1]
-	for _, x := range vals[1:] {
-		if x != uniq[len(uniq)-1] {
-			uniq = append(uniq, x)
-		}
+	slices.Sort(vals)
+	return AbstractSorted(w, slices.Compact(vals))
+}
+
+// AbstractSorted is AbstractSet over raw w-bit words that are already
+// ascending and distinct, such as the ascending output set of
+// eval.SlicedProgram.Outputs: it neither copies nor sorts them.
+func AbstractSorted(w uint, uniq []uint64) Range {
+	if len(uniq) == 0 {
+		return Empty(w)
 	}
 	if len(uniq) == 1 {
 		return Single(apint.New(w, uniq[0]))

@@ -10,6 +10,7 @@ package constrange_test
 // from the image, matching the contract stated at the top of transfer.go.
 
 import (
+	"slices"
 	"testing"
 
 	"dfcheck/internal/apint"
@@ -192,7 +193,9 @@ func TestUnaryAndCastTransfersSoundExhaustive(t *testing.T) {
 // TestAbstractSetMinimalCover checks AbstractSet against a brute-force
 // minimal circular cover over every non-empty width-4 value set (65535
 // subsets): the result must contain every member, and its size must
-// equal the minimum over all circular intervals that do.
+// equal the minimum over all circular intervals that do. The same set
+// given out of order and with every value twice must abstract the same:
+// n-way's best transformers pass their outputs as they collected them.
 func TestAbstractSetMinimalCover(t *testing.T) {
 	const w = exW
 	mask := uint64(1)<<w - 1
@@ -204,6 +207,11 @@ func TestAbstractSetMinimalCover(t *testing.T) {
 			}
 		}
 		got := constrange.AbstractSet(w, members)
+		mixed := append(slices.Clone(members), members...)
+		slices.Reverse(mixed[:len(members)])
+		if again := constrange.AbstractSet(w, mixed); !again.Eq(got) {
+			t.Fatalf("AbstractSet(%v) = %s, but %s for the same set as %v", members, got, again, mixed)
+		}
 		for _, v := range members {
 			if !got.Contains(v) {
 				t.Fatalf("AbstractSet(%v) = %s misses member %s", members, got, v)

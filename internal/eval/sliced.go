@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"dfcheck/internal/apint"
 	"dfcheck/internal/ir"
@@ -17,13 +18,14 @@ import (
 // shifts, range metadata); a lane whose bit is clear in the mask carries a
 // meaningless value, just like Eval's ok=false.
 //
-// The enumeration sweeps (solver.EnumEngine, absint's concrete tables)
-// use EvalIndexed: because ForEachInput packs the input vector LSB-first
-// into the sweep index, an aligned 64-lane block needs no input transpose
-// at all — plane i of a variable is either one of six fixed alternating
-// masks (index bits 0..5, which vary within the block) or a constant
-// all-zeros/all-ones word taken from the block base. Only the output is
-// ever transposed back, lane by lane.
+// The enumeration sweeps (Outputs, which solver.EnumEngine and nway's
+// exact variant share; solver's demanded-bits sweep; absint's concrete
+// tables) use EvalIndexed: because ForEachInput packs the input vector
+// LSB-first into the sweep index, an aligned 64-lane block needs no input
+// transpose at all — plane i of a variable is either one of six fixed
+// alternating masks (index bits 0..5, which vary within the block) or a
+// constant all-zeros/all-ones word taken from the block base. Only the
+// output is ever transposed back, lane by lane.
 
 // LaneIndex[k] has bit l set iff bit k of the lane number l is set: the
 // input planes of an aligned block, precomputed once for all sweeps.
@@ -169,6 +171,74 @@ func Lane(planes []uint64, l uint) uint64 {
 		v |= (pl >> l & 1) << uint(i)
 	}
 	return v
+}
+
+// PollBlockMask spaces the stop polls of the block sweeps (Outputs and
+// solver's demanded-bits sweep): a sweep polls before every block b > 0
+// with b&PollBlockMask == 0, once every 64 blocks (4,096 evaluations).
+const PollBlockMask = 63
+
+// outputBitsetWidth is the widest root whose values Outputs dedups
+// through a 2^w-bit set (8 KB at 16 bits) rather than a map.
+const outputBitsetWidth = 16
+
+// Outputs sweeps the whole input space, one EvalIndexed block at a time,
+// and returns the distinct root values of its well-defined executions as
+// raw words. With ascending false they come in first-seen order: packed
+// input index order, the order ForEachInput enumerates, so the first value
+// a caller finds outside some set is the one a scalar enumeration meets
+// first. With ascending true they come in ascending unsigned order, read
+// off the bitset at roots of at most 16 bits and sorted once above that.
+// evals counts the lanes evaluated, 64 per block.
+//
+// stop, when non-nil, is polled as PollBlockMask says; once it returns
+// true the sweep ends and Outputs returns no values and ok false.
+func (p *SlicedProgram) Outputs(ascending bool, stop func() bool) (vals []uint64, evals int64, ok bool) {
+	w := p.f.Root.Width
+	var set []uint64
+	var seen map[uint64]struct{}
+	if w <= outputBitsetWidth {
+		set = make([]uint64, (uint64(1)<<w+63)/64)
+	} else {
+		seen = make(map[uint64]struct{})
+	}
+	count := uint64(1) << p.total
+	for base := uint64(0); base < count; base += 64 {
+		if base > 0 && base>>6&PollBlockMask == 0 && stop != nil && stop() {
+			return nil, evals, false
+		}
+		planes, okm := p.EvalIndexed(base)
+		evals += 64
+		for ; okm != 0; okm &= okm - 1 {
+			v := Lane(planes, uint(bits.TrailingZeros64(okm)))
+			if set != nil {
+				if set[v>>6]>>(v&63)&1 == 1 {
+					continue
+				}
+				set[v>>6] |= 1 << (v & 63)
+				if ascending {
+					continue // read off the set below
+				}
+			} else {
+				if _, dup := seen[v]; dup {
+					continue
+				}
+				seen[v] = struct{}{}
+			}
+			vals = append(vals, v)
+		}
+	}
+	switch {
+	case ascending && set != nil:
+		for i, word := range set {
+			for ; word != 0; word &= word - 1 {
+				vals = append(vals, uint64(i)<<6|uint64(bits.TrailingZeros64(word)))
+			}
+		}
+	case ascending:
+		slices.Sort(vals)
+	}
+	return vals, evals, true
 }
 
 // run executes the compiled code over the current input planes, returning

@@ -3,6 +3,7 @@ package eval_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dfcheck/internal/apint"
@@ -242,5 +243,72 @@ func TestEvalBlockAlignmentPanics(t *testing.T) {
 	mustPanic("nonzero base on small space", func() { ssp.EvalIndexed(64) })
 	if got := ssp.NumLanes(); got != 8 {
 		t.Errorf("NumLanes on a 3-bit space: got %d, want 8", got)
+	}
+}
+
+// TestOutputsMatchScalar checks the output sweep against scalar
+// enumeration in both orders: first-seen order must be the order in which
+// ForEachInput first meets each well-defined value, ascending order the
+// same set sorted, and either must count every lane of every block. The
+// corpus covers roots at the bitset's 16 bits and map-deduped roots above
+// it, up to 64 bits.
+func TestOutputsMatchScalar(t *testing.T) {
+	fs := map[string]*ir.Function{
+		"i16":     ir.MustParse("%x:i8 = var\n%y:i4 = var\n%0:i16 = zext %x\n%1:i16 = zext %y\n%2:i16 = shl %0, %1\ninfer %2"),
+		"i17":     ir.MustParse("%x:i8 = var\n%y:i4 = var\n%0:i17 = sext %x\n%1:i17 = zext %y\n%2:i17 = udiv %0, %1\ninfer %2"),
+		"i32":     ir.MustParse("%x:i8 = var\n%0:i32 = zext %x\n%1:i32 = mul %0, 257:i32\ninfer %1"),
+		"i64":     ir.MustParse("%x:i6 = var\n%y:i6 = var\n%0:i64 = zext %x\n%1:i64 = zext %y\n%2:i64 = sub %0, %1\ninfer %2"),
+		"dead":    ir.MustParse("%x:i4 = var\n%0:i4 = udiv %x, 0:i4\ninfer %0"),
+		"no-vars": ir.MustParse("%0:i6 = add 7:i6, 9:i6\ninfer %0"),
+	}
+	for _, e := range harvest.Generate(harvest.Config{
+		Seed:     77,
+		NumExprs: 60,
+		MaxInsts: 6,
+		Widths:   []harvest.WidthWeight{{Width: 3, Weight: 1}, {Width: 4, Weight: 2}, {Width: 8, Weight: 2}},
+	}) {
+		if eval.TotalInputBits(e.F) <= 12 {
+			fs[e.Name] = e.F
+		}
+	}
+	if len(fs) < 30 {
+		t.Fatalf("only %d functions to sweep; corpus too thin", len(fs))
+	}
+	for name, f := range fs {
+		var firstSeen []uint64
+		seen := make(map[uint64]bool)
+		eval.ForEachInput(f, func(env eval.Env) bool {
+			if v, ok := eval.Eval(f, env); ok && !seen[v.Uint64()] {
+				seen[v.Uint64()] = true
+				firstSeen = append(firstSeen, v.Uint64())
+			}
+			return true
+		})
+		sorted := slices.Clone(firstSeen)
+		slices.Sort(sorted)
+		lanes := max(64, int64(1)<<eval.TotalInputBits(f))
+		sp := eval.CompileSliced(f)
+		if got, evals, ok := sp.Outputs(false, nil); !ok || evals != lanes || !slices.Equal(got, firstSeen) {
+			t.Errorf("%s: first-seen Outputs = %v after %d lanes (ok %v), want %v after %d", name, got, evals, ok, firstSeen, lanes)
+		}
+		if got, evals, ok := sp.Outputs(true, nil); !ok || evals != lanes || !slices.Equal(got, sorted) {
+			t.Errorf("%s: ascending Outputs = %v after %d lanes (ok %v), want %v after %d", name, got, evals, ok, sorted, lanes)
+		}
+	}
+}
+
+// TestOutputsStop pins the output sweep's stop poll: before every 64th
+// block, and a stop ends the sweep with nothing kept and the lanes run so
+// far counted.
+func TestOutputsStop(t *testing.T) {
+	f := ir.MustParse("%x:i8 = var\n%y:i6 = var\n%0:i8 = zext %y\n%1:i8 = add %x, %0\ninfer %1")
+	sp := eval.CompileSliced(f) // 2^14 inputs: 256 blocks, polled before blocks 64, 128, 192
+	polls := 0
+	if _, evals, ok := sp.Outputs(false, func() bool { polls++; return false }); !ok || evals != 1<<14 || polls != 3 {
+		t.Errorf("unstopped sweep: ok = %v after %d lanes and %d polls, want true after 16384 and 3", ok, evals, polls)
+	}
+	polls = 0
+	if vals, evals, ok := sp.Outputs(true, func() bool { polls++; return true }); ok || vals != nil || evals != 64*64 || polls != 1 {
+		t.Errorf("stopped sweep = (%v, %d, %v) after %d polls, want (nil, 4096, false) after 1", vals, evals, ok, polls)
 	}
 }

@@ -22,7 +22,6 @@ package nway
 
 import (
 	"fmt"
-	"sort"
 
 	"dfcheck/internal/absint"
 	"dfcheck/internal/apint"
@@ -350,36 +349,24 @@ func (bst Best) Facts(f *ir.Function) Facts {
 
 // exactFacts sweeps the entire input space with the bit-sliced evaluator
 // and abstracts the set of achievable root values in every domain: the
-// maximally precise facts, computed solver-free.
+// maximally precise facts, computed solver-free. The sweep returns the
+// values ascending, so the range α takes them without a sort.
 func exactFacts(f *ir.Function) Facts {
 	w := f.Width()
-	prog := eval.CompileSliced(f)
-	total := eval.TotalInputBits(f)
-	count := uint64(1) << total
-	seen := make(map[uint64]struct{})
-	for base := uint64(0); base < count; base += 64 {
-		planes, ok := prog.EvalIndexed(base)
-		lanes := uint(prog.NumLanes())
-		for l := uint(0); l < lanes; l++ {
-			if ok>>l&1 == 1 {
-				seen[eval.Lane(planes, l)] = struct{}{}
-			}
-		}
-	}
-	if len(seen) == 0 {
+	raw, _, _ := eval.CompileSliced(f).Outputs(true, nil)
+	if len(raw) == 0 {
 		return Facts{Dead: true, Exact: true}
 	}
-	vals := make([]apint.Int, 0, len(seen))
-	for v := range seen {
-		vals = append(vals, apint.New(w, v))
+	vals := make([]apint.Int, len(raw))
+	for i, v := range raw {
+		vals[i] = apint.New(w, v)
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i].Uint64() < vals[j].Uint64() })
 	// Tnums are the known-bits lattice, so one α serves both claims.
 	k := knownbits.Abstract(w, vals)
 	return Facts{
 		Known:       k,
 		Sign:        absint.SignBits.Abstract(w, vals).(absint.SignCount).N,
-		Range:       absint.IntegerRange.Abstract(w, vals).(constrange.Range),
+		Range:       constrange.AbstractSorted(w, raw),
 		NonZero:     absint.NonZero.Abstract(w, vals).(bool),
 		Negative:    absint.Negative.Abstract(w, vals).(bool),
 		NonNegative: absint.NonNegative.Abstract(w, vals).(bool),
@@ -498,16 +485,12 @@ func bestTransfer(d absint.Domain, n *ir.Inst, elems map[*ir.Inst]absint.Elem, b
 	prog := eval.Compile(b.Function(root))
 
 	env := make(eval.Env, len(vars))
-	dedup := make(map[uint64]struct{})
 	var outs []apint.Int
 	var walk func(i int)
 	walk = func(i int) {
 		if i == len(ops) {
 			if v, ok := prog.Eval(env); ok {
-				if _, dup := dedup[v.Uint64()]; !dup {
-					dedup[v.Uint64()] = struct{}{}
-					outs = append(outs, v)
-				}
+				outs = append(outs, v)
 			}
 			return
 		}
@@ -520,7 +503,8 @@ func bestTransfer(d absint.Domain, n *ir.Inst, elems map[*ir.Inst]absint.Elem, b
 	if len(outs) == 0 {
 		return d.Bottom(n.Width)
 	}
-	sort.Slice(outs, func(i, j int) bool { return outs[i].Uint64() < outs[j].Uint64() })
+	// Every α is order-free and ignores repeats, so the outputs go in as
+	// the walk produced them.
 	return d.Abstract(n.Width, outs)
 }
 

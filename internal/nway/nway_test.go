@@ -48,16 +48,35 @@ func bruteFacts(t *testing.T, f *ir.Function) (Facts, bool) {
 	}, true
 }
 
+// sameFacts reports whether the exact variant's facts equal the scalar
+// reference in every domain.
+func sameFacts(got, want Facts) bool {
+	return got.Known.Eq(want.Known) && got.Sign == want.Sign && got.Range.Eq(want.Range) &&
+		got.NonZero == want.NonZero && got.Negative == want.Negative &&
+		got.NonNegative == want.NonNegative && got.PowerOfTwo == want.PowerOfTwo &&
+		got.HasTnum && got.Tnum.Eq(want.Tnum) &&
+		got.HasStride && got.Stride.Eq(want.Stride)
+}
+
+// exactSrcs are live expressions small enough for the exact variant.
+var exactSrcs = []string{
+	"%x:i4 = var\n%0:i4 = and %x, 3:i4\ninfer %0",
+	"%x:i4 = var\n%y:i4 = var\n%0:i4 = add %x, %y\ninfer %0",
+	"%x:i8 = var (range=[3,10))\n%0:i8 = mul %x, 2:i8\ninfer %0",
+	"%x:i5 = var\n%0:i5 = udiv %x, %x\ninfer %0", // correlated operands
+	"%0:i6 = add 7:i6, 9:i6\ninfer %0",           // zero input bits
+	"%x:i3 = var\n%c:i1 = eq %x, 2:i3\n%0:i3 = select %c, %x, 5:i3\ninfer %0",
+	// Roots of 16 bits and more: the output sweep's bitset at 16, its
+	// map and one sort above.
+	"%x:i8 = var\n%y:i4 = var\n%0:i16 = zext %x\n%1:i16 = zext %y\n%2:i16 = shl %0, %1\ninfer %2",
+	"%x:i8 = var\n%y:i4 = var\n%0:i17 = sext %x\n%1:i17 = zext %y\n%2:i17 = udiv %0, %1\ninfer %2",
+	"%x:i8 = var\n%0:i32 = zext %x\n%1:i32 = mul %0, 257:i32\ninfer %1",
+	"%x:i8 = var\n%0:i64 = sext %x\ninfer %0",
+	"%x:i6 = var\n%y:i6 = var\n%0:i64 = zext %x\n%1:i64 = zext %y\n%2:i64 = sub %0, %1\ninfer %2",
+}
+
 func TestExactFactsMatchBruteForce(t *testing.T) {
-	srcs := []string{
-		"%x:i4 = var\n%0:i4 = and %x, 3:i4\ninfer %0",
-		"%x:i4 = var\n%y:i4 = var\n%0:i4 = add %x, %y\ninfer %0",
-		"%x:i8 = var (range=[3,10))\n%0:i8 = mul %x, 2:i8\ninfer %0",
-		"%x:i5 = var\n%0:i5 = udiv %x, %x\ninfer %0", // correlated operands
-		"%0:i6 = add 7:i6, 9:i6\ninfer %0",           // zero input bits
-		"%x:i3 = var\n%c:i1 = eq %x, 2:i3\n%0:i3 = select %c, %x, 5:i3\ninfer %0",
-	}
-	for _, src := range srcs {
+	for _, src := range exactSrcs {
 		f := ir.MustParse(src)
 		got := (Best{}).Facts(f)
 		want, live := bruteFacts(t, f)
@@ -67,14 +86,37 @@ func TestExactFactsMatchBruteForce(t *testing.T) {
 		if got.Dead || !got.Exact {
 			t.Fatalf("%s: got Dead=%v Exact=%v", src, got.Dead, got.Exact)
 		}
-		if !got.Known.Eq(want.Known) || got.Sign != want.Sign || !got.Range.Eq(want.Range) ||
-			got.NonZero != want.NonZero || got.Negative != want.Negative ||
-			got.NonNegative != want.NonNegative || got.PowerOfTwo != want.PowerOfTwo ||
-			!got.HasTnum || !got.Tnum.Eq(want.Tnum) ||
-			!got.HasStride || !got.Stride.Eq(want.Stride) {
+		if !sameFacts(got, want) {
 			t.Errorf("%s:\n got  %+v\n want %+v", src, got, want)
 		}
 	}
+}
+
+// FuzzExactFacts parses arbitrary IR text and checks the exact variant on
+// every function with at most 12 input bits against scalar enumeration:
+// Best{}.Facts must not panic, must flag Dead exactly when no input is
+// well-defined, and must otherwise equal bruteFacts in every domain.
+func FuzzExactFacts(f *testing.F) {
+	for _, fr := range harvest.PaperFragments {
+		f.Add(fr.Source)
+	}
+	for _, src := range exactSrcs {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		fn, err := ir.Parse(src)
+		if err != nil || eval.TotalInputBits(fn) > 12 {
+			return
+		}
+		got := (Best{}).Facts(fn)
+		want, live := bruteFacts(t, fn)
+		if got.Dead == live {
+			t.Fatalf("%s\nDead = %v, but the reference finds the expression live = %v", src, got.Dead, live)
+		}
+		if live && !sameFacts(got, want) {
+			t.Fatalf("%s\n got  %+v\n want %+v", src, got, want)
+		}
+	})
 }
 
 func TestExactFactsDeadExpression(t *testing.T) {

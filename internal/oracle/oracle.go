@@ -20,6 +20,7 @@
 package oracle
 
 import (
+	"cmp"
 	"math/bits"
 	"slices"
 
@@ -395,7 +396,7 @@ func IntegerRangeSeeded(e solver.Engine, f *ir.Function, sd Seed) RangeResult {
 	}
 
 	// Algorithm 3 proper, below the hull size.
-	samples := []apint.Int{bounds.umin, bounds.umax, bounds.smin, bounds.smax}
+	samples := newSampleSet(w, bounds.umin, bounds.umax, bounds.smin, bounds.smax)
 	lo := uint64(1)
 	var hi uint64
 	if n, huge := best.Size(); huge {
@@ -407,7 +408,7 @@ func IntegerRangeSeeded(e solver.Engine, f *ir.Function, sd Seed) RangeResult {
 		mid := lo + (hi-lo)/2
 		csp, endCegis := iterSpan(e, "cegis")
 		csp.SetInt("size", int64(mid))
-		base, found, exhausted := synthesizeBase(e, w, apint.New(w, mid), &samples)
+		base, found, exhausted := synthesizeBase(e, w, apint.New(w, mid), samples)
 		endCegis()
 		if exhausted {
 			res.Exhausted = true
@@ -450,14 +451,14 @@ func IntegerRangeNaive(e solver.Engine, f *ir.Function) RangeResult {
 		res.Range = constrange.Empty(w)
 		return res
 	}
-	var samples []apint.Int
+	samples := newSampleSet(w)
 	lo := uint64(1)
 	hi := apint.AllOnes(w).Uint64()
 	for lo <= hi {
 		mid := lo + (hi-lo)/2
 		csp, endCegis := iterSpan(e, "cegis")
 		csp.SetInt("size", int64(mid))
-		base, found, exhausted := synthesizeBase(e, w, apint.New(w, mid), &samples)
+		base, found, exhausted := synthesizeBase(e, w, apint.New(w, mid), samples)
 		endCegis()
 		if exhausted {
 			res.Exhausted = true
@@ -597,7 +598,7 @@ func searchGreatest(min, max uint64, pred func(uint64) (bool, bool)) (uint64, bo
 // [X, X+C), by counterexample-guided search: cover the known sample
 // outputs with a window of size C (the window may start at any sample),
 // then ask the solver to refute; counterexamples enlarge the sample set.
-func synthesizeBase(e solver.Engine, w uint, c apint.Int, samples *[]apint.Int) (apint.Int, bool, bool) {
+func synthesizeBase(e solver.Engine, w uint, c apint.Int, samples *sampleSet) (apint.Int, bool, bool) {
 	exhausted := false
 	// A failure proof needs counterexamples spread at complement-arc
 	// granularity; bail out (exhausted) when that cannot fit the try
@@ -614,7 +615,7 @@ func synthesizeBase(e solver.Engine, w uint, c apint.Int, samples *[]apint.Int) 
 	if tries > MaxRangeTries {
 		tries = MaxRangeTries
 	}
-	if len(*samples) == 0 {
+	if len(samples.s) == 0 {
 		// Seed with any achievable output (the empty interval makes
 		// everything "outside").
 		ex, found, ok := e.OutputOutside(apint.Zero(w), apint.Zero(w))
@@ -626,10 +627,10 @@ func synthesizeBase(e solver.Engine, w uint, c apint.Int, samples *[]apint.Int) 
 			// before this, so treat as failure.
 			return apint.Int{}, false, exhausted
 		}
-		*samples = append(*samples, ex)
+		samples.add(ex)
 	}
 	for try := 0; try < tries; try++ {
-		base, coverable := coverWindow(w, c, *samples)
+		base, coverable := samples.cover(c)
 		if !coverable {
 			return apint.Int{}, false, exhausted
 		}
@@ -644,7 +645,7 @@ func synthesizeBase(e solver.Engine, w uint, c apint.Int, samples *[]apint.Int) 
 			m1 := base.Add(c).Add(third)
 			m2 := m1.Add(third)
 			if ex, found, ok := e.OutputOutside(m2, m1.Sub(m2)); ok && found {
-				*samples = append(*samples, ex)
+				samples.add(ex)
 				continue
 			} else if !ok {
 				exhausted = true
@@ -657,33 +658,64 @@ func synthesizeBase(e solver.Engine, w uint, c apint.Int, samples *[]apint.Int) 
 		if !found {
 			return base, true, exhausted
 		}
-		*samples = append(*samples, ex)
+		samples.add(ex)
 	}
 	return apint.Int{}, false, true // CEGIS budget exhausted
 }
 
-// coverWindow finds a window [X, X+C) covering all samples, if one exists,
-// and returns the first sample, in samples order, that is such a base. A
-// minimal covering window can always start at a sample, so only sample
-// values are candidate bases. Walking the circle of w-bit values forward
-// from a sample s, the last sample reached is s's circular predecessor
-// among the distinct sorted samples, so s is a valid base iff
-// (pred(s) - s) mod 2^w < C: one sort plus a binary search per sample.
-func coverWindow(w uint, c apint.Int, samples []apint.Int) (apint.Int, bool) {
-	vals := make([]uint64, len(samples))
-	for i, s := range samples {
-		vals[i] = s.Uint64()
+// sampleSet holds the outputs one integer-range search has seen, kept
+// sorted as they arrive: its distinct values in ascending order, each
+// with the order in which it was first inserted.
+type sampleSet struct {
+	w    uint
+	mask uint64
+	s    []sample
+}
+
+type sample struct {
+	v     uint64
+	first int // how many distinct values preceded v into the set
+}
+
+func newSampleSet(w uint, vals ...apint.Int) *sampleSet {
+	ss := &sampleSet{w: w, mask: apint.AllOnes(w).Uint64()}
+	for _, v := range vals {
+		ss.add(v)
 	}
-	slices.Sort(vals)
-	vals = slices.Compact(vals)
-	for _, base := range samples {
-		i, _ := slices.BinarySearch(vals, base.Uint64())
-		pred := vals[(i+len(vals)-1)%len(vals)]
-		if apint.New(w, pred).Sub(base).ULT(c) {
-			return base, true
+	return ss
+}
+
+// add inserts v by binary search; a value already present keeps its
+// first insertion order.
+func (ss *sampleSet) add(v apint.Int) {
+	x := v.Uint64()
+	i, found := slices.BinarySearchFunc(ss.s, x, func(s sample, x uint64) int { return cmp.Compare(s.v, x) })
+	if !found {
+		ss.s = slices.Insert(ss.s, i, sample{v: x, first: len(ss.s)})
+	}
+}
+
+// cover finds a window [X, X+C) covering all samples, if one exists, and
+// returns the earliest-inserted sample that is such a base. A minimal
+// covering window can always start at a sample, so only sample values
+// are candidate bases. Walking the circle of w-bit values forward from a
+// sample s, the last sample reached is s's circular predecessor p among
+// the sorted distinct samples, so s is a valid base iff
+// (p - s) mod 2^w < C. The set must not be empty.
+func (ss *sampleSet) cover(c apint.Int) (apint.Int, bool) {
+	best := -1
+	cv := c.Uint64()
+	p := ss.s[len(ss.s)-1].v
+	for i, s := range ss.s {
+		if (p-s.v)&ss.mask < cv && (best < 0 || s.first < ss.s[best].first) {
+			best = i
 		}
+		p = s.v
 	}
-	return apint.Int{}, false
+	if best < 0 {
+		return apint.Int{}, false
+	}
+	return apint.New(ss.w, ss.s[best].v), true
 }
 
 // All bundles every oracle fact for one function, computed with a shared

@@ -538,7 +538,7 @@ func TestOracle64BitDivisionFree(t *testing.T) {
 	}
 }
 
-// coverWindowQuadratic is the all-pairs definition of coverWindow: the
+// coverWindowQuadratic is the all-pairs definition of a cover query: the
 // first sample, in samples order, from which a window of size c covers
 // every sample.
 func coverWindowQuadratic(c apint.Int, samples []apint.Int) (apint.Int, bool) {
@@ -558,14 +558,16 @@ func coverWindowQuadratic(c apint.Int, samples []apint.Int) (apint.Int, bool) {
 	return apint.Int{}, false
 }
 
-// TestCoverWindowMatchesQuadratic checks the sorted predecessor-gap
-// coverWindow against the all-pairs definition on random sample sets with
-// duplicates, clusters straddling the 0/2^w wrap point, and window sizes
-// from 0 up to 2^w - 1.
+// TestCoverWindowMatchesQuadratic grows one sample set a sample at a time,
+// as synthesizeBase does, and after every insert checks cover queries
+// against the all-pairs definition over the samples in insertion order.
+// The samples include exact duplicates and clusters straddling the 0/2^w
+// wrap point; window sizes run over all of 0..2^w-1 up to width 4 and
+// over both ends and random sizes above it, at widths up to 64.
 func TestCoverWindowMatchesQuadratic(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 20000; trial++ {
-		w := []uint{1, 2, 3, 4, 5, 8, 13, 16, 32, 64}[rng.Intn(10)]
+	for trial := 0; trial < 3000; trial++ {
+		w := []uint{1, 2, 3, 4, 5, 8, 13, 16, 32, 63, 64}[rng.Intn(11)]
 		maxv := apint.AllOnes(w).Uint64()
 		randVal := func() uint64 {
 			switch rng.Intn(3) {
@@ -581,29 +583,37 @@ func TestCoverWindowMatchesQuadratic(t *testing.T) {
 				return uint64(rng.Intn(6)) & maxv
 			}
 		}
-		samples := make([]apint.Int, 1+rng.Intn(12))
-		for i := range samples {
-			if i > 0 && rng.Intn(4) == 0 {
-				samples[i] = samples[rng.Intn(i)] // exact duplicate
-			} else {
-				samples[i] = apint.New(w, randVal())
+		var sizes []uint64
+		if w <= 4 {
+			for c := uint64(0); c <= maxv; c++ {
+				sizes = append(sizes, c)
 			}
+		} else {
+			sizes = []uint64{0, 1, 2, maxv - 1, maxv, rng.Uint64() & maxv, rng.Uint64() & maxv}
 		}
-		var c uint64
-		switch rng.Intn(4) {
-		case 0:
-			c = maxv - uint64(rng.Intn(3))&maxv // near 2^w
-		case 1:
-			c = uint64(rng.Intn(4)) & maxv // tiny, 0 included
-		default:
-			c = rng.Uint64() & maxv
-		}
-		cw := apint.New(w, c)
-		gotBase, gotOK := coverWindow(w, cw, samples)
-		wantBase, wantOK := coverWindowQuadratic(cw, samples)
-		if gotOK != wantOK || (gotOK && !gotBase.Eq(wantBase)) {
-			t.Fatalf("w=%d c=%d samples=%v: coverWindow = (%v, %v), quadratic = (%v, %v)",
-				w, c, samples, gotBase, gotOK, wantBase, wantOK)
+		ss := newSampleSet(w)
+		var samples []apint.Int
+		for n := 1 + rng.Intn(24); len(samples) < n; {
+			v := apint.New(w, randVal())
+			if len(samples) > 0 && rng.Intn(4) == 0 {
+				v = samples[rng.Intn(len(samples))] // exact duplicate
+			}
+			samples = append(samples, v)
+			ss.add(v)
+			for i := 1; i < len(ss.s); i++ {
+				if ss.s[i-1].v >= ss.s[i].v {
+					t.Fatalf("w=%d samples=%v: set not strictly ascending: %v", w, samples, ss.s)
+				}
+			}
+			for _, c := range sizes {
+				cw := apint.New(w, c)
+				gotBase, gotOK := ss.cover(cw)
+				wantBase, wantOK := coverWindowQuadratic(cw, samples)
+				if gotOK != wantOK || (gotOK && !gotBase.Eq(wantBase)) {
+					t.Fatalf("w=%d c=%d samples=%v: cover = (%v, %v), quadratic = (%v, %v)",
+						w, c, samples, gotBase, gotOK, wantBase, wantOK)
+				}
+			}
 		}
 	}
 }

@@ -59,8 +59,9 @@ func (d *demandedSweep) bitMatters(st *Stats, parent *trace.Span, ctx context.Co
 // lane of blocks b and b+2^(p-6), compared from the table when the later
 // block is evaluated. The sweep stops as soon as every bit is demanded.
 //
-// ctx and deadline are checked before the sweep and every 64 blocks;
-// once either fires the sweep stops and returns false, keeping nothing.
+// ctx and deadline are checked before the sweep and then as
+// eval.PollBlockMask says (every 64 blocks); once either fires the sweep
+// stops and returns false, keeping nothing.
 // The sweep span, a "demanded-sweep" child of parent, records the lanes
 // evaluated.
 func (d *demandedSweep) sweep(parent *trace.Span, ctx context.Context, deadline time.Time) bool {
@@ -84,7 +85,7 @@ func (d *demandedSweep) sweep(parent *trace.Span, ctx context.Context, deadline 
 	var evals int64
 	ok := true
 	for b := uint64(0); b < blocks && undecided > 0; b++ {
-		if b > 0 && b&enumCancelBlockMask == 0 && cancelled(ctx, deadline) {
+		if b > 0 && b&eval.PollBlockMask == 0 && cancelled(ctx, deadline) {
 			ok = false
 			break
 		}

@@ -291,19 +291,8 @@ func TestSweepCancelStopsWithin64Blocks(t *testing.T) {
 		t.Errorf("stats %+v, want 2 queries, 2 enum, 2 exhausted", st)
 	}
 	root.End()
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var evs []struct {
-		Name string         `json:"name"`
-		Cat  string         `json:"cat"`
-		Args map[string]any `json:"args"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
-		t.Fatal(err)
-	}
 	var queries, sweeps int
-	for _, ev := range evs {
+	for _, ev := range closeTrace(t, tr, &buf) {
 		switch ev.Name {
 		case "bit-matters":
 			queries++
@@ -320,4 +309,58 @@ func TestSweepCancelStopsWithin64Blocks(t *testing.T) {
 	if queries != 2 || sweeps != 1 {
 		t.Errorf("%d bit-matters and %d demanded-sweep spans, want 2 and 1", queries, sweeps)
 	}
+}
+
+// TestEnumSweepCancelCountsEvals is the output sweep's side of the test
+// above: an EnumEngine cancelled at the sweep's first poll stops after 64
+// blocks, keeps nothing, and its "enum-sweep" span records the 64 × 64
+// lanes it evaluated, as "demanded-sweep" does.
+func TestEnumSweepCancelCountsEvals(t *testing.T) {
+	f := ir.MustParse("%x:i8 = var\n%y:i8 = var\n%0:i8 = mul %x, %y\ninfer %0")
+	e := NewEnum(f)
+	ctx := &pollCtx{Context: context.Background(), n: 2}
+	e.Ctx = ctx
+	var buf bytes.Buffer
+	tr := trace.New(&buf)
+	root := tr.Start(nil, trace.KindExpr, "expr")
+	e.SetTraceSpan(root)
+	if _, ok := e.CanBeZero(); ok {
+		t.Fatal("sweep completed through a cancelled context")
+	}
+	if ctx.calls != 2 || e.enumerated || e.outputs != nil {
+		t.Fatalf("context checked %d times, outputs kept: %v; want 2 checks and none kept", ctx.calls, e.enumerated)
+	}
+	root.End()
+	sweeps := 0
+	for _, ev := range closeTrace(t, tr, &buf) {
+		if ev.Name == "enum-sweep" {
+			sweeps++
+			if got := ev.Args["evals"]; got != float64(64*64) {
+				t.Errorf("cancelled sweep evaluated %v lanes, want %d", got, 64*64)
+			}
+		}
+	}
+	if sweeps != 1 {
+		t.Errorf("%d enum-sweep spans, want 1", sweeps)
+	}
+}
+
+// spanEvent is the part of a trace event the tests above read.
+type spanEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat"`
+	Args map[string]any `json:"args"`
+}
+
+// closeTrace closes tr and decodes the events it wrote to buf.
+func closeTrace(t *testing.T, tr *trace.Tracer, buf *bytes.Buffer) []spanEvent {
+	t.Helper()
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var evs []spanEvent
+	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
+		t.Fatal(err)
+	}
+	return evs
 }

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"dfcheck/internal/apint"
@@ -171,5 +172,106 @@ func TestEnumSmallWidthQueries(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// wellDefinedOutputs lists the output of every well-defined input of f, in
+// eval.ForEachInput order, by the scalar interpreter.
+func wellDefinedOutputs(f *ir.Function) []uint64 {
+	var seq []uint64
+	eval.ForEachInput(f, func(env eval.Env) bool {
+		if v, ok := eval.Eval(f, env); ok {
+			seq = append(seq, v.Uint64())
+		}
+		return true
+	})
+	return seq
+}
+
+// firstOutside returns the first value of seq outside the wrapped window
+// [lo, lo+size) of w-bit values (size 0 is the empty window).
+func firstOutside(seq []uint64, w uint, lo, size uint64) (uint64, bool) {
+	hi := (lo + size) & apint.AllOnes(w).Uint64()
+	for _, v := range seq {
+		inside := false
+		if size != 0 {
+			if lo < hi {
+				inside = v >= lo && v < hi
+			} else {
+				inside = v >= lo || v < hi
+			}
+		}
+		if !inside {
+			return v, true
+		}
+	}
+	return 0, false
+}
+
+// TestEnumOutsideWitnessOrder pins which counterexample OutputOutside
+// returns: the first well-defined output, in eval.ForEachInput order, that
+// lies outside the window. Algorithm 3's CEGIS loop chooses between range
+// bases of equal size by the samples it has seen, so table1's golden
+// ranges depend on this order. Every (lo, size) window is checked at
+// widths 1..5, and a sample of windows, wrapping ones and size 0 among
+// them, on the cross-check corpus's roots of 16 bits and more.
+func TestEnumOutsideWitnessOrder(t *testing.T) {
+	check := func(name string, f *ir.Function, windows [][2]uint64) {
+		t.Helper()
+		w := f.Width()
+		seq := wellDefinedOutputs(f)
+		e := NewEnum(f)
+		for _, win := range windows {
+			lo, size := win[0]&apint.AllOnes(w).Uint64(), win[1]&apint.AllOnes(w).Uint64()
+			want, wantFound := firstOutside(seq, w, lo, size)
+			got, found, ok := e.OutputOutside(apint.New(w, lo), apint.New(w, size))
+			if !ok || found != wantFound || (found && got.Uint64() != want) {
+				t.Fatalf("%s: OutputOutside(%d, %d) = (%d, %v, %v), want (%d, %v, true)",
+					name, lo, size, got.Uint64(), found, ok, want, wantFound)
+			}
+		}
+	}
+	for w := uint(1); w <= 5; w++ {
+		var all [][2]uint64
+		for lo := uint64(0); lo < 1<<w; lo++ {
+			for size := uint64(0); size < 1<<w; size++ {
+				all = append(all, [2]uint64{lo, size})
+			}
+		}
+		for name, f := range smallWidthFuncs(w) {
+			check(fmt.Sprintf("w%d/%s", w, name), f, all)
+		}
+	}
+	rng := rand.New(rand.NewSource(20))
+	wide := 0
+	for _, src := range crossCheckCorpus {
+		f := ir.MustParse(src)
+		w := f.Width()
+		if w < 16 {
+			continue
+		}
+		wide++
+		seq := wellDefinedOutputs(f)
+		maxv := apint.AllOnes(w).Uint64()
+		pick := func() uint64 { return seq[rng.Intn(len(seq))] }
+		windows := [][2]uint64{{0, 0}, {rng.Uint64(), 0}, {0, maxv}, {maxv, maxv}}
+		for i := 0; i < 200; i++ {
+			switch i % 4 {
+			case 0: // from an output, so the first outputs may lie inside
+				windows = append(windows, [2]uint64{pick(), rng.Uint64() >> rng.Intn(64)})
+			case 1: // spanning two outputs, wrapping when the second is lower
+				a, b := pick(), pick()
+				windows = append(windows, [2]uint64{a, b - a + uint64(rng.Intn(3))})
+			case 2: // wrapping past 2^w
+				d := uint64(rng.Intn(1 << 10))
+				windows = append(windows, [2]uint64{maxv - d, d + 1 + rng.Uint64()>>rng.Intn(64)})
+			default: // anywhere
+				windows = append(windows, [2]uint64{rng.Uint64(), rng.Uint64() >> rng.Intn(64)})
+			}
+		}
+		check(src, f, windows)
+	}
+	if wide < 4 {
+		t.Fatalf("only %d cross-check functions have roots of 16 bits or more", wide)
 	}
 }

@@ -4,7 +4,9 @@
 //   - SATEngine bit-blasts the function and decides each query with the
 //     CDCL solver — the production path, standing in for the paper's Z3.
 //   - EnumEngine decides queries by exhaustive input enumeration — usable
-//     only at small widths, and used to cross-check SATEngine in tests.
+//     only at small widths. NewEngine sends every function of at most
+//     DefaultEnumCutoff summed input bits to it, and the tests use it to
+//     cross-check SATEngine.
 //
 // Demanded bits (Engine.BitMatters) have one exhaustive path shared by
 // both: a bit-sliced sweep that evaluates each 64-lane block of the input
@@ -23,7 +25,6 @@ package solver
 
 import (
 	"context"
-	mathbits "math/bits"
 	"time"
 
 	"dfcheck/internal/apint"
@@ -420,13 +421,13 @@ type EnumEngine struct {
 	Deadline time.Time
 
 	enumerated bool
-	feasible   bool
-	outputs    []apint.Int // achievable outputs, first-seen order
+	// outputs holds the achievable root values as raw words, in
+	// first-seen order (eval.SlicedProgram.Outputs). The order is part of
+	// the answers: OutputOutside returns the first value outside its
+	// window, that value feeds Algorithm 3's CEGIS loop, and CEGIS picks
+	// between range bases of equal size by the samples it has seen.
+	outputs []uint64
 }
-
-// enumCancelBlockMask polls the context every 64 sliced blocks (4096
-// evaluations) during an enumeration sweep.
-const enumCancelBlockMask = 63
 
 // NewEnum returns an enumeration-backed engine. Sweeps run on the
 // bit-sliced evaluator: 64 input vectors per call, so the whole space
@@ -488,54 +489,13 @@ func (e *EnumEngine) ensureOutputs(parent *trace.Span) bool {
 		return false
 	}
 	sweep := parent.Child(trace.KindIter, "enum-sweep")
-	w := e.f.Root.Width
-	count := uint64(1) << eval.TotalInputBits(e.f)
-	// Dedup through a bitset: the root is at most 64 bits wide, but any
-	// enumerable function's achievable-output count is bounded by the
-	// input count, so a map fallback only matters for wide roots.
-	var seenSet []uint64
-	var seenMap map[uint64]bool
-	if w <= 16 {
-		seenSet = make([]uint64, (uint64(1)<<w+63)/64)
-	} else {
-		seenMap = make(map[uint64]bool)
-	}
-	var outs []apint.Int
-	var n int64
-	ok := true
-	for base, blocks := uint64(0), 0; base < count; base += 64 {
-		if blocks++; blocks&enumCancelBlockMask == 0 && e.cancelled() {
-			ok = false
-			break
-		}
-		planes, okm := e.sliced.EvalIndexed(base)
-		n += 64
-		for ; okm != 0; okm &= okm - 1 {
-			l := uint(mathbits.TrailingZeros64(okm))
-			v := eval.Lane(planes, l)
-			if seenSet != nil {
-				if seenSet[v>>6]>>(v&63)&1 == 1 {
-					continue
-				}
-				seenSet[v>>6] |= 1 << (v & 63)
-			} else {
-				if seenMap[v] {
-					continue
-				}
-				seenMap[v] = true
-			}
-			outs = append(outs, apint.New(w, v))
-		}
-	}
-	if sweep != nil {
-		sweep.SetInt("evals", n)
-		sweep.End()
-	}
+	outs, evals, ok := e.sliced.Outputs(false, e.cancelled)
+	sweep.SetInt("evals", evals)
+	sweep.End()
 	if !ok {
 		return false
 	}
 	e.outputs = outs
-	e.feasible = len(outs) > 0
 	e.enumerated = true
 	return true
 }
@@ -550,8 +510,9 @@ func (e *EnumEngine) exists(name string, pred func(v apint.Int) bool) (found, ok
 		endEnum(sp, false, false)
 		return false, false
 	}
+	w := e.f.Width()
 	for _, v := range e.outputs {
-		if pred(v) {
+		if pred(apint.New(w, v)) {
 			endEnum(sp, true, true)
 			return true, true
 		}
@@ -595,20 +556,15 @@ func (e *EnumEngine) OutputOutside(lo, size apint.Int) (apint.Int, bool, bool) {
 		endEnum(sp, false, false)
 		return apint.Int{}, false, false
 	}
-	hi := lo.Add(size)
-	full := !size.IsZero() && hi.Eq(lo)
+	// v lies in the wrapped window [lo, lo+size) iff (v - lo) mod 2^w
+	// < size. A size of zero leaves every output outside.
+	w := e.f.Width()
+	m := apint.AllOnes(w).Uint64()
+	l, n := lo.Uint64(), size.Uint64()
 	for _, v := range e.outputs {
-		inside := full
-		if !full && !size.IsZero() {
-			if lo.ULT(hi) {
-				inside = v.UGE(lo) && v.ULT(hi)
-			} else {
-				inside = v.UGE(lo) || v.ULT(hi)
-			}
-		}
-		if !inside {
+		if (v-l)&m >= n {
 			endEnum(sp, true, true)
-			return v, true, true
+			return apint.New(w, v), true, true
 		}
 	}
 	endEnum(sp, false, true)

@@ -21,6 +21,13 @@ var crossCheckCorpus = []string{
 	"%x:i4 = var\n%0:i4 = udiv %x, 0:i4\ninfer %0", // never well-defined
 	"%x:i6 = var\n%0:i6 = srem 4:i6, %x\ninfer %0",
 	"%x:i5 = var\n%0:i5 = ctpop %x\ninfer %0",
+	// Roots wider than 16 bits take the output sweep's map dedup, and
+	// the 64-bit ones the full-word mask of OutputOutside.
+	"%x:i8 = var\n%y:i4 = var\n%0:i16 = zext %x\n%1:i16 = zext %y\n%2:i16 = shl %0, %1\ninfer %2",
+	"%x:i8 = var\n%y:i4 = var\n%0:i17 = sext %x\n%1:i17 = zext %y\n%2:i17 = udiv %0, %1\ninfer %2",
+	"%x:i8 = var\n%0:i32 = zext %x\n%1:i32 = mul %0, 257:i32\ninfer %1",
+	"%x:i8 = var\n%0:i64 = sext %x\ninfer %0",
+	"%x:i6 = var\n%y:i6 = var\n%0:i64 = zext %x\n%1:i64 = zext %y\n%2:i64 = sub %0, %1\ninfer %2",
 }
 
 func fixCorpus(src string) string {
@@ -80,9 +87,11 @@ func TestEnginesAgreeOnCorpus(t *testing.T) {
 			t.Fatalf("%s: CanBeNonPowerOfTwo disagree sat=%v enum=%v", src, sr, er)
 		}
 
-		// Ranges: a handful of (lo, size) probes.
+		// Ranges: a handful of (lo, size) probes, the last two wrapping
+		// past 2^w at every width.
 		for _, probe := range []struct{ lo, size uint64 }{
 			{0, 1}, {0, 5}, {3, 4}, {13, 6}, {1, 15}, {8, 0}, {15, 1},
+			{^uint64(0) - 2, 6}, {^uint64(0) - 62, 127},
 		} {
 			lo := apint.New(w, probe.lo)
 			size := apint.New(w, probe.size)
