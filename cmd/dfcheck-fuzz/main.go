@@ -26,16 +26,13 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof/* on the default mux
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
-	"dfcheck/internal/absint"
 	"dfcheck/internal/campaign"
 	"dfcheck/internal/compare"
 	"dfcheck/internal/factsvc"
 	"dfcheck/internal/harvest"
-	"dfcheck/internal/llvmport"
 	"dfcheck/internal/metrics"
 	"dfcheck/internal/ops"
 	"dfcheck/internal/rescache"
@@ -43,19 +40,14 @@ import (
 )
 
 func main() {
+	c := &compare.Comparator{}
+	c.RegisterFlags(flag.CommandLine)
 	var (
 		batches    = flag.Int("batches", 10, "number of corpus batches to run (0 = run until interrupted)")
 		n          = flag.Int("n", 50, "expressions per batch")
 		seed       = flag.Int64("seed", 0, "campaign master seed (0 = draw a fresh 63-bit seed)")
 		maxInsts   = flag.Int("max-insts", 6, "max instructions per expression")
 		maxWidth   = flag.Uint("max-width", 16, "largest base width")
-		budget     = flag.Int64("solver-budget", 0, "per-query conflict budget")
-		bug1       = flag.Bool("bug1", false, "inject the r124183 isKnownNonZero bug")
-		bug2       = flag.Bool("bug2", false, "inject the PR23011 srem sign-bits bug")
-		bug3       = flag.Bool("bug3", false, "inject the PR12541 srem known-bits bug")
-		modern     = flag.Bool("modern", false, "use the post-LLVM-8 compiler (the §4.8 improvements applied)")
-		workers    = flag.Int("j", runtime.NumCPU(), "expressions compared concurrently")
-		exprCap    = flag.Duration("expr-timeout", 5*time.Minute, "total oracle time per expression (0 disables)")
 		canaries   = flag.Bool("canaries", false, "seed every batch with the §4.7 trigger expressions (verifies the loop catches injected bugs)")
 		mutants    = flag.Int("mutants", 1, "mutated variants added per generated expression (Csmith-style seed mutation)")
 		cacheFile  = flag.String("cache", "", "persist oracle results to this file across batches and runs (the artifact's Redis dump analog)")
@@ -64,13 +56,6 @@ func main() {
 		resume     = flag.String("resume", "", "resume the campaign from this state file (implies -checkpoint with the same file)")
 		eventsFile = flag.String("events", "", "append JSONL batch and finding records to this file")
 		metricsOut = flag.String("metrics", "", "write a JSON metrics snapshot to this file on exit")
-		noStrash   = flag.Bool("no-strash", false, "ablation: disable structural hashing in the bit-blaster")
-		noSeed     = flag.Bool("no-seed", false, "ablation: disable sound-fact seeding of the oracle")
-		consist    = flag.Bool("consistency", true, "cross-check the compiler's own domains on every expression (solver-free reduced-product lint)")
-		domsFlag   = flag.String("domains", "", "extend the consistency lint's reduced product with these transfer domains (comma-separated, e.g. tnum,stride; empty = classic four-domain lint)")
-		enumCut    = flag.Int("enum-cutoff", 0, "summed input bits at or below which expressions are enumerated instead of solved (0 = default; negative disables enumeration and the SAT engine's demanded-bits sweep up to 16 input bits)")
-		nwayMode   = flag.Bool("nway", false, "n-way differential mode: cross-check all analyzer variants per expression and escalate to the SAT oracle only on disagreement")
-		reduceMode = flag.Bool("reduce", false, "shrink every finding to a 1-minimal reproducer preserving its finding kind (delta debugging)")
 		httpAddr   = flag.String("http", "", "serve the debug server on this address (e.g. :8125): Prometheus metrics at /metricsz, health, dashboard and slow-log endpoints, pprof profiles at /debug/pprof/")
 		shards     = flag.Int("shards", rescache.DefaultShards, "lock stripes in the oracle result cache (rounded up to a power of two)")
 		factSvc    = flag.Bool("factsvc", false, "serve the fact-service query API (POST /v1/facts) on the -http server, sharing the campaign's cache and in-flight dedup")
@@ -82,20 +67,24 @@ func main() {
 	)
 	flag.Parse()
 
-	// The master seed covers the full non-negative 63-bit range (the old
-	// 24-bit default meant long campaigns revisited seeds). Campaigns are
+	// Without -seed, a resumed campaign continues under the seed its
+	// checkpoint records, and a new one draws a fresh 63-bit seed (a
+	// 24-bit one made long campaigns revisit seeds). Campaigns are
 	// reproducible from the printed value alone.
-	if *seed == 0 {
+	switch {
+	case *seed != 0:
+	case *resume != "":
+		s, err := campaign.CheckpointSeed(*resume)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dfcheck-fuzz:", err)
+			os.Exit(2)
+		}
+		*seed = s
+	default:
 		*seed = rand.New(rand.NewSource(time.Now().UnixNano())).Int63()
 	}
 	if *resume != "" && *checkpoint == "" {
 		*checkpoint = *resume
-	}
-
-	doms, err := absint.TransferDomainsByNames(*domsFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dfcheck-fuzz:", err)
-		os.Exit(2)
 	}
 
 	widths := []harvest.WidthWeight{{Width: 4, Weight: 1}, {Width: 8, Weight: 3}}
@@ -134,24 +123,7 @@ func main() {
 		}
 	}
 
-	c := &compare.Comparator{
-		Analyzer: &llvmport.Analyzer{
-			Bugs:   llvmport.BugConfig{NonZeroAdd: *bug1, SRemSignBits: *bug2, SRemKnownBits: *bug3},
-			Modern: *modern,
-		},
-		Budget:      *budget,
-		Workers:     *workers,
-		ExprTimeout: *exprCap,
-		Metrics:     reg,
-		Tracer:      tracer,
-		NoStrash:    *noStrash,
-		NoSeed:      *noSeed,
-		EnumCutoff:  *enumCut,
-		Consistency: *consist,
-		Domains:     doms,
-		NWay:        *nwayMode,
-		Reduce:      *reduceMode,
-	}
+	c.Metrics, c.Tracer = reg, tracer
 	if *serveOnly {
 		*factSvc = true
 	}
@@ -178,16 +150,14 @@ func main() {
 			// path's one dedup; it just isn't persisted.
 			c.Cache = rescache.NewSharded(*shards)
 		}
-		svc, err := c.NewFactService(factsvc.Config{Workers: *workers, SlowLog: slowLog})
+		svc, err := c.NewFactService(factsvc.Config{Workers: c.Workers, SlowLog: slowLog})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "dfcheck-fuzz:", err)
 			os.Exit(2)
 		}
 		http.Handle("/v1/facts", svc.Handler())
 	}
-	cacheShards := 0
 	if c.Cache != nil {
-		cacheShards = c.Cache.Shards()
 		ops.CollectCache(reg, c.Cache)
 	}
 
@@ -214,11 +184,8 @@ func main() {
 		CheckpointPath:  *checkpoint,
 		CheckpointEvery: *ckptEvery,
 		Events:          events,
-		Metrics:         reg,
 		Progress:        os.Stdout,
-		Tracer:          tracer,
 		FactSvc:         *factSvc,
-		CacheShards:     cacheShards,
 	}, c)
 	if *resume != "" {
 		if err := camp.Resume(*resume); err != nil {

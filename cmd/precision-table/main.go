@@ -14,15 +14,11 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof/* on the default mux
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
-	"time"
 
-	"dfcheck/internal/absint"
 	"dfcheck/internal/compare"
 	"dfcheck/internal/factsvc"
 	"dfcheck/internal/harvest"
-	"dfcheck/internal/llvmport"
 	"dfcheck/internal/metrics"
 	"dfcheck/internal/ops"
 	"dfcheck/internal/rescache"
@@ -30,30 +26,18 @@ import (
 )
 
 func main() {
+	c := &compare.Comparator{}
+	c.RegisterFlags(flag.CommandLine)
 	var (
 		n         = flag.Int("n", 300, "number of generated expressions")
 		seed      = flag.Int64("seed", 2020, "generator seed")
 		maxInsts  = flag.Int("max-insts", 8, "max instructions per expression")
 		maxWidth  = flag.Uint("max-width", 16, "largest base bit width (keep small: the oracle bit-blasts every query)")
-		budget    = flag.Int64("solver-budget", 0, "per-query conflict budget (0 = default)")
 		fragsToo  = flag.Bool("paper-fragments", true, "include the paper's §4.2–4.5 fragments in the corpus")
-		bug1      = flag.Bool("bug1", false, "re-introduce the r124183 isKnownNonZero bug")
-		bug2      = flag.Bool("bug2", false, "re-introduce the PR23011 srem sign-bits bug")
-		bug3      = flag.Bool("bug3", false, "re-introduce the PR12541 srem known-bits bug")
-		modern    = flag.Bool("modern", false, "use the post-LLVM-8 compiler (the §4.8 improvements applied)")
 		loadFile  = flag.String("corpus", "", "load the corpus from this file instead of generating (see -save-corpus)")
 		saveFile  = flag.String("save-corpus", "", "write the corpus to this file before running (the artifact's dump.rdb analog)")
 		asJSON    = flag.Bool("json", false, "emit the report as JSON instead of the table")
 		cacheFile = flag.String("cache", "", "persist oracle results to this file across runs (the artifact's Redis dump analog)")
-		workers   = flag.Int("j", runtime.NumCPU(), "expressions compared concurrently")
-		exprCap   = flag.Duration("expr-timeout", 5*time.Minute, "total oracle time per expression (the paper's 5-minute cap; 0 disables)")
-		noStrash  = flag.Bool("no-strash", false, "ablation: disable structural hashing in the bit-blaster")
-		noSeed    = flag.Bool("no-seed", false, "ablation: disable sound-fact seeding of the oracle")
-		consist   = flag.Bool("consistency", true, "cross-check the compiler's own domains on every expression (solver-free reduced-product lint)")
-		domsFlag  = flag.String("domains", "", "extend the consistency lint's reduced product with these transfer domains (comma-separated, e.g. tnum,stride; empty = classic four-domain lint)")
-		enumCut   = flag.Int("enum-cutoff", 0, "summed input bits at or below which expressions are enumerated instead of solved (0 = default; negative disables enumeration and the SAT engine's demanded-bits sweep up to 16 input bits)")
-		nwayMode  = flag.Bool("nway", false, "n-way differential mode: cross-check all analyzer variants per expression and escalate to the SAT oracle only on disagreement")
-		reduceF   = flag.Bool("reduce", false, "shrink every finding to a 1-minimal reproducer preserving its finding kind (delta debugging)")
 		traceFile = flag.String("trace", "", "write a Chrome trace-event JSON span trace to this file (open in Perfetto, aggregate with trace-report)")
 		traceMax  = flag.Int64("trace-max-mb", 256, "rotate the trace file when it exceeds this many MiB (0 = unbounded)")
 		shards    = flag.Int("shards", rescache.DefaultShards, "lock stripes in the oracle result cache (rounded up to a power of two)")
@@ -61,12 +45,6 @@ func main() {
 		factSvc   = flag.Bool("factsvc", false, "after printing the table, serve the fact-service query API (POST /v1/facts) on the -http server until interrupted")
 	)
 	flag.Parse()
-
-	doms, err := absint.TransferDomainsByNames(*domsFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "precision-table:", err)
-		os.Exit(2)
-	}
 
 	widths := []harvest.WidthWeight{{Width: 4, Weight: 10}, {Width: 8, Weight: 45}}
 	if *maxWidth >= 13 {
@@ -133,23 +111,7 @@ func main() {
 		}
 	}
 
-	c := &compare.Comparator{
-		Analyzer: &llvmport.Analyzer{
-			Bugs:   llvmport.BugConfig{NonZeroAdd: *bug1, SRemSignBits: *bug2, SRemKnownBits: *bug3},
-			Modern: *modern,
-		},
-		Budget:      *budget,
-		Workers:     *workers,
-		ExprTimeout: *exprCap,
-		NoStrash:    *noStrash,
-		NoSeed:      *noSeed,
-		EnumCutoff:  *enumCut,
-		Tracer:      tracer,
-		Consistency: *consist,
-		Domains:     doms,
-		NWay:        *nwayMode,
-		Reduce:      *reduceF,
-	}
+	c.Tracer = tracer
 	if *cacheFile != "" || *factSvc {
 		// -factsvc without -cache still needs the cache, the query
 		// path's one dedup; it just isn't persisted.
@@ -217,7 +179,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "precision-table: -factsvc requires -http (the query API mounts on the debug server)")
 			os.Exit(1)
 		}
-		svc, err := c.NewFactService(factsvc.Config{Workers: *workers, SlowLog: slowLog})
+		svc, err := c.NewFactService(factsvc.Config{Workers: c.Workers, SlowLog: slowLog})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "precision-table:", err)
 			os.Exit(1)

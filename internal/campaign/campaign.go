@@ -47,15 +47,14 @@ type Config struct {
 
 	// FactSvc records that the campaign process also serves external
 	// fact queries (-factsvc) through the comparator's cache and
-	// single-flight layers, and CacheShards records the result cache's
-	// stripe count (-shards). Neither changes what a batch computes in
+	// single-flight layers. It does not change what a batch computes in
 	// isolation, but serving traffic interleaves nondeterministically
 	// with batches (external queries warm the cache mid-campaign), so —
-	// unlike Workers, which has a result-equivalence test — they fold
-	// into the fingerprint: a checkpoint resumes only under the serving
-	// setup it was written with.
-	FactSvc     bool
-	CacheShards int
+	// unlike Workers, which has a result-equivalence test — it folds
+	// into the fingerprint, with the stripe count of the comparator's
+	// cache: a checkpoint resumes only under the serving setup it was
+	// written with.
+	FactSvc bool
 
 	// CheckpointPath, when set, is where the campaign state file is
 	// written: every CheckpointEvery batches, on interruption, and at
@@ -69,9 +68,6 @@ type Config struct {
 	// batch and one self-contained "finding" record per soundness
 	// finding. A nil log is a no-op.
 	Events *metrics.EventLog
-	// Metrics, when non-nil, is shared with the comparator and gains
-	// campaign-level counters (batches, checkpoint saves).
-	Metrics *metrics.Registry
 	// Progress, when non-nil, receives one line per completed batch and
 	// any non-fatal warnings (checkpoint write failures).
 	Progress io.Writer
@@ -79,70 +75,24 @@ type Config struct {
 	// batch index just finished — the hook tests use to cancel a
 	// campaign at a deterministic point.
 	AfterBatch func(batch int)
-	// Tracer, when non-nil, records one batch span per batch, under
-	// which the comparator nests expression, analysis, iteration, and
-	// solver-query spans (the -trace flag).
-	Tracer *trace.Tracer
 }
 
 // Totals is the campaign's cumulative Table 1 state: what a final report
-// is printed from, and what a checkpoint persists. CPU times are carried
-// along but are the only fields not reproducible across runs.
+// is printed from, and what a checkpoint persists. It is the sum of the
+// batch reports (compare.Report.Add) plus the batch and expression
+// counts. CPU times are carried along but are the only fields not
+// reproducible across runs.
 type Totals struct {
-	Batches  int
-	Exprs    int
-	Rows     map[harvest.Analysis]*compare.Row
-	Findings []compare.Finding
-	// ConsistencyChecks accumulates the cross-domain lint checks run by
-	// batches with the consistency lint enabled.
-	ConsistencyChecks int
-	// NWay accumulates the n-way pre-filter totals of batches run with
-	// -nway (nil when the mode was never on).
-	NWay *compare.NWayStats
+	compare.Report
+	Batches int
+	Exprs   int
 }
 
-func newTotals() Totals {
-	rows := make(map[harvest.Analysis]*compare.Row, len(harvest.AllAnalyses))
-	for _, a := range harvest.AllAnalyses {
-		rows[a] = &compare.Row{Analysis: a}
-	}
-	return Totals{Rows: rows}
-}
+func newTotals() Totals { return Totals{Report: *compare.NewReport()} }
 
-// add folds one completed batch's report into the totals.
-func (t *Totals) add(rep *compare.Report, exprs int) {
-	t.Batches++
-	t.Exprs += exprs
-	for a, row := range rep.Rows {
-		acc := t.Rows[a]
-		if acc == nil {
-			acc = &compare.Row{Analysis: a}
-			t.Rows[a] = acc
-		}
-		acc.Same += row.Same
-		acc.OracleMP += row.OracleMP
-		acc.LLVMMP += row.LLVMMP
-		acc.Exhausted += row.Exhausted
-		acc.CPUTime += row.CPUTime
-		acc.Exprs += row.Exprs
-	}
-	t.Findings = append(t.Findings, rep.Findings...)
-	t.ConsistencyChecks += rep.ConsistencyChecks
-	if rep.NWay != nil {
-		if t.NWay == nil {
-			t.NWay = &compare.NWayStats{}
-		}
-		t.NWay.Exprs += rep.NWay.Exprs
-		t.NWay.Agreed += rep.NWay.Agreed
-		t.NWay.Escalated += rep.NWay.Escalated
-		t.NWay.Dead += rep.NWay.Dead
-		t.NWay.Comparisons += rep.NWay.Comparisons
-		t.NWay.Disagreements += rep.NWay.Disagreements
-		t.NWay.Contradictions += rep.NWay.Contradictions
-	}
-}
-
-// Campaign is one (possibly resumed) run of the testing loop.
+// Campaign is one (possibly resumed) run of the testing loop. It records
+// its counters into the comparator's metrics registry and opens its batch
+// spans on the comparator's tracer, beside the comparator's own.
 type Campaign struct {
 	Config
 	Comparator *compare.Comparator
@@ -152,7 +102,11 @@ type Campaign struct {
 	Totals    Totals
 	NextBatch int
 
-	start time.Time
+	// start, runBatches and runExprs are the time and the Totals counts
+	// when Run began: progress rates cover only this process's batches,
+	// not those a resumed checkpoint carried in.
+	start                time.Time
+	runBatches, runExprs int
 }
 
 // New returns a campaign at batch zero.
@@ -214,8 +168,8 @@ func (c *Campaign) checkpoint() {
 		c.warnf("checkpoint not saved: %v", err)
 		return
 	}
-	if c.Metrics != nil {
-		c.Metrics.Counter("checkpoints_saved").Inc()
+	if m := c.Comparator.Metrics; m != nil {
+		m.Counter("checkpoints_saved").Inc()
 	}
 }
 
@@ -241,27 +195,26 @@ func (c *Campaign) emitBatch(b int, rep *compare.Report, exprs int, elapsed time
 		ev["nway_escalated"] = rep.NWay.Escalated
 	}
 	c.Events.Emit("batch", ev)
-	if m := c.Metrics; m != nil {
+	// Rates and ETA count only the batches this Run finished.
+	ran := time.Since(c.start)
+	ranExprs := float64(c.Totals.Exprs - c.runExprs)
+	if m := c.Comparator.Metrics; m != nil {
 		// Campaign progress for /metricsz and /dashboardz. Rates are
 		// published in milli-units (exprs/sec × 1000) because gauges are
 		// integers; ETA is -1 for endless campaigns.
 		m.Gauge("campaign_batches_done").Set(int64(c.Totals.Batches))
 		m.Gauge("campaign_batches_total").Set(int64(c.Batches))
 		m.Counter("campaign_exprs_total").Add(int64(exprs))
-		perSec := float64(c.Totals.Exprs) / time.Since(c.start).Seconds()
-		m.Gauge("campaign_exprs_per_sec_milli").Set(int64(perSec * 1000))
+		m.Gauge("campaign_exprs_per_sec_milli").Set(int64(ranExprs / ran.Seconds() * 1000))
 		eta := int64(-1)
-		if c.Batches > 0 && c.Totals.Batches > 0 {
-			remaining := c.Batches - c.Totals.Batches
-			perBatch := time.Since(c.start) / time.Duration(c.Totals.Batches)
-			eta = int64((time.Duration(remaining) * perBatch).Seconds())
+		if done := c.Totals.Batches - c.runBatches; c.Batches > 0 && done > 0 {
+			eta = int64((time.Duration(c.Batches-c.NextBatch) * (ran / time.Duration(done))).Seconds())
 		}
 		m.Gauge("campaign_eta_seconds").Set(eta)
 	}
 	if c.Progress != nil {
 		fmt.Fprintf(c.Progress, "batch %4d seed %8d: %4d exprs, %2d findings, %3d exhausted, %6.1f exprs/min\n",
-			b, c.BatchSeed(b), exprs, len(rep.Findings), exhausted,
-			float64(c.Totals.Exprs)/time.Since(c.start).Minutes())
+			b, c.BatchSeed(b), exprs, len(rep.Findings), exhausted, ranExprs/ran.Minutes())
 	}
 }
 
@@ -272,21 +225,14 @@ func (c *Campaign) emitBatch(b int, rep *compare.Report, exprs int, elapsed time
 // they are found; a week-long campaign should not sit on them until exit.
 func (c *Campaign) emitFindings(b int, rep *compare.Report) {
 	for _, f := range rep.Findings {
-		label, kind := "SOUNDNESS", compare.FindingSoundness
-		switch f.Kind {
-		case compare.FindingInconsistent:
-			label, kind = "INCONSISTENT", compare.FindingInconsistent
-		case compare.FindingVariant:
-			label, kind = "NWAY", compare.FindingVariant
-		}
 		if c.Progress != nil {
-			fmt.Fprintf(c.Progress, "=== %s FINDING (batch %d, %s) ===\n%s\n", label, b, f.ExprName, f)
+			fmt.Fprintf(c.Progress, "=== %s FINDING (batch %d, %s) ===\n%s\n", f.Kind.Label(), b, f.ExprName, f)
 		}
 		ev := map[string]any{
 			"batch":       b,
 			"seed":        c.BatchSeed(b),
 			"expr":        f.ExprName,
-			"kind":        string(kind),
+			"kind":        string(f.Kind),
 			"analysis":    string(f.Result.Analysis),
 			"var":         f.Result.Var,
 			"oracle_fact": f.Result.OracleFact,
@@ -297,8 +243,8 @@ func (c *Campaign) emitFindings(b int, rep *compare.Report) {
 			ev["reduced"] = f.Reduced
 			ev["reduce_steps"] = f.ReduceSteps
 		}
-		if c.Metrics != nil {
-			c.Metrics.CounterL("campaign_findings", metrics.Labels{"kind": string(kind)}).Inc()
+		if m := c.Comparator.Metrics; m != nil {
+			m.CounterL("campaign_findings", metrics.Labels{"kind": string(f.Kind)}).Inc()
 		}
 		c.Events.Emit("finding", ev)
 	}
@@ -311,9 +257,7 @@ func (c *Campaign) emitFindings(b int, rep *compare.Report) {
 // reproduces them identically. Returns ctx.Err() when interrupted, nil
 // when the campaign ran to completion.
 func (c *Campaign) Run(ctx context.Context) error {
-	if c.start.IsZero() {
-		c.start = time.Now()
-	}
+	c.start, c.runBatches, c.runExprs = time.Now(), c.Totals.Batches, c.Totals.Exprs
 	for b := c.NextBatch; c.Batches == 0 || b < c.Batches; b++ {
 		if ctx.Err() != nil {
 			c.checkpoint()
@@ -322,7 +266,7 @@ func (c *Campaign) Run(ctx context.Context) error {
 		corpus := c.Corpus(b)
 		batchStart := time.Now()
 		bctx := ctx
-		bsp := c.Tracer.Start(nil, trace.KindBatch, "batch")
+		bsp := c.Comparator.Tracer.Start(nil, trace.KindBatch, "batch")
 		if bsp != nil {
 			bsp.SetInt("batch", int64(b))
 			bsp.SetInt("seed", c.BatchSeed(b))
@@ -339,10 +283,12 @@ func (c *Campaign) Run(ctx context.Context) error {
 			}
 			return context.Canceled
 		}
-		c.Totals.add(rep, len(corpus))
+		c.Totals.Add(rep)
+		c.Totals.Batches++
+		c.Totals.Exprs += len(corpus)
 		c.NextBatch = b + 1
-		if c.Metrics != nil {
-			c.Metrics.Counter("batches").Inc()
+		if m := c.Comparator.Metrics; m != nil {
+			m.Counter("batches").Inc()
 		}
 		c.emitBatch(b, rep, len(corpus), time.Since(batchStart))
 		c.emitFindings(b, rep)
@@ -360,16 +306,7 @@ func (c *Campaign) Run(ctx context.Context) error {
 // Report assembles the cumulative Table 1 report from the totals, in the
 // same shape batch reports use, so the existing renderers apply.
 func (c *Campaign) Report() *compare.Report {
-	rep := &compare.Report{Rows: make(map[harvest.Analysis]*compare.Row, len(c.Totals.Rows))}
-	for a, row := range c.Totals.Rows {
-		cp := *row
-		rep.Rows[a] = &cp
-	}
-	rep.Findings = append(rep.Findings, c.Totals.Findings...)
-	rep.ConsistencyChecks = c.Totals.ConsistencyChecks
-	if c.Totals.NWay != nil {
-		cp := *c.Totals.NWay
-		rep.NWay = &cp
-	}
+	rep := compare.NewReport()
+	rep.Add(&c.Totals.Report)
 	return rep
 }

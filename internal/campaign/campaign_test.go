@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"dfcheck/internal/absint"
 	"dfcheck/internal/compare"
@@ -43,25 +44,25 @@ func testComparator() *compare.Comparator {
 	}
 }
 
-// comparableTotals strips CPU time — the only non-deterministic part of
-// the tallies — so interrupted-and-resumed totals can be compared to
-// uninterrupted ones with reflect.DeepEqual.
+// comparableTotals strips the rows' CPU times and the findings' oracle
+// times — the only non-deterministic parts of the tallies — so
+// interrupted-and-resumed totals can be compared to uninterrupted ones
+// with reflect.DeepEqual. Every other total stays, the consistency checks
+// and n-way totals included.
 func comparableTotals(t Totals) Totals {
-	rows := make(map[harvest.Analysis]*compare.Row, len(t.Rows))
+	out := t
+	out.Rows = make(map[harvest.Analysis]*compare.Row, len(t.Rows))
 	for a, row := range t.Rows {
 		cp := *row
 		cp.CPUTime = 0
-		rows[a] = &cp
+		out.Rows[a] = &cp
 	}
-	findings := make([]compare.Finding, len(t.Findings))
+	out.Findings = make([]compare.Finding, len(t.Findings))
 	for i, f := range t.Findings {
-		f.Result.Elapsed = 0
-		// Outcome is implied (every finding is LLVMMorePrecise) and is
-		// reconstructed, not stored, by Resume.
-		f.Result.Outcome = compare.LLVMMorePrecise
-		findings[i] = f
+		f.Elapsed = 0
+		out.Findings[i] = f
 	}
-	return Totals{Batches: t.Batches, Exprs: t.Exprs, Rows: rows, Findings: findings}
+	return out
 }
 
 func TestCorpusDeterministic(t *testing.T) {
@@ -259,15 +260,15 @@ func TestResumeRejectsCorruptFile(t *testing.T) {
 	}
 }
 
-// TestInterruptResumeEquivalence is the acceptance test for
-// checkpoint/resume: a campaign killed mid-run and resumed from its
-// checkpoint produces the identical final report — tallies and findings
-// — to one that was never interrupted.
-func TestInterruptResumeEquivalence(t *testing.T) {
-	const seed, batches = 20260806, 3
-
+// checkInterruptResume is the acceptance check for checkpoint/resume: a
+// campaign of mk's comparator killed after batch stop and resumed from
+// its checkpoint produces the identical final report — tallies and
+// findings — to one that was never interrupted. It returns the
+// uninterrupted campaign.
+func checkInterruptResume(t *testing.T, seed int64, batches, stop int, mk func() *compare.Comparator) *Campaign {
+	t.Helper()
 	// Reference: uninterrupted run.
-	ref := New(testConfig(seed, batches), testComparator())
+	ref := New(testConfig(seed, batches), mk())
 	if err := ref.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -275,24 +276,24 @@ func TestInterruptResumeEquivalence(t *testing.T) {
 		t.Fatalf("reference run: %d batches, %d findings", ref.Totals.Batches, len(ref.Totals.Findings))
 	}
 
-	// Interrupted run: cancel after batch 1 completes, so batch 2 is
-	// dispatched under a cancelled context and discarded whole.
+	// Interrupted run: cancel after batch stop completes, so batch
+	// stop+1 is dispatched under a cancelled context and discarded whole.
 	path := filepath.Join(t.TempDir(), "ckpt.json")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := testConfig(seed, batches)
 	cfg.CheckpointPath = path
 	cfg.AfterBatch = func(b int) {
-		if b == 1 {
+		if b == stop {
 			cancel()
 		}
 	}
-	interrupted := New(cfg, testComparator())
+	interrupted := New(cfg, mk())
 	if err := interrupted.Run(ctx); err != context.Canceled {
 		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
 	}
-	if got := interrupted.Totals.Batches; got != 2 {
-		t.Fatalf("interrupted run folded %d batches, want 2", got)
+	if got := interrupted.Totals.Batches; got != stop+1 {
+		t.Fatalf("interrupted run folded %d batches, want %d", got, stop+1)
 	}
 	if got := len(interrupted.Totals.Findings); got == 0 {
 		t.Fatal("interrupted run carried no findings into the checkpoint")
@@ -302,12 +303,12 @@ func TestInterruptResumeEquivalence(t *testing.T) {
 	// the remaining batches.
 	rcfg := testConfig(seed, batches)
 	rcfg.CheckpointPath = path
-	resumed := New(rcfg, testComparator())
+	resumed := New(rcfg, mk())
 	if err := resumed.Resume(path); err != nil {
 		t.Fatal(err)
 	}
-	if resumed.NextBatch != 2 {
-		t.Fatalf("resumed at batch %d, want 2", resumed.NextBatch)
+	if resumed.NextBatch != stop+1 {
+		t.Fatalf("resumed at batch %d, want %d", resumed.NextBatch, stop+1)
 	}
 	if err := resumed.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -328,51 +329,34 @@ func TestInterruptResumeEquivalence(t *testing.T) {
 			t.Fatalf("finding %d differs:\n%s\nvs\n%s", i, refRep.Findings[i], resRep.Findings[i])
 		}
 	}
+	return ref
+}
+
+// TestInterruptResumeEquivalence checks resume equivalence for the plain
+// comparator and for the benchmark campaign's mode, where the n-way
+// pre-filter and the consistency lint add totals of their own.
+func TestInterruptResumeEquivalence(t *testing.T) {
+	t.Run("plain", func(t *testing.T) {
+		checkInterruptResume(t, 20260806, 3, 1, testComparator)
+	})
+	t.Run("nway-consistency", func(t *testing.T) {
+		ref := checkInterruptResume(t, 20260806, 3, 1, lintNWayComparator)
+		if ref.Totals.NWay == nil || ref.Totals.NWay.Exprs == 0 || ref.Totals.ConsistencyChecks == 0 {
+			t.Fatalf("n-way or lint totals not accumulated: nway %+v, %d consistency checks",
+				ref.Totals.NWay, ref.Totals.ConsistencyChecks)
+		}
+	})
 }
 
 // TestInterruptResumeEquivalenceCached runs the same equivalence check
 // with the oracle cache on, where the never-memoize-cancelled guard is
 // what keeps the resumed run honest.
 func TestInterruptResumeEquivalenceCached(t *testing.T) {
-	const seed, batches = 31337, 3
-
-	mk := func() *compare.Comparator {
+	checkInterruptResume(t, 31337, 3, 0, func() *compare.Comparator {
 		c := testComparator()
 		c.Cache = rescache.New()
 		return c
-	}
-	ref := New(testConfig(seed, batches), mk())
-	if err := ref.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "ckpt.json")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg := testConfig(seed, batches)
-	cfg.CheckpointPath = path
-	cfg.AfterBatch = func(b int) {
-		if b == 0 {
-			cancel()
-		}
-	}
-	interrupted := New(cfg, mk())
-	if err := interrupted.Run(ctx); err != context.Canceled {
-		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
-	}
-
-	rcfg := testConfig(seed, batches)
-	resumed := New(rcfg, mk())
-	if err := resumed.Resume(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(comparableTotals(resumed.Totals), comparableTotals(ref.Totals)) {
-		t.Fatalf("cached resumed report differs:\nresumed:      %+v\nuninterrupted: %+v",
-			comparableTotals(resumed.Totals), comparableTotals(ref.Totals))
-	}
+	})
 }
 
 // TestRunEmitsEvents checks the JSONL stream: one batch record per
@@ -381,8 +365,9 @@ func TestRunEmitsEvents(t *testing.T) {
 	var sb strings.Builder
 	cfg := testConfig(5, 2)
 	cfg.Events = metrics.NewEventLog(&sb)
-	cfg.Metrics = metrics.NewRegistry()
-	c := New(cfg, testComparator())
+	cmp := testComparator()
+	cmp.Metrics = metrics.NewRegistry()
+	c := New(cfg, cmp)
 	if err := c.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -406,8 +391,58 @@ func TestRunEmitsEvents(t *testing.T) {
 	if findingEvents != len(c.Totals.Findings) {
 		t.Fatalf("%d finding events, want %d", findingEvents, len(c.Totals.Findings))
 	}
-	if got := cfg.Metrics.Counter("batches").Value(); got != 2 {
+	if got := cmp.Metrics.Counter("batches").Value(); got != 2 {
 		t.Fatalf("batches counter = %d, want 2", got)
+	}
+}
+
+// slowWriter delays every write by d.
+type slowWriter struct{ d time.Duration }
+
+func (w slowWriter) Write(p []byte) (int, error) {
+	time.Sleep(w.d)
+	return len(p), nil
+}
+
+// TestResumedRatesCountThisRun resumes a checkpoint whose totals carry
+// 2^40 expressions over 1000 batches, runs one batch, and checks that the
+// rate and ETA gauges count only that batch. The batch's event record is
+// written slowly, so at least 20 ms pass between Run's start and the
+// gauges.
+func TestResumedRatesCountThisRun(t *testing.T) {
+	const done, left, slow = 1000, 100000, 20 * time.Millisecond
+	path := filepath.Join(t.TempDir(), "ckpt.json")
+	cfg := testConfig(11, done+left)
+	c := New(cfg, testComparator())
+	c.Totals.Batches, c.Totals.Exprs, c.NextBatch = done, 1<<40, done
+	if err := c.SaveCheckpoint(path); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg.Events = metrics.NewEventLog(slowWriter{slow})
+	cfg.AfterBatch = func(int) { cancel() }
+	cmp := testComparator()
+	cmp.Metrics = metrics.NewRegistry()
+	r := New(cfg, cmp)
+	if err := r.Resume(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Run(ctx); err != context.Canceled {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	if r.Totals.Batches != done+1 {
+		t.Fatalf("%d batches done, want %d", r.Totals.Batches, done+1)
+	}
+	exprs := int64(len(r.Corpus(done)))
+	rate := cmp.Metrics.Gauge("campaign_exprs_per_sec_milli").Value()
+	if most := exprs * 1000 * int64(time.Second/slow); rate <= 0 || rate > most {
+		t.Errorf("campaign_exprs_per_sec_milli = %d, want (0, %d]: the one batch's %d expressions in at least %v",
+			rate, most, exprs, slow)
+	}
+	if eta, least := cmp.Metrics.Gauge("campaign_eta_seconds").Value(), int64((left-1)*slow/time.Second); eta < least {
+		t.Errorf("campaign_eta_seconds = %d, want at least %d: %d batches left at %v or more each", eta, least, left-1, slow)
 	}
 }
 

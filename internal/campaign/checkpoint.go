@@ -1,11 +1,12 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
+	"slices"
 
 	"dfcheck/internal/compare"
 	"dfcheck/internal/harvest"
@@ -31,56 +32,24 @@ const checkpointTool = "dfcheck-campaign"
 // checkpoints from before it (plain modern=true) no longer resume.
 const modernRules = "rev2"
 
-type wireRow struct {
-	Analysis  string `json:"analysis"`
-	Same      int    `json:"same"`
-	OracleMP  int    `json:"oracle_more_precise"`
-	LLVMMP    int    `json:"llvm_more_precise"`
-	Exhausted int    `json:"resource_exhausted"`
-	Exprs     int    `json:"exprs"`
-	CPUTimeNs int64  `json:"cpu_time_ns"`
-}
-
-type wireFinding struct {
-	Expr string `json:"expr"`
-	// Kind is "soundness" (oracle disagreement; also the meaning of an
-	// absent field in pre-consistency checkpoints), "consistency"
-	// (cross-domain contradiction), or "nway" (variant contradiction).
-	Kind       string `json:"kind,omitempty"`
-	Source     string `json:"source"`
-	Analysis   string `json:"analysis"`
-	Var        string `json:"var,omitempty"`
-	OracleFact string `json:"oracle_fact"`
-	LLVMFact   string `json:"llvm_fact"`
-	// Reduced carries the 1-minimal reproducer when the campaign ran with
-	// the reducer enabled.
-	Reduced     string `json:"reduced,omitempty"`
-	ReduceSteps int    `json:"reduce_steps,omitempty"`
-}
-
-// wireNWay persists the cumulative n-way pre-filter totals.
-type wireNWay struct {
-	Exprs          int `json:"exprs"`
-	Agreed         int `json:"agreed"`
-	Escalated      int `json:"escalated"`
-	Dead           int `json:"dead"`
-	Comparisons    int `json:"comparisons"`
-	Disagreements  int `json:"disagreements"`
-	Contradictions int `json:"contradictions"`
-}
-
+// wireCheckpoint is the file layout. Rows, findings and n-way totals
+// use compare's JSON encoding, the one -json reports use.
 type wireCheckpoint struct {
-	Version           int           `json:"version"`
-	Tool              string        `json:"tool"`
-	Config            string        `json:"config"`
-	Seed              int64         `json:"seed"`
-	NextBatch         int           `json:"next_batch"`
-	Batches           int           `json:"batches_done"`
-	Exprs             int           `json:"exprs"`
-	ConsistencyChecks int           `json:"consistency_checks,omitempty"`
-	NWay              *wireNWay     `json:"nway,omitempty"`
-	Rows              []wireRow     `json:"rows"`
-	Findings          []wireFinding `json:"findings"`
+	Version           int                `json:"version"`
+	Tool              string             `json:"tool"`
+	Config            string             `json:"config"`
+	Seed              int64              `json:"seed"`
+	NextBatch         int                `json:"next_batch"`
+	Batches           int                `json:"batches_done"`
+	Exprs             int                `json:"exprs"`
+	ConsistencyChecks int                `json:"consistency_checks,omitempty"`
+	NWay              *compare.NWayStats `json:"nway,omitempty"`
+	Rows              []compare.Row      `json:"rows"`
+	// Findings carry a kind: "soundness" (oracle disagreement; also the
+	// meaning of an absent kind in pre-consistency checkpoints),
+	// "consistency" (cross-domain contradiction) or "nway" (variant
+	// contradiction).
+	Findings []compare.Finding `json:"findings"`
 }
 
 // Fingerprint renders every configuration knob that determines the
@@ -95,7 +64,8 @@ type wireCheckpoint struct {
 // Deliberately excluded: Workers (scheduling only;
 // TestParallelRunMatchesSequential in internal/compare).
 //
-// The serving knobs (FactSvc, CacheShards) are conservatively INCLUDED:
+// The serving knobs (FactSvc, and the stripe count of the comparator's
+// cache) are conservatively INCLUDED:
 // they have no equivalence test, and a serving campaign admits external
 // query traffic that warms the cache nondeterministically between
 // batches — resuming a served checkpoint unserved (or vice versa) is a
@@ -106,16 +76,18 @@ type wireCheckpoint struct {
 // (modernRules); the LLVM-8 port does not change, and modern=false reads
 // as it always has.
 func (c *Campaign) Fingerprint() string {
-	var an llvmport.Analyzer
-	if c.Comparator != nil && c.Comparator.Analyzer != nil {
-		an = *c.Comparator.Analyzer
-	}
 	cmp := c.Comparator
 	if cmp == nil {
 		cmp = &compare.Comparator{}
 	}
-	var budget int64 = cmp.Budget
-	var exprTimeout time.Duration = cmp.ExprTimeout
+	var an llvmport.Analyzer
+	if cmp.Analyzer != nil {
+		an = *cmp.Analyzer
+	}
+	shards := 0
+	if cmp.Cache != nil {
+		shards = cmp.Cache.Shards()
+	}
 	modern := "false"
 	if an.Modern {
 		modern = "true/" + modernRules
@@ -130,10 +102,10 @@ func (c *Campaign) Fingerprint() string {
 		"no-seed=%t;no-strash=%t;enum-cutoff=%d;nway=%t;reduce=%t;"+
 		"factsvc=%t;shards=%d",
 		c.Seed, c.Batches, c.NumExprs, c.MaxInsts, widths, c.MaxCastWidth, c.Mutants, c.Canaries,
-		budget, exprTimeout, an.Bugs.NonZeroAdd, an.Bugs.SRemSignBits, an.Bugs.SRemKnownBits, modern,
+		cmp.Budget, cmp.ExprTimeout, an.Bugs.NonZeroAdd, an.Bugs.SRemSignBits, an.Bugs.SRemKnownBits, modern,
 		cmp.Consistency, cmp.DomainNames(),
 		cmp.NoSeed, cmp.NoStrash, cmp.EnumCutoff, cmp.NWay, cmp.Reduce,
-		c.FactSvc, c.CacheShards)
+		c.FactSvc, shards)
 }
 
 // SaveCheckpoint writes the campaign state to path atomically: the file
@@ -147,52 +119,15 @@ func (c *Campaign) SaveCheckpoint(path string) error {
 		NextBatch: c.NextBatch,
 		Batches:   c.Totals.Batches,
 		Exprs:     c.Totals.Exprs,
-		Findings:  []wireFinding{},
+		NWay:      c.Totals.NWay,
+		Findings:  append([]compare.Finding{}, c.Totals.Findings...), // [] rather than null when there are none
 
 		ConsistencyChecks: c.Totals.ConsistencyChecks,
 	}
-	if n := c.Totals.NWay; n != nil {
-		w.NWay = &wireNWay{
-			Exprs:          n.Exprs,
-			Agreed:         n.Agreed,
-			Escalated:      n.Escalated,
-			Dead:           n.Dead,
-			Comparisons:    n.Comparisons,
-			Disagreements:  n.Disagreements,
-			Contradictions: n.Contradictions,
-		}
-	}
 	for _, a := range harvest.AllAnalyses {
-		row := c.Totals.Rows[a]
-		if row == nil {
-			continue
+		if row := c.Totals.Rows[a]; row != nil {
+			w.Rows = append(w.Rows, *row)
 		}
-		w.Rows = append(w.Rows, wireRow{
-			Analysis:  string(a),
-			Same:      row.Same,
-			OracleMP:  row.OracleMP,
-			LLVMMP:    row.LLVMMP,
-			Exhausted: row.Exhausted,
-			Exprs:     row.Exprs,
-			CPUTimeNs: int64(row.CPUTime),
-		})
-	}
-	for _, f := range c.Totals.Findings {
-		kind := f.Kind
-		if kind == "" {
-			kind = compare.FindingSoundness
-		}
-		w.Findings = append(w.Findings, wireFinding{
-			Expr:        f.ExprName,
-			Kind:        string(kind),
-			Source:      f.Source,
-			Analysis:    string(f.Result.Analysis),
-			Var:         f.Result.Var,
-			OracleFact:  f.Result.OracleFact,
-			LLVMFact:    f.Result.LLVMFact,
-			Reduced:     f.Reduced,
-			ReduceSteps: f.ReduceSteps,
-		})
 	}
 	data, err := json.MarshalIndent(w, "", "  ")
 	if err != nil {
@@ -200,25 +135,95 @@ func (c *Campaign) SaveCheckpoint(path string) error {
 	}
 	data = append(data, '\n')
 
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".checkpoint-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".checkpoint-*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint: %w", err)
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint: %w", err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	return nil
+}
+
+// readCheckpoint reads and decodes a checkpoint file and refuses what no
+// campaign writes: another tool's file or layout version, a negative
+// count, an analysis outside Table 1 (findings may also name the
+// consistency lint and the transfer domains, whose n-way contradictions
+// carry those names), or an unknown finding kind.
+func readCheckpoint(path string) (*wireCheckpoint, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: %w", err)
+	}
+	var w wireCheckpoint
+	if err := json.Unmarshal(data, &w); err != nil {
+		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
+	}
+	if w.Tool != checkpointTool {
+		return nil, fmt.Errorf("checkpoint %s: not a %s state file (tool %q)", path, checkpointTool, w.Tool)
+	}
+	if w.Version != CheckpointVersion {
+		return nil, fmt.Errorf("checkpoint %s: version %d, want %d", path, w.Version, CheckpointVersion)
+	}
+	if key := negativeCount(data); key != "" {
+		return nil, fmt.Errorf("checkpoint %s: negative %q", path, key)
+	}
+	for _, row := range w.Rows {
+		if !slices.Contains(harvest.AllAnalyses, row.Analysis) {
+			return nil, fmt.Errorf("checkpoint %s: unknown analysis %q", path, row.Analysis)
+		}
+	}
+	labels := append([]harvest.Analysis{compare.ConsistencyAnalysis, harvest.Tnum, harvest.Stride}, harvest.AllAnalyses...)
+	for _, f := range w.Findings {
+		if !slices.Contains(labels, f.Analysis) {
+			return nil, fmt.Errorf("checkpoint %s: unknown analysis %q in finding", path, f.Analysis)
+		}
+		if _, ok := f.Kind.Outcome(); !ok {
+			return nil, fmt.Errorf("checkpoint %s: unknown kind %q in finding", path, f.Kind)
+		}
+	}
+	return &w, nil
+}
+
+// negativeCount returns the key of the first negative number in a
+// checkpoint's JSON text, or "". Every number in a checkpoint but the
+// master seed counts something or indexes a batch. In an object a number
+// directly follows its key, and checkpoints hold no arrays of numbers.
+func negativeCount(data []byte) string {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	key := ""
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return ""
+		}
+		switch tok := tok.(type) {
+		case string:
+			key = tok
+		case float64:
+			if tok < 0 && key != "seed" {
+				return key
+			}
+		}
+	}
+}
+
+// CheckpointSeed returns the master seed recorded in the checkpoint at
+// path: a campaign resumed without an explicit seed continues under it.
+func CheckpointSeed(path string) (int64, error) {
+	w, err := readCheckpoint(path)
+	if err != nil {
+		return 0, err
+	}
+	return w.Seed, nil
 }
 
 // Resume restores the campaign state from a checkpoint file written by
@@ -227,97 +232,30 @@ func (c *Campaign) SaveCheckpoint(path string) error {
 // under different settings. Resume validates the whole file before
 // modifying the campaign.
 func (c *Campaign) Resume(path string) error {
-	data, err := os.ReadFile(path)
+	w, err := readCheckpoint(path)
 	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	var w wireCheckpoint
-	if err := json.Unmarshal(data, &w); err != nil {
-		return fmt.Errorf("checkpoint %s: %w", path, err)
-	}
-	if w.Tool != checkpointTool {
-		return fmt.Errorf("checkpoint %s: not a %s state file (tool %q)", path, checkpointTool, w.Tool)
-	}
-	if w.Version != CheckpointVersion {
-		return fmt.Errorf("checkpoint %s: version %d, want %d", path, w.Version, CheckpointVersion)
+		return err
 	}
 	if got := c.Fingerprint(); w.Config != got {
 		return fmt.Errorf("checkpoint %s was written under a different configuration:\n  checkpoint: %s\n  current:    %s",
 			path, w.Config, got)
 	}
-	valid := make(map[string]bool, len(harvest.AllAnalyses))
-	for _, a := range harvest.AllAnalyses {
-		valid[string(a)] = true
-	}
-	for _, row := range w.Rows {
-		if !valid[row.Analysis] {
-			return fmt.Errorf("checkpoint %s: unknown analysis %q", path, row.Analysis)
-		}
-	}
-	// Findings may additionally be labeled with the consistency lint or
-	// the transfer domains (n-way contradictions in tnum/stride carry
-	// those names); none of these ever contributes a Table 1 row.
-	valid[string(compare.ConsistencyAnalysis)] = true
-	valid[string(harvest.Tnum)] = true
-	valid[string(harvest.Stride)] = true
-	for _, f := range w.Findings {
-		if !valid[f.Analysis] {
-			return fmt.Errorf("checkpoint %s: unknown analysis %q in finding", path, f.Analysis)
-		}
-	}
 
 	t := newTotals()
-	t.Batches = w.Batches
-	t.Exprs = w.Exprs
-	t.ConsistencyChecks = w.ConsistencyChecks
-	for _, row := range w.Rows {
-		t.Rows[harvest.Analysis(row.Analysis)] = &compare.Row{
-			Analysis:  harvest.Analysis(row.Analysis),
-			Same:      row.Same,
-			OracleMP:  row.OracleMP,
-			LLVMMP:    row.LLVMMP,
-			Exhausted: row.Exhausted,
-			Exprs:     row.Exprs,
-			CPUTime:   time.Duration(row.CPUTimeNs),
-		}
+	t.Batches, t.Exprs = w.Batches, w.Exprs
+	t.ConsistencyChecks, t.NWay = w.ConsistencyChecks, w.NWay
+	for i := range w.Rows {
+		t.Rows[w.Rows[i].Analysis] = &w.Rows[i]
 	}
-	for _, f := range w.Findings {
-		kind := compare.FindingKind(f.Kind)
-		if kind == "" {
-			kind = compare.FindingSoundness // pre-consistency checkpoints
+	for i := range w.Findings {
+		f := &w.Findings[i]
+		if f.Kind == "" {
+			f.Kind = compare.FindingSoundness // pre-consistency checkpoints
 		}
-		outcome := compare.LLVMMorePrecise
-		switch kind {
-		case compare.FindingInconsistent:
-			outcome = compare.Inconsistent
-		case compare.FindingVariant:
-			outcome = compare.VariantsContradict
-		}
-		t.Findings = append(t.Findings, compare.Finding{
-			ExprName:    f.Expr,
-			Source:      f.Source,
-			Kind:        kind,
-			Reduced:     f.Reduced,
-			ReduceSteps: f.ReduceSteps,
-			Result: compare.Result{
-				Analysis:   harvest.Analysis(f.Analysis),
-				Outcome:    outcome,
-				Var:        f.Var,
-				OracleFact: f.OracleFact,
-				LLVMFact:   f.LLVMFact,
-			},
-		})
+		f.Outcome, _ = f.Kind.Outcome()
 	}
-	if w.NWay != nil {
-		t.NWay = &compare.NWayStats{
-			Exprs:          w.NWay.Exprs,
-			Agreed:         w.NWay.Agreed,
-			Escalated:      w.NWay.Escalated,
-			Dead:           w.NWay.Dead,
-			Comparisons:    w.NWay.Comparisons,
-			Disagreements:  w.NWay.Disagreements,
-			Contradictions: w.NWay.Contradictions,
-		}
+	if len(w.Findings) > 0 {
+		t.Findings = w.Findings
 	}
 	c.Totals = t
 	c.NextBatch = w.NextBatch

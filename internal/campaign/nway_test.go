@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dfcheck/internal/compare"
+	"dfcheck/internal/rescache"
 )
 
 // TestFingerprintCoversResultKnobs is the checkpoint-safety contract:
@@ -52,7 +53,7 @@ func TestFingerprintCoversResultKnobs(t *testing.T) {
 		// written while serving must not resume unserved (and a changed
 		// shard count records a changed serving setup).
 		{"factsvc", func(cfg *Config, c *compare.Comparator) { cfg.FactSvc = true }},
-		{"shards", func(cfg *Config, c *compare.Comparator) { cfg.CacheShards = 8 }},
+		{"shards", func(cfg *Config, c *compare.Comparator) { c.Cache = rescache.NewSharded(8) }},
 	}
 	baseFP := base.Fingerprint()
 	for _, k := range knobs {

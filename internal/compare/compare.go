@@ -80,17 +80,17 @@ const ConsistencyAnalysis harvest.Analysis = "consistency"
 // Result is one comparison: the outcome and both facts rendered the way
 // the paper prints them.
 type Result struct {
-	Analysis   harvest.Analysis
-	Outcome    Outcome
-	OracleFact string
-	LLVMFact   string
+	Analysis harvest.Analysis `json:"analysis"`
+	Outcome  Outcome          `json:"-"`
 	// Var is set for demanded-bits results (one per input variable).
-	Var string
+	Var        string `json:"var,omitempty"`
+	OracleFact string `json:"oracle_fact"`
+	LLVMFact   string `json:"llvm_fact"`
 	// Elapsed is the oracle computation time attributed to this result
 	// (for demanded bits, the whole per-expression time is attributed to
 	// the first variable's entry). Cache hits replay the time the
 	// original computation took, keeping cached reports deterministic.
-	Elapsed time.Duration
+	Elapsed time.Duration `json:"-"`
 }
 
 // Comparator runs the oracle against a (possibly bug-injected) LLVM port.
@@ -835,16 +835,18 @@ const (
 )
 
 // Finding is a soundness-bug report, printed the way §4.7 shows them.
+// It encodes flat, the Result's facts between the kind and the source,
+// in -json reports and checkpoints alike.
 type Finding struct {
-	ExprName string
-	Source   string
-	Kind     FindingKind
-	Result   Result
+	ExprName string      `json:"expr"`
+	Kind     FindingKind `json:"kind,omitempty"`
+	Result
+	Source string `json:"source"`
 	// Reduced is the 1-minimal expression still triggering this finding
 	// kind, set when the comparator ran with Reduce; ReduceSteps counts
 	// the accepted shrinking transformations that produced it.
-	Reduced     string
-	ReduceSteps int
+	Reduced     string `json:"reduced,omitempty"`
+	ReduceSteps int    `json:"reduce_steps,omitempty"`
 }
 
 // String renders the finding in the paper's report format. Consistency
@@ -870,15 +872,16 @@ func (f Finding) String() string {
 	return s
 }
 
-// Row aggregates Table 1 counts for one analysis.
+// Row aggregates Table 1 counts for one analysis. Its JSON encoding is
+// the checkpoint's row; -json reports render their own (jsonRow).
 type Row struct {
-	Analysis  harvest.Analysis
-	Same      int
-	OracleMP  int
-	LLVMMP    int
-	Exhausted int
-	CPUTime   time.Duration
-	Exprs     int // expressions contributing to CPUTime
+	Analysis  harvest.Analysis `json:"analysis"`
+	Same      int              `json:"same"`
+	OracleMP  int              `json:"oracle_more_precise"`
+	LLVMMP    int              `json:"llvm_more_precise"`
+	Exhausted int              `json:"resource_exhausted"`
+	Exprs     int              `json:"exprs"` // expressions contributing to CPUTime
+	CPUTime   time.Duration    `json:"cpu_time_ns"`
 }
 
 // Total returns the number of comparisons in the row.
@@ -907,11 +910,16 @@ func (s CacheStats) HitRate() float64 {
 type NWayStats struct {
 	// Exprs counts expressions cross-checked; Agreed + Escalated + Dead
 	// partition it.
-	Exprs, Agreed, Escalated, Dead int
+	Exprs     int `json:"exprs"`
+	Agreed    int `json:"agreed"`
+	Escalated int `json:"escalated"`
+	Dead      int `json:"dead"`
 	// Comparisons counts the per-domain pairwise fact comparisons;
 	// Disagreements the non-equivalent ones; Contradictions the subset no
 	// pair of sound analyzers could produce.
-	Comparisons, Disagreements, Contradictions int
+	Comparisons    int `json:"comparisons"`
+	Disagreements  int `json:"disagreements"`
+	Contradictions int `json:"contradictions"`
 }
 
 func (s *NWayStats) add(e *nwayExprStats) {
@@ -952,7 +960,8 @@ type Report struct {
 	Skipped     int
 }
 
-func newReport() *Report {
+// NewReport returns an empty report: a zero row per Table 1 analysis.
+func NewReport() *Report {
 	rep := &Report{Rows: make(map[harvest.Analysis]*Row)}
 	for _, a := range harvest.AllAnalyses {
 		rep.Rows[a] = &Row{Analysis: a}
@@ -1077,7 +1086,7 @@ func (c *Comparator) RunContext(ctx context.Context, corpus []harvest.Expr) *Rep
 		out[g] = c.compareOne(ctx, corpus[first[g]].F)
 	})
 
-	rep := newReport()
+	rep := NewReport()
 	if c.NWay {
 		rep.NWay = &NWayStats{}
 	}

@@ -19,29 +19,6 @@ type jsonRow struct {
 	AvgCPUMillis      float64 `json:"avg_cpu_ms_per_expr"`
 }
 
-type jsonFinding struct {
-	Expr        string `json:"expr"`
-	Kind        string `json:"kind,omitempty"`
-	Analysis    string `json:"analysis"`
-	Var         string `json:"var,omitempty"`
-	OracleFact  string `json:"oracle_fact"`
-	LLVMFact    string `json:"llvm_fact"`
-	Source      string `json:"source"`
-	Reduced     string `json:"reduced,omitempty"`
-	ReduceSteps int    `json:"reduce_steps,omitempty"`
-}
-
-// jsonNWay is the machine-readable form of the n-way pre-filter summary.
-type jsonNWay struct {
-	Exprs          int `json:"exprs"`
-	Agreed         int `json:"agreed"`
-	Escalated      int `json:"escalated"`
-	Dead           int `json:"dead"`
-	Comparisons    int `json:"comparisons"`
-	Disagreements  int `json:"disagreements"`
-	Contradictions int `json:"contradictions"`
-}
-
 type jsonCache struct {
 	Hits    uint64  `json:"hits"`
 	Misses  uint64  `json:"misses"`
@@ -50,16 +27,17 @@ type jsonCache struct {
 }
 
 type jsonReport struct {
-	Rows              []jsonRow     `json:"rows"`
-	Findings          []jsonFinding `json:"soundness_findings"`
-	ConsistencyChecks int           `json:"consistency_checks,omitempty"`
-	NWay              *jsonNWay     `json:"nway,omitempty"`
-	Cache             *jsonCache    `json:"cache,omitempty"`
+	Rows              []jsonRow  `json:"rows"`
+	Findings          []Finding  `json:"soundness_findings"`
+	ConsistencyChecks int        `json:"consistency_checks,omitempty"`
+	NWay              *NWayStats `json:"nway,omitempty"`
+	Cache             *jsonCache `json:"cache,omitempty"`
 }
 
 // JSON renders the report as machine-readable JSON, rows in Table 1 order.
 func (rep *Report) JSON() ([]byte, error) {
-	out := jsonReport{Findings: []jsonFinding{}}
+	// No findings encode as [], not null.
+	out := jsonReport{Findings: append([]Finding{}, rep.Findings...), ConsistencyChecks: rep.ConsistencyChecks, NWay: rep.NWay}
 	for _, a := range harvest.AllAnalyses {
 		row := rep.Rows[a]
 		if row == nil || row.Total() == 0 {
@@ -78,35 +56,6 @@ func (rep *Report) JSON() ([]byte, error) {
 			AvgCPUMillis:      avg,
 		})
 	}
-	for _, f := range rep.Findings {
-		kind := f.Kind
-		if kind == "" {
-			kind = FindingSoundness
-		}
-		out.Findings = append(out.Findings, jsonFinding{
-			Expr:        f.ExprName,
-			Kind:        string(kind),
-			Analysis:    string(f.Result.Analysis),
-			Var:         f.Result.Var,
-			OracleFact:  f.Result.OracleFact,
-			LLVMFact:    f.Result.LLVMFact,
-			Source:      f.Source,
-			Reduced:     f.Reduced,
-			ReduceSteps: f.ReduceSteps,
-		})
-	}
-	out.ConsistencyChecks = rep.ConsistencyChecks
-	if rep.NWay != nil {
-		out.NWay = &jsonNWay{
-			Exprs:          rep.NWay.Exprs,
-			Agreed:         rep.NWay.Agreed,
-			Escalated:      rep.NWay.Escalated,
-			Dead:           rep.NWay.Dead,
-			Comparisons:    rep.NWay.Comparisons,
-			Disagreements:  rep.NWay.Disagreements,
-			Contradictions: rep.NWay.Contradictions,
-		}
-	}
 	if rep.Cache != nil {
 		out.Cache = &jsonCache{
 			Hits:    rep.Cache.Hits,
@@ -116,6 +65,68 @@ func (rep *Report) JSON() ([]byte, error) {
 		}
 	}
 	return json.MarshalIndent(out, "", "  ")
+}
+
+// Add folds o into rep, which must have rows (NewReport): it sums each
+// row, appends o's findings, and adds o's consistency checks and n-way
+// totals. A campaign keeps its cumulative Table 1 tallies this way, one
+// batch report at a time.
+func (rep *Report) Add(o *Report) {
+	for a, row := range o.Rows {
+		acc := rep.Rows[a]
+		if acc == nil {
+			acc = &Row{Analysis: a}
+			rep.Rows[a] = acc
+		}
+		acc.Same += row.Same
+		acc.OracleMP += row.OracleMP
+		acc.LLVMMP += row.LLVMMP
+		acc.Exhausted += row.Exhausted
+		acc.Exprs += row.Exprs
+		acc.CPUTime += row.CPUTime
+	}
+	rep.Findings = append(rep.Findings, o.Findings...)
+	rep.ConsistencyChecks += o.ConsistencyChecks
+	if o.NWay != nil {
+		if rep.NWay == nil {
+			rep.NWay = &NWayStats{}
+		}
+		n := rep.NWay
+		n.Exprs += o.NWay.Exprs
+		n.Agreed += o.NWay.Agreed
+		n.Escalated += o.NWay.Escalated
+		n.Dead += o.NWay.Dead
+		n.Comparisons += o.NWay.Comparisons
+		n.Disagreements += o.NWay.Disagreements
+		n.Contradictions += o.NWay.Contradictions
+	}
+}
+
+// Outcome returns the outcome every finding of kind k carries, and false
+// for an unknown kind. The empty kind reads as soundness, which is what
+// a finding without a kind meant before the consistency lint.
+func (k FindingKind) Outcome() (Outcome, bool) {
+	switch k {
+	case FindingSoundness, "":
+		return LLVMMorePrecise, true
+	case FindingInconsistent:
+		return Inconsistent, true
+	case FindingVariant:
+		return VariantsContradict, true
+	}
+	return 0, false
+}
+
+// Label names the findings of kind k in text reports and campaign
+// progress lines; an empty or unknown kind reads as soundness.
+func (k FindingKind) Label() string {
+	switch k {
+	case FindingInconsistent:
+		return "INCONSISTENT"
+	case FindingVariant:
+		return "NWAY"
+	}
+	return "SOUNDNESS"
 }
 
 // CacheSummary renders the cache statistics of a cached run in one line,
@@ -164,34 +175,17 @@ func (rep *Report) Table() string {
 		fmt.Fprintf(&sb, "\nnway: %d exprs (%d agreed, %d escalated, %d dead); %d comparisons, %d disagreements, %d contradictions\n",
 			s.Exprs, s.Agreed, s.Escalated, s.Dead, s.Comparisons, s.Disagreements, s.Contradictions)
 	}
-	var sound, incons, variant []Finding
-	for _, f := range rep.Findings {
-		switch f.Kind {
-		case FindingInconsistent:
-			incons = append(incons, f)
-		case FindingVariant:
-			variant = append(variant, f)
-		default:
-			sound = append(sound, f)
+	for _, kind := range []FindingKind{FindingSoundness, FindingInconsistent, FindingVariant} {
+		var section []Finding
+		for _, f := range rep.Findings {
+			if f.Kind.Label() == kind.Label() {
+				section = append(section, f)
+			}
 		}
-	}
-	if len(sound) > 0 {
-		fmt.Fprintf(&sb, "\nSOUNDNESS FINDINGS (%d):\n\n", len(sound))
-		for _, f := range sound {
-			sb.WriteString(f.String())
-			sb.WriteByte('\n')
+		if len(section) > 0 {
+			fmt.Fprintf(&sb, "\n%s FINDINGS (%d):\n\n", kind.Label(), len(section))
 		}
-	}
-	if len(incons) > 0 {
-		fmt.Fprintf(&sb, "\nINCONSISTENT FINDINGS (%d):\n\n", len(incons))
-		for _, f := range incons {
-			sb.WriteString(f.String())
-			sb.WriteByte('\n')
-		}
-	}
-	if len(variant) > 0 {
-		fmt.Fprintf(&sb, "\nNWAY FINDINGS (%d):\n\n", len(variant))
-		for _, f := range variant {
+		for _, f := range section {
 			sb.WriteString(f.String())
 			sb.WriteByte('\n')
 		}
