@@ -9,7 +9,8 @@
 // it cleanly mid-batch, -checkpoint persists the campaign state so
 // -resume continues to the exact report an uninterrupted run would have
 // produced, -events streams JSONL batch/finding records, and -metrics
-// snapshots the instrument registry on exit.
+// writes the instrument registry on exit as the Prometheus text /metricsz
+// serves.
 //
 //	dfcheck-fuzz -batches 20 -n 50
 //	dfcheck-fuzz -bug3          # verify the loop catches an injected bug
@@ -18,6 +19,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -51,11 +53,10 @@ func main() {
 		canaries   = flag.Bool("canaries", false, "seed every batch with the §4.7 trigger expressions (verifies the loop catches injected bugs)")
 		mutants    = flag.Int("mutants", 1, "mutated variants added per generated expression (Csmith-style seed mutation)")
 		cacheFile  = flag.String("cache", "", "persist oracle results to this file across batches and runs (the artifact's Redis dump analog)")
-		checkpoint = flag.String("checkpoint", "", "write campaign state to this file (periodically and on interrupt)")
-		ckptEvery  = flag.Int("checkpoint-every", 10, "batches between periodic checkpoint saves (0 = only on interrupt/exit)")
+		checkpoint = flag.String("checkpoint", "", "write campaign state to this file (every 10 s, on interrupt and at the end)")
 		resume     = flag.String("resume", "", "resume the campaign from this state file (implies -checkpoint with the same file)")
 		eventsFile = flag.String("events", "", "append JSONL batch and finding records to this file")
-		metricsOut = flag.String("metrics", "", "write a JSON metrics snapshot to this file on exit")
+		metricsOut = flag.String("metrics", "", "write the metrics to this file on exit, in the Prometheus text /metricsz serves")
 		httpAddr   = flag.String("http", "", "serve the debug server on this address (e.g. :8125): Prometheus metrics at /metricsz, health, dashboard and slow-log endpoints, pprof profiles at /debug/pprof/")
 		shards     = flag.Int("shards", rescache.DefaultShards, "lock stripes in the oracle result cache (rounded up to a power of two)")
 		factSvc    = flag.Bool("factsvc", false, "serve the fact-service query API (POST /v1/facts) on the -http server, sharing the campaign's cache and in-flight dedup")
@@ -63,7 +64,6 @@ func main() {
 		traceFile  = flag.String("trace", "", "write a Chrome trace-event JSON span trace to this file (open in Perfetto, aggregate with trace-report)")
 		traceMaxMB = flag.Int64("trace-max-mb", 256, "rotate the trace file when it exceeds this many MiB (0 = unbounded)")
 		drain      = flag.Duration("drain", 0, "after an interrupt in -serve mode, keep answering for this long with /readyz reporting 503 (load-balancer drain window)")
-		slowLogN   = flag.Int("slow-log", metrics.DefaultSlowLogSize, "slowest solves retained for /slowz and /dashboardz (0 disables)")
 	)
 	flag.Parse()
 
@@ -96,15 +96,12 @@ func main() {
 	}
 
 	reg := metrics.NewRegistry()
-	var slowLog *metrics.SlowLog
-	if *slowLogN > 0 {
-		slowLog = metrics.NewSlowLog(*slowLogN)
-	}
+	slowLog := metrics.NewSlowLog(metrics.DefaultSlowLogSize)
 	health := ops.NewHealth()
 	if *httpAddr != "" {
 		// net/http/pprof registers /debug/pprof/* on the default mux;
 		// the ops endpoints (/metricsz, /healthz, /readyz, /dashboardz,
-		// /eventsz, /slowz) mount beside them.
+		// /slowz) mount beside them.
 		(&ops.Server{Registry: reg, Health: health, Slow: slowLog}).Register(http.DefaultServeMux)
 		go func() {
 			if err := http.ListenAndServe(*httpAddr, nil); err != nil {
@@ -173,19 +170,18 @@ func main() {
 	}
 
 	camp := campaign.New(campaign.Config{
-		Seed:            *seed,
-		Batches:         *batches,
-		NumExprs:        *n,
-		MaxInsts:        *maxInsts,
-		Widths:          widths,
-		MaxCastWidth:    *maxWidth,
-		Mutants:         *mutants,
-		Canaries:        *canaries,
-		CheckpointPath:  *checkpoint,
-		CheckpointEvery: *ckptEvery,
-		Events:          events,
-		Progress:        os.Stdout,
-		FactSvc:         *factSvc,
+		Seed:           *seed,
+		Batches:        *batches,
+		NumExprs:       *n,
+		MaxInsts:       *maxInsts,
+		Widths:         widths,
+		MaxCastWidth:   *maxWidth,
+		Mutants:        *mutants,
+		Canaries:       *canaries,
+		CheckpointPath: *checkpoint,
+		Events:         events,
+		Progress:       os.Stdout,
+		FactSvc:        *factSvc,
 	}, c)
 	if *resume != "" {
 		if err := camp.Resume(*resume); err != nil {
@@ -236,15 +232,13 @@ func main() {
 				fmt.Fprintf(os.Stderr, "dfcheck-fuzz: WARNING: cache not saved: %v\n", err)
 			}
 		}
-		st := c.Cache.Stats()
-		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses (%.1f%% hit rate), %d entries\n",
-			st.Hits, st.Misses, 100*st.HitRate(), c.Cache.Len())
+		fmt.Fprintln(os.Stderr, compare.CacheStats{Stats: c.Cache.Stats(), Entries: c.Cache.Len()})
 	}
 	if *metricsOut != "" {
-		if data, err := reg.JSON(); err == nil {
-			if err := os.WriteFile(*metricsOut, append(data, '\n'), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "dfcheck-fuzz: WARNING: metrics not saved: %v\n", err)
-			}
+		var buf bytes.Buffer
+		reg.WritePrometheus(&buf) // cannot fail on a bytes.Buffer
+		if err := os.WriteFile(*metricsOut, buf.Bytes(), 0o644); err != nil {
+			fmt.Fprintf(os.Stderr, "dfcheck-fuzz: WARNING: metrics not saved: %v\n", err)
 		}
 	}
 	if events != nil {
@@ -257,8 +251,7 @@ func main() {
 	if nw := camp.Totals.NWay; nw != nil {
 		// One stable line for scripts (CI asserts escalations stay below
 		// comparisons, i.e. the pre-filter actually filters).
-		fmt.Printf("\nnway: %d exprs (%d agreed, %d escalated, %d dead); %d comparisons, %d disagreements, %d contradictions\n",
-			nw.Exprs, nw.Agreed, nw.Escalated, nw.Dead, nw.Comparisons, nw.Disagreements, nw.Contradictions)
+		fmt.Printf("\n%s\n", nw)
 	}
 	fmt.Printf("\ntotal: %d batches, %d expressions, %d soundness findings\n",
 		camp.Totals.Batches, camp.Totals.Exprs, len(camp.Totals.Findings))

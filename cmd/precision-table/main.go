@@ -45,6 +45,10 @@ func main() {
 		factSvc   = flag.Bool("factsvc", false, "after printing the table, serve the fact-service query API (POST /v1/facts) on the -http server until interrupted")
 	)
 	flag.Parse()
+	if *factSvc && *httpAddr == "" {
+		fmt.Fprintln(os.Stderr, "precision-table: -factsvc requires -http (the query API mounts on the debug server)")
+		os.Exit(2)
+	}
 
 	widths := []harvest.WidthWeight{{Width: 4, Weight: 10}, {Width: 8, Weight: 45}}
 	if *maxWidth >= 13 {
@@ -175,10 +179,6 @@ func main() {
 
 	if *factSvc {
 		// Serve fact queries against the now-warm cache until interrupted.
-		if *httpAddr == "" {
-			fmt.Fprintln(os.Stderr, "precision-table: -factsvc requires -http (the query API mounts on the debug server)")
-			os.Exit(1)
-		}
 		svc, err := c.NewFactService(factsvc.Config{Workers: c.Workers, SlowLog: slowLog})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "precision-table:", err)

@@ -57,12 +57,10 @@ type Config struct {
 	FactSvc bool
 
 	// CheckpointPath, when set, is where the campaign state file is
-	// written: every CheckpointEvery batches, on interruption, and at
+	// written: after the first batch to end checkpointInterval or more
+	// after the last save (or after Run began), on interruption, and at
 	// the end of the run.
 	CheckpointPath string
-	// CheckpointEvery is the batch interval between periodic checkpoint
-	// saves (0 disables periodic saves; interruption still saves).
-	CheckpointEvery int
 
 	// Events, when non-nil, receives one "batch" record per completed
 	// batch and one self-contained "finding" record per soundness
@@ -90,6 +88,12 @@ type Totals struct {
 
 func newTotals() Totals { return Totals{Report: *compare.NewReport()} }
 
+// checkpointInterval is the least time between periodic checkpoint
+// saves. A save rewrites the whole state file, tens of milliseconds on
+// an ordinary disk, which a save per batch would spend on every batch of
+// a fast campaign; a kill loses at most this much work.
+var checkpointInterval = 10 * time.Second
+
 // Campaign is one (possibly resumed) run of the testing loop. It records
 // its counters into the comparator's metrics registry and opens its batch
 // spans on the comparator's tracer, beside the comparator's own.
@@ -107,6 +111,8 @@ type Campaign struct {
 	// not those a resumed checkpoint carried in.
 	start                time.Time
 	runBatches, runExprs int
+	// saved is when the last checkpoint save began, or when Run began.
+	saved time.Time
 }
 
 // New returns a campaign at batch zero.
@@ -164,6 +170,7 @@ func (c *Campaign) checkpoint() {
 	if c.CheckpointPath == "" {
 		return
 	}
+	c.saved = time.Now()
 	if err := c.SaveCheckpoint(c.CheckpointPath); err != nil {
 		c.warnf("checkpoint not saved: %v", err)
 		return
@@ -258,6 +265,7 @@ func (c *Campaign) emitFindings(b int, rep *compare.Report) {
 // when the campaign ran to completion.
 func (c *Campaign) Run(ctx context.Context) error {
 	c.start, c.runBatches, c.runExprs = time.Now(), c.Totals.Batches, c.Totals.Exprs
+	c.saved = c.start
 	for b := c.NextBatch; c.Batches == 0 || b < c.Batches; b++ {
 		if ctx.Err() != nil {
 			c.checkpoint()
@@ -292,7 +300,7 @@ func (c *Campaign) Run(ctx context.Context) error {
 		}
 		c.emitBatch(b, rep, len(corpus), time.Since(batchStart))
 		c.emitFindings(b, rep)
-		if c.CheckpointEvery > 0 && (b+1)%c.CheckpointEvery == 0 {
+		if time.Since(c.saved) >= checkpointInterval {
 			c.checkpoint()
 		}
 		if c.AfterBatch != nil {

@@ -460,6 +460,30 @@ func TestCheckpointSaveErrorIsWarning(t *testing.T) {
 	}
 }
 
+// TestCheckpointInterval counts saves through checkpoints_saved: with
+// the interval at 0 the campaign saves after every batch and once more
+// at the end; one shorter than the interval saves only at the end.
+func TestCheckpointInterval(t *testing.T) {
+	defer func(d time.Duration) { checkpointInterval = d }(checkpointInterval)
+	const batches = 3
+	for _, tc := range []struct {
+		interval time.Duration
+		want     int64
+	}{{0, batches + 1}, {time.Hour, 1}} {
+		checkpointInterval = tc.interval
+		cfg := testConfig(5, batches)
+		cfg.CheckpointPath = filepath.Join(t.TempDir(), "ckpt.json")
+		cmp := testComparator()
+		cmp.Metrics = metrics.NewRegistry()
+		if err := New(cfg, cmp).Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := cmp.Metrics.Counter("checkpoints_saved").Value(); got != tc.want {
+			t.Errorf("interval %v: %d checkpoints saved, want %d", tc.interval, got, tc.want)
+		}
+	}
+}
+
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
 }

@@ -554,18 +554,32 @@ type nwayExprStats struct {
 // nwayCheck cross-checks all analyzer variants on f, returning the
 // pre-filter stats and the contradiction results (gated, like the
 // consistency lint, on the expression having a well-defined input: on
-// dead code arbitrary fact sets are vacuously sound).
+// dead code arbitrary fact sets are vacuously sound). The stats count
+// only the contradictions that pass the gate.
 func (c *Comparator) nwayCheck(ctx context.Context, f *ir.Function) (*nwayExprStats, []Result) {
 	sp := trace.FromContext(ctx).Child(trace.KindAnalysis, "nway")
 	cmp := nway.Compare(f, nway.Variants(c.Analyzer))
 	st := &nwayExprStats{
-		comparisons:    cmp.Checks,
-		disagreements:  cmp.Disagreements,
-		contradictions: len(cmp.Contradictions),
-		escalated:      cmp.Escalate(),
-		dead:           cmp.Dead,
+		comparisons:   cmp.Checks,
+		disagreements: cmp.Disagreements,
+		escalated:     cmp.Escalate(),
+		dead:          cmp.Dead,
 	}
 	st.agreed = !cmp.Dead && !cmp.Escalate()
+	var out []Result
+	if len(cmp.Contradictions) > 0 && hasWellDefinedInput(f) {
+		out = make([]Result, 0, len(cmp.Contradictions))
+		for _, cd := range cmp.Contradictions {
+			out = append(out, Result{
+				Analysis:   cd.Analysis,
+				Outcome:    VariantsContradict,
+				Var:        cd.A + " vs " + cd.B,
+				OracleFact: cd.AFact,
+				LLVMFact:   cd.BFact,
+			})
+		}
+	}
+	st.contradictions = len(out)
 	if sp != nil {
 		sp.SetInt("comparisons", int64(st.comparisons))
 		sp.SetInt("disagreements", int64(st.disagreements))
@@ -581,19 +595,6 @@ func (c *Comparator) nwayCheck(ctx context.Context, f *ir.Function) (*nwayExprSt
 		if st.agreed {
 			c.Metrics.Counter("nway_agreed").Inc()
 		}
-	}
-	if len(cmp.Contradictions) == 0 || !hasWellDefinedInput(f) {
-		return st, nil
-	}
-	out := make([]Result, 0, len(cmp.Contradictions))
-	for _, cd := range cmp.Contradictions {
-		out = append(out, Result{
-			Analysis:   cd.Analysis,
-			Outcome:    VariantsContradict,
-			Var:        cd.A + " vs " + cd.B,
-			OracleFact: cd.AFact,
-			LLVMFact:   cd.BFact,
-		})
 	}
 	return st, out
 }
@@ -889,19 +890,17 @@ func (r Row) Total() int { return r.Same + r.OracleMP + r.LLVMMP + r.Exhausted }
 
 // CacheStats reports the oracle cache traffic of one Run.
 type CacheStats struct {
-	// Hits and Misses count oracle result lookups during this run.
-	Hits, Misses uint64
+	// Stats counts the oracle result lookups during this run.
+	rescache.Stats
 	// Entries is the cache size after the run.
 	Entries int
 }
 
-// HitRate returns the hit fraction of this run's lookups, in [0,1].
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
+// String renders the stats as the one cache: line the CLIs print to
+// stderr.
+func (s CacheStats) String() string {
+	return fmt.Sprintf("cache: %d hits, %d misses (%.1f%% hit rate), %d entries",
+		s.Hits, s.Misses, 100*s.HitRate(), s.Entries)
 }
 
 // NWayStats summarizes the n-way pre-filter over a run: how many
@@ -916,10 +915,18 @@ type NWayStats struct {
 	Dead      int `json:"dead"`
 	// Comparisons counts the per-domain pairwise fact comparisons;
 	// Disagreements the non-equivalent ones; Contradictions the subset no
-	// pair of sound analyzers could produce.
+	// pair of sound analyzers could produce that became findings, which
+	// leaves out those on expressions with no well-defined input.
 	Comparisons    int `json:"comparisons"`
 	Disagreements  int `json:"disagreements"`
 	Contradictions int `json:"contradictions"`
+}
+
+// String renders the stats as the one nway: line of the text report and
+// of dfcheck-fuzz's summary.
+func (s NWayStats) String() string {
+	return fmt.Sprintf("nway: %d exprs (%d agreed, %d escalated, %d dead); %d comparisons, %d disagreements, %d contradictions",
+		s.Exprs, s.Agreed, s.Escalated, s.Dead, s.Comparisons, s.Disagreements, s.Contradictions)
 }
 
 func (s *NWayStats) add(e *nwayExprStats) {
@@ -1107,8 +1114,7 @@ func (c *Comparator) RunContext(ctx context.Context, corpus []harvest.Expr) *Rep
 	if c.Cache != nil {
 		after := c.Cache.Stats()
 		rep.Cache = &CacheStats{
-			Hits:    after.Hits - before.Hits,
-			Misses:  after.Misses - before.Misses,
+			Stats:   rescache.Stats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses},
 			Entries: c.Cache.Len(),
 		}
 	}

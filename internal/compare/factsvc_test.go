@@ -81,7 +81,7 @@ func TestFactServiceSolvesEachAnalysisOnce(t *testing.T) {
 		t.Errorf("alpha-variant's first demanded label = %q, want its own variable p", got)
 	}
 	hits := c.Cache.Stats().Hits
-	collapsed := reg.Snapshot().Counters["flight_collapsed"]
+	collapsed := reg.Counter("flight_collapsed").Value()
 	if got := int64(hits) + collapsed; got != 64 {
 		t.Errorf("cache hits %d + flight_collapsed %d = %d, want 64 (each of 8 analyses solved once for 9 queries)",
 			hits, collapsed, got)

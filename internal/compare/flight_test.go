@@ -34,7 +34,7 @@ func TestFlightCollapsesConcurrentDuplicates(t *testing.T) {
 	}
 	soloReg := metrics.NewRegistry()
 	soloRep := mk(1, soloReg).Run([]harvest.Expr{{Name: "solo", F: ir.MustParse(src), Freq: 1}})
-	soloQueries := soloReg.Snapshot().Counters["solver_queries"]
+	soloQueries := soloReg.Counter("solver_queries").Value()
 	if soloQueries == 0 {
 		t.Fatal("baseline expression cost zero solver queries; pick a harder one")
 	}
@@ -52,7 +52,7 @@ func TestFlightCollapsesConcurrentDuplicates(t *testing.T) {
 	for _, workers := range []int{1, n} {
 		reg := metrics.NewRegistry()
 		rep := mk(workers, reg).Run(corpus)
-		if got := reg.Snapshot().Counters["solver_queries"]; got != soloQueries {
+		if got := reg.Counter("solver_queries").Value(); got != soloQueries {
 			t.Errorf("workers=%d: solver_queries = %d for %d copies, want the solo cost %d (one solve)",
 				workers, got, n, soloQueries)
 		}
@@ -94,9 +94,9 @@ func TestFlightSequentialRunsDoNotCollapse(t *testing.T) {
 	c := &Comparator{Analyzer: &llvmport.Analyzer{}, Workers: 1, Metrics: reg}
 	corpus := []harvest.Expr{{Name: "a", F: ir.MustParse(flightExprSrc), Freq: 1}}
 	c.Run(corpus)
-	first := reg.Snapshot().Counters["solver_queries"]
+	first := reg.Counter("solver_queries").Value()
 	c.Run(corpus)
-	if got := reg.Snapshot().Counters["solver_queries"]; first == 0 || got != 2*first {
+	if got := reg.Counter("solver_queries").Value(); first == 0 || got != 2*first {
 		t.Errorf("solver_queries = %d after the first Run, %d after the second; want the second to solve again", first, got)
 	}
 }
@@ -145,8 +145,8 @@ func TestCachedFlightDeduplicatesOracleFacts(t *testing.T) {
 	soloReg := metrics.NewRegistry()
 	solo := &Comparator{Analyzer: &llvmport.Analyzer{}, Workers: 1, Metrics: soloReg}
 	solo.Run([]harvest.Expr{{Name: "solo", F: f, Freq: 1}})
-	soloQ := soloReg.Snapshot().Counters["solver_queries"]
-	gotQ := reg.Snapshot().Counters["solver_queries"]
+	soloQ := soloReg.Counter("solver_queries").Value()
+	gotQ := reg.Counter("solver_queries").Value()
 	if gotQ > 2*soloQ {
 		t.Errorf("concurrent cached queries cost %d solver queries; solo costs %d — dedup failed", gotQ, soloQ)
 	}
@@ -192,14 +192,13 @@ func TestFlightLeaderRechecksCache(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("facts differ from the warm cache's:\n%v\nvs\n%v", got, want)
 	}
-	snap := reg.Snapshot()
-	if q := snap.Counters["solver_queries"]; q != 0 {
+	if q := reg.Counter("solver_queries").Value(); q != 0 {
 		t.Errorf("solver_queries = %d, want 0 (the leader re-checks the cache)", q)
 	}
 	if st := c.Cache.Stats(); st.Misses != 1 || st.Hits != 7 {
 		t.Errorf("cache stats %+v, want 1 miss and 7 hits (the re-check counts neither)", st)
 	}
-	if n := snap.Counters["flight_collapsed"]; n != 1 {
+	if n := reg.Counter("flight_collapsed").Value(); n != 1 {
 		t.Errorf("flight_collapsed = %d, want 1 (the adopted entry)", n)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"dfcheck/internal/ir"
 	"dfcheck/internal/llvmport"
 	"dfcheck/internal/metrics"
+	"dfcheck/internal/nway"
 	"dfcheck/internal/reduce"
 	"dfcheck/internal/rescache"
 )
@@ -105,6 +106,22 @@ func TestNWaySeededBugFindings(t *testing.T) {
 		if !found {
 			t.Errorf("%s: no %s finding for %s in %d findings", tr.Name, wantKind, tr.Analysis, len(rep.Findings))
 		}
+	}
+}
+
+// TestNWayContradictionsCountFindings: the contradictions figure counts
+// only contradictions that become findings. The input, from a clean
+// -nway campaign (seed 5, batch 92), has contradicting variants but no
+// well-defined input (every shift amount is at least 47), so the gate
+// drops them and the run reports none.
+func TestNWayContradictionsCountFindings(t *testing.T) {
+	f := ir.MustParse("%v0:i8 = var (range=[47,-77))\n%v1:i8 = var\n%0:i8 = or %v0, %v1\n%1:i8 = shl %0, %0\ninfer %1")
+	if cmp := nway.Compare(f, nway.Variants(&llvmport.Analyzer{})); len(cmp.Contradictions) == 0 {
+		t.Fatal("the input no longer has contradicting variants; pick another")
+	}
+	rep := (&Comparator{Analyzer: &llvmport.Analyzer{}, Workers: 1, NWay: true}).Run([]harvest.Expr{{Name: "dead-shl", F: f, Freq: 1}})
+	if len(rep.Findings) != 0 || rep.NWay == nil || rep.NWay.Contradictions != 0 {
+		t.Fatalf("%d findings, n-way stats %+v; want no findings and 0 contradictions", len(rep.Findings), rep.NWay)
 	}
 }
 

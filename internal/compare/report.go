@@ -133,12 +133,10 @@ func (k FindingKind) Label() string {
 // or "" for uncached runs. Callers print it to stderr so that the table
 // on stdout stays byte-identical between cold and warm runs.
 func (rep *Report) CacheSummary() string {
-	s := rep.Cache
-	if s == nil {
+	if rep.Cache == nil {
 		return ""
 	}
-	return fmt.Sprintf("cache: %d hits, %d misses (%.1f%% hit rate), %d entries",
-		s.Hits, s.Misses, 100*s.HitRate(), s.Entries)
+	return rep.Cache.String()
 }
 
 // Table renders the report in the layout of the paper's Table 1.
@@ -171,9 +169,8 @@ func (rep *Report) Table() string {
 	if rep.ConsistencyChecks > 0 {
 		fmt.Fprintf(&sb, "\nconsistency checks: %d\n", rep.ConsistencyChecks)
 	}
-	if s := rep.NWay; s != nil {
-		fmt.Fprintf(&sb, "\nnway: %d exprs (%d agreed, %d escalated, %d dead); %d comparisons, %d disagreements, %d contradictions\n",
-			s.Exprs, s.Agreed, s.Escalated, s.Dead, s.Comparisons, s.Disagreements, s.Contradictions)
+	if rep.NWay != nil {
+		fmt.Fprintf(&sb, "\n%s\n", rep.NWay)
 	}
 	for _, kind := range []FindingKind{FindingSoundness, FindingInconsistent, FindingVariant} {
 		var section []Finding

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dfcheck/internal/harvest"
+	"dfcheck/internal/rescache"
 )
 
 // goldenReport is a hand-built report holding every part of the JSON
@@ -60,7 +61,7 @@ func goldenReport() *Report {
 		ConsistencyChecks: 9,
 		NWay: &NWayStats{Exprs: 40, Agreed: 33, Escalated: 6, Dead: 1,
 			Comparisons: 320, Disagreements: 11, Contradictions: 1},
-		Cache:       &CacheStats{Hits: 5, Misses: 15, Entries: 12},
+		Cache:       &CacheStats{Stats: rescache.Stats{Hits: 5, Misses: 15}, Entries: 12},
 		Interrupted: true,
 		Skipped:     2,
 	}

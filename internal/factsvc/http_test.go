@@ -120,14 +120,13 @@ func TestHandlerBatchWithDuplicatesAndParseErrors(t *testing.T) {
 			t.Fatalf("result %d hash %q, want %q (same canonical form)", i, r.Hash, resp.Results[0].Hash)
 		}
 	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["factsvc_exprs"]; got != 4 {
+	if got := reg.Counter("factsvc_exprs").Value(); got != 4 {
 		t.Fatalf("factsvc_exprs = %d, want 4 (parse errors are not admitted)", got)
 	}
-	if got := snap.Counters["factsvc_errors"]; got != 1 {
+	if got := reg.Counter("factsvc_errors").Value(); got != 1 {
 		t.Fatalf("factsvc_errors = %d, want 1", got)
 	}
-	if got := snap.Counters["factsvc_requests"]; got != 1 {
+	if got := reg.Counter("factsvc_requests").Value(); got != 1 {
 		t.Fatalf("factsvc_requests = %d, want 1", got)
 	}
 }
@@ -171,7 +170,7 @@ func TestHandlerSaturationReturns429RetryAfter(t *testing.T) {
 			t.Fatalf("result %d error = %q, want saturation", i, r.Error)
 		}
 	}
-	if got := reg.Snapshot().Counters["factsvc_rejected"]; got != 2 {
+	if got := reg.Counter("factsvc_rejected").Value(); got != 2 {
 		t.Fatalf("factsvc_rejected = %d, want 2", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -51,7 +52,7 @@ func TestOutcomeHistogramsAndWorkerGauges(t *testing.T) {
 	if _, err := svc.Query(context.Background(), mustParse(t, exprSrc)); !errors.Is(err, ErrSaturated) {
 		t.Fatalf("overflow Query = %v, want ErrSaturated", err)
 	}
-	if got := reg.Snapshot().Gauges["factsvc_queue_depth"]; got != slotsPerWorker {
+	if got := reg.Gauge("factsvc_queue_depth").Value(); got != slotsPerWorker {
 		t.Fatalf("factsvc_queue_depth = %d with every slot taken, want %d", got, slotsPerWorker)
 	}
 	close(release)
@@ -71,22 +72,21 @@ func TestOutcomeHistogramsAndWorkerGauges(t *testing.T) {
 		t.Fatal("error solve did not propagate")
 	}
 
-	snap := reg.Snapshot()
-	for name, want := range map[string]int64{
-		`factsvc_solve_latency{outcome="solved"}`:    slotsPerWorker,
-		`factsvc_solve_latency{outcome="saturated"}`: 1,
-		`factsvc_solve_latency{outcome="error"}`:     1,
-		`factsvc_latency`:                            slotsPerWorker + 1,
+	var scrape strings.Builder
+	if err := reg.WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf(`factsvc_solve_latency_count{outcome="solved"} %d`, slotsPerWorker),
+		`factsvc_solve_latency_count{outcome="saturated"} 1`,
+		`factsvc_solve_latency_count{outcome="error"} 1`,
+		fmt.Sprintf(`factsvc_latency_count %d`, slotsPerWorker+1),
 	} {
-		h, ok := snap.Histograms[name]
-		if !ok {
-			t.Fatalf("histogram %s missing", name)
-		}
-		if h.Count != want {
-			t.Fatalf("%s count = %d, want %d", name, h.Count, want)
+		if !strings.Contains("\n"+scrape.String(), "\n"+want+"\n") {
+			t.Fatalf("exposition lacks the line %q:\n%s", want, scrape.String())
 		}
 	}
-	if got := snap.Gauges["factsvc_queue_depth"]; got != 0 {
+	if got := reg.Gauge("factsvc_queue_depth").Value(); got != 0 {
 		t.Fatalf("factsvc_queue_depth after drain = %d, want 0", got)
 	}
 }

@@ -96,11 +96,10 @@ func TestServiceSaturationFailsFast(t *testing.T) {
 	}
 	close(release)
 	wait()
-	snap := reg.Snapshot()
-	if got := snap.Counters["factsvc_rejected"]; got != 1 {
+	if got := reg.Counter("factsvc_rejected").Value(); got != 1 {
 		t.Fatalf("factsvc_rejected = %d, want 1", got)
 	}
-	if got := snap.Counters["factsvc_solved"]; got != slotsPerWorker {
+	if got := reg.Counter("factsvc_solved").Value(); got != slotsPerWorker {
 		t.Fatalf("factsvc_solved = %d, want %d", got, slotsPerWorker)
 	}
 }
@@ -163,12 +162,12 @@ func TestTicketWaitContext(t *testing.T) {
 	if _, err := svc.Query(ctx, mustParse(t, exprSrc)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Query = %v, want deadline exceeded", err)
 	}
-	if got := reg.Snapshot().Gauges["factsvc_queue_depth"]; got != 1 {
+	if got := reg.Gauge("factsvc_queue_depth").Value(); got != 1 {
 		t.Fatalf("factsvc_queue_depth = %d after the cancelled wait, want 1", got)
 	}
 	close(release)
 	<-first
-	if got := reg.Snapshot().Counters["factsvc_solved"]; got != 1 {
+	if got := reg.Counter("factsvc_solved").Value(); got != 1 {
 		t.Fatalf("factsvc_solved = %d, want 1 (the cancelled query never solved)", got)
 	}
 }

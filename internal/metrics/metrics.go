@@ -1,17 +1,16 @@
 // Package metrics is the observability substrate for long-running
 // campaigns: a small registry of named counters, gauges, and latency
-// histograms, snapshotable as JSON and served as Prometheus text. The
-// paper's authors ran their differential-testing loop unattended for
-// weeks (§4.7); this package is what lets our loop answer "is it still
-// making progress, and at what rate?" without stopping it.
+// histograms, served as Prometheus text (prometheus.go), its one wire
+// format. The paper's authors ran their differential-testing loop
+// unattended for weeks (§4.7); this package is what lets our loop answer
+// "is it still making progress, and at what rate?" without stopping it.
 //
 // All instruments are safe for concurrent use by the comparator's worker
-// pool; reads (snapshots) never block writers for more than a histogram
+// pool; reads (scrapes) never block writers for more than a histogram
 // bucket update.
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -50,9 +49,10 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// histBuckets is the number of exponential latency buckets: bucket i
-// holds observations in [2^i, 2^(i+1)) microseconds, so the histogram
-// spans 1µs to ~2×10^5 s — wider than any per-expression cap.
+// histBuckets is the number of exponential latency buckets: bucket 0
+// holds observations under 1 µs, bucket i ≥ 1 those in [2^(i-1), 2^i)
+// µs, and the last one also everything longer, so the finite edges reach
+// 2^36 µs (about 19 h) — wider than any per-expression cap.
 const histBuckets = 38
 
 // Histogram records latency observations in exponential buckets.
@@ -61,8 +61,6 @@ type Histogram struct {
 	buckets [histBuckets]int64
 	count   int64
 	sum     time.Duration
-	min     time.Duration
-	max     time.Duration
 }
 
 // Observe records one latency sample.
@@ -80,77 +78,12 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 	h.mu.Lock()
 	h.buckets[b]++
-	if h.count == 0 || d < h.min {
-		h.min = d
-	}
-	if d > h.max {
-		h.max = d
-	}
 	h.count++
 	h.sum += d
 	h.mu.Unlock()
 }
 
-// HistogramSnapshot is a point-in-time summary of a histogram. The
-// quantiles are streaming estimates read off the exponential buckets
-// (upper bucket edge, so an overestimate by at most 2x) — cheap enough
-// to compute on every scrape of a live service.
-type HistogramSnapshot struct {
-	Count int64         `json:"count"`
-	Sum   time.Duration `json:"sum_ns"`
-	Min   time.Duration `json:"min_ns"`
-	Max   time.Duration `json:"max_ns"`
-	P50   time.Duration `json:"p50_ns"`
-	P90   time.Duration `json:"p90_ns"`
-	P95   time.Duration `json:"p95_ns"`
-	P99   time.Duration `json:"p99_ns"`
-}
-
-// Mean returns the average observation, or 0 with no samples.
-func (s HistogramSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / time.Duration(s.Count)
-}
-
-// quantile returns the upper edge of the bucket holding the q-quantile —
-// an overestimate by at most 2×, which is all a progress report needs.
-func quantile(buckets *[histBuckets]int64, count int64, q float64) time.Duration {
-	if count == 0 {
-		return 0
-	}
-	rank := int64(q * float64(count))
-	if rank >= count {
-		rank = count - 1
-	}
-	var seen int64
-	for i, n := range buckets {
-		seen += n
-		if seen > rank {
-			return time.Duration(1<<uint(i)) * time.Microsecond
-		}
-	}
-	return time.Duration(1<<uint(histBuckets)) * time.Microsecond
-}
-
-// Snapshot summarizes the histogram.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return HistogramSnapshot{
-		Count: h.count,
-		Sum:   h.sum,
-		Min:   h.min,
-		Max:   h.max,
-		P50:   quantile(&h.buckets, h.count, 0.50),
-		P90:   quantile(&h.buckets, h.count, 0.90),
-		P95:   quantile(&h.buckets, h.count, 0.95),
-		P99:   quantile(&h.buckets, h.count, 0.99),
-	}
-}
-
-// buckets returns a copy of the raw bucket counts plus count and sum —
+// bucketCounts returns a copy of the raw bucket counts plus count and sum —
 // what the Prometheus encoder turns into cumulative _bucket series.
 func (h *Histogram) bucketCounts() (b [histBuckets]int64, count int64, sum time.Duration) {
 	h.mu.Lock()
@@ -199,9 +132,8 @@ func escapeLabelValue(v string) string {
 }
 
 // seriesKey canonicalizes (name, labels) into the display form
-// name{k="v",k2="v2"} with keys sorted — the map key for the instrument,
-// the snapshot key, and (for counters and gauges) the exposition line
-// prefix, all at once.
+// name{k="v",k2="v2"} with keys sorted — the map key for the instrument
+// and (for counters and gauges) the exposition line prefix at once.
 func seriesKey(name string, labels Labels) (string, []labelPair) {
 	if len(labels) == 0 {
 		return name, nil
@@ -249,11 +181,10 @@ func NewRegistry() *Registry {
 	}
 }
 
-// RegisterCollector adds a hook that runs before every Snapshot (and
-// therefore before every JSON snapshot, Prometheus scrape, and SSE
-// push). Collectors refresh pull-style gauges — queue depths, shard
-// occupancy — so instrumented code does not have to update them on its
-// hot path. A collector must not call Snapshot itself.
+// RegisterCollector adds a hook that runs before every Prometheus
+// scrape (WritePrometheus). Collectors refresh pull-style gauges — queue
+// depths, shard occupancy — so instrumented code does not have to update
+// them on its hot path. A collector must not scrape the registry itself.
 func (r *Registry) RegisterCollector(f func()) {
 	r.mu.Lock()
 	r.collectors = append(r.collectors, f)
@@ -329,72 +260,17 @@ func (r *Registry) HistogramL(name string, labels Labels) *Histogram {
 	return h
 }
 
-// Snapshot is a point-in-time view of every instrument, ready for JSON.
-// Labeled series appear under their full series key, e.g.
-// `findings{kind="soundness"}`; unlabeled ones under the bare name.
-type Snapshot struct {
-	Counters   map[string]int64             `json:"counters"`
-	Gauges     map[string]int64             `json:"gauges"`
-	Histograms map[string]HistogramSnapshot `json:"histograms"`
-}
-
-// Snapshot captures every instrument, after running the registered
-// collectors so pull-style gauges are fresh.
-func (r *Registry) Snapshot() Snapshot {
-	r.collect()
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.histograms))
-	for k, v := range r.histograms {
-		hists[k] = v
-	}
-	r.mu.Unlock()
-
-	snap := Snapshot{
-		Counters:   make(map[string]int64, len(counters)),
-		Gauges:     make(map[string]int64, len(gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(hists)),
-	}
-	for k, c := range counters {
-		snap.Counters[k] = c.Value()
-	}
-	for k, g := range gauges {
-		snap.Gauges[k] = g.Value()
-	}
-	for k, h := range hists {
-		snap.Histograms[k] = h.Snapshot()
-	}
-	return snap
-}
-
-// JSON renders the snapshot with sorted keys (encoding/json sorts map
-// keys), indented for the campaign's -metrics file.
-func (r *Registry) JSON() ([]byte, error) {
-	return json.MarshalIndent(r.Snapshot(), "", "  ")
-}
-
 // String renders a compact one-line summary of the counters, sorted by
-// name — the progress-report form.
+// series key — the progress-report form.
 func (r *Registry) String() string {
-	snap := r.Snapshot()
-	names := make([]string, 0, len(snap.Counters))
-	for k := range snap.Counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	out := ""
-	for i, k := range names {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var b strings.Builder
+	for i, k := range keysOf(r.counters) {
 		if i > 0 {
-			out += " "
+			b.WriteByte(' ')
 		}
-		out += fmt.Sprintf("%s=%d", k, snap.Counters[k])
+		fmt.Fprintf(&b, "%s=%d", k, r.counters[k].Value())
 	}
-	return out
+	return b.String()
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -33,56 +34,6 @@ func TestCounterGaugeConcurrent(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("latency")
-	// 90 fast observations, 10 slow ones.
-	for i := 0; i < 90; i++ {
-		h.Observe(100 * time.Microsecond)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(100 * time.Millisecond)
-	}
-	s := h.Snapshot()
-	if s.Count != 100 {
-		t.Fatalf("count = %d, want 100", s.Count)
-	}
-	if s.Min != 100*time.Microsecond || s.Max != 100*time.Millisecond {
-		t.Fatalf("min/max = %v/%v", s.Min, s.Max)
-	}
-	// Bucket upper edges overestimate by at most 2x.
-	if s.P50 < 100*time.Microsecond || s.P50 > 256*time.Microsecond {
-		t.Fatalf("p50 = %v, want ~100µs..256µs", s.P50)
-	}
-	if s.P99 < 100*time.Millisecond || s.P99 > 256*time.Millisecond {
-		t.Fatalf("p99 = %v, want ~100ms..256ms", s.P99)
-	}
-	if mean := s.Mean(); mean < 5*time.Millisecond || mean > 20*time.Millisecond {
-		t.Fatalf("mean = %v, want ~10ms", mean)
-	}
-}
-
-func TestSnapshotJSONRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("exprs").Add(42)
-	r.Gauge("workers").Set(4)
-	r.Histogram("lat").Observe(time.Millisecond)
-	data, err := r.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatalf("snapshot JSON does not round-trip: %v", err)
-	}
-	if snap.Counters["exprs"] != 42 || snap.Gauges["workers"] != 4 {
-		t.Fatalf("round-tripped snapshot = %+v", snap)
-	}
-	if snap.Histograms["lat"].Count != 1 {
-		t.Fatalf("histogram lost: %+v", snap.Histograms)
-	}
-}
-
 func TestStringSummary(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b").Add(2)
@@ -102,18 +53,19 @@ func TestLabeledSeriesAreDistinct(t *testing.T) {
 	if got := r.GaugeL("depth", Labels{"queue": "a", "worker": "0"}).Value(); got != 4 {
 		t.Fatalf("label-order-insensitive lookup = %d, want 4", got)
 	}
-	snap := r.Snapshot()
-	if got := snap.Counters[`findings{kind="soundness"}`]; got != 2 {
-		t.Fatalf("labeled counter = %d, want 2 (snapshot %v)", got, snap.Counters)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
-	if got := snap.Counters[`findings{kind="inconsistent"}`]; got != 5 {
-		t.Fatalf("labeled counter = %d, want 5", got)
-	}
-	if got := snap.Counters["findings"]; got != 1 {
-		t.Fatalf("bare counter = %d, want 1", got)
-	}
-	if got := snap.Gauges[`depth{queue="a",worker="0"}`]; got != 4 {
-		t.Fatalf("labeled gauge missing from snapshot: %v", snap.Gauges)
+	for _, want := range []string{
+		`findings{kind="soundness"} 2`,
+		`findings{kind="inconsistent"} 5`,
+		`findings 1`,
+		`depth{queue="a",worker="0"} 4`,
+	} {
+		if !strings.Contains("\n"+b.String(), "\n"+want+"\n") {
+			t.Fatalf("exposition lacks the line %q:\n%s", want, b.String())
+		}
 	}
 }
 
@@ -124,11 +76,17 @@ func TestCollectorRunsOnSnapshot(t *testing.T) {
 		calls++
 		r.Gauge("pulled").Set(int64(calls))
 	})
-	if got := r.Snapshot().Gauges["pulled"]; got != 1 {
+	scrape := func() int64 {
+		if err := r.WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		return r.Gauge("pulled").Value()
+	}
+	if got := scrape(); got != 1 {
 		t.Fatalf("collector gauge = %d, want 1", got)
 	}
-	if got := r.Snapshot().Gauges["pulled"]; got != 2 {
-		t.Fatalf("collector gauge after second snapshot = %d, want 2", got)
+	if got := scrape(); got != 2 {
+		t.Fatalf("collector gauge after second scrape = %d, want 2", got)
 	}
 	if calls != 2 {
 		t.Fatalf("collector ran %d times, want 2", calls)
@@ -172,24 +130,6 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 				t.Errorf("Observe(%v): bucket[%d] = %d, want %d", tc.d, i, n, want)
 			}
 		}
-	}
-}
-
-func TestHistogramP95(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat")
-	for i := 0; i < 96; i++ {
-		h.Observe(10 * time.Microsecond)
-	}
-	for i := 0; i < 4; i++ {
-		h.Observe(10 * time.Millisecond)
-	}
-	s := h.Snapshot()
-	if s.P95 < 10*time.Microsecond || s.P95 > 32*time.Microsecond {
-		t.Fatalf("p95 = %v, want ~10µs..32µs (fast cohort)", s.P95)
-	}
-	if s.P99 < 10*time.Millisecond || s.P99 > 32*time.Millisecond {
-		t.Fatalf("p99 = %v, want ~10ms..32ms (slow cohort)", s.P99)
 	}
 }
 

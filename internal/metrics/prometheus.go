@@ -24,8 +24,9 @@ import (
 // staying cumulative and monotone. One boundary nit is inherited from
 // the internal [lo, hi) buckets: an observation of exactly 2^i µs lands
 // in the bucket whose `le` is 2^(i+1) µs, one bucket above the tightest
-// `le` that would admit it. Quantile error from this is bounded by the
-// same 2x the JSON snapshot already accepts.
+// `le` that would admit it. The dashboard (internal/ops) reads its
+// quantiles off these lines as the upper edge of the bucket holding the
+// rank, an overestimate by at most 2x, which bounds the nit's error too.
 
 // formatLe renders a bucket's upper bound in seconds ("1e-06",
 // "0.004096", "68719.476736").

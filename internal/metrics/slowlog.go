@@ -72,21 +72,6 @@ func (l *SlowLog) Note(e SlowEntry) bool {
 	return true
 }
 
-// Floor returns the admission threshold: the duration a new entry must
-// exceed to displace the fastest retained one. Zero until the ring
-// fills. Nil-safe.
-func (l *SlowLog) Floor() time.Duration {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.entries) < l.cap {
-		return 0
-	}
-	return l.entries[len(l.entries)-1].Elapsed
-}
-
 // Snapshot returns a copy of the retained entries, slowest first.
 // Nil-safe (returns nil).
 func (l *SlowLog) Snapshot() []SlowEntry {

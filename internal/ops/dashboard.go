@@ -1,13 +1,16 @@
 package ops
 
 // dashboardHTML is the whole live dashboard: one page, no external
-// assets (a scrape target may be air-gapped), fed by the /eventsz SSE
-// stream. Styling follows the repo's dataviz conventions: a single
-// blue series hue (sparklines are single-series, so no legend boxes),
-// status colors reserved for the readiness badge and never reused for
-// data, light/dark from the same ramps via CSS custom properties, text
-// in ink tokens rather than series colors, and a table view of every
-// metric so nothing is readable only through a chart.
+// assets (a scrape target may be air-gapped). Once a second it polls
+// /metricsz, /slowz and /readyz and parses the Prometheus text itself;
+// the first script block holds the parser and the quantile rule and
+// touches no page state, so it also runs under node. Styling follows
+// the repo's dataviz conventions: a single blue series hue (sparklines
+// are single-series, so no legend boxes), status colors reserved for the
+// readiness badge and never reused for data, light/dark from the same
+// ramps via CSS custom properties, text in ink tokens rather than series
+// colors, and a table view of every metric so nothing is readable only
+// through a chart.
 const dashboardHTML = `<!doctype html>
 <html lang="en">
 <head>
@@ -96,6 +99,54 @@ details summary { cursor: pointer; color: var(--ink-2); font-size: 13px; margin:
 
 <script>
 "use strict";
+// parseProm reads the text /metricsz serves: counters and gauges by
+// series key (family{labels} as printed), and histograms by the same key
+// with their _count and their cumulative [le, count] bucket lines in
+// order. A bucket line's le label comes last; dropping it gives the key.
+function parseProm(text) {
+  const types = {}, m = { counters: {}, gauges: {}, histograms: {} };
+  for (const ln of text.split("\n")) {
+    const t = ln.match(/^# TYPE (\S+) (\S+)$/);
+    if (t) { types[t[1]] = t[2]; continue; }
+    const s = ln.match(/^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{.*\})? (\S+)$/);
+    if (!s) continue;
+    const [, name, labels = "", v] = s;
+    if (types[name] === "counter") { m.counters[name + labels] = Number(v); continue; }
+    if (types[name] === "gauge") { m.gauges[name + labels] = Number(v); continue; }
+    const h = name.match(/^(.+)_(bucket|count)$/);
+    if (!h || types[h[1]] !== "histogram") continue;
+    let key = h[1] + labels, le = null;
+    if (h[2] === "bucket") {
+      const b = labels.match(/^\{(.*?),?le="([^"]*)"\}$/);
+      if (!b) continue;
+      key = h[1] + (b[1] ? "{" + b[1] + "}" : "");
+      le = b[2];
+    }
+    const hs = m.histograms[key] || (m.histograms[key] = { count: 0, buckets: [] });
+    if (le === null) hs.count = Number(v);
+    else hs.buckets.push([le, Number(v)]);
+  }
+  return m;
+}
+
+// quantile returns, in ns, the upper edge of the bucket that holds the
+// q-quantile's rank: an overestimate by at most 2x. q = 1 gives the top
+// non-empty bucket's edge, which the page shows as max. Only the last
+// internal bucket, [2^36 µs, ∞), reaches +Inf; its edge is twice the
+// last finite one.
+function quantile(h, q) {
+  if (!h.count) return 0;
+  const rank = Math.min(Math.floor(q * h.count), h.count - 1);
+  let edge = 0;
+  for (const [le, n] of h.buckets) {
+    edge = le === "+Inf" ? 2 * edge : Math.round(Number(le) * 1e9);
+    if (n > rank) return edge;
+  }
+  return edge;
+}
+</script>
+<script>
+"use strict";
 const hist = { exprs: [], queue: [] };  // last N samples for sparklines
 const MAXPTS = 120;
 let lastExprs = null;
@@ -146,7 +197,7 @@ function render(p) {
   if (p.ready) { badge.className = "badge ready"; badge.textContent = "● ready"; }
   else { badge.className = "badge notready"; badge.textContent = "● " + (p.reason || "not ready"); }
   document.getElementById("updated").textContent =
-    "updated " + new Date(p.now_unix_ms).toLocaleTimeString();
+    "updated " + new Date().toLocaleTimeString();
 
   const c = p.metrics.counters || {}, g = p.metrics.gauges || {}, hs = p.metrics.histograms || {};
 
@@ -188,8 +239,8 @@ function render(p) {
   for (const [k, v] of Object.entries(hs)) {
     if (!v.count) continue;
     lt.push('<tr><td><code>' + k.replace(/</g,"&lt;") + '</code></td><td class="num">' + fmtN(v.count) +
-      '</td><td class="num">' + fmtDur(v.p50_ns) + '</td><td class="num">' + fmtDur(v.p95_ns) +
-      '</td><td class="num">' + fmtDur(v.p99_ns) + '</td><td class="num">' + fmtDur(v.max_ns) + '</td></tr>');
+      '</td><td class="num">' + fmtDur(quantile(v, .5)) + '</td><td class="num">' + fmtDur(quantile(v, .95)) +
+      '</td><td class="num">' + fmtDur(quantile(v, .99)) + '</td><td class="num">' + fmtDur(quantile(v, 1)) + '</td></tr>');
   }
   document.querySelector("#latency tbody").innerHTML =
     lt.sort().join("") || '<tr><td colspan="6" class="muted">no observations yet</td></tr>';
@@ -209,15 +260,19 @@ function render(p) {
     '<tr><td><code>' + r[0].replace(/</g,"&lt;") + '</code></td><td class="num">' + r[1] + '</td></tr>').join("");
 }
 
-function connect() {
-  const es = new EventSource("/eventsz");
-  es.onmessage = ev => render(JSON.parse(ev.data));
-  es.onerror = () => {
+async function poll() {
+  try {
+    const [metrics, slow, ready] = await Promise.all(
+      ["/metricsz", "/slowz", "/readyz"].map(u => fetch(u, { cache: "no-store" })));
+    const reason = ready.ok ? "" : (await ready.text()).replace(/^not ready: /, "").trim();
+    render({ ready: ready.ok, reason: reason, metrics: parseProm(await metrics.text()), slow: await slow.json() });
+  } catch (e) {
     const badge = document.getElementById("ready");
     badge.className = "badge notready"; badge.textContent = "● disconnected";
-  };
+  }
+  setTimeout(poll, 1000);
 }
-connect();
+poll();
 </script>
 </body>
 </html>

@@ -10,7 +10,7 @@
 //	/readyz      200 once serving, 503 + reason before startup
 //	             completes and again while draining after SIGINT
 //	/dashboardz  self-contained HTML live dashboard (no external assets)
-//	/eventsz     SSE stream of JSON snapshots feeding the dashboard
+//	             that polls /metricsz, /slowz and /readyz
 //	/slowz       the slow-solve ring as JSON
 //
 // The package deliberately depends only on metrics and rescache: the
@@ -24,7 +24,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"dfcheck/internal/metrics"
 	"dfcheck/internal/rescache"
@@ -73,9 +72,6 @@ type Server struct {
 	Registry *metrics.Registry
 	Health   *Health
 	Slow     *metrics.SlowLog
-	// Interval is the default SSE push period; 0 selects 1s. Clients
-	// may override per-connection with ?interval=<ms> (floor 100ms).
-	Interval time.Duration
 }
 
 // Register mounts every ops endpoint on mux.
@@ -84,7 +80,6 @@ func (s *Server) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/healthz", s.serveHealth)
 	mux.HandleFunc("/readyz", s.serveReady)
 	mux.HandleFunc("/dashboardz", s.serveDashboard)
-	mux.HandleFunc("/eventsz", s.serveEvents)
 	mux.HandleFunc("/slowz", s.serveSlow)
 }
 
@@ -126,81 +121,6 @@ func (s *Server) serveSlow(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(entries)
 }
 
-// snapshotPayload is one SSE frame: readiness, the full metrics
-// snapshot, and the slow-solve ring.
-type snapshotPayload struct {
-	Ready  bool                `json:"ready"`
-	Reason string              `json:"reason,omitempty"`
-	Now    int64               `json:"now_unix_ms"`
-	Counts metrics.Snapshot    `json:"metrics"`
-	Slow   []metrics.SlowEntry `json:"slow,omitempty"`
-}
-
-func (s *Server) payload() snapshotPayload {
-	p := snapshotPayload{Ready: true, Now: time.Now().UnixMilli()}
-	if s.Health != nil {
-		p.Ready, p.Reason = s.Health.IsReady()
-	}
-	if s.Registry != nil {
-		p.Counts = s.Registry.Snapshot()
-	}
-	p.Slow = s.Slow.Snapshot()
-	return p
-}
-
-// serveEvents streams snapshots as Server-Sent Events. The first frame
-// is pushed immediately so the dashboard paints without waiting a full
-// interval; subsequent frames follow every Interval (or ?interval=ms).
-func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	interval := s.Interval
-	if interval <= 0 {
-		interval = time.Second
-	}
-	if q := r.URL.Query().Get("interval"); q != "" {
-		if ms, err := strconv.Atoi(q); err == nil {
-			if ms < 100 {
-				ms = 100
-			}
-			interval = time.Duration(ms) * time.Millisecond
-		}
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-
-	push := func() error {
-		data, err := json.Marshal(s.payload())
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "data: %s\n\n", data); err != nil {
-			return err
-		}
-		fl.Flush()
-		return nil
-	}
-	if err := push(); err != nil {
-		return
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-t.C:
-			if err := push(); err != nil {
-				return
-			}
-		}
-	}
-}
-
 func (s *Server) serveDashboard(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	_, _ = w.Write([]byte(dashboardHTML))
@@ -238,10 +158,6 @@ func CollectCache(reg *metrics.Registry, cache *rescache.Cache) {
 			m += st.Misses
 		}
 		gLen.Set(int64(total))
-		rate := int64(0)
-		if h+m > 0 {
-			rate = int64(float64(h) / float64(h+m) * 10000)
-		}
-		gRate.Set(rate)
+		gRate.Set(int64(rescache.Stats{Hits: h, Misses: m}.HitRate() * 10000))
 	})
 }

@@ -1,7 +1,6 @@
 package ops
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -24,7 +23,7 @@ import (
 // service publishing into a shared registry, the slow log, health, and
 // the ops endpoints on an httptest server — the same wiring the
 // dfcheck-fuzz -serve mode uses.
-func newOpsStack(t *testing.T) (*httptest.Server, *factsvc.Service, *Health, *metrics.Registry) {
+func newOpsStack(t *testing.T) *httptest.Server {
 	t.Helper()
 	reg := metrics.NewRegistry()
 	slow := metrics.NewSlowLog(8)
@@ -46,11 +45,11 @@ func newOpsStack(t *testing.T) (*httptest.Server, *factsvc.Service, *Health, *me
 	health := NewHealth()
 	mux := http.NewServeMux()
 	mux.Handle("/v1/facts", svc.Handler())
-	(&Server{Registry: reg, Health: health, Slow: slow, Interval: 50 * time.Millisecond}).Register(mux)
+	(&Server{Registry: reg, Health: health, Slow: slow}).Register(mux)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	health.Ready()
-	return ts, svc, health, reg
+	return ts
 }
 
 func get(t *testing.T, url string) (int, string) {
@@ -72,7 +71,7 @@ func get(t *testing.T, url string) (int, string) {
 // /metricsz, and round-trip a counter, a labeled gauge, and a histogram
 // whose buckets are cumulative and monotone.
 func TestServeModeScrape(t *testing.T) {
-	ts, _, _, _ := newOpsStack(t)
+	ts := newOpsStack(t)
 
 	// Real traffic: a batch with an intra-batch duplicate.
 	body := `{"exprs": ["%x:i8 = var\n%0:i8 = add 1:i8, %x\ninfer %0",
@@ -151,54 +150,6 @@ func grepLines(text, substr string) string {
 	return strings.Join(out, "\n")
 }
 
-// TestEventsStreamDeliversSnapshots reads the SSE stream and requires
-// at least two full snapshots, each carrying the metrics payload.
-func TestEventsStreamDeliversSnapshots(t *testing.T) {
-	ts, _, _, reg := newOpsStack(t)
-	reg.Counter("sse_probe").Add(7)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/eventsz?interval=100", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("Content-Type = %q", ct)
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var frames []snapshotPayload
-	for sc.Scan() && len(frames) < 2 {
-		ln := sc.Text()
-		if !strings.HasPrefix(ln, "data: ") {
-			continue
-		}
-		var p snapshotPayload
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(ln, "data: ")), &p); err != nil {
-			t.Fatalf("frame not JSON: %v\n%s", err, ln)
-		}
-		frames = append(frames, p)
-	}
-	if len(frames) < 2 {
-		t.Fatalf("got %d SSE snapshots, want ≥2 (scan err %v)", len(frames), sc.Err())
-	}
-	for i, p := range frames {
-		if !p.Ready {
-			t.Fatalf("frame %d not ready: %q", i, p.Reason)
-		}
-		if p.Counts.Counters["sse_probe"] != 7 {
-			t.Fatalf("frame %d missing metrics payload: %+v", i, p.Counts.Counters)
-		}
-	}
-	if frames[1].Now < frames[0].Now {
-		t.Fatalf("frames out of order: %d then %d", frames[0].Now, frames[1].Now)
-	}
-}
-
 // TestReadinessLifecycle: /readyz is 503 before Ready, 200 after, and
 // 503 with the drain reason during shutdown — the flip a rolling
 // restart relies on.
@@ -227,14 +178,19 @@ func TestReadinessLifecycle(t *testing.T) {
 }
 
 // TestDashboardSelfContained: the dashboard page ships everything
-// inline — any external fetch would break on an air-gapped host.
+// inline — any external fetch would break on an air-gapped host — and
+// reads only the scrape, the slow log and readiness; there is no event
+// stream.
 func TestDashboardSelfContained(t *testing.T) {
-	ts, _, _, _ := newOpsStack(t)
+	ts := newOpsStack(t)
 	code, body := get(t, ts.URL+"/dashboardz")
 	if code != http.StatusOK {
 		t.Fatalf("/dashboardz status = %d", code)
 	}
-	for _, want := range []string{"<!doctype html>", "/eventsz", "prefers-color-scheme", "EventSource"} {
+	if code, _ := get(t, ts.URL+"/eventsz"); code != http.StatusNotFound {
+		t.Fatalf("/eventsz status = %d, want 404", code)
+	}
+	for _, want := range []string{"<!doctype html>", `"/metricsz"`, `"/slowz"`, `"/readyz"`, "prefers-color-scheme"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("dashboard missing %q", want)
 		}
@@ -280,11 +236,13 @@ func TestCollectCacheAggregates(t *testing.T) {
 		cache.Get(k)                                               // hit
 		cache.Get(rescache.Key{Expr: "missing", Budget: int64(i)}) // miss
 	}
-	snap := reg.Snapshot()
-	if got := snap.Gauges["rescache_entries"]; got != 10 {
+	if err := reg.WritePrometheus(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Gauge("rescache_entries").Value(); got != 10 {
 		t.Fatalf("rescache_entries = %d, want 10", got)
 	}
-	if got := snap.Gauges["rescache_hit_rate_bp"]; got != 5000 {
+	if got := reg.Gauge("rescache_hit_rate_bp").Value(); got != 5000 {
 		t.Fatalf("rescache_hit_rate_bp = %d, want 5000 (50%%)", got)
 	}
 }

@@ -202,16 +202,6 @@ type ShardStat struct {
 	Misses uint64
 }
 
-// HitRate returns the stripe's hit fraction in [0,1], or 0 with no
-// traffic.
-func (s ShardStat) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // ShardStats returns per-stripe occupancy and hit/miss counters.
 func (c *Cache) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(c.shards))

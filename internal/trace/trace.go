@@ -8,8 +8,7 @@
 // paper's Table 4-style cost accounting needs.
 //
 // Spans export in the Chrome trace-event format (a JSON array of
-// "complete" events), loadable directly in Perfetto or chrome://tracing,
-// and optionally mirror coarse spans into the campaign's JSONL event log.
+// "complete" events), loadable directly in Perfetto or chrome://tracing.
 // cmd/trace-report aggregates the same files offline into hotspot tables.
 //
 // A nil *Tracer (and the nil *Span every call on it yields) is the
@@ -33,12 +32,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"dfcheck/internal/metrics"
 )
 
 // Kind is a span's level in the hierarchy. Smaller is coarser; the kind
-// doubles as the event's category and as the mirror-to-event-log cutoff.
+// doubles as the event's category.
 type Kind uint8
 
 // The span hierarchy, coarsest first.
@@ -83,9 +80,6 @@ type Tracer struct {
 	closed    bool
 	err       error
 	lanes     []bool // lane i busy ⇒ some live span renders on tid i
-
-	events    *metrics.EventLog
-	mirrorMax Kind
 }
 
 // New returns a tracer writing the Chrome trace-event JSON array to w.
@@ -117,19 +111,6 @@ func NewFile(path string, maxBytes int64) (*Tracer, error) {
 	}
 	t.writeHeader()
 	return t, nil
-}
-
-// MirrorEvents additionally emits every span of kind at or coarser than
-// max as a "span" record on the JSONL event log, so batch- and
-// expression-level timings land in the same stream as findings.
-func (t *Tracer) MirrorEvents(l *metrics.EventLog, max Kind) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.events = l
-	t.mirrorMax = max
-	t.mu.Unlock()
 }
 
 // event is one Chrome trace event. Args carries the span's id/parent
@@ -406,24 +387,7 @@ func (s *Span) End() {
 	if s.ownLane && s.tid < len(t.lanes) {
 		t.lanes[s.tid] = false
 	}
-	mirror := t.events != nil && s.kind <= t.mirrorMax
-	l := t.events
 	t.mu.Unlock()
-
-	if mirror {
-		fields := make(map[string]any, len(s.args)+5)
-		for _, a := range s.args {
-			fields[a.k] = a.v
-		}
-		fields["span"] = s.name
-		fields["kind"] = s.kind.String()
-		fields["id"] = s.id
-		if s.parent != 0 {
-			fields["parent"] = s.parent
-		}
-		fields["dur_us"] = float64(dur.Nanoseconds()) / 1e3
-		l.Emit("span", fields)
-	}
 }
 
 // ctxKey keys the span carried by a context.

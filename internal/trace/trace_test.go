@@ -7,12 +7,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"dfcheck/internal/metrics"
 )
 
 // parseEvents unmarshals a Chrome trace JSON array, failing the test on
@@ -192,35 +189,6 @@ func TestFileRotation(t *testing.T) {
 	}
 	if total != 200 {
 		t.Fatalf("got %d spans across %d files, want 200", total, len(files))
-	}
-}
-
-func TestMirrorEvents(t *testing.T) {
-	var traceBuf, logBuf bytes.Buffer
-	tr := New(&traceBuf)
-	tr.MirrorEvents(metrics.NewEventLog(&logBuf), KindExpr)
-
-	b := tr.Start(nil, KindBatch, "batch")
-	e := b.Child(KindExpr, "mul")
-	q := e.Child(KindQuery, "bit") // finer than the cutoff: not mirrored
-	q.End()
-	e.End()
-	b.End()
-	tr.Close()
-
-	lines := strings.Split(strings.TrimSpace(logBuf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d mirrored events, want 2 (expr+batch):\n%s", len(lines), logBuf.String())
-	}
-	var rec map[string]any
-	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
-		t.Fatalf("mirrored line is not JSON: %v", err)
-	}
-	if rec["event"] != "span" || rec["span"] != "mul" || rec["kind"] != "expr" {
-		t.Errorf("unexpected mirror record: %v", rec)
-	}
-	if _, ok := rec["dur_us"]; !ok {
-		t.Errorf("mirror record missing dur_us: %v", rec)
 	}
 }
 
