@@ -546,11 +546,13 @@ func buildTable(t task, ws []uint) []int16 {
 	tbl := make([]int16, uint64(1)<<total)
 	prog := eval.CompileSliced(b.Function(buildRoot(b, t, args)))
 	lanes := uint64(prog.NumLanes())
+	var vals [64]uint64
 	for base := uint64(0); base < uint64(len(tbl)); base += 64 {
 		planes, ok := prog.EvalIndexed(base)
+		eval.Lanes(planes, &vals)
 		for l := uint64(0); l < lanes; l++ {
 			if ok>>l&1 == 1 {
-				tbl[base+l] = int16(eval.Lane(planes, uint(l)))
+				tbl[base+l] = int16(vals[l])
 			} else {
 				tbl[base+l] = -1
 			}

@@ -260,7 +260,7 @@ func buildTableScalar(t task, ws []uint) []int16 {
 		vars[i] = b.Var(argNames[i], w)
 		total += w
 	}
-	prog := eval.Compile(b.Function(buildRoot(b, t, vars)))
+	f := b.Function(buildRoot(b, t, vars))
 	tbl := make([]int16, uint64(1)<<total)
 	env := make(eval.Env, len(vars))
 	for i := range tbl {
@@ -269,7 +269,7 @@ func buildTableScalar(t task, ws []uint) []int16 {
 			env[v] = apint.New(ws[j], bits)
 			bits >>= ws[j]
 		}
-		if r, ok := prog.Eval(env); ok {
+		if r, ok := eval.Eval(f, env); ok {
 			tbl[i] = int16(r.Uint64())
 		} else {
 			tbl[i] = -1

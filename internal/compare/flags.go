@@ -32,7 +32,7 @@ func (c *Comparator) RegisterFlags(fs *flag.FlagSet) {
 		c.Domains, err = absint.TransferDomainsByNames(names)
 		return err
 	})
-	fs.IntVar(&c.EnumCutoff, "enum-cutoff", 0, "summed input bits at or below which expressions are enumerated instead of solved (0 = default; negative disables enumeration and the SAT engine's demanded-bits sweep up to 16 input bits)")
+	fs.IntVar(&c.EnumCutoff, "enum-cutoff", 0, "summed input bits at or below which expressions are enumerated instead of solved (0 = default; negative disables enumeration, the SAT engine's demanded-bits sweep up to 16 input bits and its sampled demanded-bit witnesses above)")
 	fs.BoolVar(&c.NWay, "nway", false, "n-way differential mode: cross-check all analyzer variants per expression and escalate to the SAT oracle only on disagreement")
 	fs.BoolVar(&c.Reduce, "reduce", false, "shrink every finding to a 1-minimal reproducer preserving its finding kind (delta debugging)")
 }

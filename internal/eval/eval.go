@@ -67,8 +67,8 @@ func rangeContains(v, lo, hi apint.Int) bool {
 }
 
 // Eval runs f on env. ok is false when the execution is ill-defined; the
-// returned value is meaningless in that case. For repeated evaluation of
-// one function (enumeration sweeps), Compile amortizes the per-call setup.
+// returned value is meaningless in that case. Enumeration sweeps use the
+// bit-sliced SlicedProgram instead, 64 inputs per call.
 func Eval(f *ir.Function, env Env) (result apint.Int, ok bool) {
 	if !InRange(f, env) {
 		return apint.Int{}, false
@@ -314,77 +314,6 @@ func boolToInt(b bool) apint.Int {
 		return apint.One(1)
 	}
 	return apint.Zero(1)
-}
-
-// Program is a Function compiled for repeated evaluation: the topological
-// order is computed once and instruction values live in a dense scratch
-// slice instead of a per-call map, so an enumeration sweep pays the
-// per-call cost of Eval's setup exactly once. A Program is not safe for
-// concurrent use (the scratch is reused across Eval calls); compile one
-// per goroutine.
-type Program struct {
-	f    *ir.Function
-	code []progInst
-	vals []apint.Int
-}
-
-type progInst struct {
-	n          *ir.Inst
-	a0, a1, a2 int // operand slots in vals (unused trail left at 0)
-}
-
-// Compile builds the evaluation program for f.
-func Compile(f *ir.Function) *Program {
-	order := f.Insts()
-	slot := make(map[*ir.Inst]int, len(order))
-	code := make([]progInst, len(order))
-	for i, n := range order {
-		slot[n] = i
-		pc := progInst{n: n}
-		switch len(n.Args) {
-		case 3:
-			pc.a2 = slot[n.Args[2]]
-			fallthrough
-		case 2:
-			pc.a1 = slot[n.Args[1]]
-			fallthrough
-		case 1:
-			pc.a0 = slot[n.Args[0]]
-		}
-		code[i] = pc
-	}
-	return &Program{f: f, code: code, vals: make([]apint.Int, len(order))}
-}
-
-// Eval runs the program on env, with exactly the semantics of the
-// package-level Eval.
-func (p *Program) Eval(env Env) (apint.Int, bool) {
-	if !InRange(p.f, env) {
-		return apint.Int{}, false
-	}
-	vals := p.vals
-	for i := range p.code {
-		pc := &p.code[i]
-		n := pc.n
-		switch n.Op {
-		case ir.OpVar:
-			v := env[n]
-			if v.Width() != n.Width {
-				panic(fmt.Sprintf("eval: %%%s bound at width %d, want %d", n.Name, v.Width(), n.Width))
-			}
-			vals[i] = v
-		case ir.OpConst:
-			vals[i] = n.Val
-		default:
-			v, ok := evalOp(n, vals[pc.a0], vals[pc.a1], vals[pc.a2])
-			if !ok {
-				return apint.Int{}, false
-			}
-			vals[i] = v
-		}
-	}
-	// The root is last in topological order.
-	return vals[len(vals)-1], true
 }
 
 // TotalInputBits returns the summed width of all input variables; exhaustive

@@ -25,7 +25,9 @@ import (
 // transpose at all — plane i of a variable is either one of six fixed
 // alternating masks (index bits 0..5, which vary within the block) or a
 // constant all-zeros/all-ones word taken from the block base. Only the
-// output is ever transposed back, lane by lane.
+// output is transposed back, a block at a time (Lanes). EvalPlanes takes
+// arbitrary input planes instead, for callers that draw their own lanes
+// (solver's demanded-bits sampler).
 
 // LaneIndex[k] has bit l set iff bit k of the lane number l is set: the
 // input planes of an aligned block, precomputed once for all sweeps.
@@ -39,8 +41,8 @@ var LaneIndex = [6]uint64{
 }
 
 // SlicedProgram is a Function compiled for 64-lane bit-sliced evaluation.
-// Like Program, it reuses internal scratch across calls and is not safe
-// for concurrent use; compile one per goroutine.
+// It reuses internal scratch across calls and is not safe for concurrent
+// use; compile one per goroutine.
 type SlicedProgram struct {
 	f        *ir.Function
 	code     []progInst
@@ -48,9 +50,16 @@ type SlicedProgram struct {
 	varSlots []int      // slot of each f.Vars entry, in declaration order
 	total    uint       // summed input width (the packed-index bit count)
 
-	// Scratch planes for the op kernels; each holds up to 2*MaxWidth+1
-	// planes (the widest intermediate is a double-width product).
+	// Scratch planes for the op kernels; each holds 2w+1 planes for the
+	// function's widest value w (the widest intermediate is a
+	// double-width product).
 	t0, t1, t2, t3, t4, t5, t6, t7 []uint64
+}
+
+// progInst is one instruction of a SlicedProgram, in topological order.
+type progInst struct {
+	n          *ir.Inst
+	a0, a1, a2 int // operand slots in vals (unused trail left at 0)
 }
 
 // CompileSliced builds the bit-sliced evaluation program for f.
@@ -80,8 +89,12 @@ func CompileSliced(f *ir.Function) *SlicedProgram {
 	for i, v := range f.Vars {
 		p.varSlots[i] = slot[v]
 	}
-	scratch := make([]uint64, 8*(2*apint.MaxWidth+1))
-	step := 2*apint.MaxWidth + 1
+	var maxW uint // the widest value; operands are values too
+	for _, n := range order {
+		maxW = max(maxW, n.Width)
+	}
+	step := 2*maxW + 1
+	scratch := make([]uint64, 8*step)
 	p.t0, p.t1, p.t2, p.t3 = scratch[:step], scratch[step:2*step], scratch[2*step:3*step], scratch[3*step:4*step]
 	p.t4, p.t5, p.t6, p.t7 = scratch[4*step:5*step], scratch[5*step:6*step], scratch[6*step:7*step], scratch[7*step:]
 	return p
@@ -131,46 +144,74 @@ func (p *SlicedProgram) EvalIndexed(base uint64) ([]uint64, uint64) {
 	return p.run(valid)
 }
 
-// EvalBlock evaluates up to 64 arbitrary environments, envs[l] feeding
-// lane l. Lanes at or beyond len(envs) come back with ok clear. Each env
-// must bind every variable at its declared width, as Eval requires.
-func (p *SlicedProgram) EvalBlock(envs []Env) ([]uint64, uint64) {
-	if len(envs) > 64 {
-		panic("eval: EvalBlock of more than 64 environments")
-	}
-	valid := ^uint64(0)
-	if len(envs) < 64 {
-		valid = 1<<uint(len(envs)) - 1
+// EvalPlanes evaluates 64 lanes whose inputs the caller gives as planes:
+// in[k] holds variable k of f.Vars as Width words, word j carrying bit j
+// of every lane. Every lane is meaningful. Returns the root's planes
+// (valid until the next Eval* call) and the well-defined-lane mask.
+func (p *SlicedProgram) EvalPlanes(in [][]uint64) ([]uint64, uint64) {
+	if len(in) != len(p.f.Vars) {
+		panic(fmt.Sprintf("eval: EvalPlanes of %d variables, want %d", len(in), len(p.f.Vars)))
 	}
 	for i, v := range p.f.Vars {
-		planes := p.vals[p.varSlots[i]]
-		for j := range planes {
-			planes[j] = 0
+		if uint(len(in[i])) != v.Width {
+			panic(fmt.Sprintf("eval: %%%s given %d planes, want %d", v.Name, len(in[i]), v.Width))
 		}
-		for l, env := range envs {
-			val, ok := env[v]
-			if !ok {
-				panic(fmt.Sprintf("eval: unbound var %%%s", v.Name))
-			}
-			if val.Width() != v.Width {
-				panic(fmt.Sprintf("eval: %%%s bound at width %d, want %d", v.Name, val.Width(), v.Width))
-			}
-			bits := val.Uint64()
-			for j := uint(0); j < v.Width; j++ {
-				planes[j] |= (bits >> j & 1) << uint(l)
-			}
-		}
+		copy(p.vals[p.varSlots[i]], in[i])
 	}
-	return p.run(valid)
+	return p.run(^uint64(0))
 }
 
-// Lane gathers one lane's value back out of a plane slice.
-func Lane(planes []uint64, l uint) uint64 {
-	var v uint64
-	for i, pl := range planes {
-		v |= (pl >> l & 1) << uint(i)
+// Lanes writes the 64 lane values of a block's planes (at most 64 of
+// them, as every root is) into out: out[l] is lane l's value. It copies
+// the planes into a 64×64 bit matrix, zero below them, and transposes it
+// in place.
+func Lanes(planes []uint64, out *[64]uint64) {
+	n := copy(out[:], planes)
+	clear(out[n:])
+	transpose(out, n)
+}
+
+// swapMasks[b] selects the columns whose index has bit b clear.
+var swapMasks = [6]uint64{
+	0x5555555555555555,
+	0x3333333333333333,
+	0x0F0F0F0F0F0F0F0F,
+	0x00FF00FF00FF00FF,
+	0x0000FFFF0000FFFF,
+	0x00000000FFFFFFFF,
+}
+
+// transpose transposes the 64×64 bit matrix m, whose rows at or above
+// rows are zero: afterwards bit j of m[i] is what bit i of m[j] was. The
+// transpose exchanges bit b of the row index with bit b of the column
+// index for every b, and each round below does one such exchange — it
+// swaps the off-diagonal halves of every 2^(b+1)-square sub-block — so
+// the six rounds commute. The rounds inside the first top rows (the
+// power of two at or above rows) run first and touch only those rows;
+// each later round j then pairs the j non-zero rows with the zero rows
+// j above them. An i8 root costs 68 row-pair swaps instead of 192.
+func transpose(m *[64]uint64, rows int) {
+	top := 1
+	for top < rows {
+		top <<= 1
 	}
-	return v
+	r, b := 1, 0
+	for ; r < top; r, b = r<<1, b+1 {
+		mask := swapMasks[b]
+		for k := 0; k < top; k = ((k | r) + 1) &^ r {
+			t := (m[k]>>uint(r) ^ m[k|r]) & mask
+			m[k] ^= t << uint(r)
+			m[k|r] ^= t
+		}
+	}
+	for ; r < 64; r, b = r<<1, b+1 {
+		mask := swapMasks[b]
+		for k := 0; k < r; k++ {
+			t := (m[k]>>uint(r) ^ m[k|r]) & mask
+			m[k] ^= t << uint(r)
+			m[k|r] ^= t
+		}
+	}
 }
 
 // PollBlockMask spaces the stop polls of the block sweeps (Outputs and
@@ -202,6 +243,7 @@ func (p *SlicedProgram) Outputs(ascending bool, stop func() bool) (vals []uint64
 	} else {
 		seen = make(map[uint64]struct{})
 	}
+	var lanes [64]uint64
 	count := uint64(1) << p.total
 	for base := uint64(0); base < count; base += 64 {
 		if base > 0 && base>>6&PollBlockMask == 0 && stop != nil && stop() {
@@ -209,8 +251,12 @@ func (p *SlicedProgram) Outputs(ascending bool, stop func() bool) (vals []uint64
 		}
 		planes, okm := p.EvalIndexed(base)
 		evals += 64
+		if okm == 0 {
+			continue
+		}
+		Lanes(planes, &lanes)
 		for ; okm != 0; okm &= okm - 1 {
-			v := Lane(planes, uint(bits.TrailingZeros64(okm)))
+			v := lanes[bits.TrailingZeros64(okm)]
 			if set != nil {
 				if set[v>>6]>>(v&63)&1 == 1 {
 					continue
@@ -230,6 +276,11 @@ func (p *SlicedProgram) Outputs(ascending bool, stop func() bool) (vals []uint64
 	}
 	switch {
 	case ascending && set != nil:
+		n := 0
+		for _, word := range set {
+			n += bits.OnesCount64(word)
+		}
+		vals = make([]uint64, 0, n)
 		for i, word := range set {
 			for ; word != 0; word &= word - 1 {
 				vals = append(vals, uint64(i)<<6|uint64(bits.TrailingZeros64(word)))

@@ -52,7 +52,8 @@ func TestEvalIndexedSmallWidthMasking(t *testing.T) {
 				t.Errorf("%s: phantom lanes above 2^%d leaked into the ok mask: %#x", name, total, ok)
 			}
 
-			p := eval.Compile(f)
+			var vals [64]uint64
+			eval.Lanes(planes, &vals)
 			env := make(eval.Env, len(f.Vars))
 			wantSet := make(map[uint64]bool)
 			for idx := uint64(0); idx < 1<<total; idx++ {
@@ -61,7 +62,7 @@ func TestEvalIndexedSmallWidthMasking(t *testing.T) {
 					env[v] = apint.New(v.Width, bits)
 					bits >>= v.Width
 				}
-				want, wantOK := p.Eval(env)
+				want, wantOK := eval.Eval(f, env)
 				if gotOK := ok>>idx&1 == 1; gotOK != wantOK {
 					t.Fatalf("%s: input %#x: sliced ok=%v, scalar ok=%v", name, idx, gotOK, wantOK)
 				}
@@ -69,7 +70,7 @@ func TestEvalIndexedSmallWidthMasking(t *testing.T) {
 					continue
 				}
 				wantSet[want.Uint64()] = true
-				if got := eval.Lane(planes, uint(idx)); got != want.Uint64() {
+				if got := vals[idx]; got != want.Uint64() {
 					t.Fatalf("%s: input %#x: sliced %#x, scalar %#x", name, idx, got, want.Uint64())
 				}
 			}
@@ -79,7 +80,7 @@ func TestEvalIndexedSmallWidthMasking(t *testing.T) {
 				l := uint(0)
 				for ; m>>l&1 == 0; l++ {
 				}
-				gotSet[eval.Lane(planes, l)] = true
+				gotSet[vals[l]] = true
 			}
 			if len(gotSet) != len(wantSet) {
 				t.Fatalf("%s: output set %v, scalar set %v", name, gotSet, wantSet)
@@ -105,7 +106,9 @@ func TestEvalIndexedZeroInputBits(t *testing.T) {
 	if ok != 1 {
 		t.Fatalf("ok mask = %#x, want exactly lane 0", ok)
 	}
-	if got := eval.Lane(planes, 0); got != 9 {
+	var vals [64]uint64
+	eval.Lanes(planes, &vals)
+	if got := vals[0]; got != 9 {
 		t.Fatalf("lane 0 = %d, want 9", got)
 	}
 }

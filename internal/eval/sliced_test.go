@@ -13,8 +13,8 @@ import (
 )
 
 // checkExhaustive sweeps f's entire input space through EvalIndexed and
-// demands per-lane agreement with the scalar Program on both the ok bit
-// and (on ok lanes) the value.
+// demands per-lane agreement with the scalar Eval on both the ok bit and
+// (on ok lanes) the value.
 func checkExhaustive(t *testing.T, name string, f *ir.Function) {
 	t.Helper()
 	total := eval.TotalInputBits(f)
@@ -22,15 +22,16 @@ func checkExhaustive(t *testing.T, name string, f *ir.Function) {
 		t.Fatalf("%s: %d input bits is too large for an exhaustive check", name, total)
 	}
 	sp := eval.CompileSliced(f)
-	p := eval.Compile(f)
 	count := uint64(1) << total
 	lanes := uint64(64)
 	if count < 64 {
 		lanes = count
 	}
 	env := make(eval.Env, len(f.Vars))
+	var vals [64]uint64
 	for base := uint64(0); base < count; base += 64 {
 		planes, ok := sp.EvalIndexed(base)
+		eval.Lanes(planes, &vals)
 		for l := uint64(0); l < lanes; l++ {
 			idx := base + l
 			bits := idx
@@ -38,15 +39,47 @@ func checkExhaustive(t *testing.T, name string, f *ir.Function) {
 				env[v] = apint.New(v.Width, bits)
 				bits >>= v.Width
 			}
-			want, wantOK := p.Eval(env)
+			want, wantOK := eval.Eval(f, env)
 			gotOK := ok>>l&1 == 1
 			if gotOK != wantOK {
 				t.Fatalf("%s: input %#x: sliced ok=%v, scalar ok=%v", name, idx, gotOK, wantOK)
 			}
-			if gotOK {
-				if got := eval.Lane(planes, uint(l)); got != want.Uint64() {
-					t.Fatalf("%s: input %#x: sliced %#x, scalar %#x", name, idx, got, want.Uint64())
+			if gotOK && vals[l] != want.Uint64() {
+				t.Fatalf("%s: input %#x: sliced %#x, scalar %#x", name, idx, vals[l], want.Uint64())
+			}
+		}
+	}
+}
+
+// TestLanes checks the block transpose against gathering each lane's
+// bits one plane at a time, for every plane count up to 64, and that
+// transposing the 64 lane values back gives the planes again.
+func TestLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for w := 0; w <= 64; w++ {
+		for trial := 0; trial < 4; trial++ {
+			planes := make([]uint64, w)
+			for i := range planes {
+				planes[i] = rng.Uint64()
+			}
+			var lanes [64]uint64
+			for i := range lanes {
+				lanes[i] = rng.Uint64() // Lanes must overwrite every entry
+			}
+			eval.Lanes(planes, &lanes)
+			for l := 0; l < 64; l++ {
+				var want uint64
+				for i, pl := range planes {
+					want |= (pl >> l & 1) << i
 				}
+				if lanes[l] != want {
+					t.Fatalf("%d planes: lane %d = %#x, want %#x", w, l, lanes[l], want)
+				}
+			}
+			var back [64]uint64
+			eval.Lanes(lanes[:], &back)
+			if !slices.Equal(back[:w], planes) || slices.ContainsFunc(back[w:], func(x uint64) bool { return x != 0 }) {
+				t.Fatalf("%d planes: transposing the lanes back gave %#x, want %#x", w, back, planes)
 			}
 		}
 	}
@@ -161,8 +194,8 @@ func TestSlicedRangeMetadata(t *testing.T) {
 
 // TestSlicedMatchesScalarRandomFunctions drives random harvested
 // functions (which include ranged variables and poison flags) through
-// EvalBlock on random 64-environment blocks, demanding lane-for-lane
-// agreement with scalar Eval on the (value, ok) pair.
+// EvalPlanes on random 64-lane blocks, demanding lane-for-lane agreement
+// with scalar Eval on the (value, ok) pair.
 func TestSlicedMatchesScalarRandomFunctions(t *testing.T) {
 	exprs := harvest.Generate(harvest.Config{
 		Seed:     1234,
@@ -173,32 +206,40 @@ func TestSlicedMatchesScalarRandomFunctions(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, e := range exprs {
 		sp := eval.CompileSliced(e.F)
-		p := eval.Compile(e.F)
 		for round := 0; round < 4; round++ {
-			n := 64
-			if round == 3 {
-				n = 17 // partial block: lanes past len(envs) must read not-ok
-			}
-			envs := make([]eval.Env, n)
-			for i := range envs {
-				envs[i] = eval.RandomEnv(e.F, rng)
-			}
-			planes, ok := sp.EvalBlock(envs)
-			if n < 64 && ok>>uint(n) != 0 {
-				t.Fatalf("%s: lanes beyond len(envs)=%d marked ok (mask %#x)", e.Name, n, ok)
-			}
-			for l, env := range envs {
-				want, wantOK := p.Eval(env)
-				gotOK := ok>>uint(l)&1 == 1
-				if gotOK != wantOK {
-					t.Fatalf("%s: lane %d: sliced ok=%v, scalar ok=%v", e.Name, l, gotOK, wantOK)
-				}
-				if gotOK {
-					if got := eval.Lane(planes, uint(l)); got != want.Uint64() {
-						t.Fatalf("%s: lane %d: sliced %#x, scalar %#x", e.Name, l, got, want.Uint64())
-					}
-				}
-			}
+			checkPlanes(t, e.Name, e.F, sp, rng.Uint64)
+		}
+	}
+}
+
+// checkPlanes draws one 64-lane block of inputs, word by word from next,
+// evaluates it through EvalPlanes and demands that every lane's ok bit
+// and value equal scalar Eval on that lane's inputs.
+func checkPlanes(t *testing.T, name string, f *ir.Function, sp *eval.SlicedProgram, next func() uint64) {
+	t.Helper()
+	in := make([][]uint64, len(f.Vars))
+	lanes := make([][64]uint64, len(f.Vars))
+	for k, v := range f.Vars {
+		in[k] = make([]uint64, v.Width)
+		for j := range in[k] {
+			in[k][j] = next()
+		}
+		eval.Lanes(in[k], &lanes[k])
+	}
+	planes, ok := sp.EvalPlanes(in)
+	var got [64]uint64
+	eval.Lanes(planes, &got)
+	env := make(eval.Env, len(f.Vars))
+	for l := 0; l < 64; l++ {
+		for k, v := range f.Vars {
+			env[v] = apint.New(v.Width, lanes[k][l])
+		}
+		want, wantOK := eval.Eval(f, env)
+		if gotOK := ok>>l&1 == 1; gotOK != wantOK {
+			t.Fatalf("%s: lane %d (%v): sliced ok=%v, scalar ok=%v\n%s", name, l, env, gotOK, wantOK, f)
+		}
+		if wantOK && got[l] != want.Uint64() {
+			t.Fatalf("%s: lane %d (%v): sliced %#x, scalar %#x\n%s", name, l, env, got[l], want.Uint64(), f)
 		}
 	}
 }
@@ -275,26 +316,84 @@ func TestOutputsMatchScalar(t *testing.T) {
 		t.Fatalf("only %d functions to sweep; corpus too thin", len(fs))
 	}
 	for name, f := range fs {
-		var firstSeen []uint64
-		seen := make(map[uint64]bool)
-		eval.ForEachInput(f, func(env eval.Env) bool {
-			if v, ok := eval.Eval(f, env); ok && !seen[v.Uint64()] {
-				seen[v.Uint64()] = true
-				firstSeen = append(firstSeen, v.Uint64())
-			}
-			return true
-		})
-		sorted := slices.Clone(firstSeen)
-		slices.Sort(sorted)
-		lanes := max(64, int64(1)<<eval.TotalInputBits(f))
-		sp := eval.CompileSliced(f)
-		if got, evals, ok := sp.Outputs(false, nil); !ok || evals != lanes || !slices.Equal(got, firstSeen) {
-			t.Errorf("%s: first-seen Outputs = %v after %d lanes (ok %v), want %v after %d", name, got, evals, ok, firstSeen, lanes)
-		}
-		if got, evals, ok := sp.Outputs(true, nil); !ok || evals != lanes || !slices.Equal(got, sorted) {
-			t.Errorf("%s: ascending Outputs = %v after %d lanes (ok %v), want %v after %d", name, got, evals, ok, sorted, lanes)
-		}
+		checkOutputs(t, name, f)
 	}
+}
+
+// checkOutputs demands that Outputs in both orders equal scalar
+// enumeration of f's input space through ForEachInput and Eval.
+func checkOutputs(t *testing.T, name string, f *ir.Function) {
+	t.Helper()
+	var firstSeen []uint64
+	seen := make(map[uint64]bool)
+	eval.ForEachInput(f, func(env eval.Env) bool {
+		if v, ok := eval.Eval(f, env); ok && !seen[v.Uint64()] {
+			seen[v.Uint64()] = true
+			firstSeen = append(firstSeen, v.Uint64())
+		}
+		return true
+	})
+	sorted := slices.Clone(firstSeen)
+	slices.Sort(sorted)
+	lanes := max(64, int64(1)<<eval.TotalInputBits(f))
+	sp := eval.CompileSliced(f)
+	if got, evals, ok := sp.Outputs(false, nil); !ok || evals != lanes || !slices.Equal(got, firstSeen) {
+		t.Errorf("%s: first-seen Outputs = %v after %d lanes (ok %v), want %v after %d", name, got, evals, ok, firstSeen, lanes)
+	}
+	if got, evals, ok := sp.Outputs(true, nil); !ok || evals != lanes || !slices.Equal(got, sorted) {
+		t.Errorf("%s: ascending Outputs = %v after %d lanes (ok %v), want %v after %d", name, got, evals, ok, sorted, lanes)
+	}
+}
+
+// exactSrcs is the exact-variant corpus of the n-way tests: live
+// expressions of at most 12 input bits, with roots from 3 to 64 bits.
+var exactSrcs = []string{
+	"%x:i4 = var\n%0:i4 = and %x, 3:i4\ninfer %0",
+	"%x:i4 = var\n%y:i4 = var\n%0:i4 = add %x, %y\ninfer %0",
+	"%x:i8 = var (range=[3,10))\n%0:i8 = mul %x, 2:i8\ninfer %0",
+	"%x:i5 = var\n%0:i5 = udiv %x, %x\ninfer %0",
+	"%0:i6 = add 7:i6, 9:i6\ninfer %0",
+	"%x:i3 = var\n%c:i1 = eq %x, 2:i3\n%0:i3 = select %c, %x, 5:i3\ninfer %0",
+	"%x:i8 = var\n%y:i4 = var\n%0:i16 = zext %x\n%1:i16 = zext %y\n%2:i16 = shl %0, %1\ninfer %2",
+	"%x:i8 = var\n%y:i4 = var\n%0:i17 = sext %x\n%1:i17 = zext %y\n%2:i17 = udiv %0, %1\ninfer %2",
+	"%x:i8 = var\n%0:i32 = zext %x\n%1:i32 = mul %0, 257:i32\ninfer %1",
+	"%x:i8 = var\n%0:i64 = sext %x\ninfer %0",
+	"%x:i6 = var\n%y:i6 = var\n%0:i64 = zext %x\n%1:i64 = zext %y\n%2:i64 = sub %0, %1\ninfer %2",
+}
+
+// FuzzSlicedMatchesScalar parses arbitrary IR text and fills one block
+// of input planes from the fuzz bytes, through EvalPlanes: every lane's
+// ok bit and value must equal scalar Eval on that lane's inputs. At 12
+// input bits or fewer, Outputs in both orders must also equal scalar
+// enumeration.
+func FuzzSlicedMatchesScalar(f *testing.F) {
+	seed := make([]byte, 64)
+	rand.New(rand.NewSource(3)).Read(seed)
+	for _, fr := range harvest.PaperFragments {
+		f.Add(fr.Source, seed)
+	}
+	for _, src := range exactSrcs {
+		f.Add(src, seed)
+	}
+	f.Fuzz(func(t *testing.T, src string, data []byte) {
+		fn, err := ir.Parse(src)
+		if err != nil {
+			return
+		}
+		off := 0
+		next := func() uint64 { // 8 bytes of data, little-endian, wrapping
+			var w uint64
+			for b := 0; b < 8 && len(data) > 0; b++ {
+				w |= uint64(data[off%len(data)]) << (8 * b)
+				off++
+			}
+			return w
+		}
+		checkPlanes(t, src, fn, eval.CompileSliced(fn), next)
+		if eval.TotalInputBits(fn) <= 12 {
+			checkOutputs(t, src, fn)
+		}
+	})
 }
 
 // TestOutputsStop pins the output sweep's stop poll: before every 64th

@@ -52,7 +52,9 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // histBuckets is the number of exponential latency buckets: bucket 0
 // holds observations under 1 µs, bucket i ≥ 1 those in [2^(i-1), 2^i)
 // µs, and the last one also everything longer, so the finite edges reach
-// 2^36 µs (about 19 h) — wider than any per-expression cap.
+// 2^36 µs (about 19 h) — wider than any per-expression cap. The
+// exposition shows the last bucket only as the +Inf line, so the
+// dashboard reads a quantile there as at least 2^36 µs.
 const histBuckets = 38
 
 // Histogram records latency observations in exponential buckets.

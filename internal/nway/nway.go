@@ -22,6 +22,7 @@ package nway
 
 import (
 	"fmt"
+	"slices"
 
 	"dfcheck/internal/absint"
 	"dfcheck/internal/apint"
@@ -385,8 +386,9 @@ func exactFacts(f *ir.Function) Facts {
 // where nothing beyond top was established are abstained from rather
 // than claimed.
 func aiFacts(f *ir.Function, budget int) Facts {
-	k := interpret(f, absint.KnownBits, budget)[f.Root].(knownbits.Bits)
-	r := interpret(f, absint.IntegerRange, budget)[f.Root].(constrange.Range)
+	var buf transferBuf
+	k := interpret(f, absint.KnownBits, budget, &buf)[f.Root].(knownbits.Bits)
+	r := interpret(f, absint.IntegerRange, budget, &buf)[f.Root].(constrange.Range)
 	if k.HasConflict() || r.IsEmpty() {
 		// An empty best-transformer image over top inputs means no
 		// execution of the expression is well-defined.
@@ -413,8 +415,8 @@ func aiFacts(f *ir.Function, budget int) Facts {
 
 // interpret runs the per-instruction best-transformer abstract
 // interpretation of f in one domain, returning the element computed for
-// every instruction.
-func interpret(f *ir.Function, d absint.Domain, budget int) map[*ir.Inst]absint.Elem {
+// every instruction. Every bestTransfer call reuses buf.
+func interpret(f *ir.Function, d absint.Domain, budget int, buf *transferBuf) map[*ir.Inst]absint.Elem {
 	elems := make(map[*ir.Inst]absint.Elem)
 	isRange := d.Name() == absint.IntegerRange.Name()
 	for _, n := range f.Insts() {
@@ -428,30 +430,33 @@ func interpret(f *ir.Function, d absint.Domain, budget int) map[*ir.Inst]absint.
 				elems[n] = d.Top(n.Width)
 			}
 		default:
-			elems[n] = bestTransfer(d, n, elems, budget)
+			elems[n] = bestTransfer(d, n, elems, budget, buf)
 		}
 	}
 	return elems
 }
 
 // bestTransfer computes α(op(γ(operand elements))) for one instruction by
-// enumerating the operand concretizations, provided their product fits
-// the budget; otherwise it soundly falls back to top. Duplicate operands
-// share one enumeration variable, so x op x stays correlated. An empty
-// image (every tuple hits UB/poison) is bottom: no well-defined execution
-// reaches past this instruction.
-func bestTransfer(d absint.Domain, n *ir.Inst, elems map[*ir.Inst]absint.Elem, budget int) absint.Elem {
+// folding every operand tuple of the concretizations, provided their
+// product fits the budget; otherwise it soundly falls back to top.
+// Duplicate operands share one γ list, so x op x stays correlated. An
+// empty image (every tuple hits UB/poison) is bottom: no well-defined
+// execution reaches past this instruction.
+func bestTransfer(d absint.Domain, n *ir.Inst, elems map[*ir.Inst]absint.Elem, budget int, buf *transferBuf) absint.Elem {
 	var ops []*ir.Inst
-	for _, a := range n.Args {
-		dup := false
-		for _, o := range ops {
-			dup = dup || o == a
+	slot := make([]int, len(n.Args)) // argument i reads ops[slot[i]]
+	for i, a := range n.Args {
+		slot[i] = len(ops)
+		for j, o := range ops {
+			if o == a {
+				slot[i] = j
+			}
 		}
-		if !dup {
+		if slot[i] == len(ops) {
 			ops = append(ops, a)
 		}
 	}
-	prod := 1
+	prod, sum := 1, 0
 	for _, o := range ops {
 		if d.IsBottom(elems[o]) {
 			return d.Bottom(n.Width)
@@ -461,51 +466,54 @@ func bestTransfer(d absint.Domain, n *ir.Inst, elems map[*ir.Inst]absint.Elem, b
 			return d.Top(n.Width)
 		}
 		prod *= sz
+		sum += sz
 	}
-
-	b := ir.NewBuilder()
-	vars := make([]*ir.Inst, len(ops))
+	// The γ lists share one backing array, grown up front so that each
+	// list stays where it was put.
+	gammas := make([][]apint.Int, len(ops))
+	all := slices.Grow(buf.gamma[:0], sum)
 	for i, o := range ops {
-		vars[i] = b.Var(fmt.Sprintf("x%d", i), o.Width)
+		start := len(all)
+		all = appendGamma(d, all, elems[o])
+		gammas[i] = all[start:]
 	}
-	args := make([]*ir.Inst, len(n.Args))
-	for i, a := range n.Args {
-		for j, o := range ops {
-			if o == a {
-				args[i] = vars[j]
+	buf.gamma = all
+	// An odometer over the γ lists, the last operand turning fastest.
+	pos := make([]int, len(ops))
+	args := make([]apint.Int, len(n.Args))
+	outs := slices.Grow(buf.outs[:0], prod)
+	for {
+		for i, j := range slot {
+			args[i] = gammas[j][pos[j]]
+		}
+		if v, ok := eval.ConstFold(n.Op, n.Flags, n.Width, args); ok {
+			outs = append(outs, v)
+		}
+		k := len(pos) - 1
+		for ; k >= 0; k-- {
+			if pos[k]++; pos[k] < len(gammas[k]) {
+				break
 			}
+			pos[k] = 0
+		}
+		if k < 0 {
+			break
 		}
 	}
-	var root *ir.Inst
-	if n.Op.IsCast() {
-		root = b.BuildCast(n.Op, n.Width, args[0])
-	} else {
-		root = b.Build(n.Op, n.Flags, args...)
-	}
-	prog := eval.Compile(b.Function(root))
-
-	env := make(eval.Env, len(vars))
-	var outs []apint.Int
-	var walk func(i int)
-	walk = func(i int) {
-		if i == len(ops) {
-			if v, ok := prog.Eval(env); ok {
-				outs = append(outs, v)
-			}
-			return
-		}
-		forEachGamma(d, elems[ops[i]], func(v apint.Int) {
-			env[vars[i]] = v
-			walk(i + 1)
-		})
-	}
-	walk(0)
+	buf.outs = outs
 	if len(outs) == 0 {
 		return d.Bottom(n.Width)
 	}
 	// Every α is order-free and ignores repeats, so the outputs go in as
-	// the walk produced them.
+	// the odometer produced them.
 	return d.Abstract(n.Width, outs)
+}
+
+// transferBuf is the scratch bestTransfer reuses from one instruction to
+// the next: the operands' γ lists and the outputs. No α keeps the slice
+// it is given.
+type transferBuf struct {
+	gamma, outs []apint.Int
 }
 
 // gammaSize returns |γ(e)| for the two interpreted domains, or -1 when it
@@ -528,13 +536,16 @@ func gammaSize(d absint.Domain, e absint.Elem) int {
 	panic(fmt.Sprintf("nway: gammaSize on unsupported domain %s", d.Name()))
 }
 
-func forEachGamma(d absint.Domain, e absint.Elem, fn func(v apint.Int)) {
+// appendGamma appends γ(e) to vals for the two interpreted domains.
+func appendGamma(d absint.Domain, vals []apint.Int, e absint.Elem) []apint.Int {
+	add := func(x apint.Int) bool { vals = append(vals, x); return true }
 	switch v := e.(type) {
 	case knownbits.Bits:
-		v.ForEach(func(x apint.Int) bool { fn(x); return true })
+		v.ForEach(add)
 	case constrange.Range:
-		v.ForEach(func(x apint.Int) bool { fn(x); return true })
+		v.ForEach(add)
 	default:
-		panic(fmt.Sprintf("nway: forEachGamma on unsupported domain %s", d.Name()))
+		panic(fmt.Sprintf("nway: appendGamma on unsupported domain %s", d.Name()))
 	}
+	return vals
 }

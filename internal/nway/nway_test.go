@@ -1,6 +1,7 @@
 package nway
 
 import (
+	"fmt"
 	"testing"
 
 	"dfcheck/internal/absint"
@@ -15,11 +16,9 @@ import (
 	"dfcheck/internal/tnum"
 )
 
-// bruteFacts computes reference facts by scalar enumeration of the whole
-// input space — the ground truth exactFacts' bit-sliced sweep must match.
-func bruteFacts(t *testing.T, f *ir.Function) (Facts, bool) {
-	t.Helper()
-	w := f.Width()
+// bruteVals returns f's distinct well-defined outputs, by scalar
+// enumeration of the whole input space.
+func bruteVals(f *ir.Function) []apint.Int {
 	seen := make(map[uint64]bool)
 	var vals []apint.Int
 	eval.ForEachInput(f, func(env eval.Env) bool {
@@ -29,6 +28,15 @@ func bruteFacts(t *testing.T, f *ir.Function) (Facts, bool) {
 		}
 		return true
 	})
+	return vals
+}
+
+// bruteFacts computes reference facts by scalar enumeration of the whole
+// input space — the ground truth exactFacts' bit-sliced sweep must match.
+func bruteFacts(t *testing.T, f *ir.Function) (Facts, bool) {
+	t.Helper()
+	w := f.Width()
+	vals := bruteVals(f)
 	if len(vals) == 0 {
 		return Facts{}, false
 	}
@@ -95,7 +103,11 @@ func TestExactFactsMatchBruteForce(t *testing.T) {
 // FuzzExactFacts parses arbitrary IR text and checks the exact variant on
 // every function with at most 12 input bits against scalar enumeration:
 // Best{}.Facts must not panic, must flag Dead exactly when no input is
-// well-defined, and must otherwise equal bruteFacts in every domain.
+// well-defined, and must otherwise equal bruteFacts in every domain. The
+// same function also drives the per-instruction best transformers
+// (Best{ExactBits: 1}): their elements must equal the reference walk's,
+// instruction by instruction in both domains, and their facts must hold
+// for every well-defined output.
 func FuzzExactFacts(f *testing.F) {
 	for _, fr := range harvest.PaperFragments {
 		f.Add(fr.Source)
@@ -116,7 +128,148 @@ func FuzzExactFacts(f *testing.F) {
 		if live && !sameFacts(got, want) {
 			t.Fatalf("%s\n got  %+v\n want %+v", src, got, want)
 		}
+		checkInterpretMatchesWalk(t, src, fn)
+		if ai := (Best{ExactBits: 1}).Facts(fn); !ai.Exact {
+			checkSound(t, src, ai, bruteVals(fn))
+		}
 	})
+}
+
+// refBestTransfer is bestTransfer's reference: the walk it replaced. It
+// builds the instruction as a one-instruction function of fresh
+// variables, one per distinct operand, and runs the scalar interpreter on
+// an Env for every operand tuple.
+func refBestTransfer(d absint.Domain, n *ir.Inst, elems map[*ir.Inst]absint.Elem, budget int) absint.Elem {
+	var ops []*ir.Inst
+	for _, a := range n.Args {
+		dup := false
+		for _, o := range ops {
+			dup = dup || o == a
+		}
+		if !dup {
+			ops = append(ops, a)
+		}
+	}
+	prod := 1
+	for _, o := range ops {
+		if d.IsBottom(elems[o]) {
+			return d.Bottom(n.Width)
+		}
+		sz := gammaSize(d, elems[o])
+		if sz <= 0 || prod > budget/sz {
+			return d.Top(n.Width)
+		}
+		prod *= sz
+	}
+
+	b := ir.NewBuilder()
+	vars := make([]*ir.Inst, len(ops))
+	for i, o := range ops {
+		vars[i] = b.Var(fmt.Sprintf("x%d", i), o.Width)
+	}
+	args := make([]*ir.Inst, len(n.Args))
+	for i, a := range n.Args {
+		for j, o := range ops {
+			if o == a {
+				args[i] = vars[j]
+			}
+		}
+	}
+	var root *ir.Inst
+	if n.Op.IsCast() {
+		root = b.BuildCast(n.Op, n.Width, args[0])
+	} else {
+		root = b.Build(n.Op, n.Flags, args...)
+	}
+	fn := b.Function(root)
+
+	env := make(eval.Env, len(vars))
+	var outs []apint.Int
+	var walk func(i int)
+	walk = func(i int) {
+		if i == len(ops) {
+			if v, ok := eval.Eval(fn, env); ok {
+				outs = append(outs, v)
+			}
+			return
+		}
+		for _, v := range appendGamma(d, nil, elems[ops[i]]) {
+			env[vars[i]] = v
+			walk(i + 1)
+		}
+	}
+	walk(0)
+	if len(outs) == 0 {
+		return d.Bottom(n.Width)
+	}
+	return d.Abstract(n.Width, outs)
+}
+
+// checkInterpretMatchesWalk runs interpret in both domains on one
+// buffer, as aiFacts does, and demands that every instruction's element
+// equal the one the reference walk computes from the same operand
+// elements.
+func checkInterpretMatchesWalk(t *testing.T, name string, f *ir.Function) {
+	t.Helper()
+	var buf transferBuf
+	for _, d := range []absint.Domain{absint.KnownBits, absint.IntegerRange} {
+		got := interpret(f, d, DefaultOpBudget, &buf)
+		for _, n := range f.Insts() {
+			if n.IsConst() || n.IsVar() {
+				continue
+			}
+			if want := refBestTransfer(d, n, got, DefaultOpBudget); !d.Eq(got[n], want) {
+				t.Fatalf("%s: %s element of %%%s = %v, reference walk %v\n%s", name, d.Name(), n.Name, got[n], want, f)
+			}
+		}
+	}
+}
+
+// checkSound demands that every claim of the best-transformer facts hold
+// for each of vals, the achievable outputs; Dead claims there are none.
+func checkSound(t *testing.T, name string, got Facts, vals []apint.Int) {
+	t.Helper()
+	if got.Dead {
+		if len(vals) != 0 {
+			t.Fatalf("%s: flagged dead, but %d outputs are achievable", name, len(vals))
+		}
+		return
+	}
+	for _, v := range vals {
+		switch {
+		case !got.AbstainKnown && !got.Known.Contains(v):
+			t.Fatalf("%s: known %s excludes achievable %d", name, got.Known, v.Uint64())
+		case !got.AbstainRange && !got.Range.Contains(v):
+			t.Fatalf("%s: range %s excludes achievable %d", name, got.Range, v.Uint64())
+		case got.NonZero && v.IsZero():
+			t.Fatalf("%s: claims non-zero but 0 achievable", name)
+		case got.Negative && !v.IsNegative():
+			t.Fatalf("%s: claims negative but %d achievable", name, v.Uint64())
+		case got.NonNegative && v.IsNegative():
+			t.Fatalf("%s: claims non-negative but %d achievable", name, v.Uint64())
+		case got.PowerOfTwo && !v.IsPowerOfTwo():
+			t.Fatalf("%s: claims a power of two but %d achievable", name, v.Uint64())
+		}
+	}
+}
+
+// TestInterpretMatchesReferenceWalk compares the folding best
+// transformers with the reference walk, element by element in both
+// domains, on generated corpora at widths 4, 8, 13 and 16 — the last two
+// mostly over budget, where both must fall back to the same top.
+func TestInterpretMatchesReferenceWalk(t *testing.T) {
+	for _, w := range []uint{4, 8, 13, 16} {
+		corpus := harvest.Generate(harvest.Config{
+			Seed:         int64(w),
+			NumExprs:     60,
+			MaxInsts:     6,
+			Widths:       []harvest.WidthWeight{{Width: w, Weight: 1}},
+			MaxCastWidth: 16,
+		})
+		for _, e := range corpus {
+			checkInterpretMatchesWalk(t, e.Name, e.F)
+		}
+	}
 }
 
 func TestExactFactsDeadExpression(t *testing.T) {

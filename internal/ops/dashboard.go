@@ -129,20 +129,22 @@ function parseProm(text) {
   return m;
 }
 
-// quantile returns, in ns, the upper edge of the bucket that holds the
-// q-quantile's rank: an overestimate by at most 2x. q = 1 gives the top
-// non-empty bucket's edge, which the page shows as max. Only the last
-// internal bucket, [2^36 µs, ∞), reaches +Inf; its edge is twice the
-// last finite one.
+// quantile returns the q-quantile as [ns, atLeast]. ns is the upper edge
+// of the bucket that holds the q-quantile's rank: at most twice the
+// value, or 1 µs for values below that. The last bucket, [2^36 µs, ∞),
+// has no upper edge; a rank there gives its lower edge, the last finite
+// le, with atLeast set, which the page shows as a lower bound. q = 1
+// gives the top non-empty bucket, which the page shows as max.
 function quantile(h, q) {
-  if (!h.count) return 0;
+  if (!h.count) return [0, false];
   const rank = Math.min(Math.floor(q * h.count), h.count - 1);
   let edge = 0;
   for (const [le, n] of h.buckets) {
-    edge = le === "+Inf" ? 2 * edge : Math.round(Number(le) * 1e9);
-    if (n > rank) return edge;
+    if (le === "+Inf") return [edge, true];
+    edge = Math.round(Number(le) * 1e9);
+    if (n > rank) return [edge, false];
   }
-  return edge;
+  return [edge, false];
 }
 </script>
 <script>
@@ -158,6 +160,7 @@ function fmtDur(ns) {
   return ns + "ns";
 }
 function fmtN(n) { return Number(n).toLocaleString("en-US"); }
+function fmtQ([ns, atLeast]) { return (atLeast ? "≥ " : "") + fmtDur(ns); }
 
 function spark(id, roId, pts, fmt) {
   const svg = document.getElementById(id);
@@ -239,8 +242,8 @@ function render(p) {
   for (const [k, v] of Object.entries(hs)) {
     if (!v.count) continue;
     lt.push('<tr><td><code>' + k.replace(/</g,"&lt;") + '</code></td><td class="num">' + fmtN(v.count) +
-      '</td><td class="num">' + fmtDur(quantile(v, .5)) + '</td><td class="num">' + fmtDur(quantile(v, .95)) +
-      '</td><td class="num">' + fmtDur(quantile(v, .99)) + '</td><td class="num">' + fmtDur(quantile(v, 1)) + '</td></tr>');
+      '</td><td class="num">' + fmtQ(quantile(v, .5)) + '</td><td class="num">' + fmtQ(quantile(v, .95)) +
+      '</td><td class="num">' + fmtQ(quantile(v, .99)) + '</td><td class="num">' + fmtQ(quantile(v, 1)) + '</td></tr>');
   }
   document.querySelector("#latency tbody").innerHTML =
     lt.sort().join("") || '<tr><td colspan="6" class="muted">no observations yet</td></tr>';

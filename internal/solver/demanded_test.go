@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dfcheck/internal/apint"
 	"dfcheck/internal/eval"
 	"dfcheck/internal/harvest"
 	"dfcheck/internal/ir"
@@ -363,4 +364,161 @@ func closeTrace(t *testing.T, tr *trace.Tracer, buf *bytes.Buffer) []spanEvent {
 		t.Fatal(err)
 	}
 	return evs
+}
+
+// sampledCorpus holds functions above DemandedSweepBits, where NewEngine
+// samples witness pairs before it asks a miter: 17, 24, 32, 40 and 48
+// input bits, one with range metadata and one shift-heavy, whose shift
+// amount's high bits are undemanded because flipping one always leaves
+// one run ill-defined.
+var sampledCorpus = []string{
+	"%x:i8 = var\n%y:i9 = var\n%0:i8 = trunc %y\n%1:i8 = add %x, %0\ninfer %1",
+	"%x:i12 = var\n%y:i12 = var\n%0:i12 = mul %x, %y\n%1:i12 = lshr %0, 4:i12\ninfer %1",
+	"%x:i16 = var (range=[3,1000))\n%y:i8 = var\n%0:i16 = zext %y\n%1:i16 = udiv %x, %0\ninfer %1",
+	"%x:i16 = var\n%s:i16 = var\n%0:i16 = shl %x, %s\n%1:i16 = lshr %0, %s\n%2:i16 = ashr %1, 3:i16\ninfer %2",
+	"%x:i32 = var\n%y:i8 = var\n%0:i32 = zext %y\n%1:i32 = and %x, %0\n%2:i32 = add %1, 1:i32\ninfer %2",
+	"%x:i16 = var\n%y:i16 = var\n%z:i16 = var\n%0:i16 = mulnsw %x, %y\n%1:i16 = urem %0, %z\n%2:i8 = trunc %1\ninfer %2",
+}
+
+// demandedMasks asks e BitMatters for every bit of every variable of f,
+// one answer per packed input position; ok is false where e ran out of
+// budget.
+func demandedMasks(e Engine, f *ir.Function) (matters, ok []bool) {
+	for _, v := range f.Vars {
+		for bit := uint(0); bit < v.Width; bit++ {
+			m, k := e.BitMatters(v, bit)
+			matters, ok = append(matters, m), append(ok, k)
+		}
+	}
+	return matters, ok
+}
+
+// TestNewEngineDemandedMatchesMiter: an engine from NewEngine — the
+// exhaustive sweep at or below DemandedSweepBits, sampled witness pairs
+// plus miters above — gives every function of the engine cross-check
+// corpus and of the sampled corpus the demanded mask NewSAT's miters
+// alone give. Bits the miter cannot decide within its budget are skipped.
+func TestNewEngineDemandedMatchesMiter(t *testing.T) {
+	srcs := append(append([]string(nil), crossCheckCorpus...), sampledCorpus...)
+	var sampled, mitered, skipped int64
+	for _, src := range srcs {
+		f := ir.MustParse(src)
+		want, wantOK := demandedMasks(NewSAT(f, 20000), f)
+		eng := NewEngine(f, Config{})
+		got, gotOK := demandedMasks(eng, f)
+		for pos := range want {
+			if !wantOK[pos] {
+				skipped++
+				continue
+			}
+			if !gotOK[pos] || got[pos] != want[pos] {
+				t.Errorf("%s\nposition %d: NewEngine (%v, %v), miter %v", src, pos, got[pos], gotOK[pos], want[pos])
+			}
+		}
+		if e, ok := eng.(*SATEngine); ok && e.sample != nil {
+			st := e.Stats()
+			sampled += st.EnumQueries
+			mitered += st.Queries - st.EnumQueries
+		}
+	}
+	if sampled == 0 || mitered == 0 {
+		t.Fatalf("%d bits sampled, %d mitered: want both non-zero", sampled, mitered)
+	}
+	t.Logf("above the sweep: %d bits proved by samples, %d left to miters; %d skipped on miter exhaustion", sampled, mitered, skipped)
+}
+
+// TestSampleWitnessesAreReal re-checks every witness pair the sampler
+// keeps with the scalar interpreter: the input and its copy with the bit
+// flipped differ only in that bit, both runs are well-defined, and their
+// outputs differ. From the trace it checks that each sampled answer is an
+// enum-class "bit-matters" query and that the one "demanded-sample" span
+// stays within the cost bound, sampleBlocks × (1 + input bits) block
+// evaluations.
+func TestSampleWitnessesAreReal(t *testing.T) {
+	proved := 0
+	for _, src := range sampledCorpus {
+		f := ir.MustParse(src)
+		e := NewEngine(f, Config{}).(*SATEngine)
+		var buf bytes.Buffer
+		tr := trace.New(&buf)
+		root := tr.Start(nil, trace.KindExpr, "expr")
+		e.SetTraceSpan(root)
+		matters, _ := demandedMasks(e, f)
+		root.End()
+		n := eval.TotalInputBits(f)
+		samples, enumAnswers := 0, int64(0)
+		for _, ev := range closeTrace(t, tr, &buf) {
+			switch {
+			case ev.Name == "demanded-sample":
+				samples++
+				if got, limit := ev.Args["evals"].(float64), float64(64*sampleBlocks*(1+n)); got > limit {
+					t.Errorf("%s: sampler evaluated %v lanes, more than %v", src, got, limit)
+				}
+			case ev.Name == "bit-matters" && ev.Args["class"] == classEnum:
+				enumAnswers++
+				if ev.Args["result"] != "sat" {
+					t.Errorf("%s: sampled bit-matters span %v, want result sat", src, ev.Args)
+				}
+			}
+		}
+		if st := e.Stats(); samples != 1 || enumAnswers != st.EnumQueries {
+			t.Errorf("%s: %d demanded-sample spans and %d enum bit-matters spans for %d enum queries, want 1 and equal",
+				src, samples, enumAnswers, st.EnumQueries)
+		}
+		pos := 0
+		for _, v := range f.Vars {
+			for bit := uint(0); bit < v.Width; bit, pos = bit+1, pos+1 {
+				wit := e.sample.witness[pos]
+				if !e.sample.proved[pos] {
+					if wit != nil {
+						t.Errorf("%s: %%%s bit %d has a witness but is not proved", src, v.Name, bit)
+					}
+					continue
+				}
+				proved++
+				if !matters[pos] {
+					t.Errorf("%s: %%%s bit %d proved by a sample, answered not demanded", src, v.Name, bit)
+				}
+				a, b := make(eval.Env, len(f.Vars)), make(eval.Env, len(f.Vars))
+				for k2, u := range f.Vars {
+					a[u] = apint.New(u.Width, wit[k2])
+					b[u] = a[u]
+				}
+				b[v] = a[v].Xor(apint.New(v.Width, 1<<bit))
+				va, oka := eval.Eval(f, a)
+				vb, okb := eval.Eval(f, b)
+				if !oka || !okb || va.Eq(vb) {
+					t.Errorf("%s: %%%s bit %d: witness %v gives (%v, %v) and flipped (%v, %v); want two different well-defined outputs",
+						src, v.Name, bit, a, va, oka, vb, okb)
+				}
+			}
+		}
+	}
+	if proved == 0 {
+		t.Fatal("the sampler proved no bit demanded")
+	}
+}
+
+// TestSampleCancelledLeavesMiter: a sampler whose context is done before
+// it starts proves nothing and evaluates nothing, so every bit reaches
+// the miter, which fails fast as exhausted — the same counts as NewSAT
+// past its deadline.
+func TestSampleCancelledLeavesMiter(t *testing.T) {
+	f := ir.MustParse(sampledCorpus[1])
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	e := NewEngine(f, Config{Ctx: done}).(*SATEngine)
+	for bit := uint(0); bit < 3; bit++ {
+		if _, ok := e.BitMatters(f.Vars[0], bit); ok {
+			t.Errorf("BitMatters(%%x, %d) answered past cancellation", bit)
+		}
+	}
+	if st := e.Stats(); st.Queries != 3 || st.EnumQueries != 0 || st.Exhausted != 3 {
+		t.Errorf("stats %+v, want 3 queries, 0 enum, 3 exhausted", st)
+	}
+	for pos, p := range e.sample.proved {
+		if p {
+			t.Fatalf("cancelled sampler proved position %d", pos)
+		}
+	}
 }

@@ -20,7 +20,6 @@ type smallRef struct {
 
 func smallRefOf(f *ir.Function) smallRef {
 	total := eval.TotalInputBits(f)
-	p := eval.Compile(f)
 	evalIdx := func(idx uint64) (uint64, bool) {
 		env := make(eval.Env, len(f.Vars))
 		bits := idx
@@ -28,7 +27,7 @@ func smallRefOf(f *ir.Function) smallRef {
 			env[v] = apint.New(v.Width, bits)
 			bits >>= v.Width
 		}
-		v, ok := p.Eval(env)
+		v, ok := eval.Eval(f, env)
 		return v.Uint64(), ok
 	}
 	ref := smallRef{outputs: make(map[uint64]bool), demanded: make(map[*ir.Inst][]bool)}

@@ -303,10 +303,15 @@ func (e *SATEngine) miter(v *ir.Inst) *miterSession {
 }
 
 // BitMatters implements Engine: from the demanded-bits sweep when
-// NewEngine routed the engine to it, otherwise by one miter query.
+// NewEngine routed the engine to it, otherwise by a sampled witness pair
+// when NewEngine gave the engine the sampler and it found one, otherwise
+// by one miter query. A variable's miter is built on its first query.
 func (e *SATEngine) BitMatters(v *ir.Inst, bit uint) (bool, bool) {
 	if e.demanded != nil {
 		return e.demanded.bitMatters(&e.stats, e.span, e.Ctx, e.Deadline, v, bit)
+	}
+	if e.sample != nil && e.sample.bitMatters(&e.stats, e.span, e.Ctx, e.Deadline, v, bit) {
+		return true, true
 	}
 	m := e.miter(v)
 	assumptions := make([]sat.Lit, 0, len(m.sel)+1)

@@ -74,12 +74,23 @@ func TestNewEngineRouting(t *testing.T) {
 		{"17 input bits", seventeen, Config{}, false},
 		{"32 input bits", large, Config{}, false},
 	} {
-		if got := NewEngine(tc.f, tc.cfg).(*SATEngine).demanded != nil; got != tc.sweep {
+		e := NewEngine(tc.f, tc.cfg).(*SATEngine)
+		if got := e.demanded != nil; got != tc.sweep {
 			t.Errorf("%s: demanded-bits sweep %v, want %v", tc.name, got, tc.sweep)
 		}
+		// Above the sweep, NewEngine samples witness pairs unless
+		// enumeration is off.
+		if got, want := e.sample != nil, !tc.sweep && tc.cfg.EnumCutoff >= 0; got != want {
+			t.Errorf("%s: demanded-bits sampler %v, want %v", tc.name, got, want)
+		}
 	}
-	if NewSAT(sixteen, 0).demanded != nil {
-		t.Error("NewSAT must keep every demanded-bits query on the miter")
+	if e := NewEngine(large, Config{EnumCutoff: -1}).(*SATEngine); e.sample != nil {
+		t.Error("32 input bits, enumeration off: want no demanded-bits sampler")
+	}
+	for _, f := range []*ir.Function{sixteen, large} {
+		if e := NewSAT(f, 0); e.demanded != nil || e.sample != nil {
+			t.Error("NewSAT must keep every demanded-bits query on the miter")
+		}
 	}
 }
 

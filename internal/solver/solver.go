@@ -13,8 +13,10 @@
 // space once and decides every input bit of every variable from the
 // stored outputs. EnumEngine always uses it, and a SAT engine built by
 // NewEngine uses it instead of miter queries up to DemandedSweepBits
-// summed input bits; NewSAT, and NewEngine with a negative EnumCutoff,
-// keep every demanded-bits query on the miter.
+// summed input bits. Above that, such an engine first samples witness
+// pairs on the sliced evaluator and asks a miter only for the bits no
+// sample proves demanded. NewSAT, and NewEngine with a negative
+// EnumCutoff, keep every demanded-bits query on the miter.
 //
 // Every query is implicitly conjoined with "the execution is well-defined"
 // (no UB, range metadata satisfied), mirroring Souper's UB-aware
@@ -168,8 +170,11 @@ const DefaultEnumCutoff = 14
 // of i8×i8 expressions, 16 bits just above DefaultEnumCutoff, one proof
 // can take thousands of conflicts. On the benchmark's table1 and campaign
 // workloads a bound of 17, 18 or 20 gained nothing more, and at 24 bits
-// sweeping cost more than solving. Only demanded bits take this path: the
-// other queries stay on SAT, whose models decide integer-range bases.
+// sweeping cost more than solving. Above the bound the engine samples
+// instead: at most 8 × (1 + n) block evaluations of drawn lanes prove
+// most demanded bits with a witness pair, and only the rest reach a
+// miter. Only demanded bits take either path: the other queries stay on
+// SAT, whose models decide integer-range bases.
 const DemandedSweepBits = 16
 
 // Config parameterizes NewEngine.
@@ -186,15 +191,16 @@ type Config struct {
 	// EnumCutoff routes functions whose summed input width is at or
 	// below the cutoff to the enumeration engine. 0 selects
 	// DefaultEnumCutoff; negative disables the fast path entirely,
-	// including the SAT engine's demanded-bits sweep.
+	// including the SAT engine's demanded-bits sweep and sampler.
 	EnumCutoff int
 }
 
 // NewEngine selects the fastest engine for f under cfg: the enumeration
 // engine below the small-width cutoff, the (strashed, incremental) SAT
 // engine otherwise, answering demanded bits by the exhaustive sweep up to
-// DemandedSweepBits. All of them decide exactly the same queries, a
-// property the cross-check tests enforce on every query type.
+// DemandedSweepBits and by sampled witness pairs, then miters, above it.
+// All of them decide exactly the same queries, a property the
+// cross-check tests enforce on every query type.
 func NewEngine(f *ir.Function, cfg Config) Engine {
 	cut := cfg.EnumCutoff
 	if cut == 0 {
@@ -214,8 +220,12 @@ func NewEngine(f *ir.Function, cfg Config) Engine {
 	e.Deadline = cfg.Deadline
 	e.Ctx = cfg.Ctx
 	e.NoStrash = cfg.NoStrash
-	if cut > 0 && total <= DemandedSweepBits {
+	switch {
+	case cut <= 0:
+	case total <= DemandedSweepBits:
 		e.demanded = &demandedSweep{f: f}
+	default:
+		e.sample = &demandedSample{f: f}
 	}
 	return e
 }
@@ -265,6 +275,10 @@ type SATEngine struct {
 	// bits), answers BitMatters by the exhaustive sweep instead of a
 	// miter. The sweep spends no conflicts.
 	demanded *demandedSweep
+	// sample, when set (by NewEngine, above DemandedSweepBits), answers
+	// BitMatters for the bits its sampled witness pairs prove demanded;
+	// only the others reach a miter.
+	sample *demandedSample
 
 	// span is the trace span queries currently nest under (nil when
 	// untraced); see Engine.SetTraceSpan.
