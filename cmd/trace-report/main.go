@@ -146,7 +146,7 @@ type exprCost struct {
 type report struct {
 	Files      int         `json:"files"`
 	Spans      int         `json:"spans"`
-	WallUs     float64     `json:"wall_us"`        // total root-span time
+	WallUs     float64     `json:"wall_us"`        // union of root-span intervals
 	ExprUs     float64     `json:"expr_us"`        // total expression time
 	ByAnalysis table       `json:"by_analysis"`    // cat=analysis, by name
 	ByOpcode   table       `json:"by_opcode"`      // cat=expr, by root opcode
@@ -158,16 +158,34 @@ type report struct {
 	Conflicts  int64       `json:"conflicts"` // summed over query spans
 }
 
+// wallUs is the time covered by the root spans: the length of the union
+// of their [ts, ts+dur) intervals. A campaign's batch spans are roots
+// that may overlap in time, so their plain sum can exceed the wall
+// clock.
+func wallUs(roots []*span) float64 {
+	sort.Slice(roots, func(i, j int) bool { return roots[i].Ts < roots[j].Ts })
+	var total, end float64
+	for _, s := range roots {
+		lo, hi := max(s.Ts, end), s.Ts+s.Dur
+		if hi > lo {
+			total += hi - lo
+			end = hi
+		}
+	}
+	return total
+}
+
 func aggregate(spans []*span, topN int) *report {
 	rep := &report{Spans: len(spans)}
 	byHash := map[string]*exprCost{}
+	var roots []*span
 	for _, s := range spans {
 		switch s.Cat {
 		case "batch":
-			// Only roots count toward wall clock: a campaign's per-batch
-			// spans nest under its root and must not double-count.
+			// Only roots count toward wall clock: a batch span nested
+			// under another must not count twice.
 			if !s.hasParent {
-				rep.WallUs += s.Dur
+				roots = append(roots, s)
 			}
 		case "expr":
 			rep.ExprUs += s.Dur
@@ -193,6 +211,7 @@ func aggregate(spans []*span, topN int) *report {
 			rep.Conflicts += conflicts
 		}
 	}
+	rep.WallUs = wallUs(roots)
 	// Query conflicts roll up into the enclosing analysis rows via the
 	// parent chain (analysis spans do not carry counters themselves).
 	index := make(map[int64]*span, len(spans))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
@@ -143,5 +144,35 @@ func TestReportErrors(t *testing.T) {
 	}
 	if err := run([]string{filepath.Join(t.TempDir(), "absent.json")}, &out); err == nil {
 		t.Fatal("no error for an absent file")
+	}
+}
+
+// TestWallClockIsRootUnion: a campaign's batch spans are roots that may
+// overlap in time, so the wall clock is the union of their intervals,
+// not their sum. Nested batch spans do not count.
+func TestWallClockIsRootUnion(t *testing.T) {
+	root := func(ts, dur float64) *span {
+		return &span{event: event{Cat: "batch", Ph: "X", Ts: ts, Dur: dur}}
+	}
+	nested := root(2, 30)
+	nested.hasParent = true
+	for _, tc := range []struct {
+		spans []*span
+		want  float64
+	}{
+		{[]*span{root(0, 10), root(5, 10)}, 15},
+		{[]*span{root(5, 10), root(0, 10)}, 15},
+		{[]*span{root(0, 10), root(2, 3), nested}, 10},
+		{[]*span{root(0, 10), root(20, 5)}, 15},
+		{[]*span{root(0, 10), root(10, 5)}, 15},
+		{nil, 0},
+	} {
+		var desc []string
+		for _, s := range tc.spans {
+			desc = append(desc, fmt.Sprintf("[%g,%g) nested=%t", s.Ts, s.Ts+s.Dur, s.hasParent))
+		}
+		if got := aggregate(tc.spans, 10).WallUs; got != tc.want {
+			t.Errorf("spans %v: wall %v us, want %v", desc, got, tc.want)
+		}
 	}
 }

@@ -549,7 +549,7 @@ func buildTable(t task, ws []uint) []int16 {
 	var vals [64]uint64
 	for base := uint64(0); base < uint64(len(tbl)); base += 64 {
 		planes, ok := prog.EvalIndexed(base)
-		eval.Lanes(planes, &vals)
+		eval.Lanes(planes, ok, &vals)
 		for l := uint64(0); l < lanes; l++ {
 			if ok>>l&1 == 1 {
 				tbl[base+l] = int16(vals[l])

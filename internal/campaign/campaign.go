@@ -258,57 +258,80 @@ func (c *Campaign) emitFindings(b int, rep *compare.Report) {
 }
 
 // Run executes batches NextBatch..Batches-1 (or forever when Batches is
-// 0) until done or ctx is cancelled. A batch interrupted mid-corpus is
-// discarded whole — its partial report is never folded into the totals,
-// so Totals only ever contains complete batches and a resumed campaign
-// reproduces them identically. Returns ctx.Err() when interrupted, nil
-// when the campaign ran to completion.
+// 0) until done or ctx is cancelled. The batches stream through the
+// comparator's one worker pool (compare.Comparator.RunBatches), so
+// batch b+1 is generated and started while batch b's last expressions
+// finish; each batch is folded into the totals, reported and
+// checkpointed in batch order. A batch that was interrupted, or that
+// finished after the cancel, is discarded whole — its report is never
+// folded into the totals, so Totals only ever contains complete batches
+// and a resumed campaign reproduces them identically. Returns ctx.Err()
+// when interrupted, nil when the campaign ran to completion.
 func (c *Campaign) Run(ctx context.Context) error {
 	c.start, c.runBatches, c.runExprs = time.Now(), c.Totals.Batches, c.Totals.Exprs
 	c.saved = c.start
-	for b := c.NextBatch; c.Batches == 0 || b < c.Batches; b++ {
-		if ctx.Err() != nil {
-			c.checkpoint()
-			return ctx.Err()
+	b := c.NextBatch
+	c.Comparator.RunBatches(ctx, func() (compare.Batch, bool) {
+		if c.Batches > 0 && b >= c.Batches {
+			return compare.Batch{}, false
 		}
-		corpus := c.Corpus(b)
-		batchStart := time.Now()
-		bctx := ctx
-		bsp := c.Comparator.Tracer.Start(nil, trace.KindBatch, "batch")
-		if bsp != nil {
-			bsp.SetInt("batch", int64(b))
-			bsp.SetInt("seed", c.BatchSeed(b))
-			bctx = trace.NewContext(ctx, bsp)
-		}
-		rep := c.Comparator.RunContext(bctx, corpus)
-		bsp.End()
-		if rep.Interrupted || ctx.Err() != nil {
-			// Partial batch: discard, checkpoint at the last complete
-			// batch boundary, and report the interruption.
-			c.checkpoint()
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return context.Canceled
-		}
-		c.Totals.Add(rep)
-		c.Totals.Batches++
-		c.Totals.Exprs += len(corpus)
-		c.NextBatch = b + 1
-		if m := c.Comparator.Metrics; m != nil {
-			m.Counter("batches").Inc()
-		}
-		c.emitBatch(b, rep, len(corpus), time.Since(batchStart))
-		c.emitFindings(b, rep)
-		if time.Since(c.saved) >= checkpointInterval {
-			c.checkpoint()
-		}
-		if c.AfterBatch != nil {
-			c.AfterBatch(b)
-		}
-	}
+		b++
+		return c.batch(ctx, b-1), true
+	})
 	c.checkpoint()
-	return nil
+	if c.Batches > 0 && c.NextBatch >= c.Batches {
+		return nil
+	}
+	return ctx.Err()
+}
+
+// batch builds batch b for the comparator's stream. The batch's span and
+// elapsed time run from its first dispatched expression to its fold, so
+// adjacent batches may overlap in time.
+func (c *Campaign) batch(ctx context.Context, b int) compare.Batch {
+	corpus := c.Corpus(b)
+	var start time.Time
+	var sp *trace.Span
+	return compare.Batch{
+		Corpus: corpus,
+		Start: func(bctx context.Context) context.Context {
+			start = time.Now()
+			sp = c.Comparator.Tracer.Start(nil, trace.KindBatch, "batch")
+			if sp == nil {
+				return bctx
+			}
+			sp.SetInt("batch", int64(b))
+			sp.SetInt("seed", c.BatchSeed(b))
+			return trace.NewContext(bctx, sp)
+		},
+		Done: func(rep *compare.Report) {
+			sp.End()
+			if ctx.Err() == nil {
+				c.fold(b, rep, len(corpus), time.Since(start))
+			}
+		},
+	}
+}
+
+// fold adds batch b's report to the totals and reports the batch: its
+// event and progress line, its findings, a periodic checkpoint, and
+// AfterBatch.
+func (c *Campaign) fold(b int, rep *compare.Report, exprs int, elapsed time.Duration) {
+	c.Totals.Add(rep)
+	c.Totals.Batches++
+	c.Totals.Exprs += exprs
+	c.NextBatch = b + 1
+	if m := c.Comparator.Metrics; m != nil {
+		m.Counter("batches").Inc()
+	}
+	c.emitBatch(b, rep, exprs, elapsed)
+	c.emitFindings(b, rep)
+	if time.Since(c.saved) >= checkpointInterval {
+		c.checkpoint()
+	}
+	if c.AfterBatch != nil {
+		c.AfterBatch(b)
+	}
 }
 
 // Report assembles the cumulative Table 1 report from the totals, in the

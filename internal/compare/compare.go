@@ -100,8 +100,9 @@ type Comparator struct {
 	// standing in for the paper's 30-second Z3 timeout.
 	Budget int64
 	// Workers sets the number of expressions compared concurrently by
-	// Run (the paper spread its evaluation across several machines;
-	// expressions are independent). 0 or 1 means sequential.
+	// RunBatches, and so by Run and by campaigns (the paper spread its
+	// evaluation across several machines; expressions are independent).
+	// 0 or 1 means one at a time.
 	Workers int
 	// ExprTimeout caps the total oracle time per expression; queries
 	// beyond it come back as resource exhaustion, like the paper's
@@ -542,7 +543,7 @@ func (c *Comparator) CompareExpr(f *ir.Function) []Result {
 // interval and the remaining queries fail fast, so the expression still
 // comes back with well-formed (exhaustion-degraded) results promptly.
 func (c *Comparator) CompareExprContext(ctx context.Context, f *ir.Function) []Result {
-	return c.compareOne(ctx, f).results
+	return c.compareOne(ctx, f, false).results
 }
 
 // nwayExprStats is one expression's n-way pre-filter outcome.
@@ -610,8 +611,11 @@ type compared struct {
 
 // compareOne runs the per-expression pipeline: the n-way pre-filter when
 // enabled (skipping the oracle on agreement), the oracle comparison, and
-// the cross-domain consistency lint.
-func (c *Comparator) compareOne(ctx context.Context, f *ir.Function) *compared {
+// the cross-domain consistency lint. With skippable set it returns nil
+// when ctx is cancelled before the oracle starts, so a run stopped at a
+// batch boundary counts the expression as skipped rather than spending
+// an oracle run on exhaustion-degraded results.
+func (c *Comparator) compareOne(ctx context.Context, f *ir.Function, skippable bool) *compared {
 	out := &compared{}
 	runOracle := true
 	if c.NWay {
@@ -619,6 +623,9 @@ func (c *Comparator) compareOne(ctx context.Context, f *ir.Function) *compared {
 		// Escalate to the oracle only when some variant pair disagreed;
 		// agreement (or a dead expression) leaves nothing to decide.
 		runOracle = out.nway.escalated
+	}
+	if runOracle && skippable && ctx.Err() != nil {
+		return nil
 	}
 	var fa *llvmport.Facts
 	if runOracle || c.Consistency {
@@ -1019,86 +1026,179 @@ func (c *Comparator) Run(corpus []harvest.Expr) *Report {
 	return c.RunContext(context.Background(), corpus)
 }
 
-// forEach runs job(i) for i in [0, n) on the worker pool (or inline when
-// Workers <= 1), stopping the dispatch of new work once ctx is cancelled.
-// Jobs already running when the cancel lands finish on their own — their
-// solver queries abort via the engine context — so forEach returns
-// promptly either way.
-func (c *Comparator) forEach(ctx context.Context, n int, job func(i int)) {
-	guarded := func(i int) {
-		if ctx.Err() != nil {
-			return
-		}
-		c.markBusy(1)
-		job(i)
-		c.markBusy(-1)
-	}
-	if c.Workers <= 1 {
-		for i := 0; i < n; i++ {
-			guarded(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	// Buffered so the dispatcher never serializes on slow workers.
-	jobs := make(chan int, n)
-	for w := 0; w < c.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				guarded(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-}
-
 // RunContext is Run under a cancellation context: cancelling ctx stops
 // workers at the next expression boundary (and aborts their in-flight
 // solver queries), returning a partial report with Interrupted set
-// instead of tearing the process down mid-batch.
-//
-// Entries with byte-identical sources get identical results, so each
-// distinct source is compared once and its results fold back onto every
-// entry with that source, under the entry's own name. Alpha-variants
-// differ in text and are compared one by one; with a cache their oracle
-// answers come from it.
+// instead of tearing the process down mid-batch. It is RunBatches with
+// one batch.
 func (c *Comparator) RunContext(ctx context.Context, corpus []harvest.Expr) *Report {
 	ctx, endRoot := c.rootSpan(ctx, "run")
 	defer endRoot()
+	var rep *Report
+	fed := false
+	c.RunBatches(ctx, func() (Batch, bool) {
+		if fed {
+			return Batch{}, false
+		}
+		fed = true
+		return Batch{Corpus: corpus, Done: func(r *Report) { rep = r }}, true
+	})
+	return rep
+}
+
+// Batch is one corpus of a RunBatches stream, with the hooks that open
+// and close it.
+type Batch struct {
+	Corpus []harvest.Expr
+	// Start, when set, runs on the dispatching goroutine just before the
+	// batch's first expression goes to a worker. The context it returns
+	// is the one the batch is compared and reduced under: a campaign
+	// opens its batch span there.
+	Start func(ctx context.Context) context.Context
+	// Done receives the batch's report on RunBatches' own goroutine, in
+	// batch order, once the batch's last expression is compared.
+	Done func(rep *Report)
+}
+
+// batchRun is one batch in flight: its distinct sources, their results
+// as the workers fill them in, and the jobs not yet finished.
+type batchRun struct {
+	Batch
+	ctx   context.Context
+	group []int       // corpus index -> distinct-source index
+	first []int       // corpus index of each distinct source
+	out   []*compared // per distinct source; nil if never compared
+	jobs  sync.WaitGroup
+}
+
+// job is one distinct source of one batch, as handed to a worker.
+type job struct {
+	br *batchRun
+	g  int
+}
+
+// RunBatches compares the batches next yields, in order, on one pool of
+// max(Workers, 1) goroutines that lives for the whole call, so workers
+// wait neither for a batch's slowest expression nor for the next
+// batch's corpus. It is the comparator's one run path.
+//
+// Each batch is grouped by exact source text on its own: entries with
+// byte-identical sources get identical results, so each distinct source
+// is compared once and its results fold back onto every entry with that
+// source, under the entry's own name. Grouping never spans batches.
+// Alpha-variants differ in text and are compared one by one; with a
+// cache their oracle answers come from it.
+//
+// Every distinct source of batch k goes to a worker before any of batch
+// k+1. next is called for batch k+1 only then, and only once batch k-1
+// has been through Done, so at most one batch is generated ahead of the
+// one being folded. A batch's report reaches Done once its last
+// expression is compared, after its findings are reduced (Reduce) and
+// its outcomes recorded in the metrics. Its cache counts are the lookups
+// made since the previous batch's report, so over a run they add up to
+// the run's whole traffic.
+//
+// Cancelling ctx stops the dispatch at once: next is not called again,
+// and a batch's expressions not yet started, or stopped before their
+// oracle, count as Skipped in its report, which still goes to Done.
+// RunBatches returns once every goroutine it started has exited.
+func (c *Comparator) RunBatches(ctx context.Context, next func() (Batch, bool)) {
 	var before rescache.Stats
 	if c.Cache != nil {
 		before = c.Cache.Stats()
 	}
-	group := make([]int, len(corpus)) // corpus index -> distinct-source index
-	var first []int                   // corpus index of each distinct source
-	seen := make(map[string]int, len(corpus))
-	for i, e := range corpus {
+	// Both channels are unbuffered: a job is dispatched when a worker
+	// takes it, and the dispatcher hands over a batch, and may then
+	// generate the next, only when the previous batch is folded.
+	jobs := make(chan job)
+	ready := make(chan *batchRun)
+	var wg sync.WaitGroup
+	for w := 0; w < max(c.Workers, 1); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range jobs {
+				c.work(j)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(ready)
+		defer close(jobs)
+		for ctx.Err() == nil {
+			b, ok := next()
+			if !ok {
+				return
+			}
+			ready <- c.dispatch(ctx, b, jobs)
+		}
+	}()
+	for br := range ready {
+		br.jobs.Wait()
+		var rep *Report
+		rep, before = c.report(br, before)
+		br.Done(rep)
+	}
+	wg.Wait()
+}
+
+// dispatch groups b's corpus by source text, opens the batch
+// (Batch.Start) and hands its distinct sources to the workers one at a
+// time, stopping early once ctx is cancelled.
+func (c *Comparator) dispatch(ctx context.Context, b Batch, jobs chan<- job) *batchRun {
+	br := &batchRun{Batch: b, ctx: ctx, group: make([]int, len(b.Corpus))}
+	seen := make(map[string]int, len(b.Corpus))
+	for i, e := range b.Corpus {
 		src := e.F.String()
 		g, ok := seen[src]
 		if !ok {
-			g = len(first)
+			g = len(br.first)
 			seen[src] = g
-			first = append(first, i)
+			br.first = append(br.first, i)
 		}
-		group[i] = g
+		br.group[i] = g
 	}
-	out := make([]*compared, len(first))
-	c.forEach(ctx, len(first), func(g int) {
-		out[g] = c.compareOne(ctx, corpus[first[g]].F)
-	})
+	br.out = make([]*compared, len(br.first))
+	if b.Start != nil {
+		br.ctx = b.Start(ctx)
+	}
+	for g := range br.first {
+		br.jobs.Add(1)
+		select {
+		case jobs <- job{br, g}:
+		case <-ctx.Done():
+			br.jobs.Done()
+			return br
+		}
+	}
+	return br
+}
 
+// work compares one distinct source on a worker, unless its batch was
+// cancelled before the worker took it.
+func (c *Comparator) work(j job) {
+	br := j.br
+	defer br.jobs.Done()
+	if br.ctx.Err() != nil {
+		return
+	}
+	c.markBusy(1)
+	br.out[j.g] = c.compareOne(br.ctx, br.Corpus[br.first[j.g]].F, true)
+	c.markBusy(-1)
+}
+
+// report folds a finished batch's results onto its entries, reduces its
+// findings, and records its cache traffic since before, returning the
+// report and the cache stats it ends at.
+func (c *Comparator) report(br *batchRun, before rescache.Stats) (*Report, rescache.Stats) {
 	rep := NewReport()
 	if c.NWay {
 		rep.NWay = &NWayStats{}
 	}
-	for i, e := range corpus {
-		cmp := out[group[i]]
+	for i, e := range br.Corpus {
+		cmp := br.out[br.group[i]]
 		if cmp == nil {
 			rep.Skipped++
 			continue
@@ -1109,7 +1209,7 @@ func (c *Comparator) RunContext(ctx context.Context, corpus []harvest.Expr) *Rep
 	}
 	rep.Interrupted = rep.Skipped > 0
 	if c.Reduce {
-		c.reduceFindings(ctx, rep, corpus)
+		c.reduceFindings(br.ctx, rep, br.Corpus)
 	}
 	if c.Cache != nil {
 		after := c.Cache.Stats()
@@ -1117,9 +1217,10 @@ func (c *Comparator) RunContext(ctx context.Context, corpus []harvest.Expr) *Rep
 			Stats:   rescache.Stats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses},
 			Entries: c.Cache.Len(),
 		}
+		before = after
 	}
 	c.recordReport(rep)
-	return rep
+	return rep, before
 }
 
 // reduceFindings shrinks every finding in rep to a 1-minimal expression

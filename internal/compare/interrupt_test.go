@@ -140,3 +140,33 @@ func TestOracleCachedNeverMemoizesCancelled(t *testing.T) {
 		t.Fatal("clean recompute did not memoize")
 	}
 }
+
+// TestCancelledBeforeOracleIsSkipped: on the run path an expression whose
+// oracle has not started when the context is cancelled comes back as
+// nothing, so its batch counts it as skipped rather than exhausted, and
+// no oracle work is spent on it. An expression the n-way variants agree
+// on needs no oracle and still completes. CompareExprContext keeps
+// returning exhaustion-degraded results.
+func TestCancelledBeforeOracleIsSkipped(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	f := ir.MustParse("%x:i8 = var\n%0:i8 = udiv %x, 3:i8\ninfer %0")
+	c := &Comparator{Analyzer: &llvmport.Analyzer{}, Metrics: metrics.NewRegistry()}
+	if got := c.compareOne(ctx, f, true); got != nil {
+		t.Fatalf("cancelled expression compared: %+v", got.results)
+	}
+	if n := c.Metrics.Counter("exprs_compared").Value(); n != 0 {
+		t.Fatalf("oracle ran %d times after the cancel", n)
+	}
+	rs := c.CompareExprContext(ctx, f)
+	if len(rs) == 0 || rs[0].Outcome != ResourceExhausted {
+		t.Fatalf("CompareExprContext after cancel = %+v, want exhausted results", rs)
+	}
+
+	agreed := ir.MustParse("%x:i8 = var\ninfer %x")
+	c.NWay = true
+	got := c.compareOne(ctx, agreed, true)
+	if got == nil || got.nway == nil || !got.nway.agreed {
+		t.Fatalf("agreeing expression not completed after the cancel: %+v", got)
+	}
+}

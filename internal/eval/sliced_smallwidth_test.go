@@ -53,7 +53,7 @@ func TestEvalIndexedSmallWidthMasking(t *testing.T) {
 			}
 
 			var vals [64]uint64
-			eval.Lanes(planes, &vals)
+			eval.Lanes(planes, ok, &vals)
 			env := make(eval.Env, len(f.Vars))
 			wantSet := make(map[uint64]bool)
 			for idx := uint64(0); idx < 1<<total; idx++ {
@@ -107,7 +107,7 @@ func TestEvalIndexedZeroInputBits(t *testing.T) {
 		t.Fatalf("ok mask = %#x, want exactly lane 0", ok)
 	}
 	var vals [64]uint64
-	eval.Lanes(planes, &vals)
+	eval.Lanes(planes, ok, &vals)
 	if got := vals[0]; got != 9 {
 		t.Fatalf("lane 0 = %d, want 9", got)
 	}

@@ -2,6 +2,7 @@ package eval_test
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -31,7 +32,7 @@ func checkExhaustive(t *testing.T, name string, f *ir.Function) {
 	var vals [64]uint64
 	for base := uint64(0); base < count; base += 64 {
 		planes, ok := sp.EvalIndexed(base)
-		eval.Lanes(planes, &vals)
+		eval.Lanes(planes, ok, &vals)
 		for l := uint64(0); l < lanes; l++ {
 			idx := base + l
 			bits := idx
@@ -51,10 +52,31 @@ func checkExhaustive(t *testing.T, name string, f *ir.Function) {
 	}
 }
 
-// TestLanes checks the block transpose against gathering each lane's
-// bits one plane at a time, for every plane count up to 64, and that
-// transposing the 64 lane values back gives the planes again.
+// TestLanes checks Lanes against gathering each lane's bits one plane at
+// a time, for every plane count up to 64 under full, sparse, single-lane
+// and empty ok masks — both sides of the gather/transpose switch — and
+// that transposing 64 lane values back gives the planes again. It also
+// reads real blocks whose ok masks are sparse (an i8 udiv exact) and
+// whose root is one bit wide (an i1 compare).
 func TestLanes(t *testing.T) {
+	check := func(name string, planes []uint64, ok uint64) {
+		t.Helper()
+		var lanes [64]uint64
+		for i := range lanes {
+			lanes[i] = ^uint64(0) // Lanes must overwrite every wanted entry
+		}
+		eval.Lanes(planes, ok, &lanes)
+		for m := ok; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros64(m)
+			var want uint64
+			for i, pl := range planes {
+				want |= (pl >> l & 1) << i
+			}
+			if lanes[l] != want {
+				t.Fatalf("%s: %d planes, ok %#x: lane %d = %#x, want %#x", name, len(planes), ok, l, lanes[l], want)
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(5))
 	for w := 0; w <= 64; w++ {
 		for trial := 0; trial < 4; trial++ {
@@ -62,25 +84,31 @@ func TestLanes(t *testing.T) {
 			for i := range planes {
 				planes[i] = rng.Uint64()
 			}
-			var lanes [64]uint64
-			for i := range lanes {
-				lanes[i] = rng.Uint64() // Lanes must overwrite every entry
+			sparse := rng.Uint64() & rng.Uint64() & rng.Uint64()
+			for _, ok := range []uint64{^uint64(0), sparse, 1 << rng.Intn(64), 0} {
+				check("random", planes, ok)
 			}
-			eval.Lanes(planes, &lanes)
-			for l := 0; l < 64; l++ {
-				var want uint64
-				for i, pl := range planes {
-					want |= (pl >> l & 1) << i
-				}
-				if lanes[l] != want {
-					t.Fatalf("%d planes: lane %d = %#x, want %#x", w, l, lanes[l], want)
-				}
-			}
-			var back [64]uint64
-			eval.Lanes(lanes[:], &back)
+			var lanes, back [64]uint64
+			eval.Lanes(planes, ^uint64(0), &lanes)
+			eval.Lanes(lanes[:], ^uint64(0), &back)
 			if !slices.Equal(back[:w], planes) || slices.ContainsFunc(back[w:], func(x uint64) bool { return x != 0 }) {
 				t.Fatalf("%d planes: transposing the lanes back gave %#x, want %#x", w, back, planes)
 			}
+		}
+	}
+	for name, src := range map[string]string{
+		"udiv-exact": "%x:i8 = var\n%y:i8 = var\n%0:i8 = udivexact %x, %y\ninfer %0",
+		"i1":         "%x:i8 = var\n%y:i8 = var\n%0:i1 = ult %x, %y\ninfer %0",
+	} {
+		sp := eval.CompileSliced(ir.MustParse(src))
+		var sparse bool
+		for base := uint64(0); base < 1<<16; base += 64 {
+			planes, ok := sp.EvalIndexed(base)
+			check(name, planes, ok)
+			sparse = sparse || bits.OnesCount64(ok)*len(planes) <= 64
+		}
+		if !sparse {
+			t.Fatalf("%s: no block gathers lane by lane", name)
 		}
 	}
 }
@@ -224,11 +252,11 @@ func checkPlanes(t *testing.T, name string, f *ir.Function, sp *eval.SlicedProgr
 		for j := range in[k] {
 			in[k][j] = next()
 		}
-		eval.Lanes(in[k], &lanes[k])
+		eval.Lanes(in[k], ^uint64(0), &lanes[k])
 	}
 	planes, ok := sp.EvalPlanes(in)
 	var got [64]uint64
-	eval.Lanes(planes, &got)
+	eval.Lanes(planes, ok, &got)
 	env := make(eval.Env, len(f.Vars))
 	for l := 0; l < 64; l++ {
 		for k, v := range f.Vars {
@@ -301,6 +329,10 @@ func TestOutputsMatchScalar(t *testing.T) {
 		"i64":     ir.MustParse("%x:i6 = var\n%y:i6 = var\n%0:i64 = zext %x\n%1:i64 = zext %y\n%2:i64 = sub %0, %1\ninfer %2"),
 		"dead":    ir.MustParse("%x:i4 = var\n%0:i4 = udiv %x, 0:i4\ninfer %0"),
 		"no-vars": ir.MustParse("%0:i6 = add 7:i6, 9:i6\ninfer %0"),
+		// Few well-defined lanes per block, and a one-bit root: both read
+		// their lanes by gathering rather than by transposing.
+		"udiv-exact": ir.MustParse("%x:i8 = var\n%y:i8 = var\n%0:i8 = udivexact %x, %y\ninfer %0"),
+		"i1":         ir.MustParse("%x:i8 = var\n%y:i4 = var\n%0:i8 = zext %y\n%1:i1 = slt %x, %0\ninfer %1"),
 	}
 	for _, e := range harvest.Generate(harvest.Config{
 		Seed:     77,
@@ -411,3 +443,24 @@ func TestOutputsStop(t *testing.T) {
 		t.Errorf("stopped sweep = (%v, %d, %v) after %d polls, want (nil, 4096, false) after 1", vals, evals, ok, polls)
 	}
 }
+
+// BenchmarkOutputs sweeps Outputs over a root with few well-defined
+// lanes per block (an i8 udiv exact, 16 input bits), a one-bit root and
+// a dense i8 root (12 input bits each): the shapes that decide how Lanes
+// reads a block.
+func BenchmarkOutputs(b *testing.B) {
+	for _, bc := range []struct{ name, src string }{
+		{"udiv-exact", "%x:i8 = var\n%y:i8 = var\n%0:i8 = udivexact %x, %y\ninfer %0"},
+		{"i1", "%x:i8 = var\n%y:i4 = var\n%0:i8 = zext %y\n%1:i1 = slt %x, %0\ninfer %1"},
+		{"dense-i8", "%x:i8 = var\n%y:i4 = var\n%0:i8 = zext %y\n%1:i8 = add %x, %0\ninfer %1"},
+	} {
+		sp := eval.CompileSliced(ir.MustParse(bc.src))
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				outputsSink, _, _ = sp.Outputs(false, nil)
+			}
+		})
+	}
+}
+
+var outputsSink []uint64

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 
 	"dfcheck/internal/apint"
 )
@@ -50,14 +51,29 @@ func (n *Inst) ConstValue() apint.Int {
 type Function struct {
 	Root *Inst
 	Vars []*Inst
+
+	// order is what Insts returns, recorded once by Builder.Function (a
+	// function is shared across goroutines, so it is never filled in
+	// lazily); nil for functions written as struct literals.
+	order []*Inst
 }
 
 // Width returns the bit width of the root value.
 func (f *Function) Width() uint { return f.Root.Width }
 
 // Insts returns every instruction reachable from the root in topological
-// order (operands before users).
+// order (operands before users). The slice is shared: callers only read
+// it.
 func (f *Function) Insts() []*Inst {
+	if f.order != nil {
+		return f.order
+	}
+	return topoOrder(f.Root)
+}
+
+// topoOrder lists the instructions reachable from root, operands before
+// users, in depth-first post-order.
+func topoOrder(root *Inst) []*Inst {
 	var order []*Inst
 	seen := make(map[*Inst]bool)
 	var visit func(n *Inst)
@@ -71,8 +87,8 @@ func (f *Function) Insts() []*Inst {
 		}
 		order = append(order, n)
 	}
-	visit(f.Root)
-	return order
+	visit(root)
+	return slices.Clip(order)
 }
 
 // NumInsts returns the number of distinct instructions in the DAG,
@@ -290,25 +306,20 @@ func (b *Builder) SExt(x *Inst, w uint) *Inst { return b.BuildCast(OpSExt, w, x)
 func (b *Builder) Trunc(x *Inst, w uint) *Inst { return b.BuildCast(OpTrunc, w, x) }
 
 // Function wraps root into a Function, collecting its reachable variables
-// in creation order.
+// in creation order and recording its instruction order for Insts.
 func (b *Builder) Function(root *Inst) *Function {
-	reach := make(map[*Inst]bool)
-	var visit func(n *Inst)
-	visit = func(n *Inst) {
-		if reach[n] {
-			return
-		}
-		reach[n] = true
-		for _, a := range n.Args {
-			visit(a)
+	order := topoOrder(root)
+	var used []*Inst
+	for _, n := range order {
+		if n.IsVar() {
+			used = append(used, n)
 		}
 	}
-	visit(root)
 	var vars []*Inst
 	for _, v := range b.varSeq {
-		if reach[v] {
+		if slices.Contains(used, v) {
 			vars = append(vars, v)
 		}
 	}
-	return &Function{Root: root, Vars: vars}
+	return &Function{Root: root, Vars: vars, order: order}
 }

@@ -264,7 +264,7 @@ func (d *demandedSample) run(parent *trace.Span, ctx context.Context, deadline t
 				}
 				if !haveLanes {
 					for k2 := range vars {
-						eval.Lanes(in[k2], &lanes[k2])
+						eval.Lanes(in[k2], ^uint64(0), &lanes[k2])
 					}
 					haveLanes = true
 				}

@@ -19,7 +19,10 @@
 //
 // Concurrency: a Tracer is safe for concurrent use by the comparator's
 // worker pool; an individual Span must be started, annotated, and ended
-// by one goroutine (concurrent *sibling* spans are the supported shape).
+// by one goroutine at a time (concurrent *sibling* spans are the
+// supported shape). A span may change hands through a synchronizing
+// handoff: a campaign batch span is started by the comparator's
+// dispatcher and ended where the batch is folded.
 package trace
 
 import (
