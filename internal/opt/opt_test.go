@@ -1,9 +1,14 @@
 package opt
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"dfcheck/internal/apint"
 	"dfcheck/internal/eval"
 	"dfcheck/internal/harvest"
 	"dfcheck/internal/ir"
@@ -172,8 +177,19 @@ func TestTable2Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	byKey := map[string]Table2Row{}
+	var cycles strings.Builder
 	for _, r := range rows {
 		byKey[r.Benchmark+"/"+r.Machine] = r
+		fmt.Fprintf(&cycles, "%-18s %-7s %8d %8d\n", r.Benchmark, r.Machine, r.BaselineCycles, r.PreciseCycles)
+	}
+	// The cycle counts are a pure function of the kernels, the two
+	// optimizers and the machine models: any change to them shows here.
+	want, err := os.ReadFile(filepath.Join("testdata", "table2-cycles.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cycles.String(); got != string(want) {
+		t.Errorf("baseline and precise cycles differ from testdata/table2-cycles.golden:\ngot:\n%swant:\n%s", got, want)
 	}
 	if len(byKey) != 12 {
 		t.Fatalf("rows = %d, want 12 (6 benchmarks x 2 machines)", len(byKey))
@@ -256,71 +272,73 @@ func TestInstcombineRules(t *testing.T) {
 	checkRefines(t, f, got, 200)
 }
 
-// TestConstantFoldMatchesInterpreter pins evalConst (the optimizer's
-// folder) to eval.Eval (the semantics of record): for every op, random
-// constant operands must fold to exactly what execution produces, and be
-// rejected exactly when execution is ill-defined.
+// TestConstantFoldMatchesInterpreter pins the optimizer's constant
+// folder to eval.Eval (the semantics of record): for every non-leaf op,
+// every legal flag set and operand widths 1..8, random constant operands
+// must fold to exactly what execution produces, and be rejected exactly
+// when execution is ill-defined.
 func TestConstantFoldMatchesInterpreter(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
-	ops := []struct {
-		src   string
-		nVars int
-	}{
-		{"%a:i8 = var\n%b:i8 = var\n%0:i8 = add %a, %b\ninfer %0", 2},
-		{"%a:i8 = var\n%b:i8 = var\n%0:i8 = addnsw %a, %b\ninfer %0", 2},
-		{"%a:i8 = var\n%b:i8 = var\n%0:i8 = subnuw %a, %b\ninfer %0", 2},
-		{"%a:i8 = var\n%b:i8 = var\n%0:i8 = mulnw %a, %b\ninfer %0", 2},
-		{"%a:i8 = var\n%b:i8 = var\n%0:i8 = udiv %a, %b\ninfer %0", 2},
-		{"%a:i8 = var\n%b:i8 = var\n%0:i8 = sdiv %a, %b\ninfer %0", 2},
-		{"%a:i8 = var\n%b:i8 = var\n%0:i8 = urem %a, %b\ninfer %0", 2},
-		{"%a:i8 = var\n%b:i8 = var\n%0:i8 = srem %a, %b\ninfer %0", 2},
-		{"%a:i8 = var\n%b:i8 = var\n%0:i8 = shl %a, %b\ninfer %0", 2},
-		{"%a:i8 = var\n%b:i8 = var\n%0:i8 = lshrexact %a, %b\ninfer %0", 2},
-		{"%a:i8 = var\n%b:i8 = var\n%0:i8 = ashr %a, %b\ninfer %0", 2},
-		{"%a:i8 = var\n%b:i8 = var\n%0:i1 = slt %a, %b\ninfer %0", 2},
-		{"%a:i8 = var\n%b:i8 = var\n%0:i8 = umin %a, %b\ninfer %0", 2},
-		{"%a:i8 = var\n%b:i8 = var\n%0:i8 = smax %a, %b\ninfer %0", 2},
-		{"%a:i8 = var\n%0:i8 = abs %a\ninfer %0", 1},
-		{"%a:i8 = var\n%0:i8 = ctpop %a\ninfer %0", 1},
-		{"%a:i8 = var\n%0:i8 = bitreverse %a\ninfer %0", 1},
-		{"%a:i8 = var\n%b:i8 = var\n%0:i8 = rotl %a, %b\ninfer %0", 2},
-		{"%a:i8 = var\n%b:i8 = var\n%0:i1 = uaddo %a, %b\ninfer %0", 2},
-		{"%a:i8 = var\n%b:i8 = var\n%0:i1 = smulo %a, %b\ninfer %0", 2},
-		{"%a:i8 = var\n%b:i8 = var\n%s:i8 = var\n%0:i8 = fshr %a, %b, %s\ninfer %0", 3},
-	}
-	names := []string{"a", "b", "s"}
-	for _, op := range ops {
-		f := ir.MustParse(op.src)
-		for trial := 0; trial < 300; trial++ {
-			vals := map[string]uint64{}
-			for i := 0; i < op.nVars; i++ {
-				vals[names[i]] = rng.Uint64() & 0xFF
+	for _, op := range ir.AllOps() {
+		for flags := ir.Flags(0); flags < 8; flags++ {
+			if flags&^op.ValidFlags() != 0 {
+				continue
 			}
-			env, err := eval.EnvFromNames(f, vals)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, wantOK := eval.Eval(f, env)
-
-			// Rebuild the root with constant operands and fold it.
-			b := ir.NewBuilder()
-			args := make([]*ir.Inst, len(f.Root.Args))
-			for i, a := range f.Root.Args {
-				if a.IsVar() {
-					args[i] = b.Const(env[a])
-				} else {
-					args[i] = b.Const(a.ConstValue())
+			for w := uint(1); w <= 8; w++ {
+				for _, f := range singleOpFuncs(op, flags, w) {
+					for trial := 0; trial < 64; trial++ {
+						env := eval.RandomEnv(f, rng)
+						want, wantOK := eval.Eval(f, env)
+						b := ir.NewBuilder()
+						args := make([]*ir.Inst, len(f.Root.Args))
+						vals := make([]apint.Int, len(f.Root.Args))
+						for i, a := range f.Root.Args {
+							vals[i] = env[a]
+							args[i] = b.Const(vals[i])
+						}
+						got, ok := foldConstants(f.Root, args)
+						if ok != wantOK {
+							t.Fatalf("%s%s i%d on %v: fold ok=%v, eval ok=%v", op, flags, f.Root.Width, vals, ok, wantOK)
+						}
+						if ok && got.Ne(want) {
+							t.Fatalf("%s%s i%d on %v: fold=%v, eval=%v", op, flags, f.Root.Width, vals, got, want)
+						}
+					}
 				}
-			}
-			got, ok := foldConstants(f.Root, args)
-			if ok != wantOK {
-				t.Fatalf("%s on %v: fold ok=%v, eval ok=%v", op.src, vals, ok, wantOK)
-			}
-			if ok && got.Ne(want) {
-				t.Fatalf("%s on %v: fold=%v, eval=%v", op.src, vals, got, want)
 			}
 		}
 	}
+}
+
+// singleOpFuncs returns the functions applying op with flags to fresh
+// variables at operand width w: one per narrower width for the casts
+// (trunc from w, extensions to w), none for bswap off byte widths.
+func singleOpFuncs(op ir.Op, flags ir.Flags, w uint) []*ir.Function {
+	var out []*ir.Function
+	switch {
+	case op.IsCast():
+		for small := uint(1); small < w; small++ {
+			b := ir.NewBuilder()
+			if op == ir.OpTrunc {
+				out = append(out, b.Function(b.BuildCast(op, small, b.Var("a", w))))
+			} else {
+				out = append(out, b.Function(b.BuildCast(op, w, b.Var("a", small))))
+			}
+		}
+	case op == ir.OpBSwap && w%8 != 0:
+	default:
+		b := ir.NewBuilder()
+		args := make([]*ir.Inst, op.Arity())
+		for i := range args {
+			width := w
+			if op == ir.OpSelect && i == 0 {
+				width = 1
+			}
+			args[i] = b.Var(string(rune('a'+i)), width)
+		}
+		out = append(out, b.Function(b.Build(op, flags, args...)))
+	}
+	return out
 }
 
 // TestSimplifyDemandedBits: instructions whose influence is masked away
