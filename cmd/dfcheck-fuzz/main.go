@@ -58,7 +58,6 @@ func main() {
 		eventsFile = flag.String("events", "", "append JSONL batch and finding records to this file")
 		metricsOut = flag.String("metrics", "", "write the metrics to this file on exit, in the Prometheus text /metricsz serves")
 		httpAddr   = flag.String("http", "", "serve the debug server on this address (e.g. :8125): Prometheus metrics at /metricsz, health, dashboard and slow-log endpoints, pprof profiles at /debug/pprof/")
-		shards     = flag.Int("shards", rescache.DefaultShards, "lock stripes in the oracle result cache (rounded up to a power of two)")
 		factSvc    = flag.Bool("factsvc", false, "serve the fact-service query API (POST /v1/facts) on the -http server, sharing the campaign's cache and in-flight dedup")
 		serveOnly  = flag.Bool("serve", false, "serve fact queries only, skipping the campaign loop, until interrupted (implies -factsvc; requires -http)")
 		traceFile  = flag.String("trace", "", "write a Chrome trace-event JSON span trace to this file (open in Perfetto, aggregate with trace-report)")
@@ -127,7 +126,7 @@ func main() {
 	if *cacheFile != "" {
 		// One cache shared across all batches: mutants and cross-batch
 		// duplicates hit results memoized by earlier batches.
-		cache := rescache.NewSharded(*shards)
+		cache := rescache.New()
 		switch err := cache.LoadFile(*cacheFile); {
 		case err == nil:
 		case os.IsNotExist(err):
@@ -145,7 +144,7 @@ func main() {
 		if c.Cache == nil {
 			// Serving without -cache still needs the cache, the query
 			// path's one dedup; it just isn't persisted.
-			c.Cache = rescache.NewSharded(*shards)
+			c.Cache = rescache.New()
 		}
 		svc, err := c.NewFactService(factsvc.Config{Workers: c.Workers, SlowLog: slowLog})
 		if err != nil {

@@ -40,7 +40,6 @@ func main() {
 		cacheFile = flag.String("cache", "", "persist oracle results to this file across runs (the artifact's Redis dump analog)")
 		traceFile = flag.String("trace", "", "write a Chrome trace-event JSON span trace to this file (open in Perfetto, aggregate with trace-report)")
 		traceMax  = flag.Int64("trace-max-mb", 256, "rotate the trace file when it exceeds this many MiB (0 = unbounded)")
-		shards    = flag.Int("shards", rescache.DefaultShards, "lock stripes in the oracle result cache (rounded up to a power of two)")
 		httpAddr  = flag.String("http", "", "serve the debug server on this address (Prometheus metrics at /metricsz, health, dashboard and slow-log endpoints, pprof at /debug/pprof/)")
 		factSvc   = flag.Bool("factsvc", false, "after printing the table, serve the fact-service query API (POST /v1/facts) on the -http server until interrupted")
 	)
@@ -119,7 +118,7 @@ func main() {
 	if *cacheFile != "" || *factSvc {
 		// -factsvc without -cache still needs the cache, the query
 		// path's one dedup; it just isn't persisted.
-		cache := rescache.NewSharded(*shards)
+		cache := rescache.New()
 		if *cacheFile != "" {
 			switch err := cache.LoadFile(*cacheFile); {
 			case err == nil:

@@ -87,7 +87,7 @@ func main() {
 		return
 	}
 
-	fa := core.CompilerFactsWith(f, llvmport.Analyzer{Bugs: bugs, Modern: *modern})
+	fa := (&llvmport.Analyzer{Bugs: bugs, Modern: *modern}).Analyze(f)
 	eng := func() solver.Engine { return solver.NewSAT(f, *budget) }
 	printed := false
 	show := func(label, value string) {

@@ -287,12 +287,3 @@ func subSignedOverflow(c *Circuit, a, b, diff Word) sat.Lit {
 	flipped := c.Xor(diff[w-1], a[w-1])
 	return c.And(diffSign, flipped)
 }
-
-// Model extracts the input assignment from a satisfying model.
-func (b *Blasted) Model() map[*ir.Inst]apint.Int {
-	env := make(map[*ir.Inst]apint.Int, len(b.Inputs))
-	for v, w := range b.Inputs {
-		env[v] = b.C.Value(w)
-	}
-	return env
-}

@@ -65,14 +65,6 @@ func (c *Circuit) ConstWord(v apint.Int) Word {
 	return out
 }
 
-// LitFromBool returns the constant literal for b.
-func (c *Circuit) LitFromBool(b bool) sat.Lit {
-	if b {
-		return c.True()
-	}
-	return c.False()
-}
-
 func (c *Circuit) isTrue(l sat.Lit) bool  { return l == c.tru }
 func (c *Circuit) isFalse(l sat.Lit) bool { return l == c.tru.Not() }
 
@@ -435,21 +427,6 @@ func (c *Circuit) LShrConst(a Word, s uint) Word {
 			out[i] = a[i+s]
 		} else {
 			out[i] = c.False()
-		}
-	}
-	return out
-}
-
-// AShrConst shifts right arithmetically by a constant amount.
-func (c *Circuit) AShrConst(a Word, s uint) Word {
-	w := uint(len(a))
-	sign := a[w-1]
-	out := make(Word, w)
-	for i := uint(0); i < w; i++ {
-		if i+s < w {
-			out[i] = a[i+s]
-		} else {
-			out[i] = sign
 		}
 	}
 	return out

@@ -304,11 +304,13 @@ func (c *Campaign) batch(ctx context.Context, b int) compare.Batch {
 			sp.SetInt("seed", c.BatchSeed(b))
 			return trace.NewContext(bctx, sp)
 		},
-		Done: func(rep *compare.Report) {
+		Done: func(rep *compare.Report) bool {
 			sp.End()
-			if ctx.Err() == nil {
-				c.fold(b, rep, len(corpus), time.Since(start))
+			if ctx.Err() != nil {
+				return false
 			}
+			c.fold(b, rep, len(corpus), time.Since(start))
+			return true
 		},
 	}
 }

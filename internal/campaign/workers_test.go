@@ -108,9 +108,10 @@ func TestWorkersDoNotChangeResults(t *testing.T) {
 
 // TestCancelAfterEveryBatch cancels the campaign from AfterBatch(b) for
 // every batch b. The batch already started behind b is discarded, so
-// the totals hold exactly b+1 batches and the campaign resumes at b+1;
-// Run reports the cancel unless b was the last batch; and every
-// goroutine Run started has exited when it returns.
+// the totals hold exactly b+1 batches and the campaign resumes at b+1,
+// and the comparator's metrics record no skipped expression and only
+// the folded findings; Run reports the cancel unless b was the last
+// batch; and every goroutine Run started has exited when it returns.
 func TestCancelAfterEveryBatch(t *testing.T) {
 	const batches = 12
 	ref := New(benchConfig(batches), benchComparator(4))
@@ -147,6 +148,19 @@ func TestCancelAfterEveryBatch(t *testing.T) {
 		}
 		if got := comparableTotals(c.Totals); !reflect.DeepEqual(got, want[stop]) {
 			t.Errorf("stop %d: totals differ from the uninterrupted run's after that batch:\n%+v\nvs\n%+v", stop, got, want[stop])
+		}
+		m := c.Comparator.Metrics
+		if skipped := m.Counter("exprs_skipped").Value(); skipped != 0 {
+			t.Errorf("stop %d: exprs_skipped = %d, want 0: the discarded batch must not be recorded", stop, skipped)
+		}
+		sound := 0
+		for _, f := range c.Totals.Findings {
+			if f.Kind == compare.FindingSoundness {
+				sound++
+			}
+		}
+		if got := m.Counter("findings").Value(); got != int64(sound) {
+			t.Errorf("stop %d: findings = %d, want the %d folded soundness findings", stop, got, sound)
 		}
 		// A goroutine that has signalled its WaitGroup may take a moment
 		// to be gone.

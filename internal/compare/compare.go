@@ -1041,7 +1041,7 @@ func (c *Comparator) RunContext(ctx context.Context, corpus []harvest.Expr) *Rep
 			return Batch{}, false
 		}
 		fed = true
-		return Batch{Corpus: corpus, Done: func(r *Report) { rep = r }}, true
+		return Batch{Corpus: corpus, Done: func(r *Report) bool { rep = r; return true }}, true
 	})
 	return rep
 }
@@ -1056,8 +1056,10 @@ type Batch struct {
 	// opens its batch span there.
 	Start func(ctx context.Context) context.Context
 	// Done receives the batch's report on RunBatches' own goroutine, in
-	// batch order, once the batch's last expression is compared.
-	Done func(rep *Report)
+	// batch order, once the batch's last expression is compared. It
+	// returns whether the caller keeps the report: only a kept report's
+	// outcomes are recorded in the metrics.
+	Done func(rep *Report) bool
 }
 
 // batchRun is one batch in flight: its distinct sources, their results
@@ -1093,10 +1095,10 @@ type job struct {
 // k+1. next is called for batch k+1 only then, and only once batch k-1
 // has been through Done, so at most one batch is generated ahead of the
 // one being folded. A batch's report reaches Done once its last
-// expression is compared, after its findings are reduced (Reduce) and
-// its outcomes recorded in the metrics. Its cache counts are the lookups
-// made since the previous batch's report, so over a run they add up to
-// the run's whole traffic.
+// expression is compared and its findings are reduced (Reduce); its
+// outcomes are recorded in the metrics after Done, if Done keeps the
+// report. Its cache counts are the lookups made since the previous
+// batch's report, so over a run they add up to the run's whole traffic.
 //
 // Cancelling ctx stops the dispatch at once: next is not called again,
 // and a batch's expressions not yet started, or stopped before their
@@ -1139,7 +1141,9 @@ func (c *Comparator) RunBatches(ctx context.Context, next func() (Batch, bool)) 
 		br.jobs.Wait()
 		var rep *Report
 		rep, before = c.report(br, before)
-		br.Done(rep)
+		if br.Done(rep) {
+			c.recordReport(rep)
+		}
 	}
 	wg.Wait()
 }
@@ -1219,7 +1223,6 @@ func (c *Comparator) report(br *batchRun, before rescache.Stats) (*Report, resca
 		}
 		before = after
 	}
-	c.recordReport(rep)
 	return rep, before
 }
 
@@ -1313,7 +1316,7 @@ func (c *Comparator) reducerComparator() *Comparator {
 	}
 }
 
-// recordReport rolls aggregate outcomes into the metrics registry
+// recordReport rolls a kept report's outcomes into the metrics registry
 // (aggregation goroutine, after workers are done).
 func (c *Comparator) recordReport(rep *Report) {
 	if c.Metrics == nil {
@@ -1339,10 +1342,5 @@ func (c *Comparator) recordReport(rep *Report) {
 	}
 	if rep.Skipped > 0 {
 		c.Metrics.Counter("exprs_skipped").Add(int64(rep.Skipped))
-	}
-	if rep.Cache != nil {
-		c.Metrics.Counter("cache_hits").Add(int64(rep.Cache.Hits))
-		c.Metrics.Counter("cache_misses").Add(int64(rep.Cache.Misses))
-		c.Metrics.Gauge("cache_entries").Set(int64(rep.Cache.Entries))
 	}
 }

@@ -64,19 +64,6 @@ func Infer(f *ir.Function, budget int64) oracle.All {
 	return oracle.AnalyzeAll(f, budget)
 }
 
-// CompilerFacts computes only the LLVM-port facts (the artifact's
-// -print-*-at-return mode).
-func CompilerFacts(f *ir.Function, bugs llvmport.BugConfig) *llvmport.Facts {
-	an := &llvmport.Analyzer{Bugs: bugs}
-	return an.Analyze(f)
-}
-
-// CompilerFactsWith computes LLVM-port facts for a fully configured
-// analyzer (bug injection and/or the Modern improvements).
-func CompilerFactsWith(f *ir.Function, an llvmport.Analyzer) *llvmport.Facts {
-	return an.Analyze(f)
-}
-
 // FormatResults renders comparison results the way the artifact's tool
 // prints them.
 func FormatResults(f *ir.Function, results []compare.Result) string {

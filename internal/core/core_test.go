@@ -78,7 +78,7 @@ func TestInferAndCompilerFacts(t *testing.T) {
 	if !all.PowerOfTwo.Proved {
 		t.Error("oracle power-of-two not proved")
 	}
-	cf := CompilerFacts(f, llvmport.BugConfig{})
+	cf := (&llvmport.Analyzer{}).Analyze(f)
 	if cf.PowerOfTwo() {
 		t.Error("LLVM port should miss this power-of-two fact")
 	}

@@ -25,70 +25,57 @@ type Stats struct {
 func StreamingStats(cfg Config) Stats {
 	cfg = cfg.Default()
 	rng := newGenRand(cfg.Seed)
-	var s Stats
-	var more1, more10, more100 int
-	var instSum int64
+	var acc statsAcc
 	for i := 0; i < cfg.NumExprs; i++ {
 		f := genExpr(rng, cfg)
-		freq := sampleFreq(rng)
-		s.Unique++
-		s.TotalEncounters += int64(freq)
-		if freq > 1 {
-			more1++
-		}
-		if freq > 10 {
-			more10++
-		}
-		if freq > 100 {
-			more100++
-		}
-		n := f.NumInsts()
-		instSum += int64(n)
-		if n > s.MaxInsts {
-			s.MaxInsts = n
-		}
+		acc.add(f.NumInsts(), sampleFreq(rng))
 	}
-	if s.Unique > 0 {
-		u := float64(s.Unique)
-		s.PctMoreThan1 = 100 * float64(more1) / u
-		s.PctMoreThan10 = 100 * float64(more10) / u
-		s.PctMoreThan100 = 100 * float64(more100) / u
-		s.AvgInsts = float64(instSum) / u
-	}
-	return s
+	return acc.stats()
 }
 
 // ComputeStats derives corpus statistics.
 func ComputeStats(corpus []Expr) Stats {
-	var s Stats
-	s.Unique = len(corpus)
-	if s.Unique == 0 {
-		return s
-	}
-	var more1, more10, more100 int
-	var instSum int64
+	var acc statsAcc
 	for _, e := range corpus {
-		s.TotalEncounters += int64(e.Freq)
-		if e.Freq > 1 {
-			more1++
-		}
-		if e.Freq > 10 {
-			more10++
-		}
-		if e.Freq > 100 {
-			more100++
-		}
-		n := e.F.NumInsts()
-		instSum += int64(n)
-		if n > s.MaxInsts {
-			s.MaxInsts = n
-		}
+		acc.add(e.F.NumInsts(), e.Freq)
 	}
-	u := float64(s.Unique)
-	s.PctMoreThan1 = 100 * float64(more1) / u
-	s.PctMoreThan10 = 100 * float64(more10) / u
-	s.PctMoreThan100 = 100 * float64(more100) / u
-	s.AvgInsts = float64(instSum) / u
+	return acc.stats()
+}
+
+// statsAcc accumulates Stats one expression at a time.
+type statsAcc struct {
+	s                      Stats
+	more1, more10, more100 int
+	instSum                int64
+}
+
+// add counts one unique expression of insts instructions encountered
+// freq times.
+func (a *statsAcc) add(insts, freq int) {
+	a.s.Unique++
+	a.s.TotalEncounters += int64(freq)
+	if freq > 1 {
+		a.more1++
+	}
+	if freq > 10 {
+		a.more10++
+	}
+	if freq > 100 {
+		a.more100++
+	}
+	a.instSum += int64(insts)
+	a.s.MaxInsts = max(a.s.MaxInsts, insts)
+}
+
+func (a *statsAcc) stats() Stats {
+	s := a.s
+	if s.Unique > 0 {
+		u := float64(s.Unique)
+		s.PctMoreThan1 = 100 * float64(a.more1) / u
+		s.PctMoreThan10 = 100 * float64(a.more10) / u
+		s.PctMoreThan100 = 100 * float64(a.more100) / u
+		s.AvgInsts = float64(a.instSum) / u
+	}
 	return s
 }
 

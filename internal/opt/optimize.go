@@ -3,6 +3,7 @@ package opt
 import (
 	"dfcheck/internal/apint"
 	"dfcheck/internal/constrange"
+	"dfcheck/internal/eval"
 	"dfcheck/internal/ir"
 )
 
@@ -95,18 +96,16 @@ func boolConst(v bool) apint.Int {
 }
 
 // foldConstants evaluates an instruction whose rewritten operands are all
-// literals, when the evaluation is well-defined.
+// literals through the interpreter, when the evaluation is well-defined.
 func foldConstants(n *ir.Inst, args []*ir.Inst) (apint.Int, bool) {
-	for _, a := range args {
+	vals := make([]apint.Int, len(args))
+	for i, a := range args {
 		if !a.IsConst() {
 			return apint.Int{}, false
 		}
-	}
-	vals := make([]apint.Int, len(args))
-	for i, a := range args {
 		vals[i] = a.ConstValue()
 	}
-	return evalConst(n, vals)
+	return eval.ConstFold(n.Op, n.Flags, n.Width, vals)
 }
 
 // simplify applies algebraic identities; nil means no rule fired.
@@ -401,168 +400,4 @@ func castPair(b *ir.Builder, n *ir.Inst, args []*ir.Inst) *ir.Inst {
 		}
 	}
 	return nil
-}
-
-// evalConst mirrors eval's per-instruction semantics for literal operands.
-func evalConst(n *ir.Inst, v []apint.Int) (apint.Int, bool) {
-	switch n.Op {
-	case ir.OpAdd:
-		if n.Flags&ir.FlagNSW != 0 && v[0].SAddOverflow(v[1]) {
-			return apint.Int{}, false
-		}
-		if n.Flags&ir.FlagNUW != 0 && v[0].UAddOverflow(v[1]) {
-			return apint.Int{}, false
-		}
-		return v[0].Add(v[1]), true
-	case ir.OpSub:
-		if n.Flags&ir.FlagNSW != 0 && v[0].SSubOverflow(v[1]) {
-			return apint.Int{}, false
-		}
-		if n.Flags&ir.FlagNUW != 0 && v[0].USubOverflow(v[1]) {
-			return apint.Int{}, false
-		}
-		return v[0].Sub(v[1]), true
-	case ir.OpMul:
-		if n.Flags&ir.FlagNSW != 0 && v[0].SMulOverflow(v[1]) {
-			return apint.Int{}, false
-		}
-		if n.Flags&ir.FlagNUW != 0 && v[0].UMulOverflow(v[1]) {
-			return apint.Int{}, false
-		}
-		return v[0].Mul(v[1]), true
-	case ir.OpUDiv:
-		if v[1].IsZero() {
-			return apint.Int{}, false
-		}
-		if n.Flags&ir.FlagExact != 0 && !v[0].URem(v[1]).IsZero() {
-			return apint.Int{}, false
-		}
-		return v[0].UDiv(v[1]), true
-	case ir.OpURem:
-		if v[1].IsZero() {
-			return apint.Int{}, false
-		}
-		return v[0].URem(v[1]), true
-	case ir.OpSDiv:
-		if v[1].IsZero() || (v[0].IsMinSigned() && v[1].IsAllOnes()) {
-			return apint.Int{}, false
-		}
-		if n.Flags&ir.FlagExact != 0 && !v[0].SRem(v[1]).IsZero() {
-			return apint.Int{}, false
-		}
-		return v[0].SDiv(v[1]), true
-	case ir.OpSRem:
-		if v[1].IsZero() || (v[0].IsMinSigned() && v[1].IsAllOnes()) {
-			return apint.Int{}, false
-		}
-		return v[0].SRem(v[1]), true
-	case ir.OpAnd:
-		return v[0].And(v[1]), true
-	case ir.OpOr:
-		return v[0].Or(v[1]), true
-	case ir.OpXor:
-		return v[0].Xor(v[1]), true
-	case ir.OpShl:
-		if v[1].Uint64() >= uint64(n.Width) {
-			return apint.Int{}, false
-		}
-		sh := uint(v[1].Uint64())
-		if n.Flags&ir.FlagNSW != 0 && v[0].SShlOverflow(sh) {
-			return apint.Int{}, false
-		}
-		if n.Flags&ir.FlagNUW != 0 && v[0].UShlOverflow(sh) {
-			return apint.Int{}, false
-		}
-		return v[0].Shl(sh), true
-	case ir.OpLShr:
-		if v[1].Uint64() >= uint64(n.Width) {
-			return apint.Int{}, false
-		}
-		sh := uint(v[1].Uint64())
-		if n.Flags&ir.FlagExact != 0 && v[0].LShr(sh).Shl(sh).Ne(v[0]) {
-			return apint.Int{}, false
-		}
-		return v[0].LShr(sh), true
-	case ir.OpAShr:
-		if v[1].Uint64() >= uint64(n.Width) {
-			return apint.Int{}, false
-		}
-		sh := uint(v[1].Uint64())
-		if n.Flags&ir.FlagExact != 0 && v[0].AShr(sh).Shl(sh).Ne(v[0]) {
-			return apint.Int{}, false
-		}
-		return v[0].AShr(sh), true
-	case ir.OpEq:
-		return boolConst(v[0].Eq(v[1])), true
-	case ir.OpNe:
-		return boolConst(v[0].Ne(v[1])), true
-	case ir.OpULT:
-		return boolConst(v[0].ULT(v[1])), true
-	case ir.OpULE:
-		return boolConst(v[0].ULE(v[1])), true
-	case ir.OpSLT:
-		return boolConst(v[0].SLT(v[1])), true
-	case ir.OpSLE:
-		return boolConst(v[0].SLE(v[1])), true
-	case ir.OpSelect:
-		if v[0].IsOne() {
-			return v[1], true
-		}
-		return v[2], true
-	case ir.OpZExt:
-		return v[0].ZExt(n.Width), true
-	case ir.OpSExt:
-		return v[0].SExt(n.Width), true
-	case ir.OpTrunc:
-		return v[0].Trunc(n.Width), true
-	case ir.OpCtPop:
-		return apint.New(n.Width, uint64(v[0].PopCount())), true
-	case ir.OpBSwap:
-		return v[0].ByteSwap(), true
-	case ir.OpBitReverse:
-		return v[0].ReverseBits(), true
-	case ir.OpCttz:
-		return apint.New(n.Width, uint64(v[0].CountTrailingZeros())), true
-	case ir.OpCtlz:
-		return apint.New(n.Width, uint64(v[0].CountLeadingZeros())), true
-	case ir.OpRotL:
-		return v[0].RotL(uint(v[1].Uint64() % uint64(n.Width))), true
-	case ir.OpRotR:
-		return v[0].RotR(uint(v[1].Uint64() % uint64(n.Width))), true
-	case ir.OpUMin:
-		return v[0].UMin(v[1]), true
-	case ir.OpUMax:
-		return v[0].UMax(v[1]), true
-	case ir.OpSMin:
-		return v[0].SMin(v[1]), true
-	case ir.OpSMax:
-		return v[0].SMax(v[1]), true
-	case ir.OpAbs:
-		return v[0].AbsValue(), true
-	case ir.OpFshl, ir.OpFshr:
-		s := uint(v[2].Uint64() % uint64(n.Width))
-		if n.Op == ir.OpFshl {
-			if s == 0 {
-				return v[0], true
-			}
-			return v[0].Shl(s).Or(v[1].LShr(n.Width - s)), true
-		}
-		if s == 0 {
-			return v[1], true
-		}
-		return v[0].Shl(n.Width - s).Or(v[1].LShr(s)), true
-	case ir.OpUAddO:
-		return boolConst(v[0].UAddOverflow(v[1])), true
-	case ir.OpSAddO:
-		return boolConst(v[0].SAddOverflow(v[1])), true
-	case ir.OpUSubO:
-		return boolConst(v[0].USubOverflow(v[1])), true
-	case ir.OpSSubO:
-		return boolConst(v[0].SSubOverflow(v[1])), true
-	case ir.OpUMulO:
-		return boolConst(v[0].UMulOverflow(v[1])), true
-	case ir.OpSMulO:
-		return boolConst(v[0].SMulOverflow(v[1])), true
-	}
-	return apint.Int{}, false
 }

@@ -397,36 +397,11 @@ func IntegerRangeSeeded(e solver.Engine, f *ir.Function, sd Seed) RangeResult {
 
 	// Algorithm 3 proper, below the hull size.
 	samples := newSampleSet(w, bounds.umin, bounds.umax, bounds.smin, bounds.smax)
-	lo := uint64(1)
-	var hi uint64
-	if n, huge := best.Size(); huge {
-		hi = apint.AllOnes(w).Uint64()
-	} else {
+	hi := apint.AllOnes(w).Uint64()
+	if n, huge := best.Size(); !huge {
 		hi = n - 1
 	}
-	for lo <= hi {
-		mid := lo + (hi-lo)/2
-		csp, endCegis := iterSpan(e, "cegis")
-		csp.SetInt("size", int64(mid))
-		base, found, exhausted := synthesizeBase(e, w, apint.New(w, mid), samples)
-		endCegis()
-		if exhausted {
-			res.Exhausted = true
-		}
-		if found {
-			best = constrange.NonEmpty(base, base.Add(apint.New(w, mid)))
-			if mid == 1 {
-				break
-			}
-			hi = mid - 1
-		} else {
-			if mid == apint.AllOnes(w).Uint64() {
-				break
-			}
-			lo = mid + 1
-		}
-	}
-	res.Range = best
+	res.Range, res.Exhausted = searchSize(e, w, hi, best, samples)
 	return res
 }
 
@@ -451,20 +426,27 @@ func IntegerRangeNaive(e solver.Engine, f *ir.Function) RangeResult {
 		res.Range = constrange.Empty(w)
 		return res
 	}
-	samples := newSampleSet(w)
+	res.Range, res.Exhausted = searchSize(e, w, apint.AllOnes(w).Uint64(), res.Range, newSampleSet(w))
+	return res
+}
+
+// searchSize is Algorithm 3's binary search on the range size: it finds
+// the smallest size C in [1, hi] for which synthesizeBase finds a base X
+// making [X, X+C) a sound fact, and returns that window, or best when no
+// size up to hi has one. The flag reports whether any CEGIS run ran out
+// of budget.
+func searchSize(e solver.Engine, w uint, hi uint64, best constrange.Range, samples *sampleSet) (constrange.Range, bool) {
+	exhaustedAny := false
 	lo := uint64(1)
-	hi := apint.AllOnes(w).Uint64()
 	for lo <= hi {
 		mid := lo + (hi-lo)/2
 		csp, endCegis := iterSpan(e, "cegis")
 		csp.SetInt("size", int64(mid))
 		base, found, exhausted := synthesizeBase(e, w, apint.New(w, mid), samples)
 		endCegis()
-		if exhausted {
-			res.Exhausted = true
-		}
+		exhaustedAny = exhaustedAny || exhausted
 		if found {
-			res.Range = constrange.NonEmpty(base, base.Add(apint.New(w, mid)))
+			best = constrange.NonEmpty(base, base.Add(apint.New(w, mid)))
 			if mid == 1 {
 				break
 			}
@@ -476,7 +458,7 @@ func IntegerRangeNaive(e solver.Engine, f *ir.Function) RangeResult {
 			lo = mid + 1
 		}
 	}
-	return res
+	return best, exhaustedAny
 }
 
 type hulls struct {
