@@ -9,7 +9,9 @@
 //     lattice (§3.3.1, Figure 2).
 //   - DemandedBits is Algorithm 2: one equivalence query per input bit.
 //   - IntegerRange is Algorithm 3: binary search on the range size with a
-//     CEGIS loop synthesizing the base (synthesizeBase).
+//     CEGIS loop synthesizing the base (synthesizeBase), after the exact
+//     hulls and, where the search would reach sizes the CEGIS loop gives
+//     up on, an evaluation certificate that can settle it unsolved.
 //   - SignBits tries each count from most precise downward (§3.3).
 //   - The single-bit analyses are one validity query each (§3.3).
 //
@@ -354,6 +356,16 @@ type RangeResult struct {
 // (each bound found by its own monotone binary search); the CEGIS phase
 // then only explores sizes strictly below the better hull, where
 // counterexamples spread quickly.
+//
+// Sizes above B = maxTriedSize(w) the CEGIS loop gives up on, exhausted,
+// and below a near-full hull every size under B takes hundreds of
+// counterexamples to rule out. So when the search would reach a size
+// above B, the engine is first asked for a certificate
+// (Engine.RefuteWindow): outputs it reaches by evaluation that no window
+// of size B covers. Then no size up to B has a sound window, every size
+// above it bails, and the search's answer is known without running it:
+// the hull, exhausted. The certificate changes no answer, only how it is
+// found; a search it does not settle runs as before.
 func IntegerRange(e solver.Engine, f *ir.Function) RangeResult {
 	return IntegerRangeSeeded(e, f, Seed{})
 }
@@ -396,11 +408,19 @@ func IntegerRangeSeeded(e solver.Engine, f *ir.Function, sd Seed) RangeResult {
 	}
 
 	// Algorithm 3 proper, below the hull size.
-	samples := newSampleSet(w, bounds.umin, bounds.umax, bounds.smin, bounds.smax)
 	hi := apint.AllOnes(w).Uint64()
 	if n, huge := best.Size(); !huge {
 		hi = n - 1
 	}
+	// The certificate: when the search would reach sizes synthesizeBase
+	// bails on, outputs the engine reaches by evaluation that fit no
+	// window of the largest size it tries give the search's answer, the
+	// hull, exhausted, without running it (DESIGN §5).
+	if b := maxTriedSize(w); hi > b && e.RefuteWindow(apint.New(w, b)) {
+		res.Range, res.Exhausted = best, true
+		return res
+	}
+	samples := newSampleSet(w, bounds.umin, bounds.umax, bounds.smin, bounds.smax)
 	res.Range, res.Exhausted = searchSize(e, w, hi, best, samples)
 	return res
 }
@@ -576,6 +596,17 @@ func searchGreatest(min, max uint64, pred func(uint64) (bool, bool)) (uint64, bo
 	return lo, true
 }
 
+// maxTriedSize is B, the largest window size synthesizeBase tries at
+// width w. Proving that no window of size C exists needs about
+// needed = ⌊max/(2^w−C)⌋ + 1 spread counterexamples, max = 2^w−1, and
+// synthesizeBase bails, exhausted, when needed > MaxRangeTries/3, that
+// is when 2^w−C ≤ ⌊max/333⌋, that is when C > max − ⌊max/333⌋. At w ≤ 8
+// B is max and no size bails.
+func maxTriedSize(w uint) uint64 {
+	m := apint.AllOnes(w).Uint64()
+	return m - m/(MaxRangeTries/3)
+}
+
 // synthesizeBase finds X such that every well-defined output lies in
 // [X, X+C), by counterexample-guided search: cover the known sample
 // outputs with a window of size C (the window may start at any sample),
@@ -585,18 +616,11 @@ func synthesizeBase(e solver.Engine, w uint, c apint.Int, samples *sampleSet) (a
 	// A failure proof needs counterexamples spread at complement-arc
 	// granularity; bail out (exhausted) when that cannot fit the try
 	// budget.
-	compVal := c.Neg().Uint64() // 2^w - C
-	if compVal == 0 {
-		compVal = 1
-	}
-	needed := apint.AllOnes(w).Uint64()/compVal + 1
-	if needed > uint64(MaxRangeTries/3) {
+	if c.Uint64() > maxTriedSize(w) {
 		return apint.Int{}, false, true
 	}
-	tries := int(needed*3 + 16)
-	if tries > MaxRangeTries {
-		tries = MaxRangeTries
-	}
+	needed := apint.AllOnes(w).Uint64()/c.Neg().Uint64() + 1 // 1 ≤ C < 2^w
+	tries := int(min(needed*3+16, MaxRangeTries))
 	if len(samples.s) == 0 {
 		// Seed with any achievable output (the empty interval makes
 		// everything "outside").

@@ -45,6 +45,14 @@ func (h *varHeap) popMax(act []float64) (Var, bool) {
 	return top, true
 }
 
+// clear removes every variable.
+func (h *varHeap) clear() {
+	for _, v := range h.data {
+		h.pos[v] = -1
+	}
+	h.data = h.data[:0]
+}
+
 func (h *varHeap) update(v Var, act []float64) {
 	if !h.inHeap(v) {
 		return

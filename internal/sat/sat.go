@@ -728,8 +728,15 @@ func (s *Solver) analyze(confl clauseRef) ([]Lit, int) {
 }
 
 // pickBranchLit selects the unassigned variable with highest activity,
-// using its saved phase.
+// using its saved phase, or returns -1 once every variable is assigned.
+// Then the heap holds only assigned variables; it is emptied at once
+// rather than popped one by one, which leaves it as popping would, so
+// that cancelUntil rebuilds it in the same order.
 func (s *Solver) pickBranchLit() Lit {
+	if len(s.trail) == s.NumVars() {
+		s.heap.clear()
+		return -1
+	}
 	for {
 		v, ok := s.heap.popMax(s.activity)
 		if !ok {

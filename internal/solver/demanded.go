@@ -3,7 +3,6 @@ package solver
 import (
 	"context"
 	"math/bits"
-	"math/rand/v2"
 	"time"
 
 	"dfcheck/internal/eval"
@@ -193,15 +192,12 @@ func (d *demandedSample) bitMatters(st *Stats, parent *trace.Span, ctx context.C
 }
 
 // run draws sampleBlocks blocks of 64 seeded pseudo-random input lanes
-// and evaluates each block once as drawn and once per input bit not yet
-// proved, with that bit flipped in every lane: at most sampleBlocks × (1
-// + input bits) block evaluations. The lanes are drawn as planes, one
-// random word per input bit. In about half of each variable's lanes the
-// planes from bit b up are cleared, b the smallest with 2^b at least
-// twice the variable's width, so that shift amounts land in range. A
-// lane where both runs are well-defined and the outputs differ proves the
-// bit demanded, and the lane's input is kept as its witness. The seed is
-// fixed, so a function gets the same answers on every run.
+// (drawPlanes) and evaluates each block once as drawn and once per input
+// bit not yet proved, with that bit flipped in every lane: at most
+// sampleBlocks × (1 + input bits) block evaluations. A lane where both
+// runs are well-defined and the outputs differ proves the bit demanded,
+// and the lane's input is kept as its witness. The seed is fixed, so a
+// function gets the same answers on every run.
 //
 // ctx and deadline are checked before the sampler starts, as the sweep
 // does; a cancelled sampler proves nothing and every bit goes to the
@@ -218,25 +214,14 @@ func (d *demandedSample) run(parent *trace.Span, ctx context.Context, deadline t
 	sp := parent.Child(trace.KindIter, "demanded-sample")
 	sliced := eval.CompileSliced(d.f)
 	vars := d.f.Vars
-	rng := rand.New(rand.NewPCG(0x5eed, uint64(n)))
-	in := make([][]uint64, len(vars)) // the block's inputs, as planes
-	for k, v := range vars {
-		in[k] = make([]uint64, v.Width)
-	}
+	rng := sampleRNG(d.f)
+	in := newPlanes(vars)                  // the block's inputs, as planes
 	lanes := make([][64]uint64, len(vars)) // the same inputs by lane, once a witness needs them
 	root := make([]uint64, d.f.Root.Width)
 	var evals int64
 	undecided := n
 	for blk := 0; blk < sampleBlocks && undecided > 0; blk++ {
-		for k, v := range vars {
-			small := rng.Uint64()
-			for j := range in[k] {
-				in[k][j] = rng.Uint64()
-				if 1<<j >= 2*v.Width {
-					in[k][j] &^= small
-				}
-			}
-		}
+		drawPlanes(rng, vars, in)
 		haveLanes := false
 		planes, ok := sliced.EvalPlanes(in)
 		evals += 64

@@ -18,6 +18,13 @@
 // sample proves demanded. NewSAT, and NewEngine with a negative
 // EnumCutoff, keep every demanded-bits query on the miter.
 //
+// Algorithm 3's range certificate (Engine.RefuteWindow) takes the same
+// evaluator paths without a solver: EnumEngine answers from its memoized
+// outputs, and a SAT engine built by NewEngine from the whole input space
+// up to DemandedSweepBits and from seeded random blocks above it. NewSAT,
+// and NewEngine with a negative EnumCutoff, refute nothing, so their
+// range searches stay the reference.
+//
 // Every query is implicitly conjoined with "the execution is well-defined"
 // (no UB, range metadata satisfied), mirroring Souper's UB-aware
 // quantification. Answers carry an ok flag: ok=false means the engine's
@@ -64,6 +71,16 @@ type Engine interface {
 	// wrapped interval [lo, lo+size), and if so returns one such output
 	// value (the CEGIS counterexample for Algorithm 3).
 	OutputOutside(lo, size apint.Int) (example apint.Int, sat, ok bool)
+
+	// RefuteWindow reports whether outputs the engine reaches by running
+	// the function on concrete inputs, with no solver query, fit in no
+	// wrapped window [X, X+size): then no window of that size or smaller
+	// holds every achievable output. It is Algorithm 3's certificate for
+	// size searches the CEGIS loop cannot finish. false refutes nothing,
+	// and is all an engine without an evaluator path, or whose context
+	// or deadline fires, answers. An answer counts one enum-class query
+	// under a "range-sample" span.
+	RefuteWindow(size apint.Int) bool
 
 	// BitMatters reports whether flipping bit `bit` of input v can change
 	// the output, comparing only executions where both the original and
@@ -174,7 +191,8 @@ const DefaultEnumCutoff = 14
 // instead: at most 8 × (1 + n) block evaluations of drawn lanes prove
 // most demanded bits with a witness pair, and only the rest reach a
 // miter. Only demanded bits take either path: the other queries stay on
-// SAT, whose models decide integer-range bases.
+// SAT, whose models decide integer-range bases; the range certificate
+// (RefuteWindow) takes the same two paths on either side of the bound.
 const DemandedSweepBits = 16
 
 // Config parameterizes NewEngine.
@@ -191,14 +209,16 @@ type Config struct {
 	// EnumCutoff routes functions whose summed input width is at or
 	// below the cutoff to the enumeration engine. 0 selects
 	// DefaultEnumCutoff; negative disables the fast path entirely,
-	// including the SAT engine's demanded-bits sweep and sampler.
+	// including the SAT engine's demanded-bits sweep and sampler and its
+	// range certificate.
 	EnumCutoff int
 }
 
 // NewEngine selects the fastest engine for f under cfg: the enumeration
 // engine below the small-width cutoff, the (strashed, incremental) SAT
 // engine otherwise, answering demanded bits by the exhaustive sweep up to
-// DemandedSweepBits and by sampled witness pairs, then miters, above it.
+// DemandedSweepBits and by sampled witness pairs, then miters, above it,
+// and giving range certificates from the same sweep or samples.
 // All of them decide exactly the same queries, a property the
 // cross-check tests enforce on every query type.
 func NewEngine(f *ir.Function, cfg Config) Engine {
@@ -273,11 +293,13 @@ type SATEngine struct {
 
 	// demanded, when set (by NewEngine, at most DemandedSweepBits input
 	// bits), answers BitMatters by the exhaustive sweep instead of a
-	// miter. The sweep spends no conflicts.
+	// miter. The sweep spends no conflicts. RefuteWindow then sweeps the
+	// whole input space too.
 	demanded *demandedSweep
 	// sample, when set (by NewEngine, above DemandedSweepBits), answers
 	// BitMatters for the bits its sampled witness pairs prove demanded;
-	// only the others reach a miter.
+	// only the others reach a miter. RefuteWindow then draws its blocks
+	// the same way.
 	sample *demandedSample
 
 	// span is the trace span queries currently nest under (nil when
