@@ -106,24 +106,51 @@ func TestWorkersDoNotChangeResults(t *testing.T) {
 	}
 }
 
+// exprCounters are the comparator's per-expression counters, which a
+// kept batch records and a discarded one must not.
+var exprCounters = []string{
+	"exprs_compared", "solver_queries", "solver_conflicts", "solver_propagations",
+	"solver_decisions", "solver_exhausted", "solver_pruned_queries", "solver_enum_queries",
+	"solver_gates_built", "nway_exprs", "nway_comparisons", "nway_escalations",
+	"nway_agreed", "consistency_checks",
+}
+
+func counterValues(m *metrics.Registry) map[string]int64 {
+	v := make(map[string]int64, len(exprCounters))
+	for _, name := range exprCounters {
+		v[name] = m.Counter(name).Value()
+	}
+	return v
+}
+
 // TestCancelAfterEveryBatch cancels the campaign from AfterBatch(b) for
 // every batch b. The batch already started behind b is discarded, so
 // the totals hold exactly b+1 batches and the campaign resumes at b+1,
-// and the comparator's metrics record no skipped expression and only
-// the folded findings; Run reports the cancel unless b was the last
-// batch; and every goroutine Run started has exited when it returns.
+// and the comparator's metrics record no skipped expression, only the
+// folded findings, and per-expression counters equal to the
+// uninterrupted run's after batch b; Run reports the cancel unless b was
+// the last batch; and every goroutine Run started has exited when it
+// returns.
 func TestCancelAfterEveryBatch(t *testing.T) {
 	const batches = 12
 	ref := New(benchConfig(batches), benchComparator(4))
 	var want []Totals
+	// counters[b] holds the reference run's counters after batches
+	// 0..b-1: a batch is recorded after its Done, which runs AfterBatch.
+	var counters []map[string]int64
 	ref.AfterBatch = func(int) {
 		snap := comparableTotals(ref.Totals)
 		nw := *snap.NWay // the run goes on adding to its own
 		snap.NWay = &nw
 		want = append(want, snap)
+		counters = append(counters, counterValues(ref.Comparator.Metrics))
 	}
 	if err := ref.Run(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+	counters = append(counters, counterValues(ref.Comparator.Metrics))
+	if counters[batches]["exprs_compared"] == 0 || counters[batches]["nway_exprs"] == 0 {
+		t.Fatalf("the reference run recorded no compared expression: %v", counters[batches])
 	}
 	for stop := 0; stop < batches; stop++ {
 		before := runtime.NumGoroutine()
@@ -161,6 +188,9 @@ func TestCancelAfterEveryBatch(t *testing.T) {
 		}
 		if got := m.Counter("findings").Value(); got != int64(sound) {
 			t.Errorf("stop %d: findings = %d, want the %d folded soundness findings", stop, got, sound)
+		}
+		if got := counterValues(m); !reflect.DeepEqual(got, counters[stop+1]) {
+			t.Errorf("stop %d: per-expression counters %v, want the uninterrupted run's after that batch %v", stop, got, counters[stop+1])
 		}
 		// A goroutine that has signalled its WaitGroup may take a moment
 		// to be gone.

@@ -255,37 +255,73 @@ func (c *Comparator) seed(f *ir.Function) oracle.Seed {
 	return oracle.ComputeSeed(f)
 }
 
-// recordOracle rolls one expression's solver work into the metrics
-// registry (worker goroutine; all instruments are atomic).
-func (c *Comparator) recordOracle(o *oracleSet) {
+// recordCompared rolls the per-expression metrics of the compared
+// expressions into the registry: the oracle runs' solver work and
+// latencies, the n-way pre-filter's outcomes and the lint's checks,
+// summed first so that each counter takes one add. RunBatches records a
+// batch's expressions only if the batch is kept (recordReport); the
+// direct paths, CompareExprContext and OracleFacts, record each one as
+// it finishes. nil entries, expressions never compared, are skipped.
+func (c *Comparator) recordCompared(cmps []*compared) {
 	if c.Metrics == nil {
 		return
 	}
-	var total time.Duration
-	for _, d := range o.Elapsed {
-		total += d
+	var st solver.Stats
+	var nw NWayStats
+	var oracles, checks int64
+	linted := false
+	for _, cmp := range cmps {
+		if cmp == nil {
+			continue
+		}
+		if o := cmp.oracle; o != nil {
+			oracles++
+			st.Add(o.Solver)
+			var total time.Duration
+			for _, d := range o.Elapsed {
+				total += d
+			}
+			c.Metrics.Histogram("expr_latency").Observe(total)
+			// The outcome split separates expressions the solver budget
+			// covered from ones it exhausted — the saturated tail would
+			// otherwise hide inside the bare expr_latency histogram.
+			outcome := "solved"
+			if o.Solver.Exhausted > 0 {
+				outcome = "exhausted"
+			}
+			c.Metrics.HistogramL("expr_latency", metrics.Labels{"outcome": outcome}).Observe(total)
+		}
+		nw.add(cmp.nway)
+		checks += int64(cmp.checks)
+		linted = linted || cmp.linted
 	}
-	c.Metrics.Counter("exprs_compared").Inc()
-	c.Metrics.Counter("solver_queries").Add(o.Solver.Queries)
-	c.Metrics.Counter("solver_conflicts").Add(o.Solver.Conflicts)
-	c.Metrics.Counter("solver_propagations").Add(o.Solver.Propagations)
-	c.Metrics.Counter("solver_decisions").Add(o.Solver.Decisions)
-	c.Metrics.Counter("solver_restarts").Add(o.Solver.Restarts)
-	c.Metrics.Counter("solver_learned").Add(o.Solver.Learned)
-	c.Metrics.Counter("solver_exhausted").Add(o.Solver.Exhausted)
-	c.Metrics.Counter("solver_pruned_queries").Add(o.Solver.Pruned)
-	c.Metrics.Counter("solver_enum_queries").Add(o.Solver.EnumQueries)
-	c.Metrics.Counter("solver_gates_built").Add(o.Solver.GatesBuilt)
-	c.Metrics.Counter("solver_gates_deduped").Add(o.Solver.GatesDeduped)
-	c.Metrics.Histogram("expr_latency").Observe(total)
-	// The outcome split separates expressions the solver budget covered
-	// from ones it exhausted — the saturated tail would otherwise hide
-	// inside the bare expr_latency histogram.
-	outcome := "solved"
-	if o.Solver.Exhausted > 0 {
-		outcome = "exhausted"
+	if oracles > 0 {
+		c.Metrics.Counter("exprs_compared").Add(oracles)
+		c.Metrics.Counter("solver_queries").Add(st.Queries)
+		c.Metrics.Counter("solver_conflicts").Add(st.Conflicts)
+		c.Metrics.Counter("solver_propagations").Add(st.Propagations)
+		c.Metrics.Counter("solver_decisions").Add(st.Decisions)
+		c.Metrics.Counter("solver_restarts").Add(st.Restarts)
+		c.Metrics.Counter("solver_learned").Add(st.Learned)
+		c.Metrics.Counter("solver_exhausted").Add(st.Exhausted)
+		c.Metrics.Counter("solver_pruned_queries").Add(st.Pruned)
+		c.Metrics.Counter("solver_enum_queries").Add(st.EnumQueries)
+		c.Metrics.Counter("solver_gates_built").Add(st.GatesBuilt)
+		c.Metrics.Counter("solver_gates_deduped").Add(st.GatesDeduped)
 	}
-	c.Metrics.HistogramL("expr_latency", metrics.Labels{"outcome": outcome}).Observe(total)
+	if nw.Exprs > 0 {
+		c.Metrics.Counter("nway_exprs").Add(int64(nw.Exprs))
+		c.Metrics.Counter("nway_comparisons").Add(int64(nw.Comparisons))
+		if nw.Escalated > 0 {
+			c.Metrics.Counter("nway_escalations").Add(int64(nw.Escalated))
+		}
+		if nw.Agreed > 0 {
+			c.Metrics.Counter("nway_agreed").Add(int64(nw.Agreed))
+		}
+	}
+	if linted {
+		c.Metrics.Counter("consistency_checks").Add(checks)
+	}
 }
 
 // markBusy tracks worker utilization around one expression.
@@ -502,7 +538,6 @@ func (c *Comparator) oracleFor(ctx context.Context, f *ir.Function) *oracleSet {
 		o.Solver = eng.Stats()
 	}
 	endExprSpan(sp, o.Solver)
-	c.recordOracle(o)
 	return o
 }
 
@@ -543,7 +578,9 @@ func (c *Comparator) CompareExpr(f *ir.Function) []Result {
 // interval and the remaining queries fail fast, so the expression still
 // comes back with well-formed (exhaustion-degraded) results promptly.
 func (c *Comparator) CompareExprContext(ctx context.Context, f *ir.Function) []Result {
-	return c.compareOne(ctx, f, false).results
+	cmp := c.compareOne(ctx, f, false)
+	c.recordCompared([]*compared{cmp})
+	return cmp.results
 }
 
 // nwayExprStats is one expression's n-way pre-filter outcome.
@@ -587,24 +624,17 @@ func (c *Comparator) nwayCheck(ctx context.Context, f *ir.Function) (*nwayExprSt
 		sp.SetInt("contradictions", int64(st.contradictions))
 		sp.End()
 	}
-	if c.Metrics != nil {
-		c.Metrics.Counter("nway_exprs").Inc()
-		c.Metrics.Counter("nway_comparisons").Add(int64(st.comparisons))
-		if st.escalated {
-			c.Metrics.Counter("nway_escalations").Inc()
-		}
-		if st.agreed {
-			c.Metrics.Counter("nway_agreed").Inc()
-		}
-	}
 	return st, out
 }
 
-// compared is one expression's pipeline output: its results, the number
-// of consistency checks the lint performed, and the n-way stats (nil
+// compared is one expression's pipeline output: its results, the oracle
+// run (nil when the n-way pre-filter skipped it), whether the lint ran
+// and how many consistency checks it performed, and the n-way stats (nil
 // unless NWay).
 type compared struct {
 	results []Result
+	oracle  *oracleSet
+	linted  bool
 	checks  int
 	nway    *nwayExprStats
 }
@@ -632,7 +662,8 @@ func (c *Comparator) compareOne(ctx context.Context, f *ir.Function, skippable b
 		fa = c.Analyzer.Analyze(f)
 	}
 	if runOracle {
-		out.results = append(c.classify(f, fa, c.oracleFor(ctx, f)), out.results...)
+		out.oracle = c.oracleFor(ctx, f)
+		out.results = append(c.classify(f, fa, out.oracle), out.results...)
 	}
 	if !c.Consistency {
 		return out
@@ -644,7 +675,7 @@ func (c *Comparator) compareOne(ctx context.Context, f *ir.Function, skippable b
 		sp.End()
 	}
 	out.results = append(out.results, lint...)
-	out.checks = checks
+	out.linted, out.checks = true, checks
 	return out
 }
 
@@ -657,9 +688,6 @@ func (c *Comparator) compareOne(ctx context.Context, f *ir.Function, skippable b
 // definedness probe runs only when a contradiction was found.
 func (c *Comparator) lintExpr(f *ir.Function, fa *llvmport.Facts) ([]Result, int) {
 	incons, checks := absint.CheckFactsDomains(f, fa, absint.ExtraFactsFor(f, c.Domains))
-	if c.Metrics != nil {
-		c.Metrics.Counter("consistency_checks").Add(int64(checks))
-	}
 	if len(incons) == 0 || !hasWellDefinedInput(f) {
 		return nil, checks
 	}
@@ -1057,8 +1085,8 @@ type Batch struct {
 	Start func(ctx context.Context) context.Context
 	// Done receives the batch's report on RunBatches' own goroutine, in
 	// batch order, once the batch's last expression is compared. It
-	// returns whether the caller keeps the report: only a kept report's
-	// outcomes are recorded in the metrics.
+	// returns whether the caller keeps the report: only a kept batch's
+	// outcomes and per-expression metrics are recorded.
 	Done func(rep *Report) bool
 }
 
@@ -1096,9 +1124,10 @@ type job struct {
 // has been through Done, so at most one batch is generated ahead of the
 // one being folded. A batch's report reaches Done once its last
 // expression is compared and its findings are reduced (Reduce); its
-// outcomes are recorded in the metrics after Done, if Done keeps the
-// report. Its cache counts are the lookups made since the previous
-// batch's report, so over a run they add up to the run's whole traffic.
+// outcomes and its expressions' per-expression metrics are recorded
+// after Done, if Done keeps the report. Its cache counts are the lookups
+// made since the previous batch's report, so over a run they add up to
+// the run's whole traffic.
 //
 // Cancelling ctx stops the dispatch at once: next is not called again,
 // and a batch's expressions not yet started, or stopped before their
@@ -1142,7 +1171,7 @@ func (c *Comparator) RunBatches(ctx context.Context, next func() (Batch, bool)) 
 		var rep *Report
 		rep, before = c.report(br, before)
 		if br.Done(rep) {
-			c.recordReport(rep)
+			c.recordReport(rep, br.out)
 		}
 	}
 	wg.Wait()
@@ -1316,12 +1345,14 @@ func (c *Comparator) reducerComparator() *Comparator {
 	}
 }
 
-// recordReport rolls a kept report's outcomes into the metrics registry
-// (aggregation goroutine, after workers are done).
-func (c *Comparator) recordReport(rep *Report) {
+// recordReport rolls a kept batch into the metrics registry: its
+// report's outcomes and the per-expression metrics of its distinct
+// sources, cmps (aggregation goroutine, after workers are done).
+func (c *Comparator) recordReport(rep *Report, cmps []*compared) {
 	if c.Metrics == nil {
 		return
 	}
+	c.recordCompared(cmps)
 	var sound, incons, variant int64
 	for _, f := range rep.Findings {
 		switch f.Kind {

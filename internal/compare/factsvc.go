@@ -21,7 +21,9 @@ import (
 // yields one fact per input variable, in declaration order, labeled
 // "demanded bits (<var>)".
 func (c *Comparator) OracleFacts(ctx context.Context, f *ir.Function) []factsvc.Fact {
-	return renderFacts(f, c.oracleFor(ctx, f))
+	o := c.oracleFor(ctx, f)
+	c.recordCompared([]*compared{{oracle: o}})
+	return renderFacts(f, o)
 }
 
 // renderFacts renders o, the oracle results for f, as OracleFacts

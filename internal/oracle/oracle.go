@@ -10,8 +10,9 @@
 //   - DemandedBits is Algorithm 2: one equivalence query per input bit.
 //   - IntegerRange is Algorithm 3: binary search on the range size with a
 //     CEGIS loop synthesizing the base (synthesizeBase), after the exact
-//     hulls and, where the search would reach sizes the CEGIS loop gives
-//     up on, an evaluation certificate that can settle it unsolved.
+//     hulls and, where the search would start at a near-full size that
+//     the CEGIS loop gives up on or proves only slowly, an evaluation
+//     certificate that can settle it unsolved.
 //   - SignBits tries each count from most precise downward (§3.3).
 //   - The single-bit analyses are one validity query each (§3.3).
 //
@@ -358,14 +359,17 @@ type RangeResult struct {
 // counterexamples spread quickly.
 //
 // Sizes above B = maxTriedSize(w) the CEGIS loop gives up on, exhausted,
-// and below a near-full hull every size under B takes hundreds of
-// counterexamples to rule out. So when the search would reach a size
-// above B, the engine is first asked for a certificate
-// (Engine.RefuteWindow): outputs it reaches by evaluation that no window
-// of size B covers. Then no size up to B has a sound window, every size
-// above it bails, and the search's answer is known without running it:
-// the hull, exhausted. The certificate changes no answer, only how it is
-// found; a search it does not settle runs as before.
+// and just below a near-full hull every size takes dozens to hundreds of
+// counterexamples to rule out. So when the search's top size hi is
+// near-full, above G = refutableSize(w, nearFullTries), the engine is
+// first asked for a certificate (Engine.RefuteWindow): outputs it
+// reaches by evaluation that no window of size min(hi, B) covers. Then
+// no size up to min(hi, B) has a sound window, and the search's answer
+// is known without running it: the hull, decided when hi ≤ B, and
+// exhausted above B, where every larger size bails. The certificate
+// changes no Range, only how it is found, and it can only turn an
+// exhausted search into a decided one; a search it does not settle runs
+// as before.
 func IntegerRange(e solver.Engine, f *ir.Function) RangeResult {
 	return IntegerRangeSeeded(e, f, Seed{})
 }
@@ -412,12 +416,13 @@ func IntegerRangeSeeded(e solver.Engine, f *ir.Function, sd Seed) RangeResult {
 	if n, huge := best.Size(); !huge {
 		hi = n - 1
 	}
-	// The certificate: when the search would reach sizes synthesizeBase
-	// bails on, outputs the engine reaches by evaluation that fit no
-	// window of the largest size it tries give the search's answer, the
-	// hull, exhausted, without running it (DESIGN §5).
-	if b := maxTriedSize(w); hi > b && e.RefuteWindow(apint.New(w, b)) {
-		res.Range, res.Exhausted = best, true
+	// The certificate: when the search's top size is near-full (above
+	// G), outputs the engine reaches by evaluation that fit no window of
+	// size min(hi, B) give the search's answer without running it (DESIGN
+	// §5): the hull, decided when hi ≤ B, and exhausted above B, where
+	// every larger size bails.
+	if b := maxTriedSize(w); hi > refutableSize(w, nearFullTries) && e.RefuteWindow(apint.New(w, min(hi, b))) {
+		res.Range, res.Exhausted = best, hi > b
 		return res
 	}
 	samples := newSampleSet(w, bounds.umin, bounds.umax, bounds.smin, bounds.smax)
@@ -596,16 +601,28 @@ func searchGreatest(min, max uint64, pred func(uint64) (bool, bool)) (uint64, bo
 	return lo, true
 }
 
-// maxTriedSize is B, the largest window size synthesizeBase tries at
-// width w. Proving that no window of size C exists needs about
-// needed = ⌊max/(2^w−C)⌋ + 1 spread counterexamples, max = 2^w−1, and
-// synthesizeBase bails, exhausted, when needed > MaxRangeTries/3, that
-// is when 2^w−C ≤ ⌊max/333⌋, that is when C > max − ⌊max/333⌋. At w ≤ 8
-// B is max and no size bails.
-func maxTriedSize(w uint) uint64 {
+// nearFullTries is the counterexample count above which a size search
+// asks for the certificate first: a top size above G = refutableSize(w,
+// 16), whose refutation needs more spread counterexamples than this, is
+// near-full. A search whose top size is at most G never pays for a
+// certificate; a gate at 64 sends the same searches of the table1 corpus
+// to it.
+const nearFullTries = 16
+
+// refutableSize is the largest window size at width w whose refutation
+// needs at most n spread counterexamples. Proving that no window of size
+// C exists needs about needed = ⌊max/(2^w−C)⌋ + 1 of them, max = 2^w−1,
+// and needed > n exactly when 2^w−C ≤ ⌊max/n⌋, that is when
+// C > max − ⌊max/n⌋.
+func refutableSize(w uint, n uint64) uint64 {
 	m := apint.AllOnes(w).Uint64()
-	return m - m/(MaxRangeTries/3)
+	return m - m/n
 }
+
+// maxTriedSize is B, the largest window size synthesizeBase tries at
+// width w: it bails, exhausted, when needed > MaxRangeTries/3. At w ≤ 8
+// B is max and no size bails.
+func maxTriedSize(w uint) uint64 { return refutableSize(w, MaxRangeTries/3) }
 
 // synthesizeBase finds X such that every well-defined output lies in
 // [X, X+C), by counterexample-guided search: cover the known sample

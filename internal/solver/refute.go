@@ -12,7 +12,8 @@ import (
 )
 
 // This file implements Engine.RefuteWindow, the evaluation certificate
-// that settles Algorithm 3's hopeless size searches without a solver: a
+// that settles Algorithm 3's near-full size searches without a solver,
+// those the CEGIS loop gives up on and those it finishes only slowly: a
 // set of reachable outputs, found by running the function on concrete
 // inputs, that no wrapped window of the asked size covers. Every output
 // in the set comes from a well-defined execution, so the certificate is
@@ -21,12 +22,16 @@ import (
 
 // rangeSampleBlocks is the most 64-lane blocks a SAT engine above
 // DemandedSweepBits draws for one certificate; it checks after 64, 128,
-// 256, … blocks and stops at the first refutation. Of the 29 table1
-// searches that reach a SAT engine's certificate, 10 are refuted within
-// 64 blocks, 21 within 1,024, 25 within 4,096 and 26 within 16,384, and
-// no more within 262,144. The three left cost 2 to 35 ms each at this
-// bound on a 2-CPU Xeon, and of the bounds tried this one gives a table1
-// pass's range searches the least time.
+// 256, … blocks and stops at the first refutation or stall. Of the 29
+// table1 searches that reach a sampled certificate, 5 are refuted within
+// 64 blocks, 20 within 1,024, 24 within 4,096 and 25 within 8,192. Of the
+// other four, gen-000020 stalls after 128 blocks, and gen-000083,
+// gen-000107 and gen-000114 draw all 16,384, about 20, 7 and 30 ms on a
+// 2-CPU Xeon. At 262,144 blocks gen-000107 would be refuted after 32,768
+// and gen-000114 after 65,536, but gen-000083 never, and each doubling
+// of the bound costs it about as much as it would save gen-000107's
+// size search; of the bounds tried this one gives a table1 pass's range
+// searches the least time.
 const rangeSampleBlocks = 1 << 14
 
 // maxWindowBuckets bounds a windowSet's buckets: a size whose complement
@@ -49,6 +54,7 @@ type windowSet struct {
 	hole   uint64   // g − 1, the longest hole a refutation allows
 	shift  uint     // log2 of the bucket length
 	lo, hi []uint64 // per bucket: least and greatest member; lo > hi when empty
+	moved  bool     // some bound changed since the flag was last cleared
 }
 
 // newWindowSet returns an empty set deciding windows of size c at width
@@ -74,8 +80,12 @@ func newWindowSet(w uint, c apint.Int) *windowSet {
 // add records the reachable output v.
 func (ws *windowSet) add(v uint64) {
 	i := v >> ws.shift
-	ws.lo[i] = min(ws.lo[i], v)
-	ws.hi[i] = max(ws.hi[i], v)
+	if v < ws.lo[i] {
+		ws.lo[i], ws.moved = v, true
+	}
+	if v > ws.hi[i] {
+		ws.hi[i], ws.moved = v, true
+	}
 }
 
 // refuted reports whether no window of the set's size covers it: the set
@@ -100,12 +110,18 @@ func (ws *windowSet) refuted() bool {
 // refuteBlocks evaluates blocks 0..n-1, next(b) giving block b's root
 // planes and well-defined mask, into ws and reports whether their outputs
 // refute it. It checks after 64, 128, 256, … blocks and after the last
-// one, and stops at the first refutation. ctx and deadline are checked
-// before the first block and then as eval.PollBlockMask says, as the
-// sweeps do; once either fires it stops with ok false, refuting nothing.
-// evals counts the lanes evaluated, 64 per block.
-func refuteBlocks(ws *windowSet, n uint64, next func(b uint64) ([]uint64, uint64), ctx context.Context, deadline time.Time) (refuted bool, evals int64, ok bool) {
+// one, and stops at the first refutation. Random draws (sampled) also
+// stop, refuting nothing, at a stall: a check where ws held outputs at
+// the previous check and no bucket bound has moved since. A doubling of
+// the draws that found no new extreme reached no new part of the image,
+// and in the corpora of TestCertificateKeepsRanges no certificate the
+// rule stops would have refuted within n blocks. ctx and deadline are
+// checked before the first block and then as eval.PollBlockMask says,
+// as the sweeps do; once either fires it stops with ok false, refuting
+// nothing. evals counts the lanes evaluated, 64 per block.
+func refuteBlocks(ws *windowSet, n uint64, sampled bool, next func(b uint64) ([]uint64, uint64), ctx context.Context, deadline time.Time) (refuted bool, evals int64, ok bool) {
 	var lanes [64]uint64
+	seen := false // ws held outputs at an earlier check
 	for b := uint64(0); b < n; b++ {
 		if b&eval.PollBlockMask == 0 && cancelled(ctx, deadline) {
 			return false, evals, false
@@ -118,8 +134,15 @@ func refuteBlocks(ws *windowSet, n uint64, next func(b uint64) ([]uint64, uint64
 				ws.add(lanes[bits.TrailingZeros64(okm)])
 			}
 		}
-		if done := b + 1; (done == n || done >= 64 && done&(done-1) == 0) && ws.refuted() {
-			return true, evals, true
+		if done := b + 1; done == n || done >= 64 && done&(done-1) == 0 {
+			if ws.refuted() {
+				return true, evals, true
+			}
+			if sampled && seen && !ws.moved {
+				return false, evals, true
+			}
+			seen = seen || ws.moved
+			ws.moved = false
 		}
 	}
 	return false, evals, true
@@ -215,7 +238,7 @@ func (e *SATEngine) RefuteWindow(size apint.Int) bool {
 			return sliced.EvalPlanes(in)
 		}
 	}
-	refuted, evals, ok := refuteBlocks(ws, n, next, e.Ctx, e.Deadline)
+	refuted, evals, ok := refuteBlocks(ws, n, e.demanded == nil, next, e.Ctx, e.Deadline)
 	sp.SetInt("evals", evals)
 	if !ok {
 		e.stats.Exhausted++

@@ -3,9 +3,11 @@ package solver
 import (
 	"bytes"
 	"context"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"dfcheck/internal/apint"
 	"dfcheck/internal/eval"
@@ -278,6 +280,52 @@ func TestRefuteWindowCancelled(t *testing.T) {
 			if st := ref.Stats(); st.Queries != 0 {
 				t.Errorf("%s: the reference engine counted %d queries", c.src, st.Queries)
 			}
+		}
+	}
+}
+
+// TestRefuteBlocksStallRule: random draws stop, refuting nothing, at the
+// first check after one where the set already held outputs and no bucket
+// bound moved in between; an empty set is no stall, an exhaustive pass
+// never stops early, and a set whose extremes keep moving runs to the
+// end.
+func TestRefuteBlocksStallRule(t *testing.T) {
+	const w, n = 8, 1024
+	// block returns a block whose well-defined lanes all output v.
+	block := func(v uint64) ([]uint64, uint64) {
+		planes := make([]uint64, w)
+		for j := range planes {
+			if v>>j&1 == 1 {
+				planes[j] = ^uint64(0)
+			}
+		}
+		return planes, ^uint64(0)
+	}
+	cases := []struct {
+		name    string
+		sampled bool
+		next    func(b uint64) ([]uint64, uint64)
+		refuted bool
+		blocks  int64
+	}{
+		{"constant, sampled", true, func(uint64) ([]uint64, uint64) { return block(5) }, false, 128},
+		{"constant, exhaustive", false, func(uint64) ([]uint64, uint64) { return block(5) }, false, n},
+		// Nothing well-defined for 300 blocks, then every value: an empty
+		// set at the checks before is no stall.
+		{"empty, then every value", true, func(b uint64) ([]uint64, uint64) {
+			if b < 300 {
+				return make([]uint64, w), 0
+			}
+			return block(b % 256)
+		}, true, 1024},
+		// A new extreme in every doubling, but a hole of 128 stays.
+		{"moving extremes", true, func(b uint64) ([]uint64, uint64) { return block(uint64(bits.Len64(b))) }, false, n},
+	}
+	for _, c := range cases {
+		ws := newWindowSet(w, apint.New(w, 255))
+		refuted, evals, ok := refuteBlocks(ws, n, c.sampled, c.next, context.Background(), time.Time{})
+		if !ok || refuted != c.refuted || evals != 64*c.blocks {
+			t.Errorf("%s: refuted %v after %d blocks (ok %v), want refuted %v after %d", c.name, refuted, evals/64, ok, c.refuted, c.blocks)
 		}
 	}
 }

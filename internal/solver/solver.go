@@ -18,12 +18,14 @@
 // sample proves demanded. NewSAT, and NewEngine with a negative
 // EnumCutoff, keep every demanded-bits query on the miter.
 //
-// Algorithm 3's range certificate (Engine.RefuteWindow) takes the same
-// evaluator paths without a solver: EnumEngine answers from its memoized
-// outputs, and a SAT engine built by NewEngine from the whole input space
-// up to DemandedSweepBits and from seeded random blocks above it. NewSAT,
-// and NewEngine with a negative EnumCutoff, refute nothing, so their
-// range searches stay the reference.
+// Algorithm 3's range certificate (Engine.RefuteWindow), which settles
+// near-full size searches whether CEGIS would give up on them or only
+// finish them slowly, takes the same evaluator paths without a solver:
+// EnumEngine answers from its memoized outputs, and a SAT engine built by
+// NewEngine from the whole input space up to DemandedSweepBits and from
+// seeded random blocks above it. NewSAT, and NewEngine with a negative
+// EnumCutoff, refute nothing, so their range searches stay the
+// reference.
 //
 // Every query is implicitly conjoined with "the execution is well-defined"
 // (no UB, range metadata satisfied), mirroring Souper's UB-aware
@@ -76,10 +78,11 @@ type Engine interface {
 	// the function on concrete inputs, with no solver query, fit in no
 	// wrapped window [X, X+size): then no window of that size or smaller
 	// holds every achievable output. It is Algorithm 3's certificate for
-	// size searches the CEGIS loop cannot finish. false refutes nothing,
-	// and is all an engine without an evaluator path, or whose context
-	// or deadline fires, answers. An answer counts one enum-class query
-	// under a "range-sample" span.
+	// near-full size searches, which the CEGIS loop cannot finish or
+	// finishes only after dozens to hundreds of counterexamples. false
+	// refutes nothing, and is all an engine without an evaluator path,
+	// or whose context or deadline fires, answers. An answer counts one
+	// enum-class query under a "range-sample" span.
 	RefuteWindow(size apint.Int) bool
 
 	// BitMatters reports whether flipping bit `bit` of input v can change
