@@ -16,7 +16,7 @@ import (
 func main() {
 	var (
 		workload = flag.Int("workload", 1000, "inputs per kernel")
-		budget   = flag.Int64("solver-budget", 0, "per-query conflict budget for the precise compiler")
+		budget   = flag.Int64("solver-budget", 0, "conflict budget per instruction the precise compiler asks the oracle about, shared by its queries (0 = default)")
 	)
 	flag.Parse()
 

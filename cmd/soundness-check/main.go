@@ -17,7 +17,7 @@ import (
 )
 
 func main() {
-	budget := flag.Int64("solver-budget", 0, "per-query conflict budget")
+	budget := flag.Int64("solver-budget", 0, "conflict budget per expression, shared by its queries (0 = default)")
 	flag.Parse()
 
 	ok := true

@@ -47,7 +47,7 @@ func main() {
 		optimize   = flag.Bool("optimize", false, "print the expression after fact-driven optimization (baseline facts)")
 		optPrecise = flag.Bool("optimize-precise", false, "like -optimize but with the maximally precise oracle facts (slow, §4.6)")
 		emitLLVM   = flag.Bool("emit-llvm", false, "print the expression in LLVM-like syntax (souper2llvm) and exit")
-		budget     = flag.Int64("solver-budget", 0, "per-query conflict budget (0 = default, stands in for the paper's 30s Z3 timeout)")
+		budget     = flag.Int64("solver-budget", 0, "conflict budget per engine, shared by its queries: one engine per -infer flag, one per expression under -compare (0 = default, stands in for the paper's 30s Z3 timeout)")
 		bug1       = flag.Bool("bug1", false, "re-introduce the r124183 isKnownNonZero bug")
 		bug2       = flag.Bool("bug2", false, "re-introduce the PR23011 srem sign-bits bug")
 		bug3       = flag.Bool("bug3", false, "re-introduce the PR12541 srem known-bits bug")
@@ -88,7 +88,10 @@ func main() {
 	}
 
 	fa := (&llvmport.Analyzer{Bugs: bugs, Modern: *modern}).Analyze(f)
-	eng := func() solver.Engine { return solver.NewSAT(f, *budget) }
+	// Each -infer flag runs its analysis on an engine of its own, built
+	// and seeded as the comparator builds and seeds one.
+	eng := func() solver.Engine { return solver.NewEngine(f, solver.Config{Budget: *budget}) }
+	sd := oracle.ComputeSeed(f)
 	printed := false
 	show := func(label, value string) {
 		fmt.Printf("%s: %s\n", label, value)
@@ -96,35 +99,35 @@ func main() {
 	}
 
 	if *inferKnown {
-		r := oracle.KnownBits(eng(), f)
+		r := oracle.KnownBitsSeeded(eng(), f, sd)
 		show("known bits from our tool", r.Bits.String()+exhaustedSuffix(r.Exhausted))
 	}
 	if *inferSign {
-		r := oracle.SignBits(eng(), f)
+		r := oracle.SignBitsSeeded(eng(), f, sd)
 		show("known sign bits from our tool", fmt.Sprint(r.NumSignBits)+exhaustedSuffix(r.Exhausted))
 	}
 	if *inferNeg {
-		r := oracle.Negative(eng(), f)
+		r := oracle.NegativeSeeded(eng(), f, sd)
 		show("negative from our tool", fmt.Sprint(r.Proved)+exhaustedSuffix(r.Exhausted))
 	}
 	if *inferNonNeg {
-		r := oracle.NonNegative(eng(), f)
+		r := oracle.NonNegativeSeeded(eng(), f, sd)
 		show("non-negative from our tool", fmt.Sprint(r.Proved)+exhaustedSuffix(r.Exhausted))
 	}
 	if *inferNonZero {
-		r := oracle.NonZero(eng(), f)
+		r := oracle.NonZeroSeeded(eng(), f, sd)
 		show("non-zero from our tool", fmt.Sprint(r.Proved)+exhaustedSuffix(r.Exhausted))
 	}
 	if *inferPow2 {
-		r := oracle.PowerOfTwo(eng(), f)
+		r := oracle.PowerOfTwoSeeded(eng(), f, sd)
 		show("power of two from our tool", fmt.Sprint(r.Proved)+exhaustedSuffix(r.Exhausted))
 	}
 	if *inferRange {
-		r := oracle.IntegerRange(eng(), f)
+		r := oracle.IntegerRangeSeeded(eng(), f, sd)
 		show("range from our tool", r.Range.String()+exhaustedSuffix(r.Exhausted))
 	}
 	if *inferDemanded {
-		r := oracle.DemandedBits(eng(), f)
+		r := oracle.DemandedBitsSeeded(eng(), f, sd)
 		for _, name := range f.SortedVarNames() {
 			show("demanded bits from our tool for %"+name, r.Demanded[name].BitString())
 		}

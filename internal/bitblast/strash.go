@@ -14,8 +14,9 @@ import "dfcheck/internal/sat"
 // (g ↔ gate(a,b)), so a consed gate is sound in both polarities.
 //
 // Strashing is on by default and can be disabled per circuit
-// (DisableStrash) — the ablation mode behind the -no-strash flag, which
-// reproduces the historical one-gate-per-request construction exactly.
+// (DisableStrash), which reproduces the historical one-gate-per-request
+// construction exactly: the reference circuits of the solver's
+// SATEngine.NoStrash, which only tests and ablation benchmarks use.
 
 // CircuitStats counts how much CNF a circuit emitted and how much work the
 // structural hash avoided.

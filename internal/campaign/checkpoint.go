@@ -56,10 +56,14 @@ type wireCheckpoint struct {
 // campaign's results. A checkpoint only resumes under the fingerprint it
 // was written with: resuming a -bug3 campaign without -bug3 would
 // silently change what the remaining batches test — and the same holds
-// for the ablation flags (-no-seed, -no-strash, -enum-cutoff), the
-// n-way/reducer modes, and the extended-lint domain set (-domains), all
-// of which change which results and findings the remaining batches can
-// produce.
+// for the n-way/reducer modes and the extended-lint domain set
+// (-domains), all of which change which results and findings the
+// remaining batches can produce.
+//
+// The oracle has one configuration. The fingerprint still spells it
+// "no-seed=false;no-strash=false;enum-cutoff=0", as it read while those
+// were settings, so checkpoints written then keep resuming and ones
+// written under another value are refused.
 //
 // Deliberately excluded: Workers (scheduling only;
 // TestParallelRunMatchesSequential in internal/compare).
@@ -99,12 +103,12 @@ func (c *Campaign) Fingerprint() string {
 	return fmt.Sprintf("seed=%d;batches=%d;n=%d;max-insts=%d;widths=%s;max-width=%d;mutants=%d;canaries=%t;"+
 		"budget=%d;expr-timeout=%s;bug-nonzero=%t;bug-sremsign=%t;bug-sremknown=%t;modern=%s;consistency=%t;"+
 		"domains=%s;"+
-		"no-seed=%t;no-strash=%t;enum-cutoff=%d;nway=%t;reduce=%t;"+
+		"no-seed=false;no-strash=false;enum-cutoff=0;nway=%t;reduce=%t;"+
 		"factsvc=%t;shards=%d",
 		c.Seed, c.Batches, c.NumExprs, c.MaxInsts, widths, c.MaxCastWidth, c.Mutants, c.Canaries,
 		cmp.Budget, cmp.ExprTimeout, an.Bugs.NonZeroAdd, an.Bugs.SRemSignBits, an.Bugs.SRemKnownBits, modern,
 		cmp.Consistency, cmp.DomainNames(),
-		cmp.NoSeed, cmp.NoStrash, cmp.EnumCutoff, cmp.NWay, cmp.Reduce,
+		cmp.NWay, cmp.Reduce,
 		c.FactSvc, shards)
 }
 

@@ -119,6 +119,34 @@ func TestResumeCheckpointFixture(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesRetiredOracleKnob: the fingerprint keeps the oracle's
+// one configuration as "no-seed=false;no-strash=false;enum-cutoff=0", so
+// the format fixture resumes (TestResumeCheckpointFixture), and the same
+// file written under -no-seed, -no-strash or -enum-cutoff -1 is refused.
+func TestResumeRefusesRetiredOracleKnob(t *testing.T) {
+	raw, err := os.ReadFile(formatCheckpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, knob := range []struct{ from, to string }{
+		{"no-seed=false", "no-seed=true"},
+		{"no-strash=false", "no-strash=true"},
+		{"enum-cutoff=0", "enum-cutoff=-1"},
+	} {
+		if !strings.Contains(fixtureCampaign().Fingerprint(), ";"+knob.from+";") {
+			t.Fatalf("fingerprint lost %q", knob.from)
+		}
+		path := filepath.Join(t.TempDir(), "ckpt.json")
+		if err := os.WriteFile(path, []byte(strings.Replace(string(raw), knob.from, knob.to, 1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c := fixtureCampaign()
+		if err := c.Resume(path); err == nil || !strings.Contains(err.Error(), "different configuration") {
+			t.Errorf("%s: checkpoint not refused: %v", knob.to, err)
+		}
+	}
+}
+
 // TestCheckpointSeed reads the master seed a checkpoint records, which
 // dfcheck-fuzz -resume continues under when no -seed is given, and
 // refuses files that are not checkpoints.

@@ -43,9 +43,6 @@ func TestFingerprintCoversResultKnobs(t *testing.T) {
 		{"bug3", func(cfg *Config, c *compare.Comparator) { c.Analyzer.Bugs.SRemKnownBits = false }},
 		{"modern", func(cfg *Config, c *compare.Comparator) { c.Analyzer.Modern = true }},
 		{"consistency", func(cfg *Config, c *compare.Comparator) { c.Consistency = true }},
-		{"no-seed", func(cfg *Config, c *compare.Comparator) { c.NoSeed = true }},
-		{"no-strash", func(cfg *Config, c *compare.Comparator) { c.NoStrash = true }},
-		{"enum-cutoff", func(cfg *Config, c *compare.Comparator) { c.EnumCutoff = -1 }},
 		{"nway", func(cfg *Config, c *compare.Comparator) { c.NWay = true }},
 		{"reduce", func(cfg *Config, c *compare.Comparator) { c.Reduce = true }},
 		// The serving knobs: external fact-service traffic warms the

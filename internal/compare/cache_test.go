@@ -2,6 +2,7 @@ package compare
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"math/rand"
 	"os"
@@ -228,6 +229,18 @@ func TestCacheKeyedOnConfig(t *testing.T) {
 	buggyRep := buggy.Run(corpus)
 	if len(buggyRep.Findings) == 0 {
 		t.Fatal("injected bug not detected when sharing a cache with a clean run")
+	}
+}
+
+// TestDefaultCacheConfig pins the cache key of the CLIs' default
+// comparator to the one written while -no-seed, -no-strash and
+// -enum-cutoff were flags, so cache files from then still hit.
+func TestDefaultCacheConfig(t *testing.T) {
+	c := &Comparator{}
+	c.RegisterFlags(flag.NewFlagSet("precision-table", flag.ContinueOnError))
+	const want = "bug-nonzero=false;bug-sremsign=false;bug-sremknown=false;modern=false;timeout=5m0s;no-seed=false;no-strash=false;enum-cutoff=0"
+	if got := c.cacheConfig(); got != want {
+		t.Errorf("cacheConfig() = %q, want %q", got, want)
 	}
 }
 

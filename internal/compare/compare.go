@@ -96,8 +96,10 @@ type Result struct {
 // Comparator runs the oracle against a (possibly bug-injected) LLVM port.
 type Comparator struct {
 	Analyzer *llvmport.Analyzer
-	// Budget is the per-query solver conflict budget (0 = default),
-	// standing in for the paper's 30-second Z3 timeout.
+	// Budget is the solver conflict budget of one expression, shared by
+	// all the queries of its eight analyses (0 selects
+	// solver.DefaultConflictBudget), standing in for the paper's
+	// 30-second Z3 timeout.
 	Budget int64
 	// Workers sets the number of expressions compared concurrently by
 	// RunBatches, and so by Run and by campaigns (the paper spread its
@@ -121,16 +123,6 @@ type Comparator struct {
 	// traffic, and finding counts — the observability a long unattended
 	// campaign needs. Nil disables instrumentation at zero cost.
 	Metrics *metrics.Registry
-	// NoSeed disables sound-fact seeding of the oracle (the -no-seed
-	// ablation): every fact is then established by solver queries alone.
-	NoSeed bool
-	// NoStrash disables structural hashing during bit-blasting (the
-	// -no-strash ablation), restoring the one-gate-per-request circuits.
-	NoStrash bool
-	// EnumCutoff overrides the input-width bound below which expressions
-	// are analyzed by exhaustive enumeration instead of SAT: 0 selects
-	// solver.DefaultEnumCutoff, negative disables the fast path.
-	EnumCutoff int
 	// Tracer, when set, records a hierarchical span per run, expression,
 	// analysis, oracle iteration, and solver query (the -trace flag).
 	// Nil compiles to the untraced near-zero-cost path.
@@ -237,22 +229,7 @@ func (c *Comparator) newEngine(ctx context.Context, f *ir.Function, deadline tim
 	if ctx == context.Background() {
 		ctx = nil
 	}
-	return solver.NewEngine(f, solver.Config{
-		Budget:     c.Budget,
-		Deadline:   deadline,
-		Ctx:        ctx,
-		NoStrash:   c.NoStrash,
-		EnumCutoff: c.EnumCutoff,
-	})
-}
-
-// seed computes the sound-fact seed for f, or the empty seed under the
-// -no-seed ablation.
-func (c *Comparator) seed(f *ir.Function) oracle.Seed {
-	if c.NoSeed {
-		return oracle.Seed{}
-	}
-	return oracle.ComputeSeed(f)
+	return solver.NewEngine(f, solver.Config{Budget: c.Budget, Deadline: deadline, Ctx: ctx})
 }
 
 // recordCompared rolls the per-expression metrics of the compared
@@ -354,15 +331,17 @@ type oracleSet struct {
 // entries are keyed under. The oracle itself is independent of the
 // compiler under test, but keying on the full configuration keeps cache
 // files unambiguous about what produced them (as the artifact's Redis
-// keys did) at the cost of re-running when a bug flag changes.
+// keys did) at the cost of re-running when a bug flag changes. The
+// oracle has one configuration, which the key still spells
+// "no-seed=false;no-strash=false;enum-cutoff=0" so that cache files
+// written while those were settings keep hitting.
 func (c *Comparator) cacheConfig() string {
 	var an llvmport.Analyzer
 	if c.Analyzer != nil {
 		an = *c.Analyzer
 	}
-	return fmt.Sprintf("bug-nonzero=%t;bug-sremsign=%t;bug-sremknown=%t;modern=%t;timeout=%s;no-seed=%t;no-strash=%t;enum-cutoff=%d",
-		an.Bugs.NonZeroAdd, an.Bugs.SRemSignBits, an.Bugs.SRemKnownBits, an.Modern, c.ExprTimeout,
-		c.NoSeed, c.NoStrash, c.EnumCutoff)
+	return fmt.Sprintf("bug-nonzero=%t;bug-sremsign=%t;bug-sremknown=%t;modern=%t;timeout=%s;no-seed=false;no-strash=false;enum-cutoff=0",
+		an.Bugs.NonZeroAdd, an.Bugs.SRemSignBits, an.Bugs.SRemKnownBits, an.Modern, c.ExprTimeout)
 }
 
 // DomainNames renders the extended-lint domain list (e.g. "tnum,stride")
@@ -434,7 +413,7 @@ func (c *Comparator) oracleFor(ctx context.Context, f *ir.Function) *oracleSet {
 	var sd *oracle.Seed
 	seed := func() oracle.Seed {
 		if sd == nil {
-			s := c.seed(g)
+			s := oracle.ComputeSeed(g)
 			if o.Known.Feasible {
 				s.EnrichFromKnown(o.Known.Bits, !o.Known.Exhausted)
 			}
@@ -1339,9 +1318,6 @@ func (c *Comparator) reducerComparator() *Comparator {
 		Analyzer:    c.Analyzer,
 		Budget:      c.Budget,
 		ExprTimeout: c.ExprTimeout,
-		NoSeed:      c.NoSeed,
-		NoStrash:    c.NoStrash,
-		EnumCutoff:  c.EnumCutoff,
 	}
 }
 

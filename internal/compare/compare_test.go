@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dfcheck/internal/canon"
+	"dfcheck/internal/eval"
 	"dfcheck/internal/harvest"
 	"dfcheck/internal/ir"
 	"dfcheck/internal/llvmport"
@@ -342,61 +343,78 @@ func TestModernCompilerAgreesMore(t *testing.T) {
 	}
 }
 
+// oracleForCorpus is the ablation corpus's first 12 expressions, all
+// enumerated (at most 9 input bits), and its first two at 16 and at 24
+// input bits, on the SAT engine with the demanded-bits sweep and with
+// sampled witness pairs and miters.
+func oracleForCorpus() []harvest.Expr {
+	corpus := ablationCorpus()
+	out := append([]harvest.Expr(nil), corpus[:12]...)
+	for _, bits := range []uint{16, 24} {
+		n := 0
+		for _, e := range corpus[12:] {
+			if n < 2 && eval.TotalInputBits(e.F) == bits {
+				out = append(out, e)
+				n++
+			}
+		}
+	}
+	return out
+}
+
 // TestOracleForMatchesAnalyzeAll pins oracleFor to the oracle package's
 // reference sequence, AnalyzeAllWith: the same eight results for the
 // same solver work (queries, pruned queries, conflicts), so building the
 // engine and the seed lazily, and enriching the seed from known bits
 // either way, changes nothing. With a cold cache the oracle analyzes the
 // canonical form and names demanded bits in the expression's own
-// variables. Both engines are covered: enumeration and (cutoff -1) SAT.
+// variables. The corpus covers both engines.
 func TestOracleForMatchesAnalyzeAll(t *testing.T) {
-	for _, e := range ablationCorpus()[:12] {
-		for _, cutoff := range []int{0, -1} {
-			for _, cached := range []bool{false, true} {
-				c := &Comparator{Analyzer: &llvmport.Analyzer{}, EnumCutoff: cutoff}
-				g, rename := e.F, func(v string) string { return v }
-				if cached {
-					c.Cache = rescache.New()
-					cn := canon.Canonicalize(e.F)
-					g, rename = cn.F, cn.CanonName
-				}
-				got := c.oracleFor(context.Background(), e.F)
-				eng := solver.NewEngine(g, solver.Config{EnumCutoff: cutoff})
-				want := oracle.AnalyzeAllWith(eng, g, oracle.ComputeSeed(g))
+	for _, e := range oracleForCorpus() {
+		for _, cached := range []bool{false, true} {
+			c := &Comparator{Analyzer: &llvmport.Analyzer{}}
+			g, rename := e.F, func(v string) string { return v }
+			if cached {
+				c.Cache = rescache.New()
+				cn := canon.Canonicalize(e.F)
+				g, rename = cn.F, cn.CanonName
+			}
+			got := c.oracleFor(context.Background(), e.F)
+			eng := solver.NewEngine(g, solver.Config{})
+			want := oracle.AnalyzeAllWith(eng, g, oracle.ComputeSeed(g))
 
-				label := func(what string) string {
-					return fmt.Sprintf("%s cutoff=%d cached=%t: %s", e.Name, cutoff, cached, what)
+			label := func(what string) string {
+				return fmt.Sprintf("%s (%T) cached=%t: %s", e.Name, eng, cached, what)
+			}
+			for _, p := range []struct {
+				what      string
+				got, want any
+			}{
+				{"known bits", got.Known, want.Known},
+				{"sign bits", got.Sign, want.Sign},
+				{"non-zero", got.NonZero, want.NonZero},
+				{"negative", got.Negative, want.Negative},
+				{"non-negative", got.NonNeg, want.NonNegative},
+				{"power of two", got.Pow2, want.PowerOfTwo},
+				{"range", got.Range, want.Range},
+			} {
+				if !reflect.DeepEqual(p.got, p.want) {
+					t.Errorf("%s: %+v, want %+v", label(p.what), p.got, p.want)
 				}
-				for _, p := range []struct {
-					what      string
-					got, want any
-				}{
-					{"known bits", got.Known, want.Known},
-					{"sign bits", got.Sign, want.Sign},
-					{"non-zero", got.NonZero, want.NonZero},
-					{"negative", got.Negative, want.Negative},
-					{"non-negative", got.NonNeg, want.NonNegative},
-					{"power of two", got.Pow2, want.PowerOfTwo},
-					{"range", got.Range, want.Range},
-				} {
-					if !reflect.DeepEqual(p.got, p.want) {
-						t.Errorf("%s: %+v, want %+v", label(p.what), p.got, p.want)
-					}
+			}
+			gd, wd := got.Demanded, want.Demanded
+			if gd.Feasible != wd.Feasible || gd.Exhausted != wd.Exhausted || len(gd.Demanded) != len(e.F.Vars) {
+				t.Errorf("%s: %+v, want %+v", label("demanded bits"), gd, wd)
+			}
+			for _, v := range e.F.Vars {
+				if m, w := gd.Demanded[v.Name], wd.Demanded[rename(v.Name)]; !m.Eq(w) {
+					t.Errorf("%s: %%%s mask %s, want %s", label("demanded bits"), v.Name, m.BitString(), w.BitString())
 				}
-				gd, wd := got.Demanded, want.Demanded
-				if gd.Feasible != wd.Feasible || gd.Exhausted != wd.Exhausted || len(gd.Demanded) != len(e.F.Vars) {
-					t.Errorf("%s: %+v, want %+v", label("demanded bits"), gd, wd)
-				}
-				for _, v := range e.F.Vars {
-					if m, w := gd.Demanded[v.Name], wd.Demanded[rename(v.Name)]; !m.Eq(w) {
-						t.Errorf("%s: %%%s mask %s, want %s", label("demanded bits"), v.Name, m.BitString(), w.BitString())
-					}
-				}
-				ws := eng.Stats()
-				if gs := got.Solver; gs.Queries != ws.Queries || gs.Pruned != ws.Pruned || gs.Conflicts != ws.Conflicts {
-					t.Errorf("%s: queries/pruned/conflicts %d/%d/%d, want %d/%d/%d", label("solver work"),
-						gs.Queries, gs.Pruned, gs.Conflicts, ws.Queries, ws.Pruned, ws.Conflicts)
-				}
+			}
+			ws := eng.Stats()
+			if gs := got.Solver; gs.Queries != ws.Queries || gs.Pruned != ws.Pruned || gs.Conflicts != ws.Conflicts {
+				t.Errorf("%s: queries/pruned/conflicts %d/%d/%d, want %d/%d/%d", label("solver work"),
+					gs.Queries, gs.Pruned, gs.Conflicts, ws.Queries, ws.Pruned, ws.Conflicts)
 			}
 		}
 	}
@@ -407,8 +425,8 @@ func TestOracleForMatchesAnalyzeAll(t *testing.T) {
 // start out enriched with the cached known bits, exactly as in the
 // reference sequence that computed them.
 func TestOracleForEnrichesLateSeed(t *testing.T) {
-	for _, e := range ablationCorpus()[:12] {
-		warm := &Comparator{Analyzer: &llvmport.Analyzer{}, EnumCutoff: -1, Cache: rescache.New()}
+	for _, e := range oracleForCorpus() {
+		warm := &Comparator{Analyzer: &llvmport.Analyzer{}, Cache: rescache.New()}
 		warm.oracleFor(context.Background(), e.F)
 		cn := canon.Canonicalize(e.F)
 		k := rescache.Key{Expr: cn.Key, Analysis: string(harvest.KnownBits), Config: warm.cacheConfig()}
@@ -417,7 +435,7 @@ func TestOracleForEnrichesLateSeed(t *testing.T) {
 			t.Fatalf("%s: no cached known bits", e.Name)
 		}
 		// A cache holding only the known bits.
-		c := &Comparator{Analyzer: &llvmport.Analyzer{}, EnumCutoff: -1, Cache: rescache.New()}
+		c := &Comparator{Analyzer: &llvmport.Analyzer{}, Cache: rescache.New()}
 		c.Cache.Put(k, entry)
 		got := c.oracleFor(context.Background(), e.F)
 
@@ -426,7 +444,7 @@ func TestOracleForEnrichesLateSeed(t *testing.T) {
 		if known.Feasible {
 			sd.EnrichFromKnown(known.Bits, !known.Exhausted)
 		}
-		eng := solver.NewEngine(g, solver.Config{EnumCutoff: -1})
+		eng := solver.NewEngine(g, solver.Config{})
 		oracle.SignBitsSeeded(eng, g, sd)
 		oracle.NonZeroSeeded(eng, g, sd)
 		oracle.NegativeSeeded(eng, g, sd)

@@ -15,11 +15,13 @@ import (
 	"dfcheck/internal/llvmir"
 	"dfcheck/internal/llvmport"
 	"dfcheck/internal/oracle"
+	"dfcheck/internal/solver"
 )
 
 // Options configure a check.
 type Options struct {
-	// Budget bounds each solver query in conflicts (0 = default).
+	// Budget bounds the solver conflicts one expression may spend,
+	// shared across all its queries (0 = solver.DefaultConflictBudget).
 	Budget int64
 	// Bugs re-introduces historical soundness bugs into the compiler
 	// under test (§4.7).
@@ -59,9 +61,10 @@ func CheckSource(src string, opts Options) ([]compare.Result, error) {
 }
 
 // Infer computes only the oracle facts (the artifact's souper-check
-// -infer-* mode).
+// -infer-* mode), on the engine and seed the comparator uses: one
+// engine for all eight analyses, whose conflict budget they share.
 func Infer(f *ir.Function, budget int64) oracle.All {
-	return oracle.AnalyzeAll(f, budget)
+	return oracle.AnalyzeAllWith(solver.NewEngine(f, solver.Config{Budget: budget}), f, oracle.ComputeSeed(f))
 }
 
 // FormatResults renders comparison results the way the artifact's tool

@@ -119,7 +119,7 @@ func (s *OracleSource) KnownBits(n *ir.Inst) knownbits.Bits {
 		return kb
 	}
 	sub := s.subFunction(n)
-	res := oracle.KnownBits(solver.NewSAT(sub, s.budget), sub)
+	res := oracle.KnownBitsSeeded(solver.NewEngine(sub, solver.Config{Budget: s.budget}), sub, oracle.ComputeSeed(sub))
 	kb := res.Bits
 	if !res.Feasible {
 		// Dead code: any fact is sound; stay neutral for the optimizer.

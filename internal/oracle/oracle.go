@@ -754,19 +754,12 @@ type All struct {
 	Demanded    DemandedBitsResult
 }
 
-// AnalyzeAll computes every fact on ONE shared engine with the given
-// total conflict budget for the whole expression (0 selects the default),
-// seeded from the trusted sound analyzer. Earlier versions created eight
-// independent engines, each with its own budget and its own cold
-// bit-blast of the same function; sharing fixes both leaks.
-func AnalyzeAll(f *ir.Function, budget int64) All {
-	return AnalyzeAllWith(solver.NewSAT(f, budget), f, ComputeSeed(f))
-}
-
-// AnalyzeAllWith computes every fact on the given engine. Known bits run
+// AnalyzeAllWith computes every fact on the given engine, so the eight
+// analyses share one bit-blast and one conflict budget. Known bits run
 // first so their exact result can enrich the seed for the analyses that
 // follow; demanded bits prune with the seed's per-variable masks, which
-// enrichment does not touch.
+// enrichment does not touch. Production runs pass solver.NewEngine and
+// ComputeSeed; the tests pass the reference engines and seeds.
 func AnalyzeAllWith(e solver.Engine, f *ir.Function, sd Seed) All {
 	var a All
 	a.Known = KnownBitsSeeded(e, f, sd)

@@ -20,8 +20,9 @@ import (
 // (llvmport.Analyzer{Modern: true} with no Bugs), NEVER from the analyzer
 // under test: seeding from a possibly bug-injected comparator analyzer
 // would let the bug corrupt the oracle and mask its own detection (§4.7).
-// The -no-seed ablation turns seeding off entirely, restoring the pure
-// solver-only oracle for cross-checking.
+// Every production oracle run is seeded; the zero Seed, which seeds
+// nothing, gives the pure solver-only oracle the tests cross-check it
+// with.
 
 // Tri is a three-valued seed verdict for a single-bit property.
 type Tri uint8
@@ -41,8 +42,8 @@ const (
 // output for the forward analyses, and per-variable demanded masks for
 // demanded bits. The zero value (Valid == false) seeds nothing.
 type Seed struct {
-	// Valid gates the whole seed; false disables seeding (the -no-seed
-	// ablation path).
+	// Valid gates the whole seed; false disables seeding (the unseeded
+	// reference the tests compare with).
 	Valid bool
 
 	// Known holds sound known bits: every well-defined output matches

@@ -22,9 +22,10 @@ import (
 // entries in sorted key order, so saving an unchanged cache is
 // byte-stable.
 //
-// Load validates everything (version, kinds, widths) before committing,
-// and returns an error on any mismatch; callers treat a failed load as a
-// cold cache rather than crashing.
+// Load validates everything (version, kinds, widths, and that each entry
+// is a result the oracle can produce) before committing, and returns an
+// error on any mismatch; callers treat a failed load as a cold cache
+// rather than crashing.
 
 // FormatVersion identifies the cache file layout. Loading any other
 // version fails, forcing a cold start instead of misinterpreting results.
@@ -158,6 +159,9 @@ func decodeEntry(we wireEntry) (Key, Entry, error) {
 	if we.Expr == "" || we.Analysis == "" {
 		return k, Entry{}, fmt.Errorf("rescache: entry missing key fields")
 	}
+	if we.ElapsedNs < 0 {
+		return k, Entry{}, fmt.Errorf("rescache: negative elapsed_ns %d", we.ElapsedNs)
+	}
 	out := oracle.Outcome{Feasible: we.Feasible, Exhausted: we.Exhausted}
 	e := Entry{Elapsed: time.Duration(we.ElapsedNs)}
 	switch we.Kind {
@@ -176,8 +180,15 @@ func decodeEntry(we wireEntry) (Key, Entry, error) {
 		if z.Width() != o.Width() {
 			return k, Entry{}, fmt.Errorf("rescache: knownbits mask widths %d vs %d", z.Width(), o.Width())
 		}
+		if !z.And(o).IsZero() {
+			return k, Entry{}, fmt.Errorf("rescache: knownbits masks overlap (zero %v, one %v)", z, o)
+		}
 		e.Value = oracle.KnownBitsResult{Outcome: out, Bits: knownbits.Make(z, o)}
 	case kindSignBits:
+		// Every value has at least one sign bit.
+		if we.NumSignBits == 0 {
+			return k, Entry{}, fmt.Errorf("rescache: signbits entry without a count of at least 1")
+		}
 		e.Value = oracle.SignBitsResult{Outcome: out, NumSignBits: we.NumSignBits}
 	case kindBool:
 		e.Value = oracle.BoolResult{Outcome: out, Proved: we.Proved}
@@ -254,7 +265,7 @@ func (c *Cache) Load(r io.Reader) error {
 	for i, we := range wf.Entries {
 		k, e, err := decodeEntry(we)
 		if err != nil {
-			return fmt.Errorf("rescache: entry %d: %w", i, err)
+			return fmt.Errorf("rescache: entry %d (%s of %q): %w", i, we.Analysis, we.Expr, err)
 		}
 		loaded[k] = e
 	}

@@ -36,8 +36,8 @@ type Key struct {
 	Expr string
 	// Analysis is the analysis name (a harvest.Analysis value).
 	Analysis string
-	// Budget is the per-query solver conflict budget the result was
-	// computed under.
+	// Budget is the solver conflict budget of the expression's engine,
+	// shared by all its queries, that the result was computed under.
 	Budget int64
 	// Config encodes the comparator configuration (bug injection, modern
 	// mode, expression timeout) the result was computed under.

@@ -218,6 +218,57 @@ func TestLoadRejectsCorruptFile(t *testing.T) {
 		"ambiguous range")
 }
 
+// TestLoadRejectsImpossibleEntries: an entry no oracle run produces is
+// refused, with the entry named. Known bits never claim a bit both zero
+// and one, every value has at least one sign bit, and no computation
+// takes negative time.
+func TestLoadRejectsImpossibleEntries(t *testing.T) {
+	const head = `{"tool":"dfcheck-rescache","version":1,"entries":[`
+	for _, tc := range []struct{ entry, wantErr string }{
+		{`{"expr":"e","analysis":"known bits","kind":"knownbits","elapsed_ns":1,"feasible":true,"zero":{"w":8,"v":15},"one":{"w":8,"v":255}}`,
+			`entry 0 (known bits of "e"): rescache: knownbits masks overlap`},
+		{`{"expr":"e","analysis":"sign bits","kind":"signbits","elapsed_ns":1,"feasible":true}`,
+			`entry 0 (sign bits of "e"): rescache: signbits entry without a count`},
+		{`{"expr":"e","analysis":"sign bits","kind":"signbits","elapsed_ns":1,"feasible":true,"sign_bits":0}`,
+			`entry 0 (sign bits of "e"): rescache: signbits entry without a count`},
+		{`{"expr":"e","analysis":"non-zero","kind":"bool","elapsed_ns":-5,"feasible":true,"proved":true}`,
+			`entry 0 (non-zero of "e"): rescache: negative elapsed_ns -5`},
+	} {
+		rejectingLoad(t, head+tc.entry+`]}`, tc.wantErr)
+	}
+}
+
+// FuzzLoad: no input makes Load panic, and a file Load accepts comes back
+// with the same entries from Save and a second Load.
+func FuzzLoad(f *testing.F) {
+	c := New()
+	for key, e := range sampleEntries() {
+		c.Put(key, e)
+	}
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		first := New()
+		if first.Load(bytes.NewReader(data)) != nil {
+			return
+		}
+		var saved bytes.Buffer
+		if err := first.Save(&saved); err != nil {
+			t.Fatal(err)
+		}
+		second := New()
+		if err := second.Load(&saved); err != nil {
+			t.Fatalf("saved cache refused: %v\n%s", err, saved.Bytes())
+		}
+		if a, b := first.snapshot(), second.snapshot(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("entries changed through Save and Load:\nfirst:  %+v\nsecond: %+v", a, b)
+		}
+	})
+}
+
 func TestFileRoundTripAndMissing(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "results.cache")

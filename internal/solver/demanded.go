@@ -64,8 +64,8 @@ func packedPos(f *ir.Function, v *ir.Inst, bit uint) uint {
 //
 // Each 64-lane block of the input space is evaluated once, and its root
 // planes and ok mask are kept, 2^(n-6) blocks × root-width words in all:
-// 512 KB for an i64 root at 16 input bits, and 16 MB for an i8 root at
-// the 24 bits an explicit enumeration cutoff allows. The two sides of a
+// at most 512 KB, for an i64 root at the DemandedSweepBits input bits no
+// sweep exceeds. The two sides of a
 // bit at packed position p < 6 are lanes l and l+2^p of one block,
 // compared by shifting the planes; those of a bit at p ≥ 6 are the same
 // lane of blocks b and b+2^(p-6), compared from the table when the later

@@ -202,11 +202,10 @@ func (e *EnumEngine) RefuteWindow(size apint.Int) bool {
 }
 
 // RefuteWindow implements Engine by evaluation on the sliced evaluator,
-// for engines NewEngine builds with its fast path on: over the whole
-// input space up to DemandedSweepBits (where the demanded-bits sweep
-// answers), and over up to rangeSampleBlocks seeded random blocks,
-// drawn as the demanded-bits sampler draws them, above it. NewSAT's
-// engines, and NewEngine's with a negative cutoff, refute nothing and
+// for engines NewEngine builds: over the whole input space up to
+// DemandedSweepBits (where the demanded-bits sweep answers), and over up
+// to rangeSampleBlocks seeded random blocks, drawn as the demanded-bits
+// sampler draws them, above it. NewSAT's engines refute nothing and
 // count nothing, so their size search stays the reference.
 func (e *SATEngine) RefuteWindow(size apint.Int) bool {
 	if e.demanded == nil && e.sample == nil {

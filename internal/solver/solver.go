@@ -15,17 +15,20 @@
 // NewEngine uses it instead of miter queries up to DemandedSweepBits
 // summed input bits. Above that, such an engine first samples witness
 // pairs on the sliced evaluator and asks a miter only for the bits no
-// sample proves demanded. NewSAT, and NewEngine with a negative
-// EnumCutoff, keep every demanded-bits query on the miter.
+// sample proves demanded. NewSAT keeps every demanded-bits query on the
+// miter.
 //
 // Algorithm 3's range certificate (Engine.RefuteWindow), which settles
 // near-full size searches whether CEGIS would give up on them or only
 // finish them slowly, takes the same evaluator paths without a solver:
 // EnumEngine answers from its memoized outputs, and a SAT engine built by
 // NewEngine from the whole input space up to DemandedSweepBits and from
-// seeded random blocks above it. NewSAT, and NewEngine with a negative
-// EnumCutoff, refute nothing, so their range searches stay the
-// reference.
+// seeded random blocks above it. NewSAT refutes nothing, so its range
+// searches stay the reference.
+//
+// NewEngine's routing is the one configuration production runs take.
+// NewSAT, with SATEngine.NoStrash for the unhashed circuits, is the
+// reference the tests and the root ablation benchmarks compare it with.
 //
 // Every query is implicitly conjoined with "the execution is well-defined"
 // (no UB, range metadata satisfied), mirroring Souper's UB-aware
@@ -206,34 +209,18 @@ type Config struct {
 	// Deadline and Ctx cancel queries; see the SATEngine fields.
 	Deadline time.Time
 	Ctx      context.Context
-	// NoStrash disables structural hashing in the bit-blaster — the
-	// ablation path behind the -no-strash flag.
-	NoStrash bool
-	// EnumCutoff routes functions whose summed input width is at or
-	// below the cutoff to the enumeration engine. 0 selects
-	// DefaultEnumCutoff; negative disables the fast path entirely,
-	// including the SAT engine's demanded-bits sweep and sampler and its
-	// range certificate.
-	EnumCutoff int
 }
 
 // NewEngine selects the fastest engine for f under cfg: the enumeration
-// engine below the small-width cutoff, the (strashed, incremental) SAT
-// engine otherwise, answering demanded bits by the exhaustive sweep up to
-// DemandedSweepBits and by sampled witness pairs, then miters, above it,
-// and giving range certificates from the same sweep or samples.
-// All of them decide exactly the same queries, a property the
-// cross-check tests enforce on every query type.
+// engine up to DefaultEnumCutoff summed input bits, the (strashed,
+// incremental) SAT engine otherwise, answering demanded bits by the
+// exhaustive sweep up to DemandedSweepBits and by sampled witness pairs,
+// then miters, above it, and giving range certificates from the same
+// sweep or samples. All of them decide exactly the same queries, a
+// property the cross-check tests enforce on every query type.
 func NewEngine(f *ir.Function, cfg Config) Engine {
-	cut := cfg.EnumCutoff
-	if cut == 0 {
-		cut = DefaultEnumCutoff
-	}
-	if cut > eval.MaxEnumBits {
-		cut = eval.MaxEnumBits
-	}
 	total := eval.TotalInputBits(f)
-	if cut > 0 && total <= uint(cut) {
+	if total <= DefaultEnumCutoff {
 		en := NewEnum(f)
 		en.Ctx = cfg.Ctx
 		en.Deadline = cfg.Deadline
@@ -242,12 +229,9 @@ func NewEngine(f *ir.Function, cfg Config) Engine {
 	e := NewSAT(f, cfg.Budget)
 	e.Deadline = cfg.Deadline
 	e.Ctx = cfg.Ctx
-	e.NoStrash = cfg.NoStrash
-	switch {
-	case cut <= 0:
-	case total <= DemandedSweepBits:
+	if total <= DemandedSweepBits {
 		e.demanded = &demandedSweep{f: f}
-	default:
+	} else {
 		e.sample = &demandedSample{f: f}
 	}
 	return e
@@ -275,8 +259,9 @@ type SATEngine struct {
 	// recordWitness).
 	witnesses []apint.Int
 
-	// NoStrash disables structural hashing in the bit-blaster — the
-	// ablation path cross-checked against the default strashed circuits.
+	// NoStrash disables structural hashing in the bit-blaster: the
+	// reference circuits the tests and ablation benchmarks compare the
+	// default strashed ones with. NewEngine never sets it.
 	NoStrash bool
 
 	// Deadline, when non-zero, bounds the total dataflow computation per
