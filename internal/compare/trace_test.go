@@ -18,7 +18,14 @@ func traceSpans(t *testing.T, c *Comparator, corpus []harvest.Expr) []map[string
 	var buf bytes.Buffer
 	c.Tracer = trace.New(&buf)
 	c.Run(corpus)
-	if err := c.Tracer.Close(); err != nil {
+	return spansIn(t, c.Tracer, &buf)
+}
+
+// spansIn closes tr, which writes to buf, and returns the complete
+// ("X") events of its trace.
+func spansIn(t *testing.T, tr *trace.Tracer, buf *bytes.Buffer) []map[string]any {
+	t.Helper()
+	if err := tr.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	var evs []map[string]any
