@@ -5,11 +5,12 @@ import "sort"
 // sliceSolver is the CDCL kernel the clause arena replaced, kept as a
 // differential oracle: one []Lit per clause, tombstones for reduced
 // learnt clauses whose watchers propagate drops lazily, clause
-// activities in a map, and a per-variable assignment array. It shares
-// the variable heap, the restart schedule and every search rule with
-// Solver, so on any sequence of calls the two must make the same
-// decisions and return the same statuses, models and counters
-// (TestArenaMatchesReference).
+// activities in a map, a per-variable assignment array, and its own
+// copy of the variable heap as it stood then (refHeap), which reads
+// activities from the solver's array. It shares the restart schedule
+// and every search rule with Solver, so on any sequence of calls the two
+// must make the same decisions and return the same statuses, models and
+// counters (TestArenaMatchesReference).
 type sliceSolver struct {
 	clauses  [][]Lit // clause database (problem + learnt)
 	deleted  []bool  // tombstones for reduced learnt clauses
@@ -24,7 +25,7 @@ type sliceSolver struct {
 	reason   []clauseRef
 	activity []float64
 	varInc   float64
-	heap     varHeap
+	heap     refHeap
 	trail    []Lit
 	trailLim []int
 	qhead    int
@@ -527,3 +528,96 @@ func (s *sliceSolver) search(assumptions []Lit, conflictLimit int64) Status {
 }
 
 func (s *sliceSolver) Value(v Var) bool { return s.model[v] }
+
+// refHeap is the variable heap the reference kernel branches from: a
+// binary max-heap of variables ordered by activity, with an index map
+// for increase-key updates (MiniSat's order heap). Sifting indexes the
+// solver's activity array.
+type refHeap struct {
+	data []Var
+	pos  []int32 // pos[v] = index in data, or -1
+}
+
+func (h *refHeap) ensure(v Var) {
+	for int(v) >= len(h.pos) {
+		h.pos = append(h.pos, -1)
+	}
+}
+
+func (h *refHeap) inHeap(v Var) bool {
+	return int(v) < len(h.pos) && h.pos[v] >= 0
+}
+
+func (h *refHeap) push(v Var, act []float64) {
+	h.ensure(v)
+	if h.pos[v] >= 0 {
+		return
+	}
+	h.data = append(h.data, v)
+	h.pos[v] = int32(len(h.data) - 1)
+	h.siftUp(int(h.pos[v]), act)
+}
+
+func (h *refHeap) pushIfAbsent(v Var, act []float64) { h.push(v, act) }
+
+func (h *refHeap) popMax(act []float64) (Var, bool) {
+	if len(h.data) == 0 {
+		return 0, false
+	}
+	top := h.data[0]
+	last := h.data[len(h.data)-1]
+	h.data = h.data[:len(h.data)-1]
+	h.pos[top] = -1
+	if len(h.data) > 0 {
+		h.data[0] = last
+		h.pos[last] = 0
+		h.siftDown(0, act)
+	}
+	return top, true
+}
+
+func (h *refHeap) update(v Var, act []float64) {
+	if !h.inHeap(v) {
+		return
+	}
+	i := int(h.pos[v])
+	h.siftUp(i, act)
+	h.siftDown(int(h.pos[v]), act)
+}
+
+func (h *refHeap) siftUp(i int, act []float64) {
+	v := h.data[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if act[h.data[parent]] >= act[v] {
+			break
+		}
+		h.data[i] = h.data[parent]
+		h.pos[h.data[i]] = int32(i)
+		i = parent
+	}
+	h.data[i] = v
+	h.pos[v] = int32(i)
+}
+
+func (h *refHeap) siftDown(i int, act []float64) {
+	v := h.data[i]
+	n := len(h.data)
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if child+1 < n && act[h.data[child+1]] > act[h.data[child]] {
+			child++
+		}
+		if act[h.data[child]] <= act[v] {
+			break
+		}
+		h.data[i] = h.data[child]
+		h.pos[h.data[i]] = int32(i)
+		i = child
+	}
+	h.data[i] = v
+	h.pos[v] = int32(i)
+}
