@@ -1,10 +1,29 @@
 package sat
 
+import "slices"
+
 // varHeap is a binary max-heap of variables ordered by activity, with an
-// index map for decrease/increase-key updates (MiniSat's order heap).
+// index map for increase-key updates (MiniSat's order heap). Each entry
+// carries its variable's activity, so sifting compares neighbouring
+// entries instead of indexing the solver's activity array. The solver
+// keeps every entry's key equal to its variable's activity: it pushes
+// and raises keys with the current activity and rescales the keys with
+// the activities, so every comparison, and every tie, comes out as it
+// would against the array.
 type varHeap struct {
-	data []Var
+	data []heapEntry
 	pos  []int32 // pos[v] = index in data, or -1
+}
+
+type heapEntry struct {
+	act float64
+	v   Var
+}
+
+// grow makes room for n variables.
+func (h *varHeap) grow(n int) {
+	h.data = slices.Grow(h.data, max(0, n-len(h.data)))
+	h.pos = slices.Grow(h.pos, max(0, n-len(h.pos)))
 }
 
 func (h *varHeap) ensure(v Var) {
@@ -13,88 +32,87 @@ func (h *varHeap) ensure(v Var) {
 	}
 }
 
-func (h *varHeap) inHeap(v Var) bool {
-	return int(v) < len(h.pos) && h.pos[v] >= 0
-}
-
-func (h *varHeap) push(v Var, act []float64) {
+// push inserts v with key act unless it is already in the heap.
+func (h *varHeap) push(v Var, act float64) {
 	h.ensure(v)
 	if h.pos[v] >= 0 {
 		return
 	}
-	h.data = append(h.data, v)
-	h.pos[v] = int32(len(h.data) - 1)
-	h.siftUp(int(h.pos[v]), act)
+	h.data = append(h.data, heapEntry{act, v})
+	h.siftUp(len(h.data)-1, heapEntry{act, v})
 }
 
-func (h *varHeap) pushIfAbsent(v Var, act []float64) { h.push(v, act) }
-
-func (h *varHeap) popMax(act []float64) (Var, bool) {
+func (h *varHeap) popMax() (Var, bool) {
 	if len(h.data) == 0 {
 		return 0, false
 	}
-	top := h.data[0]
+	top := h.data[0].v
 	last := h.data[len(h.data)-1]
 	h.data = h.data[:len(h.data)-1]
 	h.pos[top] = -1
 	if len(h.data) > 0 {
-		h.data[0] = last
-		h.pos[last] = 0
-		h.siftDown(0, act)
+		h.siftDown(0, last)
 	}
 	return top, true
 }
 
 // clear removes every variable.
 func (h *varHeap) clear() {
-	for _, v := range h.data {
-		h.pos[v] = -1
+	for _, e := range h.data {
+		h.pos[e.v] = -1
 	}
 	h.data = h.data[:0]
 }
 
-func (h *varHeap) update(v Var, act []float64) {
-	if !h.inHeap(v) {
+// increase raises v's key to act, if v is in the heap. A raised key
+// never sifts down: every child's key is at most the old one.
+func (h *varHeap) increase(v Var, act float64) {
+	if int(v) >= len(h.pos) || h.pos[v] < 0 {
 		return
 	}
-	i := int(h.pos[v])
-	h.siftUp(i, act)
-	h.siftDown(int(h.pos[v]), act)
+	h.siftUp(int(h.pos[v]), heapEntry{act, v})
 }
 
-func (h *varHeap) siftUp(i int, act []float64) {
-	v := h.data[i]
+// rescale multiplies every key by f, as the solver does its activities.
+func (h *varHeap) rescale(f float64) {
+	for i := range h.data {
+		h.data[i].act *= f
+	}
+}
+
+// siftUp places e at slot i or above it.
+func (h *varHeap) siftUp(i int, e heapEntry) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if act[h.data[parent]] >= act[v] {
+		if h.data[parent].act >= e.act {
 			break
 		}
 		h.data[i] = h.data[parent]
-		h.pos[h.data[i]] = int32(i)
+		h.pos[h.data[i].v] = int32(i)
 		i = parent
 	}
-	h.data[i] = v
-	h.pos[v] = int32(i)
+	h.data[i] = e
+	h.pos[e.v] = int32(i)
 }
 
-func (h *varHeap) siftDown(i int, act []float64) {
-	v := h.data[i]
+// siftDown places e at slot i or below it.
+func (h *varHeap) siftDown(i int, e heapEntry) {
 	n := len(h.data)
 	for {
 		child := 2*i + 1
 		if child >= n {
 			break
 		}
-		if child+1 < n && act[h.data[child+1]] > act[h.data[child]] {
+		if child+1 < n && h.data[child+1].act > h.data[child].act {
 			child++
 		}
-		if act[h.data[child]] <= act[v] {
+		if h.data[child].act <= e.act {
 			break
 		}
 		h.data[i] = h.data[child]
-		h.pos[h.data[i]] = int32(i)
+		h.pos[h.data[i].v] = int32(i)
 		i = child
 	}
-	h.data[i] = v
-	h.pos[v] = int32(i)
+	h.data[i] = e
+	h.pos[e.v] = int32(i)
 }

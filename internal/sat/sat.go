@@ -10,12 +10,21 @@
 //
 // Clauses live in one flat arena (see clauseRef), so propagation walks
 // watcher lists and clause bodies without chasing a slice header per
-// clause or testing a tombstone per watcher.
+// clause or testing a tombstone per watcher. A binary clause is decided
+// from its watcher alone; the variable heap's entries carry their
+// activities; propagation shortens a watcher list by writing back its
+// length only, so no pointer store (and no write barrier) is paid per
+// propagated literal; and the arrays grow by doubling, with Reset
+// handing a solver's memory to the next problem. None of this changes a
+// decision: on any sequence of calls the solver returns the statuses,
+// models and counters of the reference kernel kept in reference_test.go
+// (TestArenaMatchesReference, FuzzKernelMatchesReference).
 package sat
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -106,10 +115,19 @@ func clauseWords(hdr uint32) int {
 	return n
 }
 
+// A watcher sits in the list of a watched literal's negation. A binary
+// clause's watcher carries binWatch in cref, and its blocker is always
+// the clause's other literal, so propagate decides it from the blocker's
+// value alone, without reading the arena.
 type watcher struct {
 	cref    clauseRef
 	blocker Lit
 }
+
+const binWatch clauseRef = -1 << 31
+
+// ref is the watched clause's reference, without the binary flag.
+func (w watcher) ref() clauseRef { return w.cref &^ binWatch }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
@@ -226,18 +244,73 @@ func New() *Solver {
 	}
 }
 
+// Reset empties s into the solver New returns, keeping the capacity of
+// its arrays, clause arena and watcher lists for the variables and
+// clauses added next: a solver handed from one problem to the next of
+// about the same size then grows into memory it already holds instead
+// of allocating its arrays afresh. Solve, Value and Stats behave as on a
+// new solver; nothing of the previous problem remains but capacity.
+func (s *Solver) Reset() {
+	*s = Solver{
+		arena:      s.arena[:0],
+		learnts:    s.learnts[:0],
+		claInc:     1.0,
+		maxLearn:   4000,
+		watches:    s.watches[:0],
+		vals:       s.vals[:0],
+		phase:      s.phase[:0],
+		level:      s.level[:0],
+		reason:     s.reason[:0],
+		activity:   s.activity[:0],
+		varInc:     1.0,
+		heap:       varHeap{data: s.heap.data[:0], pos: s.heap.pos[:0]},
+		trail:      s.trail[:0],
+		trailLim:   s.trailLim[:0],
+		seen:       s.seen[:0],
+		learntBuf:  s.learntBuf[:0],
+		droppedBuf: s.droppedBuf[:0],
+	}
+}
+
 // NewVar adds a fresh variable.
 func (s *Solver) NewVar() Var {
 	v := Var(len(s.level))
+	if len(s.level) == cap(s.level) {
+		s.growVars(max(64, 2*len(s.level)))
+	}
 	s.vals = append(s.vals, lUndef, lUndef)
 	s.phase = append(s.phase, false)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nilReason)
 	s.activity = append(s.activity, 0)
-	s.watches = append(s.watches, nil, nil)
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		// Reuse the watcher lists a Reset left behind.
+		s.watches = s.watches[:n+2]
+		s.watches[n], s.watches[n+1] = s.watches[n][:0], s.watches[n+1][:0]
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	s.seen = append(s.seen, false)
-	s.heap.push(v, s.activity)
+	s.heap.push(v, 0)
 	return v
+}
+
+// growVars gives every per-variable array, the trail included, room for
+// n variables. The arrays grow together and by doubling, so a solver
+// built up one NewVar at a time copies each of them about once over
+// instead of the several times append's gentler growth of large slices
+// would.
+func (s *Solver) growVars(n int) {
+	grow := func(have, want int) int { return max(0, want-have) }
+	s.vals = slices.Grow(s.vals, grow(len(s.vals), 2*n))
+	s.watches = slices.Grow(s.watches, grow(len(s.watches), 2*n))
+	s.phase = slices.Grow(s.phase, grow(len(s.phase), n))
+	s.level = slices.Grow(s.level, grow(len(s.level), n))
+	s.reason = slices.Grow(s.reason, grow(len(s.reason), n))
+	s.activity = slices.Grow(s.activity, grow(len(s.activity), n))
+	s.seen = slices.Grow(s.seen, grow(len(s.seen), n))
+	s.trail = slices.Grow(s.trail, grow(len(s.trail), n))
+	s.heap.grow(n)
 }
 
 // NumVars returns the number of variables.
@@ -341,27 +414,38 @@ func (s *Solver) attachClause(lits []Lit, learnt bool) clauseRef {
 	if learnt {
 		hdr |= hdrLearnt
 	}
+	if need := c + clauseWords(hdr); need > cap(s.arena) {
+		// Double, as growVars does, rather than append's gentler
+		// growth of large slices.
+		s.arena = slices.Grow(s.arena, max(need, 2*cap(s.arena))-c)
+	}
 	s.arena = append(s.arena, Lit(hdr))
 	s.arena = append(s.arena, lits...)
 	if learnt {
 		s.arena = append(s.arena, 0, 0) // activity, set by attachLearnt
 	}
 	cref := clauseRef(c)
-	s.watchClause(lits[0].Not(), watcher{cref, lits[1]})
-	s.watchClause(lits[1].Not(), watcher{cref, lits[0]})
+	wref := cref
+	if len(lits) == 2 {
+		wref |= binWatch
+	}
+	s.watchClause(lits[0].Not(), watcher{wref, lits[1]})
+	s.watchClause(lits[1].Not(), watcher{wref, lits[0]})
 	return cref
 }
 
 // watchClause appends to a watcher list, giving fresh lists a capacity of
 // four up front: nearly every literal watches at least a couple of
 // clauses, and the default 1→2→4 growth sequence was a fifth of all
-// allocation in clause-construction-heavy workloads.
+// allocation in clause-construction-heavy workloads. An append into
+// spare capacity writes back only the list's length (the compiler's
+// self-assignment form), so it stores no pointer and pays no write
+// barrier while the collector marks.
 func (s *Solver) watchClause(l Lit, w watcher) {
-	if ws := s.watches[l]; ws == nil {
-		s.watches[l] = append(make([]watcher, 0, 4), w)
-	} else {
-		s.watches[l] = append(ws, w)
+	if s.watches[l] == nil {
+		s.watches[l] = make([]watcher, 0, 4)
 	}
+	s.watches[l] = append(s.watches[l], w)
 }
 
 func (s *Solver) attachLearnt(lits []Lit) clauseRef {
@@ -449,12 +533,12 @@ func (s *Solver) dropDeletedWatchers() {
 	for l, ws := range s.watches {
 		j := 0
 		for _, w := range ws {
-			if s.arena[w.cref]&hdrDeleted == 0 {
+			if s.arena[w.ref()]&hdrDeleted == 0 {
 				ws[j] = w
 				j++
 			}
 		}
-		s.watches[l] = ws[:j]
+		s.watches[l] = s.watches[l][:j]
 	}
 }
 
@@ -477,8 +561,8 @@ func (s *Solver) compact() {
 		c += n
 	}
 	for _, ws := range s.watches {
-		for i := range ws {
-			ws[i].cref = clauseRef(old[ws[i].cref])
+		for i, w := range ws {
+			ws[i].cref = clauseRef(old[w.ref()]) | w.cref&binWatch
 		}
 	}
 	for v, r := range s.reason {
@@ -519,13 +603,15 @@ func (s *Solver) enqueue(l Lit, from clauseRef) bool {
 // nilClauseIdx. Watcher lists are compacted in place: j trails i over the
 // watchers that stay.
 func (s *Solver) propagate() clauseRef {
-	arena, vals := s.arena, s.vals
+	// No variable is added during propagation, so watches keeps its
+	// backing array; watchClause updates the lists in place.
+	arena, vals, watches := s.arena, s.vals, s.watches
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Propagations++
 		falseLit := p.Not()
-		ws := s.watches[p]
+		ws := watches[p]
 		i, j := 0, 0
 		conflict := nilClauseIdx
 		for i < len(ws) {
@@ -534,6 +620,25 @@ func (s *Solver) propagate() clauseRef {
 			if vals[w.blocker] == lTrue {
 				ws[j] = w
 				j++
+				continue
+			}
+			if w.cref < 0 {
+				// A binary clause whose other literal, the blocker, is
+				// not true: it is implied, or the clause is false. The
+				// walk below would decide the same, keeping the watcher.
+				ws[j] = w
+				j++
+				c := w.ref()
+				if vals[w.blocker] == lFalse {
+					// Leave the literals as the walk would, the other
+					// one first: analyze reads them in that order.
+					arena[c+1], arena[c+2] = w.blocker, falseLit
+					conflict = c
+					s.qhead = len(s.trail)
+					j += copy(ws[j:], ws[i:])
+					break
+				}
+				s.assign(w.blocker, c)
 				continue
 			}
 			c := int(w.cref)
@@ -553,7 +658,7 @@ func (s *Solver) propagate() clauseRef {
 			for k := c + 3; k < end; k++ {
 				if l := arena[k]; vals[l] != lFalse {
 					arena[c+2], arena[k] = l, arena[c+2]
-					s.watches[l.Not()] = append(s.watches[l.Not()], watcher{w.cref, first})
+					s.watchClause(l.Not(), watcher{w.cref, first})
 					found = true
 					break
 				}
@@ -573,7 +678,9 @@ func (s *Solver) propagate() clauseRef {
 			}
 			s.assign(first, w.cref)
 		}
-		s.watches[p] = ws[:j]
+		// The self-assignment form writes back only the length: no
+		// pointer store, so no write barrier per propagated literal.
+		watches[p] = watches[p][:j]
 		if conflict != nilClauseIdx {
 			return conflict
 		}
@@ -597,7 +704,7 @@ func (s *Solver) cancelUntil(lvl int) {
 		s.vals[l] = lUndef
 		s.vals[l^1] = lUndef
 		s.reason[v] = nilReason
-		s.heap.pushIfAbsent(v, s.activity)
+		s.heap.push(v, s.activity[v])
 	}
 	s.qhead = s.trailLim[lvl]
 	s.trail = s.trail[:s.trailLim[lvl]]
@@ -610,9 +717,10 @@ func (s *Solver) bumpVar(v Var) {
 		for i := range s.activity {
 			s.activity[i] *= 1e-100
 		}
+		s.heap.rescale(1e-100)
 		s.varInc *= 1e-100
 	}
-	s.heap.update(v, s.activity)
+	s.heap.increase(v, s.activity[v])
 }
 
 const varDecay = 1.0 / 0.95
@@ -681,7 +789,9 @@ func (s *Solver) analyze(confl clauseRef) ([]Lit, int) {
 	// level 0) is implied by the rest and can be dropped. The seen marks
 	// of dropped literals stay in place during the pass — redundancy is
 	// judged against the originally collected set, which is sound by
-	// induction — and are cleared afterwards.
+	// induction — and are cleared afterwards. The literal a reason
+	// implies is skipped by its variable: a binary reason may hold it
+	// second, since propagate never reorders binary clauses.
 	kept := 1
 	dropped := s.droppedBuf[:0]
 	for i := 1; i < len(learnt); i++ {
@@ -689,8 +799,8 @@ func (s *Solver) analyze(confl clauseRef) ([]Lit, int) {
 		redundant := false
 		if r := s.reason[v]; r != nilReason {
 			redundant = true
-			for _, q := range s.lits(r)[1:] {
-				if !s.seen[q.Var()] && s.level[q.Var()] != 0 {
+			for _, q := range s.lits(r) {
+				if qv := q.Var(); qv != v && !s.seen[qv] && s.level[qv] != 0 {
 					redundant = false
 					break
 				}
@@ -738,7 +848,7 @@ func (s *Solver) pickBranchLit() Lit {
 		return -1
 	}
 	for {
-		v, ok := s.heap.popMax(s.activity)
+		v, ok := s.heap.popMax()
 		if !ok {
 			return -1
 		}
@@ -898,7 +1008,7 @@ func (s *Solver) Value(v Var) bool {
 func (s *Solver) saveModel() {
 	n := s.NumVars()
 	if s.model == nil || cap(s.model) < n {
-		s.model = make([]bool, n)
+		s.model = make([]bool, n, cap(s.level))
 	}
 	s.model = s.model[:n]
 	for v := range s.model {

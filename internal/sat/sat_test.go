@@ -464,8 +464,8 @@ func TestReductionActuallyFires(t *testing.T) {
 		}
 		for l, ws := range s.watches {
 			for _, w := range ws {
-				if s.arena[w.cref]&hdrDeleted != 0 {
-					t.Fatalf("reduction %d: literal %v still watches deleted clause %d", reductions, Lit(l), w.cref)
+				if s.arena[w.ref()]&hdrDeleted != 0 {
+					t.Fatalf("reduction %d: literal %v still watches deleted clause %d", reductions, Lit(l), w.ref())
 				}
 			}
 		}
