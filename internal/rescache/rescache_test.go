@@ -22,6 +22,12 @@ func k(expr string) Key {
 	return Key{Expr: expr, Analysis: "known bits", Budget: 100, Config: "cfg"}
 }
 
+// kBool is k for a bool analysis, whose entries Load accepts holding an
+// oracle.BoolResult.
+func kBool(expr string) Key {
+	return Key{Expr: expr, Analysis: "non-zero", Budget: 100, Config: "cfg"}
+}
+
 func sampleEntries() map[Key]Entry {
 	feasible := oracle.Outcome{Feasible: true}
 	return map[Key]Entry{
@@ -220,8 +226,9 @@ func TestLoadRejectsCorruptFile(t *testing.T) {
 
 // TestLoadRejectsImpossibleEntries: an entry no oracle run produces is
 // refused, with the entry named. Known bits never claim a bit both zero
-// and one, every value has at least one sign bit, and no computation
-// takes negative time.
+// and one, every value has at least one sign bit and at most 64, no
+// computation takes negative time, and each analysis's results take one
+// kind.
 func TestLoadRejectsImpossibleEntries(t *testing.T) {
 	const head = `{"tool":"dfcheck-rescache","version":1,"entries":[`
 	for _, tc := range []struct{ entry, wantErr string }{
@@ -233,13 +240,21 @@ func TestLoadRejectsImpossibleEntries(t *testing.T) {
 			`entry 0 (sign bits of "e"): rescache: signbits entry without a count`},
 		{`{"expr":"e","analysis":"non-zero","kind":"bool","elapsed_ns":-5,"feasible":true,"proved":true}`,
 			`entry 0 (non-zero of "e"): rescache: negative elapsed_ns -5`},
+		{`{"expr":"e","analysis":"sign bits","kind":"signbits","elapsed_ns":1,"feasible":true,"sign_bits":200}`,
+			`entry 0 (sign bits of "e"): rescache: signbits count 200 above the widest value's 64 bits`},
+		{`{"expr":"e","analysis":"known bits","kind":"bool","elapsed_ns":1,"feasible":true,"proved":true}`,
+			`entry 0 (known bits of "e"): rescache: bool entry for known bits, whose results are knownbits`},
+		{`{"expr":"e","analysis":"tnum","kind":"bool","elapsed_ns":1,"feasible":true}`,
+			`entry 0 (tnum of "e"): rescache: no oracle analysis is named "tnum"`},
 	} {
 		rejectingLoad(t, head+tc.entry+`]}`, tc.wantErr)
 	}
 }
 
-// FuzzLoad: no input makes Load panic, and a file Load accepts comes back
-// with the same entries from Save and a second Load.
+// FuzzLoad: no input makes Load panic, a file Load accepts holds only
+// entries whose kind is their analysis's and sign-bit counts a value can
+// have, and it comes back with the same entries from Save and a second
+// Load.
 func FuzzLoad(f *testing.F) {
 	c := New()
 	for key, e := range sampleEntries() {
@@ -250,6 +265,10 @@ func FuzzLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	// Entries Load must refuse: a kind that is not its analysis's, and
+	// more sign bits than any value has.
+	f.Add([]byte(`{"tool":"dfcheck-rescache","version":1,"entries":[{"expr":"e","analysis":"known bits","kind":"bool","elapsed_ns":1,"feasible":true,"proved":true}]}`))
+	f.Add([]byte(`{"tool":"dfcheck-rescache","version":1,"entries":[{"expr":"e","analysis":"sign bits","kind":"signbits","elapsed_ns":1,"feasible":true,"sign_bits":200}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		first := New()
 		if first.Load(bytes.NewReader(data)) != nil {
@@ -258,6 +277,11 @@ func FuzzLoad(f *testing.F) {
 		var saved bytes.Buffer
 		if err := first.Save(&saved); err != nil {
 			t.Fatal(err)
+		}
+		for key, e := range first.snapshot() {
+			if we, _ := encodeEntry(key, e); we.Kind != analysisKind[key.Analysis] || we.NumSignBits > apint.MaxWidth {
+				t.Fatalf("accepted an entry no oracle produces: %+v", we)
+			}
 		}
 		second := New()
 		if err := second.Load(&saved); err != nil {

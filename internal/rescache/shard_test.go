@@ -103,7 +103,7 @@ func TestConcurrentGetPutSaveAcrossShards(t *testing.T) {
 					return
 				default:
 				}
-				key := k(fmt.Sprintf("expr-%d-%d", g, i%64))
+				key := kBool(fmt.Sprintf("expr-%d-%d", g, i%64))
 				if _, ok := c.Get(key); !ok {
 					c.Put(key, Entry{
 						Value:   oracle.BoolResult{Outcome: oracle.Outcome{Feasible: true}, Proved: i%2 == 0},
@@ -181,7 +181,7 @@ func TestCrashMidSaveLeavesLoadableFile(t *testing.T) {
 	}
 
 	// The next save writes through its own temp and wins cleanly.
-	c.Put(k("post-crash"), Entry{Value: oracle.BoolResult{Proved: true}})
+	c.Put(kBool("post-crash"), Entry{Value: oracle.BoolResult{Proved: true}})
 	if err := c.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestCrashMidSaveLeavesLoadableFile(t *testing.T) {
 	if got2.Len() != c.Len() {
 		t.Fatalf("post-crash save has %d entries, want %d", got2.Len(), c.Len())
 	}
-	if _, ok := got2.Get(k("post-crash")); !ok {
+	if _, ok := got2.Get(kBool("post-crash")); !ok {
 		t.Fatal("post-crash entry missing from snapshot")
 	}
 }
