@@ -507,8 +507,7 @@ func benchCacheKeys(n int) []rescache.Key {
 	keys := make([]rescache.Key, n)
 	for i := range keys {
 		keys[i] = rescache.Key{
-			Expr:     fmt.Sprintf("%%x:i8 = var\n%%0:i8 = and %d:i8, %%x\n%%1:i8 = add %%x, %%0\ninfer %%1", i),
-			Analysis: "known bits",
+			Expr: fmt.Sprintf("%%x:i8 = var\n%%0:i8 = and %d:i8, %%x\n%%1:i8 = add %%x, %%0\ninfer %%1", i),
 		}
 	}
 	return keys
@@ -520,7 +519,7 @@ func benchCacheKeys(n int) []rescache.Key {
 // with an occasional writer installing a new one.
 func benchCacheParallel(b *testing.B, get func(rescache.Key) (rescache.Entry, bool), put func(rescache.Key, rescache.Entry)) {
 	keys := benchCacheKeys(1024)
-	ent := rescache.Entry{Value: `{"bits":"0000xxxx"}`}
+	ent := rescache.Entry{Sign: oracle.SignBitsResult{NumSignBits: 4}}
 	for _, k := range keys {
 		put(k, ent)
 	}

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -110,10 +109,10 @@ type Comparator struct {
 	// beyond it come back as resource exhaustion, like the paper's
 	// five-minute cap (§4.1). Zero means no cap.
 	ExprTimeout time.Duration
-	// Cache, when set, memoizes oracle results per (canonical expression,
-	// analysis): every expression is canonicalized (internal/canon), so
+	// Cache, when set, memoizes the oracle's eight results per canonical
+	// expression: every expression is canonicalized (internal/canon), so
 	// alpha-variants — renamed inputs, reordered commutative operands —
-	// share entries within a run and, if the cache is persisted, across
+	// share an entry within a run and, if the cache is persisted, across
 	// runs. This exploits the §3.1 duplication statistics the way the
 	// original artifact's Redis store did. Reports are the same with or
 	// without it.
@@ -156,25 +155,19 @@ type Comparator struct {
 	Reduce bool
 
 	// flight collapses identical in-flight oracle work behind the cache,
-	// per rescache key, across the worker pool and across concurrent
-	// callers sharing this Comparator (a campaign and the fact service):
-	// the cache answers queries that finished, the flight answers
-	// queries that are still running. Waiters count into the
-	// flight_collapsed metric and adopt the leader's result like a cache
-	// hit, so the report is unchanged. It is used only with a cache,
-	// and it is the only dedup the fact service's queries pass through.
-	flight group
+	// per rescache key, that is per canonical expression, across the
+	// worker pool and across concurrent callers sharing this Comparator
+	// (a campaign and the fact service): the cache answers expressions
+	// that finished, the flight answers expressions that are still
+	// running. Waiters count into the flight_collapsed metric and adopt
+	// the leader's results like a cache hit, so the report is unchanged.
+	// It is used only with a cache, and it is the only dedup the fact
+	// service's queries pass through.
+	flight group[rescache.Key, oracle.All]
 	// flightHook, when set, runs at the start of every flight leader's
 	// computation. Tests use it to hold the leader until all expected
 	// waiters have attached, making collapse counts deterministic.
 	flightHook func()
-}
-
-// analysisOrder maps oracleSet.Elapsed indices to analysis names, in the
-// Table 1 order oracleFor runs them.
-var analysisOrder = [8]harvest.Analysis{
-	harvest.KnownBits, harvest.SignBits, harvest.NonZero, harvest.Negative,
-	harvest.NonNegative, harvest.PowerOfTwo, harvest.IntegerRange, harvest.DemandedBits,
 }
 
 // rootSpan returns ctx carrying the span this run's expression spans nest
@@ -310,7 +303,7 @@ func (c *Comparator) markBusy(delta int64) {
 
 // oracleSet bundles the eight oracle facts for one expression, plus the
 // time each took and the solver work they cost. Indices into Elapsed
-// follow the Table 1 analysis order.
+// follow the Table 1 analysis order, harvest.AllAnalyses.
 type oracleSet struct {
 	Known    oracle.KnownBitsResult
 	Sign     oracle.SignBitsResult
@@ -357,32 +350,19 @@ func (c *Comparator) DomainNames() string {
 	return sb.String()
 }
 
-// flightVal is what one flight computes: the analysis result and the
-// time it took (replayed by waiters, like a cache hit).
-type flightVal struct {
-	v       any
-	elapsed time.Duration
-}
-
-// flightKey renders a rescache key for the flight's map. NUL
-// separators keep distinct keys from colliding (no key field contains
-// NUL).
-func flightKey(k rescache.Key) string {
-	return k.Expr + "\x00" + k.Analysis + "\x00" + strconv.FormatInt(k.Budget, 10) + "\x00" + k.Config
-}
-
-// oracleFor runs the eight oracle algorithms on f, in Table 1 order,
-// under the per-expression deadline, timing each. One engine serves
-// every analysis, so the bit-blasted circuit, learned clauses, and the
-// expression's total conflict budget are shared across them.
+// oracleFor runs the oracle on f under the per-expression deadline:
+// oracle.AnalyzeAllWith's eight algorithms, in Table 1 order, on one
+// engine, so the bit-blasted circuit, learned clauses, and the
+// expression's total conflict budget are shared across them. Known
+// bits' time includes building the engine and the seed.
 //
 // With a cache, f is canonicalized and the oracle runs on the canonical
-// form: each analysis is looked up under its rescache key, joins an
-// identical computation already in flight (in this Run, a concurrent
-// Run, or the fact service), or, as the flight's leader, re-checks the
-// cache and then computes and stores. Demanded-bits entries live in the
-// canonical variable namespace, so they serve every alpha-variant; the
-// returned set names them in f's own variables.
+// form, the cache's unit: the expression is looked up under its
+// rescache key, joins an identical computation already in flight (in
+// this Run, a concurrent Run, or the fact service), or, as the flight's
+// leader, re-checks the cache and then computes and stores. Demanded-bits
+// masks live in the canonical variable namespace, so they serve every
+// alpha-variant; the returned set names them in f's own variables.
 // Results computed while ctx is (or becomes) cancelled are never stored:
 // a cancellation-degraded result in a persisted cache would make a
 // resumed campaign silently diverge from an uninterrupted one.
@@ -391,133 +371,83 @@ func (c *Comparator) oracleFor(ctx context.Context, f *ir.Function) *oracleSet {
 	if c.ExprTimeout > 0 {
 		deadline = time.Now().Add(c.ExprTimeout)
 	}
-	o := &oracleSet{}
 	var cn *canon.Canon
-	var cfg string
 	g := f // the function the oracle analyzes
 	if c.Cache != nil {
 		cn = canon.Canonicalize(f)
-		g, cfg, o.Hash = cn.F, c.cacheConfig(), cn.Hash
+		g = cn.F
 	}
 	sp := c.exprSpan(ctx, g, cn)
-	// The engine and the seed are built on first use, so an expression
-	// the cache answers in full constructs neither. A seed built after
-	// known bits are in starts out enriched with them.
-	var eng solver.Engine
-	engine := func() solver.Engine {
-		if eng == nil {
-			eng = c.newEngine(ctx, g, deadline)
-		}
-		return eng
+	var st solver.Stats // the solver work this call did, none for a shared result
+	solve := func() oracle.All {
+		start := time.Now()
+		e := c.newEngine(ctx, g, deadline)
+		sd := oracle.ComputeSeed(g)
+		setup := time.Since(start)
+		e.SetTraceSpan(sp)
+		a := oracle.AnalyzeAllWith(e, g, sd)
+		a.Elapsed[0] += setup
+		st = e.Stats()
+		return a
 	}
-	var sd *oracle.Seed
-	seed := func() oracle.Seed {
-		if sd == nil {
-			s := oracle.ComputeSeed(g)
-			if o.Known.Feasible {
-				s.EnrichFromKnown(o.Known.Bits, !o.Known.Exhausted)
-			}
-			sd = &s
-		}
-		return *sd
+	var a oracle.All
+	if c.Cache == nil {
+		a = solve()
+	} else {
+		a = c.cached(ctx, cn, solve)
 	}
-	// step fills analysis i: compute runs it on the engine and stores the
-	// result in o; fromCache adopts a cached or in-flight value into o,
-	// reporting whether it had the analysis's result type.
-	step := func(i int, fromCache func(any) bool, compute func(e solver.Engine) any) {
-		solve := func() flightVal {
-			start := time.Now()
-			e := engine()
-			asp := sp.Child(trace.KindAnalysis, string(analysisOrder[i]))
-			e.SetTraceSpan(asp)
-			v := compute(e)
-			asp.End()
-			return flightVal{v: v, elapsed: time.Since(start)}
-		}
-		if c.Cache == nil {
-			o.Elapsed[i] = solve().elapsed
-			return
-		}
-		k := rescache.Key{Expr: cn.Key, Analysis: string(analysisOrder[i]), Budget: c.Budget, Config: cfg}
-		if e, ok := c.Cache.Get(k); ok && fromCache(e.Value) {
-			o.Elapsed[i] = e.Elapsed
-			return
-		}
-		adopted := false
-		res, _, shared := c.flight.Do(flightKey(k), func() (any, error) {
-			if c.flightHook != nil {
-				c.flightHook()
-			}
-			// A leader that finished between the Get above and this
-			// flight has stored its result: adopt it instead of solving
-			// again. Peek leaves the hit and miss counts alone.
-			if e, ok := c.Cache.Peek(k); ok && fromCache(e.Value) {
-				adopted = true
-				return flightVal{v: e.Value, elapsed: e.Elapsed}, nil
-			}
-			fv := solve()
-			if ctx.Err() == nil { // possibly degraded by cancellation: do not memoize
-				c.Cache.Put(k, rescache.Entry{Value: fv.v, Elapsed: fv.elapsed})
-			}
-			return fv, nil
-		})
-		fv, _ := res.(flightVal)
-		if (shared || adopted) && c.Metrics != nil {
-			c.Metrics.Counter("flight_collapsed").Inc()
-		}
-		if shared {
-			if !fromCache(fv.v) {
-				// Unreachable unless the leader panicked: its value always
-				// has the key's result type. Recompute locally.
-				fv = solve()
-			}
-		}
-		o.Elapsed[i] = fv.elapsed
-	}
-	step(0,
-		func(v any) (ok bool) { o.Known, ok = v.(oracle.KnownBitsResult); return },
-		func(e solver.Engine) any { o.Known = oracle.KnownBitsSeeded(e, g, seed()); return o.Known })
-	// Whether the known bits came from the cache or a fresh run, they
-	// enrich the seed for the analyses below.
-	if sd != nil && o.Known.Feasible {
-		sd.EnrichFromKnown(o.Known.Bits, !o.Known.Exhausted)
-	}
-	step(1,
-		func(v any) (ok bool) { o.Sign, ok = v.(oracle.SignBitsResult); return },
-		func(e solver.Engine) any { o.Sign = oracle.SignBitsSeeded(e, g, seed()); return o.Sign })
-	step(2,
-		func(v any) (ok bool) { o.NonZero, ok = v.(oracle.BoolResult); return },
-		func(e solver.Engine) any { o.NonZero = oracle.NonZeroSeeded(e, g, seed()); return o.NonZero })
-	step(3,
-		func(v any) (ok bool) { o.Negative, ok = v.(oracle.BoolResult); return },
-		func(e solver.Engine) any { o.Negative = oracle.NegativeSeeded(e, g, seed()); return o.Negative })
-	step(4,
-		func(v any) (ok bool) { o.NonNeg, ok = v.(oracle.BoolResult); return },
-		func(e solver.Engine) any { o.NonNeg = oracle.NonNegativeSeeded(e, g, seed()); return o.NonNeg })
-	step(5,
-		func(v any) (ok bool) { o.Pow2, ok = v.(oracle.BoolResult); return },
-		func(e solver.Engine) any { o.Pow2 = oracle.PowerOfTwoSeeded(e, g, seed()); return o.Pow2 })
-	step(6,
-		func(v any) (ok bool) { o.Range, ok = v.(oracle.RangeResult); return },
-		func(e solver.Engine) any { o.Range = oracle.IntegerRangeSeeded(e, g, seed()); return o.Range })
-	step(7,
-		func(v any) (ok bool) { o.Demanded, ok = v.(oracle.DemandedBitsResult); return },
-		func(e solver.Engine) any { o.Demanded = oracle.DemandedBitsSeeded(e, g, seed()); return o.Demanded })
+	endExprSpan(sp, st)
+	o := &oracleSet{Known: a.Known, Sign: a.Sign, NonZero: a.NonZero, Negative: a.Negative,
+		NonNeg: a.NonNegative, Pow2: a.PowerOfTwo, Range: a.Range, Demanded: a.Demanded,
+		Elapsed: a.Elapsed, Solver: st}
 	if cn != nil {
+		o.Hash = cn.Hash
 		// A fresh map: the canonical one may be shared through the cache.
 		dm := make(map[string]apint.Int, len(f.Vars))
 		for _, v := range f.Vars {
-			if m, ok := o.Demanded.Demanded[cn.CanonName(v.Name)]; ok {
+			if m, ok := a.Demanded.Demanded[cn.CanonName(v.Name)]; ok {
 				dm[v.Name] = m
 			}
 		}
 		o.Demanded.Demanded = dm
 	}
-	if eng != nil {
-		o.Solver = eng.Stats()
-	}
-	endExprSpan(sp, o.Solver)
 	return o
+}
+
+// cached answers the canonical expression cn from the cache, from an
+// identical computation in flight, or, as the flight's leader, from
+// solve, storing its results unless ctx is cancelled.
+func (c *Comparator) cached(ctx context.Context, cn *canon.Canon, solve func() oracle.All) oracle.All {
+	k := rescache.Key{Expr: cn.Key, Budget: c.Budget, Config: c.cacheConfig()}
+	if a, ok := c.Cache.Get(k); ok {
+		return a
+	}
+	adopted := false
+	a, err, shared := c.flight.Do(k, func() (oracle.All, error) {
+		if c.flightHook != nil {
+			c.flightHook()
+		}
+		// A leader that finished between the Get above and this flight
+		// has stored its results: adopt them instead of solving again.
+		// Peek leaves the hit and miss counts alone.
+		if a, ok := c.Cache.Peek(k); ok {
+			adopted = true
+			return a, nil
+		}
+		a := solve()
+		if ctx.Err() == nil { // possibly degraded by cancellation: do not memoize
+			c.Cache.Put(k, a)
+		}
+		return a, nil
+	})
+	if (shared || adopted) && c.Metrics != nil {
+		c.Metrics.Counter("flight_collapsed").Inc()
+	}
+	if err != nil {
+		// The leader panicked and left no results: solve here.
+		return solve()
+	}
+	return a
 }
 
 // classify turns the oracle facts and the LLVM-port facts for f into the

@@ -419,43 +419,3 @@ func TestOracleForMatchesAnalyzeAll(t *testing.T) {
 		}
 	}
 }
-
-// TestOracleForEnrichesLateSeed: when known bits come from the cache and
-// the analyses after them miss, the seed built for those analyses must
-// start out enriched with the cached known bits, exactly as in the
-// reference sequence that computed them.
-func TestOracleForEnrichesLateSeed(t *testing.T) {
-	for _, e := range oracleForCorpus() {
-		warm := &Comparator{Analyzer: &llvmport.Analyzer{}, Cache: rescache.New()}
-		warm.oracleFor(context.Background(), e.F)
-		cn := canon.Canonicalize(e.F)
-		k := rescache.Key{Expr: cn.Key, Analysis: string(harvest.KnownBits), Config: warm.cacheConfig()}
-		entry, ok := warm.Cache.Get(k)
-		if !ok {
-			t.Fatalf("%s: no cached known bits", e.Name)
-		}
-		// A cache holding only the known bits.
-		c := &Comparator{Analyzer: &llvmport.Analyzer{}, Cache: rescache.New()}
-		c.Cache.Put(k, entry)
-		got := c.oracleFor(context.Background(), e.F)
-
-		g, known := cn.F, entry.Value.(oracle.KnownBitsResult)
-		sd := oracle.ComputeSeed(g)
-		if known.Feasible {
-			sd.EnrichFromKnown(known.Bits, !known.Exhausted)
-		}
-		eng := solver.NewEngine(g, solver.Config{})
-		oracle.SignBitsSeeded(eng, g, sd)
-		oracle.NonZeroSeeded(eng, g, sd)
-		oracle.NegativeSeeded(eng, g, sd)
-		oracle.NonNegativeSeeded(eng, g, sd)
-		oracle.PowerOfTwoSeeded(eng, g, sd)
-		oracle.IntegerRangeSeeded(eng, g, sd)
-		oracle.DemandedBitsSeeded(eng, g, sd)
-		ws, gs := eng.Stats(), got.Solver
-		if gs.Queries != ws.Queries || gs.Pruned != ws.Pruned || gs.Conflicts != ws.Conflicts {
-			t.Errorf("%s: queries/pruned/conflicts %d/%d/%d, want %d/%d/%d", e.Name,
-				gs.Queries, gs.Pruned, gs.Conflicts, ws.Queries, ws.Pruned, ws.Conflicts)
-		}
-	}
-}

@@ -8,9 +8,9 @@ import (
 
 // flightCall is one in-flight computation: the leader fills val/err and
 // closes done; waiters block on done and read the shared result.
-type flightCall struct {
+type flightCall[V any] struct {
 	done chan struct{}
-	val  any
+	val  V
 	err  error
 }
 
@@ -26,9 +26,9 @@ type flightCall struct {
 // deduplicates the race window the cache cannot see.
 //
 // The zero value is ready to use.
-type group struct {
+type group[K comparable, V any] struct {
 	mu        sync.Mutex
-	calls     map[string]*flightCall
+	calls     map[K]*flightCall[V]
 	collapsed atomic.Uint64
 }
 
@@ -43,10 +43,10 @@ type group struct {
 //
 // If fn panics, waiters receive an error describing the panic and the
 // panic is re-raised on the leader's goroutine.
-func (g *group) Do(key string, fn func() (any, error)) (val any, err error, shared bool) {
+func (g *group[K, V]) Do(key K, fn func() (V, error)) (val V, err error, shared bool) {
 	g.mu.Lock()
 	if g.calls == nil {
-		g.calls = make(map[string]*flightCall)
+		g.calls = make(map[K]*flightCall[V])
 	}
 	if c, ok := g.calls[key]; ok {
 		g.collapsed.Add(1)
@@ -54,7 +54,7 @@ func (g *group) Do(key string, fn func() (any, error)) (val any, err error, shar
 		<-c.done
 		return c.val, c.err, true
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := &flightCall[V]{done: make(chan struct{})}
 	g.calls[key] = c
 	g.mu.Unlock()
 
@@ -68,7 +68,7 @@ func (g *group) Do(key string, fn func() (any, error)) (val any, err error, shar
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			c.err = fmt.Errorf("compare: flight %q panicked: %v", key, r)
+			c.err = fmt.Errorf("compare: flight %v panicked: %v", key, r)
 			release()
 			panic(r)
 		}
@@ -80,10 +80,10 @@ func (g *group) Do(key string, fn func() (any, error)) (val any, err error, shar
 
 // Collapsed returns the cumulative number of calls that shared another
 // caller's execution instead of running their own.
-func (g *group) Collapsed() uint64 { return g.collapsed.Load() }
+func (g *group[K, V]) Collapsed() uint64 { return g.collapsed.Load() }
 
 // InFlight returns the number of keys currently executing.
-func (g *group) InFlight() int {
+func (g *group[K, V]) InFlight() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return len(g.calls)

@@ -101,11 +101,11 @@ func TestFlightSequentialRunsDoNotCollapse(t *testing.T) {
 	}
 }
 
-// The cache's per-analysis flight: 8 goroutines querying the same
-// expression through OracleFacts (the fact service's query path) share
-// one comparator with a cold sharded cache. Every (analysis) solve must
-// happen exactly once — answered by the cache for late arrivals or by
-// the flight for racers — never 8 times.
+// The cache's flight: 8 goroutines querying the same expression through
+// OracleFacts (the fact service's query path) share one comparator with
+// a cold sharded cache. The expression must be solved exactly once, on
+// one engine — answered by the cache for late arrivals or by the flight
+// for racers — never 8 times.
 func TestCachedFlightDeduplicatesOracleFacts(t *testing.T) {
 	const n = 8
 	reg := metrics.NewRegistry()
@@ -138,17 +138,14 @@ func TestCachedFlightDeduplicatesOracleFacts(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Each analysis was solved at most once: a solo uncached run of the
-	// same expression bounds the concurrent total. (Engine state differs
-	// slightly between a shared-engine solo run and per-leader engines,
-	// so allow headroom — the point is the 8x redundancy is gone.)
+	// The expression was solved once: the concurrent total is what one
+	// cold cached query of it costs.
 	soloReg := metrics.NewRegistry()
-	solo := &Comparator{Analyzer: &llvmport.Analyzer{}, Workers: 1, Metrics: soloReg}
-	solo.Run([]harvest.Expr{{Name: "solo", F: f, Freq: 1}})
+	solo := &Comparator{Analyzer: &llvmport.Analyzer{}, Cache: rescache.New(), Metrics: soloReg}
+	solo.OracleFacts(context.Background(), f)
 	soloQ := soloReg.Counter("solver_queries").Value()
-	gotQ := reg.Counter("solver_queries").Value()
-	if gotQ > 2*soloQ {
-		t.Errorf("concurrent cached queries cost %d solver queries; solo costs %d — dedup failed", gotQ, soloQ)
+	if gotQ := reg.Counter("solver_queries").Value(); soloQ == 0 || gotQ != soloQ {
+		t.Errorf("concurrent cached queries cost %d solver queries; one cold cached query costs %d", gotQ, soloQ)
 	}
 	if collapsed := c.flight.Collapsed(); collapsed < n-1 {
 		t.Errorf("flight collapsed %d queries, want at least %d", collapsed, n-1)
@@ -163,9 +160,9 @@ func TestCachedFlightDeduplicatesOracleFacts(t *testing.T) {
 // The flight's lookup→join window: a caller misses the cache, and before
 // it joins the flight another caller's leader stores its results and
 // leaves. The hook stands in for that leader, loading a warm cache's
-// entries when the call's first flight starts. The leader must re-check
+// entry when the call's first flight starts. The leader must re-check
 // the cache and adopt the entry instead of solving a second time: no
-// solver query, one miss, seven hits, and one adoption counted in
+// solver query, one miss, no hit, and one adoption counted in
 // flight_collapsed.
 func TestFlightLeaderRechecksCache(t *testing.T) {
 	src := "%x:i8 = var\n%0:i8 = and 15:i8, %x\ninfer %0"
@@ -195,8 +192,8 @@ func TestFlightLeaderRechecksCache(t *testing.T) {
 	if q := reg.Counter("solver_queries").Value(); q != 0 {
 		t.Errorf("solver_queries = %d, want 0 (the leader re-checks the cache)", q)
 	}
-	if st := c.Cache.Stats(); st.Misses != 1 || st.Hits != 7 {
-		t.Errorf("cache stats %+v, want 1 miss and 7 hits (the re-check counts neither)", st)
+	if st := c.Cache.Stats(); st.Misses != 1 || st.Hits != 0 {
+		t.Errorf("cache stats %+v, want 1 miss and no hit (the re-check counts neither)", st)
 	}
 	if n := reg.Counter("flight_collapsed").Value(); n != 1 {
 		t.Errorf("flight_collapsed = %d, want 1 (the adopted entry)", n)

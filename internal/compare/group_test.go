@@ -16,7 +16,7 @@ import (
 // timing-dependent.
 func TestGroupCollapses100ConcurrentIdenticalCalls(t *testing.T) {
 	const n = 100
-	var g group
+	var g group[string, any]
 	var execs atomic.Int64
 	fn := func() (any, error) {
 		execs.Add(1)
@@ -72,7 +72,7 @@ func TestGroupCollapses100ConcurrentIdenticalCalls(t *testing.T) {
 
 // Distinct keys must not serialize on each other.
 func TestGroupDistinctKeysRunIndependently(t *testing.T) {
-	var g group
+	var g group[string, any]
 	var execs atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -97,7 +97,7 @@ func TestGroupDistinctKeysRunIndependently(t *testing.T) {
 // A group is not a cache: sequential calls with the same key each
 // execute (memoization belongs to rescache).
 func TestGroupSequentialCallsRerun(t *testing.T) {
-	var g group
+	var g group[string, any]
 	var execs int
 	for i := 0; i < 3; i++ {
 		if _, err, shared := g.Do("k", func() (any, error) { execs++; return nil, nil }); err != nil || shared {
@@ -114,7 +114,7 @@ func TestGroupSequentialCallsRerun(t *testing.T) {
 
 // Errors are shared like values.
 func TestGroupSharesError(t *testing.T) {
-	var g group
+	var g group[string, any]
 	want := errors.New("solve failed")
 	_, err, _ := g.Do("k", func() (any, error) { return nil, want })
 	if err != want {
@@ -126,7 +126,7 @@ func TestGroupSharesError(t *testing.T) {
 // re-panic on its own goroutine — waiters deadlocking on a dead flight
 // would hang the whole worker pool.
 func TestGroupPanicReleasesWaiters(t *testing.T) {
-	var g group
+	var g group[string, any]
 	started := make(chan struct{})
 	waiterDone := make(chan error, 1)
 	go func() {

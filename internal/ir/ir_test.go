@@ -193,6 +193,7 @@ func TestParseErrors(t *testing.T) {
 		{"duplicate infer", "%x:i8 = var\ninfer %x\ninfer %x", "duplicate infer"},
 		{"bad range", "%x:i8 = var (range=[1..3))\ninfer %x", "bad range"},
 		{"cmp untyped const", "%x:i8 = var\n%0:i1 = eq 0, %x\ninfer %0", "needs a :iN width"},
+		{"bad name", "%a b:i8 = var\n%0:i8 = add %a b, 1:i8\ninfer %0", "bad name"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -15,8 +15,9 @@ import (
 //	%name:iN = op[flags] operand, operand ...
 //	infer %name
 //
-// Operands are %name references or value:iN constants (value may be
-// negative). Comments start with ';' and run to end of line.
+// Names are made of letters, digits and '-', '$', '.', '_'. Operands are
+// %name references or value:iN constants (value may be negative).
+// Comments start with ';' and run to end of line.
 func Parse(src string) (*Function, error) {
 	p := &parser{b: NewBuilder(), defs: make(map[string]*Inst)}
 	for lineNo, raw := range strings.Split(src, "\n") {
@@ -224,11 +225,24 @@ func parseTypedName(s string) (string, uint, error) {
 	if !ok || name == "" {
 		return "", 0, fmt.Errorf("expected %%name:iN, got %q", s)
 	}
+	if !ValidName(name) {
+		return "", 0, fmt.Errorf("bad name %q: want letters, digits, '-', '$', '.' and '_'", name)
+	}
 	w, err := parseWidth(widthStr)
 	if err != nil {
 		return "", 0, err
 	}
 	return name, w, nil
+}
+
+// ValidName reports whether s can name a value: it is made of LLVM's
+// unquoted identifier characters, letters, digits and '-', '$', '.', '_',
+// so that it prints as an operand in this text and in the LLVM-like one
+// (internal/llvmir).
+func ValidName(s string) bool {
+	return s != "" && !strings.ContainsFunc(s, func(r rune) bool {
+		return !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || strings.ContainsRune("-$._", r))
+	})
 }
 
 func parseWidth(s string) (uint, error) {

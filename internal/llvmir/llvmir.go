@@ -13,6 +13,7 @@ package llvmir
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -54,6 +55,10 @@ func Print(f *ir.Function) string {
 			continue
 		}
 		name := fmt.Sprintf("%%t%d", next)
+		for slices.ContainsFunc(f.Vars, func(v *ir.Inst) bool { return "%"+v.Name == name }) {
+			next++ // a variable has the name
+			name = fmt.Sprintf("%%t%d", next)
+		}
 		next++
 		names[n] = name
 		fmt.Fprintf(&sb, "  %s = %s\n", name, rhs(n, names))
@@ -90,7 +95,14 @@ func rhs(n *ir.Inst, names map[*ir.Inst]string) string {
 	case ir.OpRotR:
 		return fmt.Sprintf("call %s @llvm.fshr.%s(%s %s, %s %s, %s %s)", ty, ty, ty, a(0), ty, a(0), ty, a(1))
 	case ir.OpFshl, ir.OpFshr:
-		return fmt.Sprintf("call %s @llvm.%s.%s(%s %s, %s %s, %s %s)", ty, n.Op, ty, ty, a(0), ty, a(1), ty, a(2))
+		// A funnel shift of one value twice is LLVM's rotate, which Parse
+		// reads back as rotl/rotr; the custom callee keeps it a funnel
+		// shift.
+		callee := "llvm"
+		if n.Args[0] == n.Args[1] {
+			callee = "souper"
+		}
+		return fmt.Sprintf("call %s @%s.%s.%s(%s %s, %s %s, %s %s)", ty, callee, n.Op, ty, ty, a(0), ty, a(1), ty, a(2))
 	case ir.OpUMin, ir.OpUMax, ir.OpSMin, ir.OpSMax:
 		return fmt.Sprintf("call %s @llvm.%s.%s(%s %s, %s %s)", ty, n.Op, ty, ty, a(0), ty, a(1))
 	case ir.OpAbs:
@@ -139,8 +151,9 @@ func icmpName(op ir.Op) string {
 
 // Parse reads an LLVM-like fragment: either a full "define … { … ret … }"
 // body or the paper's bare assignment list. Undeclared %names become input
-// variables; "%x = range [a,b)" lines attach range metadata; the root is
-// the ret operand, or the last assignment when there is no ret.
+// variables, ordered as the define line lists them and otherwise by first
+// use; "%x = range [a,b)" lines attach range metadata; the root is the
+// ret operand, or the last assignment when there is no ret.
 func Parse(src string) (*ir.Function, error) {
 	p := &llParser{
 		b:    ir.NewBuilder(),
@@ -148,6 +161,7 @@ func Parse(src string) (*ir.Function, error) {
 		rng:  map[string][2]int64{},
 	}
 	var lastDef *ir.Inst
+	var params []string // the define line's parameter names
 	for lineNo, raw := range strings.Split(src, "\n") {
 		line := raw
 		if i := strings.IndexByte(line, ';'); i >= 0 {
@@ -155,7 +169,10 @@ func Parse(src string) (*ir.Function, error) {
 		}
 		line = strings.TrimSpace(line)
 		switch {
-		case line == "" || line == "}" || strings.HasPrefix(line, "define "):
+		case strings.HasPrefix(line, "define "):
+			params = paramNames(line)
+			continue
+		case line == "" || line == "}":
 			continue
 		case strings.HasPrefix(line, "ret "):
 			v, err := p.retOperand(line)
@@ -179,7 +196,29 @@ func Parse(src string) (*ir.Function, error) {
 	if p.root == nil {
 		return nil, fmt.Errorf("llvmir: no instructions")
 	}
-	return p.b.Function(p.root), nil
+	f := p.b.Function(p.root)
+	// Parameters first, in their order; other variables keep theirs.
+	pos := func(v *ir.Inst) int {
+		if i := slices.Index(params, v.Name); i >= 0 {
+			return i
+		}
+		return len(params)
+	}
+	slices.SortStableFunc(f.Vars, func(a, b *ir.Inst) int { return pos(a) - pos(b) })
+	return f, nil
+}
+
+// paramNames lists the names of a define line's "iN %name" parameters.
+func paramNames(line string) []string {
+	_, list, _ := strings.Cut(line, "(")
+	list, _, _ = strings.Cut(list, ")")
+	var names []string
+	for _, param := range strings.Split(list, ",") {
+		if _, name, ok := strings.Cut(strings.TrimSpace(param), " %"); ok {
+			names = append(names, name)
+		}
+	}
+	return names
 }
 
 // MustParse is Parse that panics on error.
@@ -475,8 +514,8 @@ func (p *llParser) call(rest string) (*ir.Inst, error) {
 		if len(args) != 3 {
 			return nil, fmt.Errorf("funnel shifts take three arguments")
 		}
-		// The rotate form canonicalizes to rotl/rotr.
-		if args[0] == args[1] {
+		// LLVM's rotate form canonicalizes to rotl/rotr.
+		if args[0] == args[1] && prefix == "@llvm." {
 			if intrinsic == "fshl" {
 				return p.b.Build(ir.OpRotL, 0, args[0], args[2]), nil
 			}
@@ -499,6 +538,9 @@ func (p *llParser) operand(tok string, w uint) (*ir.Inst, error) {
 				return nil, fmt.Errorf("%%%s used at i%d but has width i%d", name, w, n.Width)
 			}
 			return n, nil
+		}
+		if !ir.ValidName(name) {
+			return nil, fmt.Errorf("bad name %q", tok)
 		}
 		var v *ir.Inst
 		if r, ok := p.rng[name]; ok {

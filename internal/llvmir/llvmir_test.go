@@ -125,6 +125,7 @@ func TestParseErrors(t *testing.T) {
 		{"%0 = call i8 @llvm.umin.i8(i8 %x)", "two arguments"},
 		{"%0 = and nsw i8 %x, %y", "invalid flags"},
 		{"%0 = add i8 %x", "two operands"},
+		{"%0 = add i8 %a b, 1", "bad name"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.src)

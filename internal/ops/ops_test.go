@@ -33,8 +33,8 @@ func newOpsStack(t *testing.T) *httptest.Server {
 		Metrics: reg,
 		SlowLog: slow,
 		Solve: func(ctx context.Context, f *ir.Function) (uint64, []factsvc.Fact, error) {
-			cache.Put(rescache.Key{Expr: "probe", Analysis: "kb"}, rescache.Entry{})
-			cache.Get(rescache.Key{Expr: "probe", Analysis: "kb"})
+			cache.Put(rescache.Key{Expr: "probe"}, rescache.Entry{})
+			cache.Get(rescache.Key{Expr: "probe"})
 			return 1, []factsvc.Fact{{Analysis: "non-zero", Fact: "true"}}, nil
 		},
 	})

@@ -26,9 +26,11 @@ import (
 	"cmp"
 	"math/bits"
 	"slices"
+	"time"
 
 	"dfcheck/internal/apint"
 	"dfcheck/internal/constrange"
+	"dfcheck/internal/harvest"
 	"dfcheck/internal/ir"
 	"dfcheck/internal/knownbits"
 	"dfcheck/internal/solver"
@@ -742,7 +744,8 @@ func (ss *sampleSet) cover(c apint.Int) (apint.Int, bool) {
 }
 
 // All bundles every oracle fact for one function, computed with a shared
-// engine budget — the facts the paper's tool infers per Souper expression.
+// engine budget — the facts the paper's tool infers per Souper expression
+// — and the time each analysis took, in harvest.AllAnalyses order.
 type All struct {
 	Known       KnownBitsResult
 	Sign        SignBitsResult
@@ -752,26 +755,39 @@ type All struct {
 	PowerOfTwo  BoolResult
 	Range       RangeResult
 	Demanded    DemandedBitsResult
+	Elapsed     [8]time.Duration
 }
 
 // AnalyzeAllWith computes every fact on the given engine, so the eight
 // analyses share one bit-blast and one conflict budget. Known bits run
 // first so their exact result can enrich the seed for the analyses that
 // follow; demanded bits prune with the seed's per-variable masks, which
-// enrichment does not touch. Production runs pass solver.NewEngine and
+// enrichment does not touch. Each analysis is timed into All.Elapsed and
+// runs under its own analysis span, a child of the engine's span, which
+// is restored at the end. Production runs pass solver.NewEngine and
 // ComputeSeed; the tests pass the reference engines and seeds.
 func AnalyzeAllWith(e solver.Engine, f *ir.Function, sd Seed) All {
 	var a All
-	a.Known = KnownBitsSeeded(e, f, sd)
+	parent := e.TraceSpan()
+	run := func(i int, analyze func()) {
+		start := time.Now()
+		sp := parent.Child(trace.KindAnalysis, string(harvest.AllAnalyses[i]))
+		e.SetTraceSpan(sp)
+		analyze()
+		sp.End()
+		a.Elapsed[i] = time.Since(start)
+	}
+	run(0, func() { a.Known = KnownBitsSeeded(e, f, sd) })
 	if a.Known.Feasible {
 		sd.EnrichFromKnown(a.Known.Bits, !a.Known.Exhausted)
 	}
-	a.Sign = SignBitsSeeded(e, f, sd)
-	a.NonZero = NonZeroSeeded(e, f, sd)
-	a.Negative = NegativeSeeded(e, f, sd)
-	a.NonNegative = NonNegativeSeeded(e, f, sd)
-	a.PowerOfTwo = PowerOfTwoSeeded(e, f, sd)
-	a.Range = IntegerRangeSeeded(e, f, sd)
-	a.Demanded = DemandedBitsSeeded(e, f, sd)
+	run(1, func() { a.Sign = SignBitsSeeded(e, f, sd) })
+	run(2, func() { a.NonZero = NonZeroSeeded(e, f, sd) })
+	run(3, func() { a.Negative = NegativeSeeded(e, f, sd) })
+	run(4, func() { a.NonNegative = NonNegativeSeeded(e, f, sd) })
+	run(5, func() { a.PowerOfTwo = PowerOfTwoSeeded(e, f, sd) })
+	run(6, func() { a.Range = IntegerRangeSeeded(e, f, sd) })
+	run(7, func() { a.Demanded = DemandedBitsSeeded(e, f, sd) })
+	e.SetTraceSpan(parent)
 	return a
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -17,16 +18,19 @@ import (
 )
 
 // The on-disk format is one JSON document: a version header plus the
-// entries, each carrying its key, a kind tag, and a width-tagged integer
-// encoding of the result — the analog of the artifact's dump.rdb, but
-// text so a cache file is diffable and hand-inspectable. Save writes
-// entries in sorted key order, so saving an unchanged cache is
-// byte-stable.
+// entries, each carrying its key, its analysis, a kind tag, and a
+// width-tagged integer encoding of the result — the analog of the
+// artifact's dump.rdb, but text so a cache file is diffable and
+// hand-inspectable. An in-memory entry, one expression's eight results,
+// is eight wire entries, one per analysis. Save writes the wire entries
+// in sorted key order, so saving an unchanged cache is byte-stable.
 //
 // Load validates everything (version, kinds, widths, that each entry's
 // kind is its analysis's, and that each entry is a result the oracle can
 // produce) before committing, and returns an error on any mismatch;
-// callers treat a failed load as a cold cache rather than crashing.
+// callers treat a failed load as a cold cache rather than crashing. It
+// then groups the wire entries back by expression, budget and
+// configuration, and keeps only the groups that hold all eight analyses.
 
 // FormatVersion identifies the cache file layout. Loading any other
 // version fails, forcing a cold start instead of misinterpreting results.
@@ -39,7 +43,7 @@ type wireInt struct {
 	V uint64 `json:"v"`
 }
 
-func toWire(v apint.Int) wireInt { return wireInt{W: v.Width(), V: v.Uint64()} }
+func toWire(v apint.Int) *wireInt { return &wireInt{W: v.Width(), V: v.Uint64()} }
 
 func (wi wireInt) decode() (apint.Int, error) {
 	if wi.W == 0 || wi.W > apint.MaxWidth {
@@ -57,18 +61,11 @@ const (
 	kindDemanded  = "demanded"
 )
 
-// analysisKind is the one entry kind each oracle analysis's results
-// take: an entry of another kind, or under another analysis name, is
-// none the oracle produced.
-var analysisKind = map[string]string{
-	string(harvest.KnownBits):    kindKnownBits,
-	string(harvest.SignBits):     kindSignBits,
-	string(harvest.NonZero):      kindBool,
-	string(harvest.Negative):     kindBool,
-	string(harvest.NonNegative):  kindBool,
-	string(harvest.PowerOfTwo):   kindBool,
-	string(harvest.IntegerRange): kindRange,
-	string(harvest.DemandedBits): kindDemanded,
+// analysisKinds is the one entry kind each oracle analysis's results
+// take, in harvest.AllAnalyses order: an entry of another kind, or under
+// another analysis name, is none the oracle produced.
+var analysisKinds = [8]string{
+	kindKnownBits, kindSignBits, kindBool, kindBool, kindBool, kindBool, kindRange, kindDemanded,
 }
 
 type wireEntry struct {
@@ -98,46 +95,37 @@ type wireFile struct {
 	Entries []wireEntry `json:"entries"`
 }
 
-// encodeEntry flattens one cache entry; unknown value types are skipped
-// (reported via the bool) rather than failing the whole save.
-func encodeEntry(k Key, e Entry) (wireEntry, bool) {
-	we := wireEntry{
-		Expr:      k.Expr,
-		Analysis:  k.Analysis,
-		Budget:    k.Budget,
-		Config:    k.Config,
-		ElapsedNs: e.Elapsed.Nanoseconds(),
-	}
-	switch v := e.Value.(type) {
-	case oracle.KnownBitsResult:
-		we.Kind = kindKnownBits
-		we.Feasible, we.Exhausted = v.Feasible, v.Exhausted
-		z, o := toWire(v.Bits.Zero), toWire(v.Bits.One)
-		we.Zero, we.One = &z, &o
-	case oracle.SignBitsResult:
-		we.Kind = kindSignBits
-		we.Feasible, we.Exhausted = v.Feasible, v.Exhausted
-		we.NumSignBits = v.NumSignBits
-	case oracle.BoolResult:
-		we.Kind = kindBool
-		we.Feasible, we.Exhausted = v.Feasible, v.Exhausted
-		we.Proved = v.Proved
-	case oracle.RangeResult:
-		we.Kind = kindRange
-		we.Feasible, we.Exhausted = v.Feasible, v.Exhausted
-		lo, hi := toWire(v.Range.Lower()), toWire(v.Range.Upper())
-		we.Lo, we.Hi = &lo, &hi
-	case oracle.DemandedBitsResult:
-		we.Kind = kindDemanded
-		we.Feasible, we.Exhausted = v.Feasible, v.Exhausted
-		we.Demanded = make(map[string]wireInt, len(v.Demanded))
-		for name, mask := range v.Demanded {
-			we.Demanded[name] = toWire(mask)
+// boolResults returns e's four single-bit results, in harvest.AllAnalyses
+// order from index 2.
+func boolResults(e *Entry) [4]*oracle.BoolResult {
+	return [4]*oracle.BoolResult{&e.NonZero, &e.Negative, &e.NonNegative, &e.PowerOfTwo}
+}
+
+// encodeEntry flattens one cache entry into its eight wire entries, in
+// harvest.AllAnalyses order.
+func encodeEntry(k Key, e Entry) [8]wireEntry {
+	var out [8]wireEntry
+	at := func(i int, o oracle.Outcome) *wireEntry {
+		out[i] = wireEntry{
+			Expr: k.Expr, Analysis: string(harvest.AllAnalyses[i]), Budget: k.Budget, Config: k.Config,
+			Kind: analysisKinds[i], ElapsedNs: e.Elapsed[i].Nanoseconds(), Feasible: o.Feasible, Exhausted: o.Exhausted,
 		}
-	default:
-		return wireEntry{}, false
+		return &out[i]
 	}
-	return we, true
+	kb := at(0, e.Known.Outcome)
+	kb.Zero, kb.One = toWire(e.Known.Bits.Zero), toWire(e.Known.Bits.One)
+	at(1, e.Sign.Outcome).NumSignBits = e.Sign.NumSignBits
+	for i, b := range boolResults(&e) {
+		at(2+i, b.Outcome).Proved = b.Proved
+	}
+	r := at(6, e.Range.Outcome)
+	r.Lo, r.Hi = toWire(e.Range.Range.Lower()), toWire(e.Range.Range.Upper())
+	d := at(7, e.Demanded.Outcome)
+	d.Demanded = make(map[string]wireInt, len(e.Demanded.Demanded))
+	for name, mask := range e.Demanded.Demanded {
+		d.Demanded[name] = *toWire(mask)
+	}
+	return out
 }
 
 func decodeRange(lo, hi *wireInt) (constrange.Range, error) {
@@ -169,85 +157,90 @@ func decodeRange(lo, hi *wireInt) (constrange.Range, error) {
 	return constrange.New(l, h), nil
 }
 
-func decodeEntry(we wireEntry) (Key, Entry, error) {
-	k := Key{Expr: we.Expr, Analysis: we.Analysis, Budget: we.Budget, Config: we.Config}
+// decodeInto validates one wire entry and stores its result and time in
+// e, at its analysis's place, whose harvest.AllAnalyses index it returns.
+func decodeInto(we wireEntry, e *Entry) (int, error) {
 	if we.Expr == "" || we.Analysis == "" {
-		return k, Entry{}, fmt.Errorf("rescache: entry missing key fields")
+		return 0, fmt.Errorf("rescache: entry missing key fields")
 	}
 	if we.ElapsedNs < 0 {
-		return k, Entry{}, fmt.Errorf("rescache: negative elapsed_ns %d", we.ElapsedNs)
+		return 0, fmt.Errorf("rescache: negative elapsed_ns %d", we.ElapsedNs)
 	}
 	out := oracle.Outcome{Feasible: we.Feasible, Exhausted: we.Exhausted}
-	e := Entry{Elapsed: time.Duration(we.ElapsedNs)}
+	var store func(i int)
 	switch we.Kind {
 	case kindKnownBits:
 		if we.Zero == nil || we.One == nil {
-			return k, Entry{}, fmt.Errorf("rescache: knownbits entry missing masks")
+			return 0, fmt.Errorf("rescache: knownbits entry missing masks")
 		}
 		z, err := we.Zero.decode()
 		if err != nil {
-			return k, Entry{}, err
+			return 0, err
 		}
 		o, err := we.One.decode()
 		if err != nil {
-			return k, Entry{}, err
+			return 0, err
 		}
 		if z.Width() != o.Width() {
-			return k, Entry{}, fmt.Errorf("rescache: knownbits mask widths %d vs %d", z.Width(), o.Width())
+			return 0, fmt.Errorf("rescache: knownbits mask widths %d vs %d", z.Width(), o.Width())
 		}
 		if !z.And(o).IsZero() {
-			return k, Entry{}, fmt.Errorf("rescache: knownbits masks overlap (zero %v, one %v)", z, o)
+			return 0, fmt.Errorf("rescache: knownbits masks overlap (zero %v, one %v)", z, o)
 		}
-		e.Value = oracle.KnownBitsResult{Outcome: out, Bits: knownbits.Make(z, o)}
+		store = func(int) { e.Known = oracle.KnownBitsResult{Outcome: out, Bits: knownbits.Make(z, o)} }
 	case kindSignBits:
 		// Every value has at least one sign bit, and at most its width.
 		if we.NumSignBits == 0 {
-			return k, Entry{}, fmt.Errorf("rescache: signbits entry without a count of at least 1")
+			return 0, fmt.Errorf("rescache: signbits entry without a count of at least 1")
 		}
 		if we.NumSignBits > apint.MaxWidth {
-			return k, Entry{}, fmt.Errorf("rescache: signbits count %d above the widest value's %d bits", we.NumSignBits, apint.MaxWidth)
+			return 0, fmt.Errorf("rescache: signbits count %d above the widest value's %d bits", we.NumSignBits, apint.MaxWidth)
 		}
-		e.Value = oracle.SignBitsResult{Outcome: out, NumSignBits: we.NumSignBits}
+		store = func(int) { e.Sign = oracle.SignBitsResult{Outcome: out, NumSignBits: we.NumSignBits} }
 	case kindBool:
-		e.Value = oracle.BoolResult{Outcome: out, Proved: we.Proved}
+		store = func(i int) { *boolResults(e)[i-2] = oracle.BoolResult{Outcome: out, Proved: we.Proved} }
 	case kindRange:
 		r, err := decodeRange(we.Lo, we.Hi)
 		if err != nil {
-			return k, Entry{}, err
+			return 0, err
 		}
-		e.Value = oracle.RangeResult{Outcome: out, Range: r}
+		store = func(int) { e.Range = oracle.RangeResult{Outcome: out, Range: r} }
 	case kindDemanded:
 		dem := make(map[string]apint.Int, len(we.Demanded))
 		for name, wi := range we.Demanded {
 			mask, err := wi.decode()
 			if err != nil {
-				return k, Entry{}, err
+				return 0, err
 			}
 			dem[name] = mask
 		}
-		e.Value = oracle.DemandedBitsResult{Outcome: out, Demanded: dem}
+		store = func(int) { e.Demanded = oracle.DemandedBitsResult{Outcome: out, Demanded: dem} }
 	default:
-		return k, Entry{}, fmt.Errorf("rescache: unknown entry kind %q", we.Kind)
+		return 0, fmt.Errorf("rescache: unknown entry kind %q", we.Kind)
 	}
-	switch want, ok := analysisKind[we.Analysis]; {
-	case !ok:
-		return k, Entry{}, fmt.Errorf("rescache: no oracle analysis is named %q", we.Analysis)
-	case we.Kind != want:
-		return k, Entry{}, fmt.Errorf("rescache: %s entry for %s, whose results are %s", we.Kind, we.Analysis, want)
+	i := slices.Index(harvest.AllAnalyses, harvest.Analysis(we.Analysis))
+	switch {
+	case i < 0:
+		return 0, fmt.Errorf("rescache: no oracle analysis is named %q", we.Analysis)
+	case we.Kind != analysisKinds[i]:
+		return 0, fmt.Errorf("rescache: %s entry for %s, whose results are %s", we.Kind, we.Analysis, analysisKinds[i])
 	}
-	return k, e, nil
+	store(i)
+	e.Elapsed[i] = time.Duration(we.ElapsedNs)
+	return i, nil
 }
 
-// Save writes the cache in the versioned on-disk format, entries in
-// sorted key order.
+// Save writes the cache in the versioned on-disk format, wire entries in
+// sorted key order: by expression, analysis, budget and configuration.
 func (c *Cache) Save(w io.Writer) error {
 	snap := c.snapshot()
-	keys := make([]Key, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
+	wf := wireFile{Tool: formatTool, Version: FormatVersion, Entries: make([]wireEntry, 0, 8*len(snap))}
+	for k, e := range snap {
+		we := encodeEntry(k, e)
+		wf.Entries = append(wf.Entries, we[:]...)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
+	sort.Slice(wf.Entries, func(i, j int) bool {
+		a, b := &wf.Entries[i], &wf.Entries[j]
 		if a.Expr != b.Expr {
 			return a.Expr < b.Expr
 		}
@@ -259,12 +252,6 @@ func (c *Cache) Save(w io.Writer) error {
 		}
 		return a.Config < b.Config
 	})
-	wf := wireFile{Tool: formatTool, Version: FormatVersion, Entries: make([]wireEntry, 0, len(keys))}
-	for _, k := range keys {
-		if we, ok := encodeEntry(k, snap[k]); ok {
-			wf.Entries = append(wf.Entries, we)
-		}
-	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(wf)
 }
@@ -272,7 +259,10 @@ func (c *Cache) Save(w io.Writer) error {
 // Load merges entries from a cache file written by Save. Nothing is
 // committed unless the whole file validates: on any error — malformed
 // JSON, a version or tool mismatch, an invalid entry — the cache is left
-// exactly as it was, so callers can fall back to running cold.
+// exactly as it was, so callers can fall back to running cold. A group
+// of wire entries that lacks one of the eight analyses is dropped: files
+// written while each analysis was its own cache entry hold one for an
+// expression whose run was cancelled midway.
 func (c *Cache) Load(r io.Reader) error {
 	var wf wireFile
 	dec := json.NewDecoder(r)
@@ -285,15 +275,30 @@ func (c *Cache) Load(r io.Reader) error {
 	if wf.Version != FormatVersion {
 		return fmt.Errorf("rescache: cache file version %d, want %d", wf.Version, FormatVersion)
 	}
-	loaded := make(map[Key]Entry, len(wf.Entries))
+	type group struct {
+		e    Entry
+		have uint8 // bit i: analysis i decoded
+	}
+	groups := make(map[Key]*group)
 	for i, we := range wf.Entries {
-		k, e, err := decodeEntry(we)
+		k := Key{Expr: we.Expr, Budget: we.Budget, Config: we.Config}
+		g := groups[k]
+		if g == nil {
+			g = &group{}
+			groups[k] = g
+		}
+		a, err := decodeInto(we, &g.e)
 		if err != nil {
 			return fmt.Errorf("rescache: entry %d (%s of %q): %w", i, we.Analysis, we.Expr, err)
 		}
-		loaded[k] = e
+		g.have |= 1 << a
 	}
-	c.commit(loaded)
+	// The whole file validated: commit its complete groups.
+	for k, g := range groups {
+		if g.have == 0xff {
+			c.Put(k, g.e)
+		}
+	}
 	return nil
 }
 

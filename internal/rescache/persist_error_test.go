@@ -28,7 +28,7 @@ func TestLoadTruncatedFileLeavesCacheIntact(t *testing.T) {
 	}
 
 	c := New()
-	c.Put(k("warm"), sampleEntries()[Key{Expr: "e1", Analysis: "sign bits", Budget: 1, Config: "c"}])
+	c.Put(k("warm"), sampleEntry())
 	if err := c.LoadFile(path); err == nil {
 		t.Fatal("loading a truncated file succeeded")
 	}

@@ -2,10 +2,11 @@
 // It is the in-process analog of the original artifact's Redis store: the
 // paper's corpus statistics (§3.1) show 71.6% of harvested expressions
 // recur, and every recurrence would otherwise re-pay dozens of SAT
-// queries. Results are keyed by the expression's canonical form
-// (internal/canon), the analysis name, the solver budget, and the
-// compiler-under-test configuration, and each entry carries the original
-// computation time so that cached reports replay deterministic timings.
+// queries. The expression is the unit: one entry holds all eight oracle
+// facts of one expression, keyed by its canonical form (internal/canon),
+// the solver budget, and the compiler-under-test configuration, and
+// carries the time each analysis took so that cached reports replay
+// deterministic timings.
 //
 // The cache is safe for concurrent use by the comparator's worker pool
 // and the fact service's queries. Internally it is lock-striped:
@@ -27,31 +28,26 @@ package rescache
 import (
 	"sync"
 	"sync/atomic"
-	"time"
+
+	"dfcheck/internal/oracle"
 )
 
-// Key identifies one memoized oracle result.
+// Key identifies one expression's memoized oracle results.
 type Key struct {
 	// Expr is the canonical Souper text of the expression (canon.Canon.Key).
 	Expr string
-	// Analysis is the analysis name (a harvest.Analysis value).
-	Analysis string
 	// Budget is the solver conflict budget of the expression's engine,
-	// shared by all its queries, that the result was computed under.
+	// shared by all its queries, that the results were computed under.
 	Budget int64
 	// Config encodes the comparator configuration (bug injection, modern
-	// mode, expression timeout) the result was computed under.
+	// mode, expression timeout) the results were computed under.
 	Config string
 }
 
-// Entry is a memoized result: one of the oracle result types
-// (oracle.KnownBitsResult, oracle.RangeResult, ...) plus the time the
-// original computation took. Replaying Elapsed on hits keeps cached
+// Entry is one expression's memoized results: its eight oracle facts and
+// the time each analysis took. Replaying the times on hits keeps cached
 // reports byte-identical across runs.
-type Entry struct {
-	Value   any
-	Elapsed time.Duration
-}
+type Entry = oracle.All
 
 // Stats counts cache traffic.
 type Stats struct {
@@ -115,12 +111,12 @@ func NewSharded(n int) *Cache {
 // handful of bytes instead of digesting the whole key: canonical
 // expression texts are tens to hundreds of bytes, and a full FNV pass
 // would cost as much as the map lookup it is sharding. The sampled
-// positions mix the head (analysis name prefix differences), the tail
-// (canonical value-number suffixes differ even for same-length exprs),
-// and the lengths, which spreads the real key population well (the
-// rescache_shard_entries gauges make skew observable).
+// positions mix the head, the tail (canonical value-number suffixes
+// differ even for same-length exprs), and the length, which spreads the
+// real key population well (the rescache_shard_entries gauges make skew
+// observable).
 func shardHash(k Key) uint64 {
-	h := uint64(len(k.Expr))<<6 ^ uint64(len(k.Analysis)) ^ uint64(k.Budget)
+	h := uint64(len(k.Expr))<<6 ^ uint64(k.Budget)
 	if n := len(k.Expr); n > 0 {
 		h ^= uint64(k.Expr[0]) << 8
 		h ^= uint64(k.Expr[n-1]) << 16
@@ -129,10 +125,6 @@ func shardHash(k Key) uint64 {
 			h ^= uint64(k.Expr[n-2]) << 32
 			h ^= uint64(k.Expr[1]) << 40
 		}
-	}
-	if n := len(k.Analysis); n > 0 {
-		h ^= uint64(k.Analysis[0]) << 4
-		h ^= uint64(k.Analysis[n-1]) << 12
 	}
 	// Final avalanche so the low bits (the shard index) see every
 	// sampled byte. Two multiply-xor-shift rounds of splitmix64.
@@ -225,14 +217,6 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
-// ResetStats zeroes the hit/miss counters, keeping the entries.
-func (c *Cache) ResetStats() {
-	for _, s := range c.shards {
-		s.hits.Store(0)
-		s.misses.Store(0)
-	}
-}
-
 // snapshot copies the entry map for persistence. Shards are copied one
 // at a time, so a snapshot taken during concurrent writes is a
 // point-in-time view per shard rather than globally — fine for a
@@ -247,13 +231,4 @@ func (c *Cache) snapshot() map[Key]Entry {
 		s.mu.RUnlock()
 	}
 	return out
-}
-
-// commit installs loaded entries, replacing any existing ones with the
-// same key. It is called only after a load fully validates, so a corrupt
-// file never leaves the cache half-populated.
-func (c *Cache) commit(entries map[Key]Entry) {
-	for k, e := range entries {
-		c.Put(k, e)
-	}
 }

@@ -19,65 +19,66 @@ import (
 )
 
 func k(expr string) Key {
-	return Key{Expr: expr, Analysis: "known bits", Budget: 100, Config: "cfg"}
+	return Key{Expr: expr, Budget: 100, Config: "cfg"}
 }
 
-// kBool is k for a bool analysis, whose entries Load accepts holding an
-// oracle.BoolResult.
-func kBool(expr string) Key {
-	return Key{Expr: expr, Analysis: "non-zero", Budget: 100, Config: "cfg"}
-}
-
-func sampleEntries() map[Key]Entry {
+// sampleEntry is one loadable entry: the eight facts of a live i8
+// expression with two variables.
+func sampleEntry() Entry {
 	feasible := oracle.Outcome{Feasible: true}
+	return Entry{
+		Known:       oracle.KnownBitsResult{Outcome: feasible, Bits: knownbits.Make(apint.New(8, 0xf0), apint.New(8, 0x01))},
+		Sign:        oracle.SignBitsResult{Outcome: feasible, NumSignBits: 3},
+		NonZero:     oracle.BoolResult{Outcome: feasible, Proved: true},
+		Negative:    oracle.BoolResult{Outcome: feasible},
+		NonNegative: oracle.BoolResult{Outcome: feasible, Proved: true},
+		PowerOfTwo:  oracle.BoolResult{Outcome: oracle.Outcome{Feasible: true, Exhausted: true}},
+		Range:       oracle.RangeResult{Outcome: feasible, Range: constrange.New(apint.New(8, 3), apint.New(8, 200))},
+		Demanded: oracle.DemandedBitsResult{Outcome: feasible, Demanded: map[string]apint.Int{
+			"x0": apint.New(8, 0xff),
+			"x1": apint.New(8, 0x0f),
+		}},
+		Elapsed: [8]time.Duration{123 * time.Microsecond, 45 * time.Microsecond, 7 * time.Microsecond,
+			3 * time.Microsecond, 2 * time.Microsecond, 1 * time.Microsecond, 99 * time.Microsecond, 88 * time.Microsecond},
+	}
+}
+
+// sampleEntries covers every encoding the wire format has: a wrapped, a
+// full and an empty range, dead code, exhausted results, demanded masks
+// for two variables and for none, and keys that differ only in budget
+// or configuration.
+func sampleEntries() map[Key]Entry {
+	full := sampleEntry()
+	full.Range.Range = constrange.Full(8)
+	dead := Entry{
+		Known:       oracle.KnownBitsResult{Bits: knownbits.FromConst(apint.Zero(4))},
+		Sign:        oracle.SignBitsResult{NumSignBits: 4},
+		NonZero:     oracle.BoolResult{Proved: true},
+		Negative:    oracle.BoolResult{Proved: true},
+		NonNegative: oracle.BoolResult{Proved: true},
+		PowerOfTwo:  oracle.BoolResult{Proved: true},
+		Range:       oracle.RangeResult{Range: constrange.Empty(4)},
+		Demanded:    oracle.DemandedBitsResult{Demanded: map[string]apint.Int{"x0": apint.Zero(4)}},
+		Elapsed:     [8]time.Duration{2 * time.Microsecond},
+	}
+	exhausted := oracle.Outcome{Feasible: true, Exhausted: true}
+	wide := Entry{
+		Known:       oracle.KnownBitsResult{Outcome: exhausted, Bits: knownbits.Unknown(13)},
+		Sign:        oracle.SignBitsResult{Outcome: exhausted, NumSignBits: 1},
+		NonZero:     oracle.BoolResult{Outcome: exhausted},
+		Negative:    oracle.BoolResult{Outcome: exhausted},
+		NonNegative: oracle.BoolResult{Outcome: exhausted},
+		PowerOfTwo:  oracle.BoolResult{Outcome: exhausted},
+		Range:       oracle.RangeResult{Outcome: exhausted, Range: constrange.Full(13)},
+		Demanded:    oracle.DemandedBitsResult{Outcome: exhausted, Demanded: map[string]apint.Int{}},
+		Elapsed:     [8]time.Duration{5 * time.Second, time.Second},
+	}
 	return map[Key]Entry{
-		{Expr: "e1", Analysis: "known bits", Budget: 1, Config: "c"}: {
-			Value: oracle.KnownBitsResult{
-				Outcome: feasible,
-				Bits:    knownbits.Make(apint.New(8, 0xf0), apint.New(8, 0x01)),
-			},
-			Elapsed: 123 * time.Microsecond,
-		},
-		{Expr: "e1", Analysis: "sign bits", Budget: 1, Config: "c"}: {
-			Value:   oracle.SignBitsResult{Outcome: feasible, NumSignBits: 3},
-			Elapsed: 45 * time.Microsecond,
-		},
-		{Expr: "e2", Analysis: "non-zero", Budget: 1, Config: "c"}: {
-			Value:   oracle.BoolResult{Outcome: feasible, Proved: true},
-			Elapsed: 7 * time.Microsecond,
-		},
-		{Expr: "e2", Analysis: "integer range", Budget: 1, Config: "c"}: {
-			Value: oracle.RangeResult{
-				Outcome: feasible,
-				Range:   constrange.New(apint.New(8, 3), apint.New(8, 200)),
-			},
-			Elapsed: 99 * time.Microsecond,
-		},
-		{Expr: "e2", Analysis: "integer range", Budget: 1, Config: "full"}: {
-			Value:   oracle.RangeResult{Outcome: feasible, Range: constrange.Full(8)},
-			Elapsed: 1 * time.Microsecond,
-		},
-		{Expr: "e3", Analysis: "integer range", Budget: 1, Config: "c"}: {
-			Value:   oracle.RangeResult{Outcome: oracle.Outcome{}, Range: constrange.Empty(8)},
-			Elapsed: 2 * time.Microsecond,
-		},
-		{Expr: "e3", Analysis: "demanded bits", Budget: 1, Config: "c"}: {
-			Value: oracle.DemandedBitsResult{
-				Outcome: feasible,
-				Demanded: map[string]apint.Int{
-					"x0": apint.New(8, 0xff),
-					"x1": apint.New(8, 0x0f),
-				},
-			},
-			Elapsed: 88 * time.Microsecond,
-		},
-		{Expr: "e4", Analysis: "known bits", Budget: 2, Config: "c"}: {
-			Value: oracle.KnownBitsResult{
-				Outcome: oracle.Outcome{Feasible: true, Exhausted: true},
-				Bits:    knownbits.Unknown(13),
-			},
-			Elapsed: 5 * time.Second,
-		},
+		{Expr: "e1", Budget: 1, Config: "c"}:    sampleEntry(),
+		{Expr: "e1", Budget: 1, Config: "full"}: full,
+		{Expr: "e1", Budget: 2, Config: "c"}:    full,
+		{Expr: "e2", Budget: 1, Config: "c"}:    dead,
+		{Expr: "e3", Budget: 2, Config: "c"}:    wide,
 	}
 }
 
@@ -86,13 +87,13 @@ func TestGetPutStats(t *testing.T) {
 	if _, ok := c.Get(k("missing")); ok {
 		t.Fatal("empty cache returned a hit")
 	}
-	e := Entry{Value: oracle.BoolResult{Proved: true}, Elapsed: time.Millisecond}
+	e := sampleEntry()
 	c.Put(k("a"), e)
 	got, ok := c.Get(k("a"))
 	if !ok || !reflect.DeepEqual(got, e) {
 		t.Fatalf("Get = %+v, %v; want %+v, true", got, ok, e)
 	}
-	if _, ok := c.Get(Key{Expr: "a", Analysis: "known bits", Budget: 100, Config: "other"}); ok {
+	if _, ok := c.Get(Key{Expr: "a", Budget: 100, Config: "other"}); ok {
 		t.Fatal("different config must not hit")
 	}
 	// Peek finds what Get finds but counts neither a hit nor a miss.
@@ -112,10 +113,6 @@ func TestGetPutStats(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())
 	}
-	c.ResetStats()
-	if st := c.Stats(); st != (Stats{}) {
-		t.Fatalf("stats after reset = %+v", st)
-	}
 }
 
 func TestConcurrentAccess(t *testing.T) {
@@ -128,7 +125,7 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				key := k(fmt.Sprintf("expr-%d", i%17))
 				if _, ok := c.Get(key); !ok {
-					c.Put(key, Entry{Value: oracle.SignBitsResult{NumSignBits: uint(g)}})
+					c.Put(key, Entry{Sign: oracle.SignBitsResult{NumSignBits: uint(g)}})
 				}
 			}
 		}(g)
@@ -190,7 +187,7 @@ func TestSaveByteStable(t *testing.T) {
 func rejectingLoad(t *testing.T, data string, wantErr string) {
 	t.Helper()
 	c := New()
-	c.Put(k("pre-existing"), Entry{Value: oracle.BoolResult{Proved: true}})
+	c.Put(k("pre-existing"), sampleEntry())
 	err := c.Load(strings.NewReader(data))
 	if err == nil {
 		t.Fatalf("Load(%q) succeeded, want error containing %q", data, wantErr)
@@ -251,10 +248,53 @@ func TestLoadRejectsImpossibleEntries(t *testing.T) {
 	}
 }
 
+// TestLoadDropsIncompleteGroups: a file whose wire entries leave out an
+// analysis of some expression, as one written while each analysis was
+// its own entry can when a run was cancelled mid-expression, loads
+// without that expression and with every complete one.
+func TestLoadDropsIncompleteGroups(t *testing.T) {
+	c := New()
+	want := sampleEntries()
+	for key, e := range want {
+		c.Put(key, e)
+	}
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var wf wireFile
+	if err := json.Unmarshal(buf.Bytes(), &wf); err != nil {
+		t.Fatal(err)
+	}
+	if len(wf.Entries) != 8*len(want) {
+		t.Fatalf("%d wire entries for %d expressions, want 8 each", len(wf.Entries), len(want))
+	}
+	partial := Key{Expr: "e1", Budget: 1, Config: "c"}
+	kept := wf.Entries[:0]
+	for _, we := range wf.Entries {
+		if (Key{Expr: we.Expr, Budget: we.Budget, Config: we.Config}) != partial || we.Analysis != "integer range" {
+			kept = append(kept, we)
+		}
+	}
+	wf.Entries = append(kept, wireEntry{Expr: "lone", Analysis: "non-zero", Kind: kindBool, Feasible: true})
+	data, err := json.Marshal(wf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := New()
+	if err := got.Load(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	delete(want, partial)
+	if !reflect.DeepEqual(got.snapshot(), want) {
+		t.Errorf("loaded %+v\nwant %+v", got.snapshot(), want)
+	}
+}
+
 // FuzzLoad: no input makes Load panic, a file Load accepts holds only
-// entries whose kind is their analysis's and sign-bit counts a value can
-// have, and it comes back with the same entries from Save and a second
-// Load.
+// results the oracle can produce, and its complete groups come back
+// from Save and a second Load as the same entries, eight wire entries
+// each.
 func FuzzLoad(f *testing.F) {
 	c := New()
 	for key, e := range sampleEntries() {
@@ -269,6 +309,8 @@ func FuzzLoad(f *testing.F) {
 	// more sign bits than any value has.
 	f.Add([]byte(`{"tool":"dfcheck-rescache","version":1,"entries":[{"expr":"e","analysis":"known bits","kind":"bool","elapsed_ns":1,"feasible":true,"proved":true}]}`))
 	f.Add([]byte(`{"tool":"dfcheck-rescache","version":1,"entries":[{"expr":"e","analysis":"sign bits","kind":"signbits","elapsed_ns":1,"feasible":true,"sign_bits":200}]}`))
+	// A group Load accepts and drops: one analysis of eight.
+	f.Add([]byte(`{"tool":"dfcheck-rescache","version":1,"entries":[{"expr":"e","analysis":"non-zero","kind":"bool","elapsed_ns":1,"feasible":true,"proved":true}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		first := New()
 		if first.Load(bytes.NewReader(data)) != nil {
@@ -279,9 +321,13 @@ func FuzzLoad(f *testing.F) {
 			t.Fatal(err)
 		}
 		for key, e := range first.snapshot() {
-			if we, _ := encodeEntry(key, e); we.Kind != analysisKind[key.Analysis] || we.NumSignBits > apint.MaxWidth {
-				t.Fatalf("accepted an entry no oracle produces: %+v", we)
+			if n := e.Sign.NumSignBits; n < 1 || n > apint.MaxWidth {
+				t.Fatalf("accepted %d sign bits for %+v", n, key)
 			}
+		}
+		var wf wireFile
+		if err := json.Unmarshal(saved.Bytes(), &wf); err != nil || len(wf.Entries) != 8*first.Len() {
+			t.Fatalf("saved %d entries as %d wire entries (%v), want 8 each", first.Len(), len(wf.Entries), err)
 		}
 		second := New()
 		if err := second.Load(&saved); err != nil {
@@ -342,7 +388,7 @@ func TestFileRoundTripAndMissing(t *testing.T) {
 	if c3.Len() != 0 {
 		t.Fatal("corrupt load populated the cache")
 	}
-	c3.Put(k("new"), Entry{Value: oracle.BoolResult{}})
+	c3.Put(k("new"), sampleEntry())
 	if c3.Len() != 1 {
 		t.Fatal("cache unusable after failed load")
 	}

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"dfcheck/internal/oracle"
 )
 
 func TestNewShardedRoundsToPowerOfTwo(t *testing.T) {
@@ -52,11 +50,10 @@ func TestShardLensSpread(t *testing.T) {
 	const n = 4096
 	for i := 0; i < n; i++ {
 		key := Key{
-			Expr:     fmt.Sprintf("%%0:i8 = add 1:i8, %%x%d\ninfer %%0 ; v%d", i, i*7),
-			Analysis: "known bits",
-			Budget:   100,
+			Expr:   fmt.Sprintf("%%0:i8 = add 1:i8, %%x%d\ninfer %%0 ; v%d", i, i*7),
+			Budget: 100,
 		}
-		c.Put(key, Entry{Value: oracle.BoolResult{}})
+		c.Put(key, Entry{})
 	}
 	var lens []int
 	total, max := 0, 0
@@ -103,12 +100,12 @@ func TestConcurrentGetPutSaveAcrossShards(t *testing.T) {
 					return
 				default:
 				}
-				key := kBool(fmt.Sprintf("expr-%d-%d", g, i%64))
+				key := k(fmt.Sprintf("expr-%d-%d", g, i%64))
 				if _, ok := c.Get(key); !ok {
-					c.Put(key, Entry{
-						Value:   oracle.BoolResult{Outcome: oracle.Outcome{Feasible: true}, Proved: i%2 == 0},
-						Elapsed: time.Duration(i) * time.Microsecond,
-					})
+					e := sampleEntry()
+					e.NonZero.Proved = i%2 == 0
+					e.Elapsed[2] = time.Duration(i) * time.Microsecond
+					c.Put(key, e)
 				}
 			}
 		}(g)
@@ -181,7 +178,7 @@ func TestCrashMidSaveLeavesLoadableFile(t *testing.T) {
 	}
 
 	// The next save writes through its own temp and wins cleanly.
-	c.Put(kBool("post-crash"), Entry{Value: oracle.BoolResult{Proved: true}})
+	c.Put(k("post-crash"), sampleEntry())
 	if err := c.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +189,7 @@ func TestCrashMidSaveLeavesLoadableFile(t *testing.T) {
 	if got2.Len() != c.Len() {
 		t.Fatalf("post-crash save has %d entries, want %d", got2.Len(), c.Len())
 	}
-	if _, ok := got2.Get(kBool("post-crash")); !ok {
+	if _, ok := got2.Get(k("post-crash")); !ok {
 		t.Fatal("post-crash entry missing from snapshot")
 	}
 }

@@ -18,20 +18,20 @@ import (
 // what bits it can by sampled witness pairs and leaves the rest to the
 // miter.
 type demandedSweep struct {
-	f      *ir.Function
-	sliced *eval.SlicedProgram // compiled on first use when nil
-	bits   []bool              // by packed input position, once swept
+	f    *ir.Function
+	bits []bool // by packed input position, once swept
 }
 
-// bitMatters answers BitMatters(v, bit), running the sweep on first use.
-// Like every enumeration query it counts one query and one enum query in
-// st, under a "bit-matters" span of class enum. A sweep that ctx or
-// deadline stops is not kept, and the query counts as exhausted.
-func (d *demandedSweep) bitMatters(st *Stats, parent *trace.Span, ctx context.Context, deadline time.Time, v *ir.Inst, bit uint) (bool, bool) {
+// bitMatters answers BitMatters(v, bit), running the sweep on sliced, the
+// engine's compiled function, on first use. Like every enumeration query
+// it counts one query and one enum query in st, under a "bit-matters"
+// span of class enum. A sweep that ctx or deadline stops is not kept,
+// and the query counts as exhausted.
+func (d *demandedSweep) bitMatters(st *Stats, parent *trace.Span, ctx context.Context, deadline time.Time, sliced *eval.SlicedProgram, v *ir.Inst, bit uint) (bool, bool) {
 	st.Queries++
 	st.EnumQueries++
 	sp := startEnum(parent, "bit-matters")
-	if d.bits == nil && !d.sweep(sp, ctx, deadline) {
+	if d.bits == nil && !d.sweep(sliced, sp, ctx, deadline) {
 		st.Exhausted++
 		endEnum(sp, false, false)
 		return false, false
@@ -76,12 +76,9 @@ func packedPos(f *ir.Function, v *ir.Inst, bit uint) uint {
 // stops and returns false, keeping nothing.
 // The sweep span, a "demanded-sweep" child of parent, records the lanes
 // evaluated.
-func (d *demandedSweep) sweep(parent *trace.Span, ctx context.Context, deadline time.Time) bool {
+func (d *demandedSweep) sweep(sliced *eval.SlicedProgram, parent *trace.Span, ctx context.Context, deadline time.Time) bool {
 	if cancelled(ctx, deadline) {
 		return false
-	}
-	if d.sliced == nil {
-		d.sliced = eval.CompileSliced(d.f)
 	}
 	sp := parent.Child(trace.KindIter, "demanded-sweep")
 	n := eval.TotalInputBits(d.f)
@@ -101,7 +98,7 @@ func (d *demandedSweep) sweep(parent *trace.Span, ctx context.Context, deadline 
 			ok = false
 			break
 		}
-		planes, okm := d.sliced.EvalIndexed(b << 6)
+		planes, okm := sliced.EvalIndexed(b << 6)
 		evals += 64
 		if okm == 0 {
 			continue // oks[b] stays 0: no pair with this block counts
@@ -174,13 +171,14 @@ type demandedSample struct {
 }
 
 // bitMatters answers BitMatters(v, bit) when the sample proves the bit
-// demanded, running the sampler on first use. An answer counts one query
-// and one enum query in st under a "bit-matters" span of class enum, as
-// the sweep's do. answered is false when no sample separates the bit:
-// the caller then asks the miter, which counts the query itself.
-func (d *demandedSample) bitMatters(st *Stats, parent *trace.Span, ctx context.Context, deadline time.Time, v *ir.Inst, bit uint) (answered bool) {
+// demanded, running the sampler on sliced, the engine's compiled
+// function, on first use. An answer counts one query and one enum query
+// in st under a "bit-matters" span of class enum, as the sweep's do.
+// answered is false when no sample separates the bit: the caller then
+// asks the miter, which counts the query itself.
+func (d *demandedSample) bitMatters(st *Stats, parent *trace.Span, ctx context.Context, deadline time.Time, sliced *eval.SlicedProgram, v *ir.Inst, bit uint) (answered bool) {
 	if !d.ran {
-		d.run(parent, ctx, deadline)
+		d.run(sliced, parent, ctx, deadline)
 	}
 	if !d.proved[packedPos(d.f, v, bit)] {
 		return false
@@ -203,7 +201,7 @@ func (d *demandedSample) bitMatters(st *Stats, parent *trace.Span, ctx context.C
 // does; a cancelled sampler proves nothing and every bit goes to the
 // miter, which fails as exhausted. The "demanded-sample" span, a child of
 // parent, records the lanes evaluated.
-func (d *demandedSample) run(parent *trace.Span, ctx context.Context, deadline time.Time) {
+func (d *demandedSample) run(sliced *eval.SlicedProgram, parent *trace.Span, ctx context.Context, deadline time.Time) {
 	d.ran = true
 	n := eval.TotalInputBits(d.f)
 	d.proved = make([]bool, n)
@@ -212,7 +210,6 @@ func (d *demandedSample) run(parent *trace.Span, ctx context.Context, deadline t
 		return
 	}
 	sp := parent.Child(trace.KindIter, "demanded-sample")
-	sliced := eval.CompileSliced(d.f)
 	vars := d.f.Vars
 	rng := sampleRNG(d.f)
 	in := newPlanes(vars)                  // the block's inputs, as planes

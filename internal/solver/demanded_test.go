@@ -126,7 +126,7 @@ func sweepCorpus() map[string]*ir.Function {
 func sweptBits(t *testing.T, f *ir.Function) []bool {
 	t.Helper()
 	d := &demandedSweep{f: f}
-	if !d.sweep(nil, nil, time.Time{}) {
+	if !d.sweep(eval.CompileSliced(f), nil, nil, time.Time{}) {
 		t.Fatal("uncancelled sweep returned not-ok")
 	}
 	return d.bits

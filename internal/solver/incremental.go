@@ -319,9 +319,9 @@ func (e *SATEngine) miter(v *ir.Inst) *miterSession {
 // by one miter query. A variable's miter is built on its first query.
 func (e *SATEngine) BitMatters(v *ir.Inst, bit uint) (bool, bool) {
 	if e.demanded != nil {
-		return e.demanded.bitMatters(&e.stats, e.span, e.Ctx, e.Deadline, v, bit)
+		return e.demanded.bitMatters(&e.stats, e.span, e.Ctx, e.Deadline, e.slicedProgram(), v, bit)
 	}
-	if e.sample != nil && e.sample.bitMatters(&e.stats, e.span, e.Ctx, e.Deadline, v, bit) {
+	if e.sample != nil && e.sample.bitMatters(&e.stats, e.span, e.Ctx, e.Deadline, e.slicedProgram(), v, bit) {
 		return true, true
 	}
 	m := e.miter(v)

@@ -219,7 +219,7 @@ func (e *SATEngine) RefuteWindow(size apint.Int) bool {
 		endEnum(sp, false, true)
 		return false
 	}
-	sliced := eval.CompileSliced(e.f)
+	sliced := e.slicedProgram()
 	var n uint64
 	var next func(b uint64) ([]uint64, uint64)
 	if e.demanded != nil {

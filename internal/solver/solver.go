@@ -103,10 +103,10 @@ type Engine interface {
 	// CPU-time deltas stay attributable.
 	AddPruned(n int64)
 
-	// SetTraceSpan sets the span subsequent queries nest under — the
-	// comparator points it at each per-analysis span in turn, and the
-	// oracle algorithms re-root it at their iteration spans. Nil (the
-	// default) is the untraced path.
+	// SetTraceSpan sets the span subsequent queries nest under —
+	// oracle.AnalyzeAllWith points it at each per-analysis span in turn,
+	// and the oracle algorithms re-root it at their iteration spans. Nil
+	// (the default) is the untraced path.
 	SetTraceSpan(sp *trace.Span)
 
 	// TraceSpan returns the current span (nil when untraced).
@@ -289,6 +289,9 @@ type SATEngine struct {
 	// only the others reach a miter. RefuteWindow then draws its blocks
 	// the same way.
 	sample *demandedSample
+	// sliced is f compiled for the bit-sliced evaluator, on first use
+	// (slicedProgram); the sweep or the sampler and RefuteWindow share it.
+	sliced *eval.SlicedProgram
 
 	// span is the trace span queries currently nest under (nil when
 	// untraced); see Engine.SetTraceSpan.
@@ -367,6 +370,15 @@ func (e *SATEngine) Stats() Stats {
 
 // AddPruned implements Engine.
 func (e *SATEngine) AddPruned(n int64) { e.stats.Pruned += n }
+
+// slicedProgram returns the engine's function compiled for the sliced
+// evaluator, compiling it on first use.
+func (e *SATEngine) slicedProgram() *eval.SlicedProgram {
+	if e.sliced == nil {
+		e.sliced = eval.CompileSliced(e.f)
+	}
+	return e.sliced
+}
 
 // remaining returns the unconsumed part of the shared conflict budget.
 func (e *SATEngine) remaining() int64 { return e.budget - e.spent }
@@ -460,8 +472,7 @@ func NewEnum(f *ir.Function) *EnumEngine {
 	if eval.TotalInputBits(f) > eval.MaxEnumBits {
 		panic("solver: function too wide for EnumEngine")
 	}
-	sliced := eval.CompileSliced(f)
-	return &EnumEngine{f: f, sliced: sliced, demanded: demandedSweep{f: f, sliced: sliced}}
+	return &EnumEngine{f: f, sliced: eval.CompileSliced(f), demanded: demandedSweep{f: f}}
 }
 
 // Stats returns cumulative counters.
@@ -598,5 +609,5 @@ func (e *EnumEngine) OutputOutside(lo, size apint.Int) (apint.Int, bool, bool) {
 // BitMatters implements Engine: the one demanded-bits sweep answers every
 // bit of every variable.
 func (e *EnumEngine) BitMatters(v *ir.Inst, bit uint) (bool, bool) {
-	return e.demanded.bitMatters(&e.stats, e.span, e.Ctx, e.Deadline, v, bit)
+	return e.demanded.bitMatters(&e.stats, e.span, e.Ctx, e.Deadline, e.sliced, v, bit)
 }
