@@ -1,6 +1,7 @@
 package compare
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -297,5 +298,27 @@ func TestOldCacheFileStillHits(t *testing.T) {
 				workers, got.Cache.Misses, got.Cache.Hits)
 		}
 		requireSameReport(t, want, got, fmt.Sprintf("old cache file (workers=%d)", workers))
+	}
+}
+
+// TestOldCacheFileSavesUnchanged: testdata/old-cache.json, written while
+// each analysis was its own cache entry, comes back from Load and Save
+// byte for byte. Save still writes that layout, so a comparator of either
+// kind reads the other's files.
+func TestOldCacheFileSavesUnchanged(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "old-cache.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := rescache.New()
+	if err := cache.Load(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := cache.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved.Bytes(), data) {
+		t.Errorf("saving the loaded file changed it:\n%s\nwant\n%s", saved.Bytes(), data)
 	}
 }
